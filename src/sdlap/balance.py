@@ -408,7 +408,9 @@ def _det_report(table: DistanceTable, kind: str,
     return BalanceReport(balanced, f"det-{kind}", certificate, det)
 
 
-def is_balanced_det(g: SignedGraph, kind: str = "all") -> BalanceReport:
+def is_balanced_det(g: SignedGraph, kind: str = "all", *,
+                    table: DistanceTable | None = None,
+                    switching: BalanceReport | None = None) -> BalanceReport:
     """Decide balance from a signed distance Laplacian determinant.
 
     kind "max" / "min" / "pm" uses the single determinant; "pm" on an
@@ -416,12 +418,20 @@ def is_balanced_det(g: SignedGraph, kind: str = "all") -> BalanceReport:
     would force compatibility). kind "all" evaluates every route and
     raises ArithmeticError if the verdicts ever disagree, including the
     entrywise equality of the max and min Laplacians on balanced input.
+
+    A caller that already holds distance_table(g) or
+    is_balanced_switching(g) passes them as table and switching, so that
+    several reports on one graph build each only once.
     """
     if kind not in ("max", "min", "pm", "all"):
         raise ValueError(f"kind must be max, min, pm, or all, got {kind!r}")
-    table = distance_table(g)
-    balanced_sw, zeta, cycle = _switching_certificate(g)
-    certificate = zeta if balanced_sw else cycle
+    if table is None:
+        table = distance_table(g)
+    if switching is None:
+        balanced_sw, zeta, cycle = _switching_certificate(g)
+        certificate = zeta if balanced_sw else cycle
+    else:
+        balanced_sw, certificate = switching.balanced, switching.certificate
 
     if kind in ("max", "min"):
         return _det_report(table, kind, balanced_sw, certificate)

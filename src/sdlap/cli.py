@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from .matrices import (
     weighted_laplacian,
 )
 from .spectra import MULTIPLICITY_TOL, sym_eig
-from .verify import SUITES, run_all, run_suite
+from .verify import MIN_VERIFY_N, SUITES, run_all, run_suite
 
 MATRIX_KINDS = (
     "dmax", "dmin", "dpm", "lmax", "lmin", "lpm",
@@ -59,14 +58,6 @@ SPECTRUM_KINDS = ("lmax", "lmin", "lpm", "adjacency", "laplacian")
 
 class _UsageError(ValueError):
     """Bad generator spec or similar user-input problem: exit code 2."""
-
-
-def _threads() -> int:
-    raw = os.environ.get("SGD_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _load(path: str) -> WeightedSignedGraph:
@@ -90,10 +81,10 @@ def _json_dump(obj) -> str:
 
 def _build_matrix(wg: WeightedSignedGraph, kind: str):
     if kind in ("dmax", "dmin", "dpm"):
-        table = distance_table(wg.base, threads=_threads())
+        table = distance_table(wg.base)
         return distance_matrix(table, kind[1:])
     if kind in ("lmax", "lmin", "lpm"):
-        table = distance_table(wg.base, threads=_threads())
+        table = distance_table(wg.base)
         return distance_laplacian_from_table(table, kind[1:])
     if kind == "adjacency":
         return adjacency_matrix(wg)
@@ -118,7 +109,7 @@ def _cmd_info(args) -> int:
         "connected": len(comps) == 1,
     }
     if info["connected"]:
-        table = distance_table(g, threads=_threads())
+        table = distance_table(g)
         compatible, witness = is_compatible(table)
         info["compatible"] = compatible
         if witness is not None:
@@ -152,8 +143,9 @@ def _cmd_balance(args) -> int:
         _emit(_json_dump(is_balanced_forest(g).to_json_obj()), args.out)
     else:
         sw = is_balanced_switching(g)
-        det_max = is_balanced_det(g, "max")
-        det_min = is_balanced_det(g, "min")
+        table = distance_table(g)
+        det_max = is_balanced_det(g, "max", table=table, switching=sw)
+        det_min = is_balanced_det(g, "min", table=table, switching=sw)
         result = {
             "balanced": sw.balanced,
             "det_lmax": str(det_max.determinant),
@@ -204,6 +196,8 @@ def _cmd_forests(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n is not None and args.n < MIN_VERIFY_N:
+        raise _UsageError(f"--n must be at least {MIN_VERIFY_N}, got {args.n}")
     if args.suite == "all":
         reports = run_all(n_max=args.n, seed=args.seed)
     else:
@@ -312,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
-    p_verify.add_argument("--n", type=int, default=None, help="vertex count bound")
+    p_verify.add_argument("--n", type=int, default=None,
+                          help=f"vertex count bound, at least {MIN_VERIFY_N}")
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     add_common(p_verify)

@@ -8,6 +8,7 @@ in the README.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -125,7 +126,7 @@ class SignedGraph:
 
 @dataclass(frozen=True)
 class WeightedSignedGraph:
-    """A signed graph with a strictly positive weight on each edge."""
+    """A signed graph with a finite, strictly positive weight on each edge."""
 
     base: SignedGraph
     weights: tuple[float, ...]
@@ -137,8 +138,10 @@ class WeightedSignedGraph:
                 f"{len(weights)} weights for {self.base.m} edges"
             )
         for i, w in enumerate(weights):
-            if not w > 0:
-                raise ValueError(f"weight {w!r} at edge {i} is not strictly positive")
+            if not 0 < w < math.inf:
+                raise ValueError(
+                    f"weight {w!r} at edge {i} is not finite and strictly positive"
+                )
         object.__setattr__(self, "weights", weights)
 
     @classmethod
@@ -181,7 +184,7 @@ def parse_edge_list(text: str) -> WeightedSignedGraph:
 
     Format: '#' lines are comments; the first non-comment line is the vertex
     count n; every further line is "u v s [w]" with 1-based endpoints,
-    s in {+, -, 1, -1} and an optional positive weight (default 1).
+    s in {+, -, 1, -1} and an optional finite positive weight (default 1).
 
     Raises GraphFormatError with the offending line number on bad input.
     """
@@ -225,6 +228,8 @@ def parse_edge_list(text: str) -> WeightedSignedGraph:
                 weight = float(tokens[3])
             except ValueError:
                 raise GraphFormatError(f"bad weight {tokens[3]!r}", lineno)
+            if not math.isfinite(weight):
+                raise GraphFormatError(f"non-finite weight {tokens[3]}", lineno)
             if not weight > 0:
                 raise GraphFormatError(f"nonpositive weight {tokens[3]}", lineno)
         key = (min(u, v) - 1, max(u, v) - 1)

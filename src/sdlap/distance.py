@@ -1,16 +1,25 @@
 """All-pairs hop distances with shortest-path sign classification.
 
-A breadth-first layering gives the hop distance; two boolean flags per
-pair record whether some shortest path is positive and whether some is
-negative. The flags propagate over the shortest-path DAG in distance
-order, so no path is ever enumerated.
+distance_table runs one breadth-first search for every source at once,
+level by level, as whole-array boolean operations in the style of
+linear-algebra graph algorithms (Kepner & Gilbert, SIAM 2011). Bit s of
+row v of the frontier P (or Q) says that source s reaches v at the
+current level by a positive (or negative) shortest path. One level is
+
+    P'[v] = OR over neighbours u of (P[u] if uv is positive else Q[u])
+    Q'[v] = OR over neighbours u of (Q[u] if uv is positive else P[u])
+    new   = (P' | Q') & unseen;  P' &= new;  Q' &= new
+
+which is exact: no path is enumerated and no count can overflow.
+sssp_signs is the single-source form of the same flags, computed by an
+ordinary BFS; the tests compare the table with it row by row.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +28,13 @@ from .core import NEGATIVE, POSITIVE, SignedGraph, WeightedSignedGraph
 from .matrices import SquareMatrix
 
 DISTANCE_KINDS = ("max", "min", "pm")
+
+# Frontier words hold 64 sources each. They are little-endian so that
+# their bytes unpack in source order on any host.
+_WORD = np.dtype("<u8")
+_ONE = np.uint64(1)
+_BIT = np.left_shift(np.ones(64, _WORD), np.arange(64, dtype=_WORD))
+_SIDES = np.array([[[0]], [[1]]])  # feeds of P' (0) and of Q' (1)
 
 
 class DisconnectedGraphError(ValueError):
@@ -146,23 +162,77 @@ def sssp_signs(g: SignedGraph, src: int) -> list[PairDistanceSummary]:
     return [PairDistanceSummary(d, p, ng) for d, p, ng in zip(dist, pos, neg)]
 
 
-def distance_table(g: SignedGraph, threads: int = 1) -> DistanceTable:
-    """Run sssp_signs from every source. Raises on disconnected input.
+def _level_plan(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Gather rows and segment starts for one level of the signed BFS.
 
-    threads > 1 computes source rows in a thread pool; every row only
-    touches its own output, so the parallel run is exact.
+    Returns (gather, starts). Frontier rows are P[0..n) followed by
+    Q[0..n). gather[0] lists, arc by arc, the row that feeds P'[head]:
+    P[tail] for a positive edge and Q[tail] for a negative one; gather[1]
+    lists the row that feeds Q'[head]. Arcs are grouped by head, and
+    starts[v] is where the group of v begins. A vertex without neighbours
+    gets a self arc, which only carries sources that already reached it.
+    """
+    n, m = g.n, g.m
+    e = np.fromiter(chain.from_iterable(g.edges), np.intp, 3 * m).reshape(m, 3).T
+    heads = e[1::-1].ravel()
+    rows = (e[:2] + n * ((e[2] < 0) ^ _SIDES)).reshape(2, 2 * m)
+    degree = np.bincount(heads, minlength=n)
+    if np.count_nonzero(degree) < n:
+        lonely = np.flatnonzero(degree == 0)
+        heads = np.concatenate((heads, lonely))
+        rows = np.concatenate((rows, np.stack((lonely, lonely + n))), axis=1)
+        degree[lonely] = 1
+    starts = degree.cumsum()
+    starts -= degree
+    return rows.take(heads.argsort(kind="stable"), axis=1), starts
+
+
+def distance_table(g: SignedGraph) -> DistanceTable:
+    """Hop distance and sign flags for every pair, by one BFS from all
+    sources at once (see the module docstring).
+
+    Raises DisconnectedGraphError on disconnected input, naming source 0
+    and the least vertex it cannot reach.
     """
     n = g.n
-    sources = range(n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda s: _sssp(g, s), sources))
-    else:
-        rows = [_sssp(g, s) for s in sources]
-    dist = np.array([r[0] for r in rows], dtype=np.int64)
-    pos = np.array([r[1] for r in rows], dtype=bool)
-    neg = np.array([r[2] for r in rows], dtype=bool)
-    return DistanceTable(dist, pos, neg)
+    words = (n + 63) >> 6
+    gather, starts = _level_plan(g)
+    # frontier[0] is P and frontier[1] is Q; bit s of row v is source s.
+    # Level 0: every source reaches itself by the empty, positive path.
+    frontier = np.zeros((2, n, words), _WORD)
+    v = np.arange(n)
+    frontier[0, v, v >> 6] = _BIT[v & 63]
+    # found[0] and found[1] collect the pos and neg flags; planes[b]
+    # collects bit b of the hop distance. Distances are below n.
+    found = np.zeros((2 + max(1, (n - 1).bit_length()), n, words), _WORD)
+    flags, planes = found[:2], found[2:]
+    flags[0] = frontier[0]
+    unseen = np.invert(frontier[0])
+    # the last word has no sources past n - 1
+    unseen[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(64 * words - n)
+    frontier_rows = frontier.reshape(2 * n, words)
+    gathered = np.empty(gather.shape + (words,), _WORD)
+    new = np.empty((n, words), _WORD)
+    level = 0
+    while np.count_nonzero(unseen):
+        level += 1
+        frontier_rows.take(gather, axis=0, out=gathered)
+        np.bitwise_or.reduceat(gathered, starts, axis=1, out=frontier)
+        frontier &= unseen
+        np.bitwise_or(frontier[0], frontier[1], out=new)
+        if not np.count_nonzero(new):
+            raise DisconnectedGraphError(int(np.flatnonzero(unseen[:, 0] & _ONE)[0]), 0)
+        unseen ^= new
+        flags |= frontier
+        for b in range(level.bit_length()):
+            if level >> b & 1:
+                planes[b] |= new
+    used = 2 + max(1, level.bit_length())
+    bits = np.unpackbits(found[:used].view(np.uint8), axis=2, count=n, bitorder="little")
+    dist = bits[2].astype(np.int64)
+    for b in range(1, used - 2):
+        dist |= np.left_shift(bits[2 + b], b, dtype=np.int64)
+    return DistanceTable(dist, bits[0].view(bool), bits[1].view(bool))
 
 
 def is_compatible(table: DistanceTable) -> tuple[bool, tuple[int, int] | None]:

@@ -31,6 +31,11 @@ SUITES = (
     "incidence-factorization",
 )
 
+# Smallest vertex-count bound a suite accepts. Random graphs have 2 to
+# n_max vertices and the transmission-shift cycles 3 to n_max, so a lower
+# bound either crashes or passes without testing anything.
+MIN_VERIFY_N = 3
+
 _MAX_FAILURES_KEPT = 10
 
 
@@ -249,6 +254,8 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8, seed: int = 
 def run_suite(name: str, count: int | None = None, n_max: int | None = None,
               seed: int = 1) -> SuiteReport:
     """Run one named suite with its default sizes unless overridden."""
+    if n_max is not None and n_max < MIN_VERIFY_N:
+        raise ValueError(f"vertex count bound must be at least {MIN_VERIFY_N}, got {n_max}")
     if name == "forest-theorem":
         return forest_theorem_suite(count or 200, n_max or 6, seed)
     if name == "balance-equivalence":

@@ -113,6 +113,30 @@ def test_balance_both_matches_documented_output(capsys, c4_one_negative):
     }
 
 
+def test_balance_both_builds_one_table_and_one_switching_run(
+        capsys, monkeypatch, c4_one_negative):
+    import sdlap.balance
+    import sdlap.cli
+
+    calls = {"table": 0, "switching": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (sdlap.cli, sdlap.balance):
+        monkeypatch.setattr(module, "distance_table",
+                            counted("table", module.distance_table))
+    monkeypatch.setattr(sdlap.balance, "_switching_certificate",
+                        counted("switching", sdlap.balance._switching_certificate))
+    code, out, _ = run(capsys, "balance", c4_one_negative)
+    assert code == 0
+    assert json.loads(out)["det_lmin"] == "84"
+    assert calls == {"table": 1, "switching": 1}
+
+
 def test_balance_switching_report(capsys, tmp_path):
     path = tmp_path / "p3.sg"
     run(capsys, "gen", "path:3:+-", "--out", str(path))
@@ -214,6 +238,27 @@ def test_verify_json_format(capsys):
     assert reports[0]["passed"] is True
 
 
+@pytest.mark.parametrize("bound", ["-1", "0", "1", "2"])
+def test_verify_rejects_vertex_bounds_below_three(capsys, bound):
+    code, out, err = run(capsys, "verify", "all", "--n", bound)
+    assert code == 2
+    assert out == ""
+    assert "at least 3" in err
+
+
+def test_run_suite_rejects_vertex_bounds_below_three():
+    from sdlap.verify import run_suite
+
+    with pytest.raises(ValueError, match="at least 3"):
+        run_suite("transmission-shift", n_max=2)
+
+
+def test_verify_accepts_the_smallest_vertex_bound(capsys):
+    code, out, _ = run(capsys, "verify", "transmission-shift", "--n", "3")
+    assert code == 0
+    assert out.startswith("PASS transmission-shift: 4 instances")
+
+
 def test_verify_rejects_unknown_suite(capsys):
     assert run(capsys, "verify", "everything")[0] == 2
 
@@ -237,6 +282,15 @@ def test_bad_file_contents_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "info", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+def test_non_finite_weight_exits_2(tmp_path, capsys):
+    path = tmp_path / "inf.sg"
+    path.write_text("3\n1 2 + inf\n2 3 -\n")
+    code, out, err = run(capsys, "matrix", str(path), "--kind", "laplacian")
+    assert code == 2
+    assert out == ""
+    assert "line 2" in err and "non-finite weight" in err
 
 
 def test_disconnected_input_exits_1(tmp_path, capsys):

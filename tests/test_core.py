@@ -79,6 +79,10 @@ def test_parse_accepts_comments_and_numeric_signs():
         ("2\n1 2 *", 2, "sign token"),
         ("2\n1 2 + -3", 2, "nonpositive weight"),
         ("2\n1 2 + 0", 2, "nonpositive weight"),
+        ("2\n1 2 + inf", 2, "non-finite weight"),
+        ("2\n1 2 + 1e400", 2, "non-finite weight"),
+        ("2\n1 2 + nan", 2, "non-finite weight"),
+        ("2\n1 2 + -Infinity", 2, "non-finite weight"),
         ("2\n1 2 +\n2 1 -", 3, "duplicate"),
         ("2\n1 3 +", 2, "vertex outside"),
         ("x\n1 2 +", 1, "vertex count"),
@@ -134,6 +138,9 @@ def test_weighted_graph_validation():
         WeightedSignedGraph(g, (1.0, 2.0))
     with pytest.raises(ValueError, match="strictly positive"):
         WeightedSignedGraph(g, (0.0,))
+    for weight in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedSignedGraph(g, (weight,))
 
 
 # ---------------------------------------------------------------- switching

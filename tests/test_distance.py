@@ -123,13 +123,59 @@ def test_table_symmetry_and_triangle_inequality():
                     assert d[u, v] <= d[u, w] + d[w, v]
 
 
-def test_parallel_table_matches_sequential():
-    g = random_connected_graph(random.Random(1), 7, 8)
-    a = distance_table(g)
-    b = distance_table(g, threads=4)
-    assert np.array_equal(a.dist, b.dist)
-    assert np.array_equal(a.pos, b.pos)
-    assert np.array_equal(a.neg, b.neg)
+def assert_rows_match_sssp(g):
+    table = distance_table(g)
+    assert table.dist.shape == (g.n, g.n) and table.dist.dtype == np.int64
+    assert table.pos.dtype == bool and table.neg.dtype == bool
+    for s in range(g.n):
+        assert [table.entry(s, v) for v in range(g.n)] == sssp_signs(g, s), (g, s)
+
+
+def test_table_rows_match_single_source_bfs():
+    rng = random.Random(77)
+    graphs = [
+        SignedGraph(1, ()),
+        generate("path", 2, "allpos"),
+        generate("path", 2, "allneg"),
+        generate("path", 3, "+-"),
+        generate("cycle", 3, "allneg"),
+        generate("complete", 3, "+--"),
+    ]
+    for n in (5, 7, 9, 63, 65):
+        graphs.append(generate("cycle", n, "allneg"))
+    for _ in range(10):
+        graphs.append(generate("path", rng.randint(2, 70), 0.5, seed=rng.getrandbits(32)))
+        n = rng.randint(2, 70)
+        graphs.append(SignedGraph(n, tuple(
+            (rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n))))
+    for _ in range(60):
+        n = rng.randint(2, 70)
+        signs = rng.choice((0.5, 1.0))
+        graphs.append(generate("random", n, signs, seed=rng.getrandbits(32),
+                               p=rng.uniform(min(1.0, 2.5 / n), 0.6)))
+    # multi-word frontiers, and distances that need more than 8 bits
+    graphs.append(generate("random", 200, 0.5, seed=11, p=0.04))
+    graphs.append(generate("path", 300, 0.5, seed=12))
+    for g in graphs:
+        assert_rows_match_sssp(g)
+
+
+def test_table_reports_the_same_unreachable_pair_as_single_source_bfs():
+    graphs = [
+        SignedGraph(2, ()),
+        SignedGraph(4, ((1, 2, 1), (2, 3, -1))),
+        SignedGraph(5, ((0, 3, -1), (1, 2, 1), (3, 4, 1))),
+        SignedGraph(6, ((0, 1, 1), (2, 3, -1), (4, 5, 1))),
+        SignedGraph(5, ((0, 1, -1), (2, 3, 1))),
+        SignedGraph(70, tuple((v, v + 1, 1) for v in range(68))),
+    ]
+    for g in graphs:
+        with pytest.raises(DisconnectedGraphError) as expected:
+            sssp_signs(g, 0)
+        with pytest.raises(DisconnectedGraphError) as err:
+            distance_table(g)
+        assert (err.value.vertex, err.value.source) == (
+            expected.value.vertex, expected.value.source), g
 
 
 # ---------------------------------------------------------------- matrices
