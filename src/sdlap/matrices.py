@@ -18,6 +18,11 @@ def _fmt_number(x) -> str:
     return format(float(x), ".12g")
 
 
+def _rows_to_csv(entries: np.ndarray) -> str:
+    rows = entries.tolist()
+    return "\n".join(",".join(_fmt_number(x) for x in row) for row in rows) + "\n"
+
+
 @dataclass(frozen=True, eq=False)
 class SquareMatrix:
     """Dense square matrix with a label for exports.
@@ -49,8 +54,7 @@ class SquareMatrix:
         return np.array(self.entries, dtype=dtype)
 
     def to_csv(self) -> str:
-        rows = self.entries.tolist()
-        return "\n".join(",".join(_fmt_number(x) for x in row) for row in rows) + "\n"
+        return _rows_to_csv(self.entries)
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "kind": self.kind, "rows": self.entries.tolist()}
@@ -82,8 +86,7 @@ class IncidenceMatrix:
         return self.entries.shape[1]
 
     def to_csv(self) -> str:
-        rows = self.entries.tolist()
-        return "\n".join(",".join(_fmt_number(x) for x in row) for row in rows) + "\n"
+        return _rows_to_csv(self.entries)
 
     def to_json_obj(self) -> dict:
         return {
@@ -96,9 +99,26 @@ class IncidenceMatrix:
 
 
 def _weight_values(wg: WeightedSignedGraph):
-    if wg.integer_weights:
-        return [int(w) for w in wg.weights], np.int64
-    return list(wg.weights), np.float64
+    """Edge weights and the dtype to store them in.
+
+    Integral weights are stored as int64. Every entry of the adjacency,
+    degree and Laplacian matrices is bounded by some vertex's weight sum,
+    so checking those sums exactly rules out silent int64 wraparound.
+    """
+    if not wg.integer_weights:
+        return list(wg.weights), np.float64
+    values = [int(w) for w in wg.weights]
+    sums = [0] * wg.n
+    for (u, v, _), w in zip(wg.edges, values):
+        sums[u] += w
+        sums[v] += w
+    for vertex, total in enumerate(sums):
+        if total >= 2 ** 63:
+            raise ValueError(
+                f"weight sum {total} at vertex index {vertex} does not fit "
+                f"in a 64-bit integer matrix"
+            )
+    return values, np.int64
 
 
 def adjacency_matrix(g: SignedGraph | WeightedSignedGraph) -> SquareMatrix:

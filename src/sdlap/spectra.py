@@ -1,8 +1,8 @@
 """Symmetric eigensolving and the spectral identities.
 
-The eigensolver is an in-tree cyclic Jacobi iteration: every matrix in
-this package is small, dense, and symmetric, and Jacobi reaches machine
-accuracy on those without any external numerics dependency.
+Eigenvalues come from LAPACK through numpy.linalg.eigvalsh. sym_eig wraps
+it with the checks the rest of the package relies on: the input must be
+finite and symmetric, and the eigenvalue sum must match the trace.
 """
 
 from __future__ import annotations
@@ -14,12 +14,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import SignedGraph, generate
-from .distance import distance_matrix, distance_table, transmission
+from .distance import DistanceTable, distance_matrix, distance_table, transmission
 from .matrices import SquareMatrix, distance_laplacian_from_table
 
 MULTIPLICITY_TOL = 1e-7
-_CONVERGENCE_FACTOR = 1e-12
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -64,61 +62,23 @@ def _as_square_array(m) -> np.ndarray:
     return np.array(arr, dtype=float)
 
 
-def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n < 2:
-        return np.diagonal(a).copy()
-    norm = math.sqrt(float((a * a).sum()))
-    if norm == 0.0:
-        return np.zeros(n)
-    threshold = _CONVERGENCE_FACTOR * norm
-    for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-    return np.sort(np.diagonal(a).copy())
-
-
 def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:
     """Full real spectrum of a symmetric matrix, ascending.
 
-    Input must be symmetric within 1e-12 relative to its largest entry.
-    The result satisfies the trace identity: the eigenvalue sum matches
-    the trace within 1e-8 * n * max|entry|. grouping_tol only affects how
-    eigenvalues are grouped into multiplicities, not their values.
+    Every entry must be finite, and the input symmetric within 1e-12
+    relative to its largest entry; otherwise ValueError. The eigenvalues
+    come from LAPACK's symmetric solver (numpy.linalg.eigvalsh) applied to
+    (m + m.T) / 2, and their sum must match the trace within
+    1e-8 * n * max|entry|, else ArithmeticError. grouping_tol only affects
+    how eigenvalues are grouped into multiplicities, not their values.
     """
     a = _as_square_array(m)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
     if a.size and float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    work = (a + a.T) / 2.0
-    values = _jacobi_eigenvalues(work)
+    values = np.linalg.eigvalsh((a + a.T) / 2.0)
     n = a.shape[0]
     if n:
         drift = abs(float(values.sum()) - float(np.trace(a)))
@@ -147,14 +107,18 @@ class TransmissionShiftReport:
     max_deviation: float | None
 
 
-def transmission_regular_shift_check(g: SignedGraph, kind: str) -> TransmissionShiftReport:
+def transmission_regular_shift_check(g: SignedGraph, kind: str, *,
+                                     table: DistanceTable | None = None
+                                     ) -> TransmissionShiftReport:
     """Check the eigenvalue shift on transmission-regular graphs.
 
     When every vertex has the same transmission t, the distance Laplacian
     spectrum must be {t - lambda} over the distance matrix spectrum; the
     report carries the largest deviation between the two sorted lists.
+    A caller that already holds distance_table(g) passes it as table.
     """
-    table = distance_table(g)
+    if table is None:
+        table = distance_table(g)
     tr = transmission(table)
     t = int(tr[0])
     if not bool((tr == t).all()):

@@ -202,9 +202,10 @@ def transmission_shift_suite(n_min: int = 3, n_max: int = 12,
         expected_t = (n // 2) * (n // 2 + 1) if n % 2 else (n // 2) ** 2
         for signs in ("allpos", "allneg"):
             g = generate("cycle", n, signs)
+            table = distance_table(g)
             for kind in ("max", "min"):
                 instances += 1
-                result = transmission_regular_shift_check(g, kind)
+                result = transmission_regular_shift_check(g, kind, table=table)
                 label = f"C{n} {signs} {kind}"
                 if not result.is_transmission_regular:
                     report.record_failure(f"{label}: not transmission-regular")
@@ -218,7 +219,7 @@ def transmission_shift_suite(n_min: int = 3, n_max: int = 12,
                         f"{label}: shift deviation {result.max_deviation:g}"
                     )
                 max_dev = max(max_dev, result.max_deviation)
-                lap = distance_laplacian_from_table(distance_table(g), kind)
+                lap = distance_laplacian_from_table(table, kind)
                 min_eig = min(min_eig, _min_eigenvalue(lap))
     report.instances = instances
     report.details["max_deviation"] = max_dev
@@ -256,6 +257,8 @@ def run_suite(name: str, count: int | None = None, n_max: int | None = None,
     """Run one named suite with its default sizes unless overridden."""
     if n_max is not None and n_max < MIN_VERIFY_N:
         raise ValueError(f"vertex count bound must be at least {MIN_VERIFY_N}, got {n_max}")
+    if count is not None and count < 1:
+        raise ValueError(f"instance count must be at least 1, got {count}")
     if name == "forest-theorem":
         return forest_theorem_suite(count or 200, n_max or 6, seed)
     if name == "balance-equivalence":

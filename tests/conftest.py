@@ -2,15 +2,22 @@
 
 The oracles here deliberately avoid the library's own algorithms: shortest
 paths are enumerated by depth-limited DFS, determinants come from the
-Leibniz permutation sum, and Laplacians are rebuilt with plain loops.
+Leibniz permutation sum, Laplacians are rebuilt with plain loops, and
+eigenvalues come from a cyclic Jacobi iteration instead of LAPACK.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+import numpy as np
+
 from sdlap import SignedGraph, WeightedSignedGraph, generate, switch
+
+_CONVERGENCE_FACTOR = 1e-12
+_MAX_SWEEPS = 100
 
 
 def brute_pair_summary(g: SignedGraph, src: int, dst: int):
@@ -122,3 +129,50 @@ def random_weighted_graph(rng: random.Random, n_min: int, n_max: int,
                           high: int = 5) -> WeightedSignedGraph:
     g = random_connected_graph(rng, n_min, n_max)
     return WeightedSignedGraph(g, tuple(float(rng.randint(1, high)) for _ in range(g.m)))
+
+
+def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted.
+
+    Slow but accurate on small eigenvalues (Demmel and Veselic, SIAM J.
+    Matrix Anal. Appl. 1992), and it shares no code with LAPACK, which
+    the library calls. Rotates a in place.
+    """
+    n = a.shape[0]
+    if n < 2:
+        return np.diagonal(a).copy()
+    norm = math.sqrt(float((a * a).sum()))
+    if norm == 0.0:
+        return np.zeros(n)
+    threshold = _CONVERGENCE_FACTOR * norm
+    for _ in range(_MAX_SWEEPS):
+        off = math.sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
+        if off <= threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if abs(apq) < 1e-36 * abs(diff):
+                    t = apq / diff
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+    else:
+        raise ArithmeticError("Jacobi iteration did not converge")
+    return np.sort(np.diagonal(a).copy())

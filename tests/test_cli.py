@@ -253,6 +253,33 @@ def test_run_suite_rejects_vertex_bounds_below_three():
         run_suite("transmission-shift", n_max=2)
 
 
+def test_transmission_shift_suite_builds_one_table_per_cycle(monkeypatch):
+    import sdlap.spectra
+    import sdlap.verify
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(g):
+            calls.append(g)
+            return fn(g)
+        return wrapper
+
+    for module in (sdlap.spectra, sdlap.verify):
+        monkeypatch.setattr(module, "distance_table", counted(module.distance_table))
+    report = sdlap.verify.transmission_shift_suite(3, 12)
+    assert report.passed and report.instances == 40
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_run_suite_rejects_instance_counts_below_one(count):
+    from sdlap.verify import run_suite
+
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suite("cospectrality", count=count)
+
+
 def test_verify_accepts_the_smallest_vertex_bound(capsys):
     code, out, _ = run(capsys, "verify", "transmission-shift", "--n", "3")
     assert code == 0
@@ -291,6 +318,17 @@ def test_non_finite_weight_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line 2" in err and "non-finite weight" in err
+
+
+def test_weight_sum_beyond_int64_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.sg"
+    path.write_text("3\n1 2 + 5000000000000000000\n2 3 + 5000000000000000000\n"
+                    "1 3 + 1\n")
+    code, out, err = run(capsys, "matrix", str(path), "--kind", "degree",
+                         "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert "vertex index 1" in err
 
 
 def test_disconnected_input_exits_1(tmp_path, capsys):

@@ -58,6 +58,20 @@ def test_degree_matrix_examples():
     assert not m.exact
 
 
+@pytest.mark.parametrize("builder", [adjacency_matrix, weighted_degree_matrix,
+                                     weighted_laplacian])
+def test_integer_builders_reject_weight_sums_beyond_int64(builder):
+    triangle = generate("cycle", 3, "allpos")
+    wrapping = WeightedSignedGraph(triangle, (5e18, 5e18, 1.0))
+    with pytest.raises(ValueError, match="vertex index 1"):
+        builder(wrapping)
+    with pytest.raises(ValueError, match="64-bit"):
+        builder(WeightedSignedGraph(triangle, (2.0 ** 63, 1.0, 1.0)))
+    below = 2 ** 63 - 1024  # the largest float below 2**63
+    m = builder(WeightedSignedGraph(SignedGraph(2, ((0, 1, -1),)), (float(below),)))
+    assert m.exact and int(np.abs(m.entries).max()) == below
+
+
 def test_laplacian_examples():
     tri = weighted_laplacian(generate("cycle", 3, "allneg"))
     assert tri.entries.tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]

@@ -19,7 +19,7 @@ from sdlap import (
     transmission_regular_shift_check,
 )
 
-from conftest import random_connected_graph
+from conftest import jacobi_eigenvalues, random_connected_graph
 
 
 # ---------------------------------------------------------------- eigensolver
@@ -47,7 +47,7 @@ def test_sym_eig_matches_library_oracle_on_random_matrices():
         a = rng.normal(scale=3.0, size=(n, n))
         a = (a + a.T) / 2
         ours = np.array(sym_eig(a).eigenvalues)
-        oracle = np.linalg.eigvalsh(a)
+        oracle = jacobi_eigenvalues(a.copy())
         assert np.abs(ours - oracle).max() < 1e-9 * max(1.0, np.abs(a).max())
 
 
@@ -60,8 +60,37 @@ def test_sym_eig_matches_oracle_on_integer_matrices():
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.randint(-5, 5)
         ours = np.array(sym_eig(rows).eigenvalues)
-        oracle = np.linalg.eigvalsh(np.array(rows, dtype=float))
+        oracle = jacobi_eigenvalues(np.array(rows, dtype=float))
         assert np.abs(ours - oracle).max() < 1e-9
+
+
+def test_sym_eig_matches_oracle_on_repeated_eigenvalues():
+    # odd all-negative cycles have doubled eigenvalues, K5 a quadruple one
+    graphs = [generate("cycle", 2 * k + 1, "allneg") for k in range(1, 6)]
+    graphs += [generate("complete", 5, signs) for signs in ("allpos", "allneg")]
+    for g in graphs:
+        lap = distance_laplacian(g, "pm")
+        spectrum = sym_eig(lap)
+        oracle = jacobi_eigenvalues(lap.entries.astype(float))
+        assert np.abs(np.array(spectrum.eigenvalues) - oracle).max() < 1e-9
+        assert max(k for _, k in spectrum.groups) >= 2
+
+
+def test_sym_eig_matches_oracle_on_one_by_one():
+    for value in (0.0, -2.5, 7.0):
+        a = np.array([[value]])
+        assert sym_eig(a).eigenvalues == tuple(jacobi_eigenvalues(a.copy()))
+        assert sym_eig(a).eigenvalues == (value,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sym_eig_rejects_non_finite_entries(bad):
+    diagonal = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        sym_eig(diagonal)
+    off_diagonal = np.array([[0.0, bad], [bad, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        sym_eig(off_diagonal)
 
 
 def test_sym_eig_rejects_asymmetric_input():
