@@ -3,14 +3,29 @@
 Balance is decided three independent ways: a switching oracle over a
 spanning tree, exact integer determinants of the signed distance
 Laplacians, and the matrix-forest sum over contrabalanced spanning
-1-forests. Verdict-bearing determinants use fraction-free (Bareiss)
-elimination over Python integers, so "determinant equals zero" is an
-exact predicate, never a tolerance.
+1-forests. "Determinant equals zero" is always an exact predicate, never
+a tolerance, and each determinant takes one of three exact routes:
+
+* Certificate. When the switching oracle reports a balanced graph with
+  switching function zeta, L zeta = 0 is checked exactly in int64. zeta
+  is a nonzero +-1 vector, so this proves det L = 0 in O(n^2) without
+  elimination; if the check fails the determinant is computed.
+* Multimodular (det_exact from order _MODULAR_MIN_ORDER on). The matrix
+  is reduced modulo primes below 2**23 and eliminated for a batch of
+  primes at once, as a float64 array, by blocked LU whose trailing update
+  is one batched matmul (Dumas, Giorgi & Pernet, ACM TOMS 2008). Every
+  value stays an integer below 2**53, so the float arithmetic is exact.
+  Primes are added until their product exceeds twice the Hadamard bound,
+  and the Chinese remainder theorem then gives the determinant itself:
+  the result is deterministic, not probabilistic.
+* Bareiss (smaller orders). Fraction-free elimination over Python
+  integers, which costs less than one modular elimination there.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -31,6 +46,23 @@ from .distance import DistanceTable, distance_table, is_compatible
 from .matrices import SquareMatrix, distance_laplacian_from_table
 
 ENUMERATION_MAX_VERTICES = 10
+
+# det_exact switches from Bareiss to the multimodular route at this order.
+# On distance Laplacians Bareiss was faster through n = 32 and slower from
+# n = 36 on (timings in CHANGES.md).
+_MODULAR_MIN_ORDER = 36
+# The multimodular route uses primes p < _PRIME_LIMIT and blocks of at most
+# _BLOCK columns. Reduced entries have magnitude below p, and at most
+# _BLOCK products of two of them accumulate before the next reduction, so
+# every value is an integer of magnitude at most _BLOCK * (p - 1)**2 + p.
+# With _BLOCK * (p - 1)**2 + 2 * p < 2**53, which _reduce also needs, all
+# float64 arithmetic is exact.
+_PRIME_LIMIT = 1 << 23
+_BLOCK = 16
+# Primes eliminated together in one float64 array. Sixteen at once saved
+# about 15 % of the time but raised the peak memory of `balance` at
+# n = 140 by 10 % (CHANGES.md).
+_PRIME_CHUNK = 8
 
 BALANCE_METHODS = ("switching", "det-max", "det-min", "det-pm", "forest-sum")
 
@@ -116,14 +148,26 @@ def _int_rows(m) -> list[list[int]]:
 
 
 def det_exact(m) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
+    """Exact determinant of an integer matrix.
 
-    Bareiss elimination keeps every intermediate value an integer (the
-    division by the previous pivot is always exact), so arbitrary-precision
-    Python integers make the result exact at any order. Raises ValueError
-    on a non-integer entry.
+    Orders below _MODULAR_MIN_ORDER use Bareiss elimination over Python
+    integers; larger ones use elimination modulo word-size primes with
+    enough primes for the Hadamard bound (see the module docstring). Both
+    routes are exact at any order. Raises ValueError on a non-integer,
+    NaN or infinite entry.
     """
     a = _int_rows(m)
+    if len(a) < _MODULAR_MIN_ORDER:
+        return _det_bareiss(a)
+    return _det_modular(a)
+
+
+def _det_bareiss(a: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) elimination of the rows a, in place.
+
+    Every intermediate value stays an integer, because the division by the
+    previous pivot is always exact.
+    """
     n = len(a)
     if n == 0:
         return 1
@@ -148,6 +192,138 @@ def det_exact(m) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def _primes():
+    """Primes below _PRIME_LIMIT, largest first, generated on demand.
+
+    Miller-Rabin with the bases 2, 3, 5 and 7 is deterministic below
+    3.2e9, so the sequence is fixed.
+    """
+    for q in range(_PRIME_LIMIT - 1, 7, -2):
+        d, s = q - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        for base in (2, 3, 5, 7):
+            x = pow(base, d, q)
+            if x in (1, q - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % q
+                if x == q - 1:
+                    break
+            else:
+                break
+        else:
+            yield q
+
+
+def _det_modular(a: list[list[int]]) -> int:
+    """Exact determinant from residues modulo word-size primes.
+
+    Hadamard's inequality gives |det| <= H with H**2 the product of the
+    squared row norms. Primes are taken until their product M satisfies
+    M**2 > 4 * H**2, so the determinant is the symmetric residue of its
+    Chinese-remainder reconstruction modulo M. A bound beyond the product
+    of all primes below _PRIME_LIMIT (about 1.2e7 bits) goes to Bareiss.
+    """
+    n = len(a)
+    bound_sq = math.prod(sum(x * x for x in row) for row in a)
+    primes = _primes()
+    moduli: list[int] = []
+    product = 1
+    while product * product <= 4 * bound_sq:
+        q = next(primes, None)
+        if q is None:
+            return _det_bareiss(a)
+        moduli.append(q)
+        product *= q
+    try:
+        entries = np.array(a, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        entries = np.array(a, dtype=object).reshape(n, n)
+    value, modulus = 0, 1
+    for start in range(0, len(moduli), _PRIME_CHUNK):
+        chunk = moduli[start : start + _PRIME_CHUNK]
+        p = np.array(chunk, dtype=entries.dtype)[:, None, None]
+        residues = np.remainder(entries, p).astype(np.float64)
+        for r, q in zip(_det_mod_primes(residues, chunk), chunk):
+            value += modulus * ((r - value) * pow(modulus, -1, q) % q)
+            modulus *= q
+    return value - modulus if 2 * value > modulus else value
+
+
+def _reduce(x: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> None:
+    """Replace x, in place, by a residue of x modulo p in (-p, p).
+
+    x - p * rint(x / p) is exact for integer-valued |x| + p < 2**53: the
+    quotient is an integer, and both products and the difference are
+    integers below 2**53. A float remainder (np.remainder) costs about
+    four times as much.
+    """
+    q = x * p_inv
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+
+
+def _det_mod_primes(a: np.ndarray, primes: list[int]) -> list[int]:
+    """det(a[i]) mod primes[i] for every i, by right-looking blocked LU.
+
+    a is a float64 array of shape (len(primes), n, n) holding integers of
+    magnitude below primes[i]; it is overwritten. Each prime pivots on its
+    own first nonzero entry of the column, and a column without one makes
+    that determinant 0. Inside a block of _BLOCK columns the elimination
+    is elementwise, and an entry is reduced only when it becomes a pivot
+    row or column; the rest of the matrix is then updated by one batched
+    matmul. Both stay exact by the invariant stated at _BLOCK.
+    """
+    c, n, _ = a.shape
+    p = np.array(primes, dtype=np.float64)
+    p_inv = 1.0 / p
+    col_p, col_inv = p[:, None], p_inv[:, None]
+    mat_p, mat_inv = p[:, None, None], p_inv[:, None, None]
+    det = [1] * c
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        for k in range(k0, k1):
+            column = a[:, k:, k]
+            _reduce(column, col_p, col_inv)
+            if not column[:, 0].all():
+                rows = k + np.argmax(column != 0, axis=1)
+                moved = np.flatnonzero(rows != k)
+                held = a[moved, k, k0:]
+                a[moved, k, k0:] = a[moved, rows[moved], k0:]
+                a[moved, rows[moved], k0:] = held
+                for i in moved.tolist():
+                    det[i] = -det[i]
+            inverse = []
+            for i, (x, q) in enumerate(zip(a[:, k, k].tolist(), primes)):
+                x = int(x)
+                det[i] = det[i] * x % q
+                inverse.append(pow(x, -1, q) if x else 0)
+            mult = a[:, k + 1 :, k]
+            mult *= np.array(inverse, dtype=np.float64)[:, None]
+            _reduce(mult, col_p, col_inv)
+            row = a[:, k, k + 1 : k1]
+            _reduce(row, col_p, col_inv)
+            panel = a[:, k + 1 :, k + 1 : k1]
+            panel -= mult[:, :, None] * row[:, None, :]
+        if k1 == n:
+            break
+        # The row swaps above moved whole rows, so the columns right of the
+        # block can now be brought to U12 = L11^-1 A12 and then to the
+        # Schur complement A22 - L21 U12.
+        for k in range(k0, k1):
+            row = a[:, k, k1:]
+            _reduce(row, col_p, col_inv)
+            upper = a[:, k + 1 : k1, k1:]
+            upper -= a[:, k + 1 : k1, k, None] * row[:, None, :]
+        trailing = a[:, k1:, k1:]
+        trailing -= a[:, k1:, k0:k1] @ a[:, k0:k1, k1:]
+        _reduce(trailing, mat_p, mat_inv)
+    return [d % q for d, q in zip(det, primes)]
 
 
 def det_float(m) -> float:
@@ -395,10 +571,27 @@ def closed_form_det(g: SignedGraph | WeightedSignedGraph):
     return None
 
 
-def _det_report(table: DistanceTable, kind: str,
+def _in_kernel(lap: SquareMatrix, zeta) -> bool:
+    """True when zeta is a +-1 vector with lap @ zeta == 0 exactly."""
+    z = np.asarray(zeta, dtype=np.int64)
+    return (z.shape == (lap.n,) and bool(np.all(np.abs(z) == 1))
+            and not (lap.entries @ z).any())
+
+
+def _det_report(lap: SquareMatrix, kind: str,
                 balanced_sw: bool, certificate) -> BalanceReport:
-    lap = distance_laplacian_from_table(table, kind)
-    det = det_exact(lap)
+    """Report det L^kind, checked against the switching verdict.
+
+    When the switching oracle reports balance, its certificate zeta is a
+    nonzero +-1 vector; L zeta = 0 then puts zeta in the kernel of L and
+    proves det L = 0 without elimination. The check is exact in int64,
+    since distance Laplacian entries are below n**2 in magnitude. If it
+    fails, the determinant is computed.
+    """
+    if balanced_sw and _in_kernel(lap, certificate):
+        det = 0
+    else:
+        det = det_exact(lap)
     balanced = det == 0
     if balanced != balanced_sw:
         raise ArithmeticError(
@@ -434,7 +627,8 @@ def is_balanced_det(g: SignedGraph, kind: str = "all", *,
         balanced_sw, certificate = switching.balanced, switching.certificate
 
     if kind in ("max", "min"):
-        return _det_report(table, kind, balanced_sw, certificate)
+        lap = distance_laplacian_from_table(table, kind)
+        return _det_report(lap, kind, balanced_sw, certificate)
 
     compatible, _ = is_compatible(table)
     if kind == "pm":
@@ -444,21 +638,22 @@ def is_balanced_det(g: SignedGraph, kind: str = "all", *,
                     "balanced graph found incompatible; this is a bug"
                 )
             return BalanceReport(False, "det-pm", certificate, None)
-        return _det_report(table, "pm", balanced_sw, certificate)
+        lap = distance_laplacian_from_table(table, "pm")
+        return _det_report(lap, "pm", balanced_sw, certificate)
 
-    report_max = _det_report(table, "max", balanced_sw, certificate)
-    _det_report(table, "min", balanced_sw, certificate)
+    lmax = distance_laplacian_from_table(table, "max")
+    lmin = distance_laplacian_from_table(table, "min")
+    report_max = _det_report(lmax, "max", balanced_sw, certificate)
+    _det_report(lmin, "min", balanced_sw, certificate)
     if compatible:
-        _det_report(table, "pm", balanced_sw, certificate)
+        lpm = distance_laplacian_from_table(table, "pm")
+        _det_report(lpm, "pm", balanced_sw, certificate)
     elif balanced_sw:
         raise ArithmeticError("balanced graph found incompatible; this is a bug")
-    if balanced_sw:
-        lmax = distance_laplacian_from_table(table, "max")
-        lmin = distance_laplacian_from_table(table, "min")
-        if not np.array_equal(lmax.entries, lmin.entries):
-            raise ArithmeticError(
-                "balanced graph with differing max/min Laplacians; this is a bug"
-            )
+    if balanced_sw and not np.array_equal(lmax.entries, lmin.entries):
+        raise ArithmeticError(
+            "balanced graph with differing max/min Laplacians; this is a bug"
+        )
     return report_max
 
 

@@ -80,11 +80,14 @@ class DistanceTable:
     neg: np.ndarray
 
     def __post_init__(self):
+        # An array that owns its data and is read-only cannot change under
+        # the table; anything else, a view included, is copied first.
         for name in ("dist", "pos", "neg"):
             arr = getattr(self, name)
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = arr.copy()
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -232,7 +235,10 @@ def distance_table(g: SignedGraph) -> DistanceTable:
     dist = bits[2].astype(np.int64)
     for b in range(1, used - 2):
         dist |= np.left_shift(bits[2 + b], b, dtype=np.int64)
-    return DistanceTable(dist, bits[0].view(bool), bits[1].view(bool))
+    pos, neg = bits[0].view(bool).copy(), bits[1].view(bool).copy()
+    for arr in (dist, pos, neg):
+        arr.setflags(write=False)
+    return DistanceTable(dist, pos, neg)
 
 
 def is_compatible(table: DistanceTable) -> tuple[bool, tuple[int, int] | None]:

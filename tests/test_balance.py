@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -26,11 +28,34 @@ from sdlap import (
     weighted_laplacian,
 )
 
+import sdlap.balance
+from sdlap import BalanceReport
+from sdlap.balance import (
+    _BLOCK,
+    _MODULAR_MIN_ORDER,
+    _PRIME_LIMIT,
+    _det_bareiss,
+    _det_modular,
+    _primes,
+)
+
 from conftest import leibniz_det, random_connected_graph, random_weighted_graph
 
 
 def weighted_negative_triangle():
     return WeightedSignedGraph(generate("cycle", 3, "allneg"), (2.0, 3.0, 5.0))
+
+
+def both_routes(rows) -> int:
+    """Determinant by each route separately; fails unless they agree."""
+    bareiss = _det_bareiss([list(r) for r in rows])
+    modular = _det_modular([list(r) for r in rows])
+    assert bareiss == modular
+    return bareiss
+
+
+def random_rows(rng, n, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
 # ---------------------------------------------------------------- det_exact
@@ -47,7 +72,7 @@ def test_det_exact_matches_permutation_expansion():
     for _ in range(200):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert det_exact(rows) == leibniz_det(rows)
+        assert det_exact(rows) == both_routes(rows) == leibniz_det(rows)
 
 
 def test_det_exact_handles_zero_pivots():
@@ -73,6 +98,125 @@ def test_det_exact_avoids_overflow():
     rows = [[rng.randint(-50, 50) for _ in range(12)] for _ in range(12)]
     value = det_exact(rows)
     assert value == pytest.approx(np.linalg.det(np.array(rows, dtype=float)), rel=1e-9)
+
+
+# ------------------------------------------------- the two determinant routes
+
+
+def test_float_elimination_stays_below_2_to_the_53():
+    # largest value _det_mod_primes holds, plus the p that _reduce adds
+    assert _BLOCK * (_PRIME_LIMIT - 2) ** 2 + 2 * _PRIME_LIMIT < 2**53
+
+
+def test_primes_are_distinct_primes_below_the_limit_largest_first():
+    first = list(itertools.islice(_primes(), 60))
+    assert first == sorted(set(first), reverse=True)
+    assert first[0] < _PRIME_LIMIT
+    for q in first:
+        assert all(q % d for d in range(2, math.isqrt(q) + 1))
+    assert first == list(itertools.islice(_primes(), 60))
+
+
+def test_routes_agree_on_both_sides_of_the_order_threshold():
+    rng = random.Random(223)
+    for n in (_MODULAR_MIN_ORDER - 1, _MODULAR_MIN_ORDER, _MODULAR_MIN_ORDER + _BLOCK + 3):
+        rows = random_rows(rng, n)
+        assert det_exact(rows) == both_routes(rows) != 0
+
+
+def test_routes_agree_on_laplacians_on_both_sides_of_the_threshold():
+    for n in (_MODULAR_MIN_ORDER - 1, _MODULAR_MIN_ORDER + 8):
+        g = generate("random", n, 0.5, seed=n, p=8 / n)
+        for kind in ("max", "min"):
+            lap = distance_laplacian(g, kind)
+            assert det_exact(lap) == both_routes(lap.entries.tolist())
+
+
+def test_modular_route_across_many_narrow_blocks(monkeypatch):
+    # Narrow blocks put block boundaries, trailing updates and pivots
+    # that vanish modulo a prime inside a small matrix.
+    monkeypatch.setattr(sdlap.balance, "_BLOCK", 3)
+    rng = random.Random(227)
+    for n in (7, 11, 20):
+        rows = random_rows(rng, n, -2, 2)
+        # the first pivot comes from below the first block
+        for row in rows[:3]:
+            row[0] = 0
+        rows[n - 1][0] = 1
+        both_routes(rows)
+
+
+def test_routes_handle_python_ints_beyond_int64():
+    rng = random.Random(229)
+    for n in (5, _MODULAR_MIN_ORDER + 1):
+        rows = random_rows(rng, n)
+        for i in range(n):
+            rows[i][i] += rng.choice((1, -1)) * 2**70 + rng.randint(0, 2**66)
+        value = both_routes(rows)
+        assert det_exact(rows) == value
+        assert value.bit_length() > 63 * n
+
+
+def test_routes_return_zero_on_rank_deficient_matrices():
+    rng = random.Random(233)
+    n = _MODULAR_MIN_ORDER + 3
+    for rank in (n - 1, n - 5, 1):
+        left = np.array(random_rows(rng, n, -5, 5))[:, :rank]
+        right = np.array(random_rows(rng, n, -5, 5))[:rank, :]
+        assert both_routes((left @ right).tolist()) == 0
+    zero_row = random_rows(rng, n)
+    zero_row[4] = [0] * n
+    assert both_routes(zero_row) == 0
+
+
+def test_modular_route_swaps_rows_for_one_prime_only():
+    # The leading entry is a multiple of the first prime only, so that
+    # prime pivots on another row while the others keep row 0.
+    p = next(_primes())
+    rng = random.Random(239)
+    rows = random_rows(rng, _MODULAR_MIN_ORDER + 2)
+    rows[0][0] = 3 * p
+    assert both_routes(rows) != 0
+    # a whole column divisible by p makes det vanish modulo p alone
+    for row in rows:
+        row[1] *= p
+    value = both_routes(rows)
+    assert value != 0 and value % p == 0
+
+
+def test_modular_route_reconstructs_a_determinant_at_its_hadamard_bound():
+    # det = H, just below the product M of the first n primes; only with
+    # M > 2H is the symmetric residue modulo M the determinant.
+    n = _MODULAR_MIN_ORDER + 1
+    diagonal = list(itertools.islice(_primes(), n))
+    diagonal[-1] -= 1
+    rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert _det_modular(rows) == math.prod(diagonal)
+    rows[0][0] = -rows[0][0]
+    assert _det_modular(rows) == -math.prod(diagonal)
+
+
+def test_routes_on_empty_and_single_entry_matrices():
+    assert both_routes([]) == 1
+    assert det_exact(np.zeros((0, 0), dtype=np.int64)) == 1
+    for x in (-5, 0, 7, 2**80, -(2**80)):
+        assert both_routes([[x]]) == x
+
+
+def test_modular_route_falls_back_when_primes_run_out(monkeypatch):
+    monkeypatch.setattr(sdlap.balance, "_primes",
+                        lambda: itertools.islice(_primes(), 2))
+    rows = random_rows(random.Random(241), _MODULAR_MIN_ORDER)
+    assert _det_modular([list(r) for r in rows]) == _det_bareiss(rows)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
+def test_det_exact_rejects_bad_entries_above_the_threshold(bad):
+    n = _MODULAR_MIN_ORDER + 4
+    m = np.eye(n)
+    m[n - 1, n - 2] = bad
+    with pytest.raises(ValueError, match="non-integer"):
+        det_exact(m)
 
 
 # ---------------------------------------------------------------- det_float
@@ -405,6 +549,75 @@ def test_det_decider_on_mixed_square():
     pm = is_balanced_det(g, "pm")
     assert not pm.balanced and pm.determinant is None
     assert is_balanced_det(g, "all").determinant == 84
+
+
+def balanced_graph(n, seed):
+    rng = random.Random(seed)
+    base = generate("random", n, "allpos", seed=seed, p=min(1.0, 8 / n))
+    return switch(base, [rng.choice((1, -1)) for _ in range(n)])
+
+
+def counted_det_exact(monkeypatch):
+    calls = []
+    real = sdlap.balance.det_exact
+
+    def det_exact_counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(sdlap.balance, "det_exact", det_exact_counted)
+    return calls
+
+
+def test_balanced_verdicts_are_proved_by_the_switching_function(monkeypatch):
+    calls = counted_det_exact(monkeypatch)
+    for n in (3, 12, _MODULAR_MIN_ORDER + 5):
+        g = balanced_graph(n, n)
+        for kind in ("max", "min", "pm", "all"):
+            report = is_balanced_det(g, kind)
+            assert report.balanced and report.determinant == 0
+            assert report.certificate == is_balanced_switching(g).certificate
+    assert calls == []
+
+
+def test_all_kinds_build_each_laplacian_once(monkeypatch):
+    built = []
+    real = sdlap.balance.distance_laplacian_from_table
+
+    def counted(table, kind):
+        built.append(kind)
+        return real(table, kind)
+
+    monkeypatch.setattr(sdlap.balance, "distance_laplacian_from_table", counted)
+    is_balanced_det(balanced_graph(10, 7), "all")
+    assert sorted(built) == ["max", "min", "pm"]
+
+
+def test_certificate_that_misses_the_kernel_falls_back_to_the_determinant(monkeypatch):
+    g = balanced_graph(9, 3)
+    true_zeta = is_balanced_switching(g).certificate
+    bogus = tuple(-z if i == 4 else z for i, z in enumerate(true_zeta))
+    calls = counted_det_exact(monkeypatch)
+    report = is_balanced_det(g, "max", switching=BalanceReport(True, "switching", bogus))
+    assert report.balanced and report.determinant == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("zeta", [(1, 1, 1, 1), (0, 0, 0, 0), (1, -1, 1)])
+def test_claimed_balance_on_unbalanced_graph_still_raises(zeta):
+    g = generate("cycle", 4, "+++-")
+    claim = BalanceReport(True, "switching", zeta)
+    for kind in ("max", "min", "all"):
+        with pytest.raises(ArithmeticError, match="contradicts"):
+            is_balanced_det(g, kind, switching=claim)
+
+
+def test_claimed_imbalance_on_balanced_graph_still_raises():
+    g = balanced_graph(_MODULAR_MIN_ORDER + 2, 5)
+    claim = BalanceReport(False, "switching", (0, 1, 2))
+    for kind in ("max", "min", "pm", "all"):
+        with pytest.raises(ArithmeticError, match="contradicts"):
+            is_balanced_det(g, kind, switching=claim)
 
 
 def test_forest_decider_matches_switching():

@@ -137,6 +137,59 @@ def test_balance_both_builds_one_table_and_one_switching_run(
     assert calls == {"table": 1, "switching": 1}
 
 
+BALANCED_5 = "5\n1 2 -\n2 3 -\n3 4 +\n4 5 -\n1 5 -\n1 3 +\n2 4 -\n"
+
+
+def test_balance_outputs_on_a_balanced_graph_are_unchanged(capsys, tmp_path):
+    path = tmp_path / "balanced5.sg"
+    path.write_text(BALANCED_5)
+    code, out, _ = run(capsys, "balance", str(path), "--method", "det", "--kind", "all")
+    assert code == 0
+    assert out == (
+        '{\n  "balanced": true,\n  "method": "det-max",\n  "determinant": "0",\n'
+        '  "certificate": {\n    "type": "switching",\n    "zeta": [\n'
+        '      1,\n      -1,\n      1,\n      1,\n      -1\n    ]\n  }\n}\n'
+    )
+    code, out, _ = run(capsys, "balance", str(path))
+    assert code == 0
+    assert out == (
+        '{\n  "balanced": true,\n  "det_lmax": "0",\n  "det_lmin": "0",\n'
+        '  "switching": "balanced"\n}\n'
+    )
+
+
+@pytest.mark.parametrize("n", [40, 80])
+@pytest.mark.parametrize("balanced", [True, False])
+def test_balance_json_matches_bareiss_above_the_order_threshold(
+        capsys, tmp_path, n, balanced):
+    import random
+
+    from sdlap import distance_laplacian, generate, serialize, switch
+    from sdlap.balance import _MODULAR_MIN_ORDER, _det_bareiss
+
+    assert n >= _MODULAR_MIN_ORDER
+    if balanced:
+        rng = random.Random(n)
+        g = switch(generate("random", n, "allpos", seed=n, p=8 / n),
+                   [rng.choice((1, -1)) for _ in range(n)])
+    else:
+        g = generate("random", n, 0.5, seed=n, p=8 / n)
+    path = tmp_path / "g.sg"
+    path.write_text(serialize(g))
+    dets = {kind: _det_bareiss(distance_laplacian(g, kind).entries.tolist())
+            for kind in ("max", "min")}
+    assert (dets["max"] == 0) is balanced
+    expected = json.dumps({
+        "balanced": balanced,
+        "det_lmax": str(dets["max"]),
+        "det_lmin": str(dets["min"]),
+        "switching": "balanced" if balanced else "unbalanced",
+    }, indent=2) + "\n"
+    code, out, _ = run(capsys, "balance", str(path))
+    assert code == 0
+    assert out == expected
+
+
 def test_balance_switching_report(capsys, tmp_path):
     path = tmp_path / "p3.sg"
     run(capsys, "gen", "path:3:+-", "--out", str(path))

@@ -5,6 +5,7 @@ import pytest
 
 from sdlap import (
     DisconnectedGraphError,
+    DistanceTable,
     IncompatibleGraphError,
     PairDistanceSummary,
     SignedGraph,
@@ -176,6 +177,30 @@ def test_table_reports_the_same_unreachable_pair_as_single_source_bfs():
             distance_table(g)
         assert (err.value.vertex, err.value.source) == (
             expected.value.vertex, expected.value.source), g
+
+
+def test_table_never_aliases_caller_arrays():
+    fresh = distance_table(c4_one_negative())
+    arrays = [np.array(fresh.dist), np.array(fresh.pos), np.array(fresh.neg)]
+    frozen_views = [a.view() for a in arrays]
+    for v in frozen_views:
+        v.setflags(write=False)
+    for given in (arrays, frozen_views):
+        table = DistanceTable(*given)
+        for mine, theirs in zip((table.dist, table.pos, table.neg), arrays):
+            assert not mine.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+    arrays[0][0, 1] = 7
+    arrays[1][0, 1] = False
+    assert table.dist[0, 1] == 1 and table.pos[0, 1]
+
+
+def test_table_keeps_the_frozen_arrays_distance_table_builds():
+    table = distance_table(generate("random", 80, 0.5, seed=3, p=0.1))
+    for arr in (table.dist, table.pos, table.neg):
+        assert arr.flags.owndata and not arr.flags.writeable
+    again = DistanceTable(table.dist, table.pos, table.neg)
+    assert again.dist is table.dist and again.neg is table.neg
 
 
 # ---------------------------------------------------------------- matrices
