@@ -8,7 +8,6 @@ from .balance import (
     SizeBoundError,
     closed_form_det,
     det_exact,
-    det_float,
     enumerate_spanning_1forests,
     forest_det,
     is_balanced_det,
@@ -40,7 +39,6 @@ from .distance import (
     distance_matrix,
     distance_table,
     is_compatible,
-    sssp_signs,
     transmission,
 )
 from .matrices import (

@@ -28,24 +28,28 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
     NEGATIVE,
     POSITIVE,
-    DisjointSet,
+    SignedForest,
     SignedGraph,
     WeightedSignedGraph,
     as_weighted,
+    components,
     path_sign,
     switch,
 )
 from .distance import DistanceTable, distance_table, is_compatible
 from .matrices import SquareMatrix, distance_laplacian_from_table
 
-ENUMERATION_MAX_VERTICES = 10
+# The 1-forest scan classifies each of the C(m, n) edge subsets of size n,
+# at about 15 us a subset (CHANGES.md), so this bounds one scan to about a
+# minute. It admits K8 (3,108,105 subsets) and refuses K9 (94,143,280).
+ENUMERATION_MAX_SUBSETS = 4_000_000
 
 # det_exact switches from Bareiss to the multimodular route at this order.
 # On distance Laplacians Bareiss was faster through n = 32 and slower from
@@ -64,11 +68,8 @@ _BLOCK = 16
 # n = 140 by 10 % (CHANGES.md).
 _PRIME_CHUNK = 8
 
-BALANCE_METHODS = ("switching", "det-max", "det-min", "det-pm", "forest-sum")
-
-
 class SizeBoundError(ValueError):
-    """Spanning 1-forest enumeration is limited to small graphs."""
+    """Spanning 1-forest enumeration would scan too many edge subsets."""
 
 
 class ForestComponent(NamedTuple):
@@ -326,37 +327,6 @@ def _det_mod_primes(a: np.ndarray, primes: list[int]) -> list[int]:
     return [d % q for d, q in zip(det, primes)]
 
 
-def det_float(m) -> float:
-    """Floating determinant by LU with partial pivoting.
-
-    Intended as an advisory cross-check; balance verdicts always use
-    det_exact. Returns exactly 0.0 when elimination meets a pivot that is
-    negligible relative to the input scale (numerically singular).
-    """
-    arr = m.entries if isinstance(m, SquareMatrix) else np.asarray(m)
-    a = np.array(arr, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return 0.0
-    tiny = scale * n * 1e-14
-    det = 1.0
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[pivot_row, k]) <= tiny:
-            return 0.0
-        if pivot_row != k:
-            a[[k, pivot_row]] = a[[pivot_row, k]]
-            det = -det
-        det *= a[k, k]
-        if k + 1 < n:
-            mult = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k:] -= np.outer(mult, a[k, k:])
-    return float(det)
-
-
 def _switching_certificate(g: SignedGraph):
     """Spanning-tree marking: returns (balanced, zeta, negative_cycle).
 
@@ -414,7 +384,7 @@ def _tree_path(tree_adj, u: int, v: int) -> list[int]:
         x = queue.popleft()
         if x == v:
             break
-        for y, _ in tree_adj[x]:
+        for y in tree_adj[x]:
             if y not in prev:
                 prev[y] = x
                 queue.append(y)
@@ -429,69 +399,45 @@ def _analyze_1forest(n: int, edges, subset: Sequence[int],
                      need_cycles: bool) -> list[ForestComponent] | None:
     """Classify an edge subset; returns per-component data when every
     component is a 1-tree, None otherwise."""
-    dsu = DisjointSet(n)
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    extra: list[int] = []
+    forest = SignedForest(n)
+    tree_adj: list[list[int]] = [[] for _ in range(n)]
+    closing: list[tuple[int, int, int]] = []
     for ei in subset:
         u, v, s = edges[ei]
-        if dsu.union(u, v):
-            tree_adj[u].append((v, s))
-            tree_adj[v].append((u, s))
-        else:
-            extra.append(ei)
-    # k edges on k vertices split into k - c tree edges and c extras,
-    # c = #components; a 1-forest is exactly one extra edge per component.
-    per_root: dict[int, int] = {}
-    for ei in extra:
-        root = dsu.find(edges[ei][0])
-        per_root[root] = per_root.get(root, 0) + 1
-    roots = {dsu.find(v) for v in range(n)}
-    if len(per_root) != len(roots) or any(c != 1 for c in per_root.values()):
+        sign = forest.union(u, v, s)
+        if sign:
+            closing.append((u, v, sign))
+        elif need_cycles:
+            tree_adj[u].append(v)
+            tree_adj[v].append(u)
+    # A 1-forest has exactly one cycle-closing edge in each component.
+    groups = forest.classes()
+    roots = {forest.find(u)[0] for u, _, _ in closing}
+    if len(roots) != len(closing) or len(roots) != len(groups):
         return None
-    # theta is a switching potential on each component tree: the
-    # fundamental-cycle sign of extra edge (u, v) is theta(u)*sign*theta(v).
-    theta = [0] * n
-    comp_id = [-1] * n
-    comp_vertices: list[list[int]] = []
-    for v0 in range(n):
-        if comp_id[v0] >= 0:
-            continue
-        cid = len(comp_vertices)
-        comp_vertices.append([v0])
-        comp_id[v0] = cid
-        theta[v0] = POSITIVE
-        queue = deque([v0])
-        while queue:
-            x = queue.popleft()
-            for y, s in tree_adj[x]:
-                if comp_id[y] < 0:
-                    comp_id[y] = cid
-                    theta[y] = theta[x] * s
-                    comp_vertices[cid].append(y)
-                    queue.append(y)
-    comps: list[ForestComponent] = []
-    for ei in extra:
-        u, v, s = edges[ei]
-        cyc_sign = theta[u] * s * theta[v]
-        cycle = tuple(_tree_path(tree_adj, u, v)) if need_cycles else None
-        comps.append(
-            ForestComponent(tuple(sorted(comp_vertices[comp_id[u]])), cycle, cyc_sign)
+    return [
+        ForestComponent(
+            tuple(groups[forest.find(u)[0]]),
+            tuple(_tree_path(tree_adj, u, v)) if need_cycles else None,
+            sign,
         )
-    return comps
+        for u, v, sign in closing
+    ]
 
 
-def _scan_1forests(g: SignedGraph, need_cycles: bool) -> Iterator[tuple[tuple[int, ...], list[ForestComponent]]]:
+def _scan_1forests(g: SignedGraph, need_cycles: bool) -> Iterator[OneForest]:
     n, m = g.n, g.m
-    if n > ENUMERATION_MAX_VERTICES:
+    subsets = math.comb(m, n)
+    if subsets > ENUMERATION_MAX_SUBSETS:
         raise SizeBoundError(
-            f"1-forest enumeration is limited to {ENUMERATION_MAX_VERTICES} "
-            f"vertices, got {n}"
+            f"1-forest enumeration would scan C({m}, {n}) = {subsets} edge "
+            f"subsets, more than the limit of {ENUMERATION_MAX_SUBSETS}"
         )
     edges = g.edges
     for subset in itertools.combinations(range(m), n):
         comps = _analyze_1forest(n, edges, subset, need_cycles)
         if comps is not None:
-            yield subset, comps
+            yield OneForest(subset, tuple(comps))
 
 
 def enumerate_spanning_1forests(g: SignedGraph | WeightedSignedGraph,
@@ -503,13 +449,32 @@ def enumerate_spanning_1forests(g: SignedGraph | WeightedSignedGraph,
     matrix-forest determinant sum.
     """
     base = g.base if isinstance(g, WeightedSignedGraph) else g
-    out = []
-    for subset, comps in _scan_1forests(base, need_cycles=True):
-        forest = OneForest(subset, tuple(comps))
-        if contrabalanced_only and not forest.contrabalanced:
+    return [
+        forest for forest in _scan_1forests(base, need_cycles=True)
+        if forest.contrabalanced or not contrabalanced_only
+    ]
+
+
+def _forest_sum(wg: WeightedSignedGraph, forests: Iterable[OneForest]):
+    """Sum of 4**components * weight product over the contrabalanced
+    members of forests, spanning 1-forests of wg, added in their order.
+
+    Returns an exact int when all weights are integers, a float otherwise.
+    """
+    if wg.integer_weights:
+        weights = [int(w) for w in wg.weights]
+        total: int | float = 0
+    else:
+        weights = list(wg.weights)
+        total = 0.0
+    for forest in forests:
+        if not forest.contrabalanced:
             continue
-        out.append(forest)
-    return out
+        w = 1
+        for ei in forest.edges:
+            w *= weights[ei]
+        total += (4 ** len(forest.components)) * w
+    return total
 
 
 def forest_det(g: SignedGraph | WeightedSignedGraph):
@@ -521,53 +486,25 @@ def forest_det(g: SignedGraph | WeightedSignedGraph):
     Returns an exact int when all weights are integers, a float otherwise.
     """
     wg = as_weighted(g)
-    if wg.integer_weights:
-        weights = [int(w) for w in wg.weights]
-        total: int | float = 0
-    else:
-        weights = list(wg.weights)
-        total = 0.0
-    for subset, comps in _scan_1forests(wg.base, need_cycles=False):
-        if any(c.sign != NEGATIVE for c in comps):
-            continue
-        w = 1
-        for ei in subset:
-            w *= weights[ei]
-        total += (4 ** len(comps)) * w
-    return total
+    return _forest_sum(wg, _scan_1forests(wg.base, need_cycles=False))
 
 
 def closed_form_det(g: SignedGraph | WeightedSignedGraph):
     """Laplacian determinant by shape, or None when no closed form applies.
 
     Trees give 0. When every component is a 1-tree (cycles and connected
-    unicyclic graphs included) the determinant is the total weight product
+    unicyclic graphs included) the graph is its own only spanning 1-forest,
+    so the determinant is its forest-sum term: the total weight product
     times 2*(1 - cycle sign) per component. Anything else returns None.
     Works at any size; only the subset enumerators carry a size bound.
     """
     wg = as_weighted(g)
     base = wg.base
-    n, m = base.n, base.m
-    integral = wg.integer_weights
-
-    if m == n:
-        comps = _analyze_1forest(n, base.edges, range(m), need_cycles=False)
-        if comps is not None:
-            value: int | float = 1 if integral else 1.0
-            for w in wg.weights:
-                value *= int(w) if integral else w
-            for comp in comps:
-                value *= 2 * (1 - comp.sign)
-            return value
-        return None
-    if m == n - 1:
-        dsu = DisjointSet(n)
-        parts = n
-        for u, v, _ in base.edges:
-            if dsu.union(u, v):
-                parts -= 1
-        if parts == 1:
-            return 0 if integral else 0.0
+    if base.m == base.n:
+        forests = list(_scan_1forests(base, need_cycles=False))
+        return _forest_sum(wg, forests) if forests else None
+    if base.m == base.n - 1 and len(components(base)) == 1:
+        return 0 if wg.integer_weights else 0.0
     return None
 
 

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .balance import (
     SizeBoundError,
+    _forest_sum,
     enumerate_spanning_1forests,
     closed_form_det,
-    forest_det,
     is_balanced_det,
     is_balanced_forest,
     is_balanced_switching,
@@ -65,12 +66,17 @@ def _load(path: str) -> WeightedSignedGraph:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_edge_list(text)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -157,6 +163,10 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if not 0 <= args.tolerance < math.inf:
+        raise _UsageError(
+            f"--tolerance must be finite and nonnegative, got {args.tolerance}"
+        )
     wg = _load(args.file)
     spectrum = sym_eig(_build_matrix(wg, args.kind), grouping_tol=args.tolerance)
     if args.format == "csv":
@@ -171,7 +181,7 @@ def _cmd_forests(args) -> int:
     forests = enumerate_spanning_1forests(
         wg, contrabalanced_only=args.kind == "contrabalanced"
     )
-    total = forest_det(wg)
+    total = _forest_sum(wg, forests)
     result = {
         "count": len(forests),
         "forest_sum": str(total) if isinstance(total, int) else total,

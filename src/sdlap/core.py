@@ -37,31 +37,53 @@ class GenerationError(RuntimeError):
     """Random generation could not satisfy a structural requirement."""
 
 
-class DisjointSet:
-    """Union-find with path compression and union by size."""
+class SignedForest:
+    """Union-find over signed edges that reports the sign of each cycle.
+
+    Each vertex stores its parent and the sign of its path to that parent,
+    so the sign of the path from a vertex to its root is the product along
+    the way (Harary & Kabell, Math. Soc. Sci. 1980). Union is by size and
+    paths are never compressed, so every vertex is O(log n) steps from its
+    root and its stored sign stays the sign of a path in the edges joined.
+    """
 
     def __init__(self, n: int):
         self.parent = list(range(n))
+        self.sign = [POSITIVE] * n
         self.size = [1] * n
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(self, x: int) -> tuple[int, int]:
+        """(root of x, sign of the path from x to the root)."""
+        sign = POSITIVE
+        while self.parent[x] != x:
+            sign *= self.sign[x]
+            x = self.parent[x]
+        return x, sign
 
-    def union(self, x: int, y: int) -> bool:
-        """Merge the sets holding x and y; returns False when already joined."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        return True
+    def union(self, u: int, v: int, s: int) -> int:
+        """Add the edge uv of sign s.
+
+        Returns 0 when the edge joins two components. Otherwise the edge
+        closes a cycle through the path between u and v, and the sign of
+        that cycle is returned.
+        """
+        ru, su = self.find(u)
+        rv, sv = self.find(v)
+        if ru == rv:
+            return su * s * sv
+        if self.size[ru] < self.size[rv]:
+            ru, rv = rv, ru
+        self.parent[rv] = ru
+        self.sign[rv] = su * s * sv
+        self.size[ru] += self.size[rv]
+        return 0
+
+    def classes(self) -> dict[int, list[int]]:
+        """Vertices of each component, ascending, keyed by its root."""
+        groups: dict[int, list[int]] = {}
+        for v in range(len(self.parent)):
+            groups.setdefault(self.find(v)[0], []).append(v)
+        return groups
 
 
 @dataclass(frozen=True)
@@ -290,12 +312,9 @@ def path_sign(g: SignedGraph, walk: Sequence[int]) -> int:
 
 
 def _is_connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    dsu = DisjointSet(n)
-    parts = n
-    for u, v in pairs:
-        if dsu.union(u, v):
-            parts -= 1
-    return parts == 1
+    forest = SignedForest(n)
+    joins = sum(forest.union(u, v, POSITIVE) == 0 for u, v in pairs)
+    return joins == n - 1
 
 
 def _resolve_signs(m: int, signs: SignSpec, rng: random.Random,
@@ -387,10 +406,7 @@ def generate(kind: str, n: int, signs: SignSpec = None,
 
 def components(g: SignedGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex."""
-    dsu = DisjointSet(g.n)
-    for u, v, _ in g.edges:
-        dsu.union(u, v)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(dsu.find(v), []).append(v)
-    return sorted(groups.values())
+    forest = SignedForest(g.n)
+    for u, v, s in g.edges:
+        forest.union(u, v, s)
+    return sorted(forest.classes().values())

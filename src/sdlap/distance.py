@@ -11,13 +11,10 @@ current level by a positive (or negative) shortest path. One level is
     new   = (P' | Q') & unseen;  P' &= new;  Q' &= new
 
 which is exact: no path is enumerated and no count can overflow.
-sssp_signs is the single-source form of the same flags, computed by an
-ordinary BFS; the tests compare the table with it row by row.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -118,51 +115,6 @@ class DistanceTable:
     def to_csv(self, kind: str = "max") -> str:
         """Row-major CSV of the signed distance matrix of the given kind."""
         return distance_matrix(self, kind).to_csv()
-
-
-def _sssp(g: SignedGraph, src: int):
-    n = g.n
-    dist = [-1] * n
-    pos = [False] * n
-    neg = [False] * n
-    dist[src] = 0
-    pos[src] = True
-    order = [src]
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, _ in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                order.append(v)
-                queue.append(v)
-    for v in range(n):
-        if dist[v] < 0:
-            raise DisconnectedGraphError(v, src)
-    # BFS order is nondecreasing in distance, so the predecessors of each
-    # vertex are final before the vertex itself is reached.
-    for v in order[1:]:
-        below = dist[v] - 1
-        p = ng = False
-        for u, s in g.adjacency[v]:
-            if dist[u] == below:
-                if s == POSITIVE:
-                    p = p or pos[u]
-                    ng = ng or neg[u]
-                else:
-                    p = p or neg[u]
-                    ng = ng or pos[u]
-        pos[v] = p
-        neg[v] = ng
-    return dist, pos, neg
-
-
-def sssp_signs(g: SignedGraph, src: int) -> list[PairDistanceSummary]:
-    """Hop distance and shortest-path sign flags from one source vertex."""
-    if not 0 <= src < g.n:
-        raise ValueError(f"source index {src} outside 0..{g.n - 1}")
-    dist, pos, neg = _sssp(g, src)
-    return [PairDistanceSummary(d, p, ng) for d, p, ng in zip(dist, pos, neg)]
 
 
 def _level_plan(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:

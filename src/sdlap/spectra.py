@@ -70,8 +70,13 @@ def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:
     come from LAPACK's symmetric solver (numpy.linalg.eigvalsh) applied to
     (m + m.T) / 2, and their sum must match the trace within
     1e-8 * n * max|entry|, else ArithmeticError. grouping_tol only affects
-    how eigenvalues are grouped into multiplicities, not their values.
+    how eigenvalues are grouped into multiplicities, not their values; it
+    must be finite and nonnegative, else ValueError.
     """
+    if not 0 <= grouping_tol < math.inf:
+        raise ValueError(
+            f"grouping tolerance must be finite and nonnegative, got {grouping_tol!r}"
+        )
     a = _as_square_array(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")

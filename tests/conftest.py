@@ -1,7 +1,8 @@
 """Shared test fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's own algorithms: shortest
-paths are enumerated by depth-limited DFS, determinants come from the
+paths are enumerated by depth-limited DFS or found by a per-source BFS
+instead of the all-sources bit-packed one, determinants come from the
 Leibniz permutation sum, Laplacians are rebuilt with plain loops, and
 eigenvalues come from a cyclic Jacobi iteration instead of LAPACK.
 """
@@ -11,10 +12,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 
 import numpy as np
 
-from sdlap import SignedGraph, WeightedSignedGraph, generate, switch
+from sdlap import (
+    POSITIVE,
+    DisconnectedGraphError,
+    PairDistanceSummary,
+    SignedGraph,
+    WeightedSignedGraph,
+    generate,
+    switch,
+)
 
 _CONVERGENCE_FACTOR = 1e-12
 _MAX_SWEEPS = 100
@@ -54,6 +64,47 @@ def brute_table(g: SignedGraph):
     return [
         [brute_pair_summary(g, u, v) for v in range(g.n)] for u in range(g.n)
     ]
+
+
+def sssp_signs(g: SignedGraph, src: int) -> list[PairDistanceSummary]:
+    """Hop distance and shortest-path sign flags from one source vertex,
+    by an ordinary single-source BFS."""
+    if not 0 <= src < g.n:
+        raise ValueError(f"source index {src} outside 0..{g.n - 1}")
+    n = g.n
+    dist = [-1] * n
+    pos = [False] * n
+    neg = [False] * n
+    dist[src] = 0
+    pos[src] = True
+    order = [src]
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v, _ in g.adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                order.append(v)
+                queue.append(v)
+    for v in range(n):
+        if dist[v] < 0:
+            raise DisconnectedGraphError(v, src)
+    # BFS order is nondecreasing in distance, so the predecessors of each
+    # vertex are final before the vertex itself is reached.
+    for v in order[1:]:
+        below = dist[v] - 1
+        p = ng = False
+        for u, s in g.adjacency[v]:
+            if dist[u] == below:
+                if s == POSITIVE:
+                    p = p or pos[u]
+                    ng = ng or neg[u]
+                else:
+                    p = p or neg[u]
+                    ng = ng or pos[u]
+        pos[v] = p
+        neg[v] = ng
+    return [PairDistanceSummary(d, p, ng) for d, p, ng in zip(dist, pos, neg)]
 
 
 def leibniz_det(rows) -> int:

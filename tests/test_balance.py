@@ -13,7 +13,6 @@ from sdlap import (
     associated_complete,
     closed_form_det,
     det_exact,
-    det_float,
     distance_laplacian,
     distance_table,
     enumerate_spanning_1forests,
@@ -219,23 +218,7 @@ def test_det_exact_rejects_bad_entries_above_the_threshold(bad):
         det_exact(m)
 
 
-# ---------------------------------------------------------------- det_float
-
-
-def test_det_float_identity():
-    assert det_float(np.eye(5)) == pytest.approx(1.0)
-
-
-def test_det_float_matches_exact_on_golden_instances():
-    lap = distance_laplacian(generate("cycle", 3, "allneg"), "pm")
-    assert det_float(lap) == pytest.approx(4.0, abs=1e-9)
-    weighted = weighted_laplacian(weighted_negative_triangle())
-    assert det_float(weighted) == pytest.approx(120.0, abs=1e-6)
-
-
-def test_det_float_flags_singular_input_as_exact_zero():
-    balanced = distance_laplacian(generate("path", 4, "+-+"), "pm")
-    assert det_float(balanced) == 0.0
+# ---------------------------------------------------------------- float reference
 
 
 def test_det_float_tracks_det_exact_on_random_integer_matrices():
@@ -244,7 +227,7 @@ def test_det_float_tracks_det_exact_on_random_integer_matrices():
         n = rng.randint(1, 12)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         exact = det_exact(rows)
-        approx = det_float(rows)
+        approx = float(np.linalg.det(np.array(rows, dtype=float)))
         if exact == 0:
             assert abs(approx) <= max(1e-6, 1e-9 * n)
         else:
@@ -346,12 +329,37 @@ def test_forest_cycles_match_path_sign():
             assert len(forest.edges) == wg.n
 
 
-def test_enumeration_size_bound():
-    big = generate("cycle", 11, "allneg")
-    with pytest.raises(SizeBoundError):
-        enumerate_spanning_1forests(big)
-    with pytest.raises(SizeBoundError):
-        forest_det(big)
+def refuse_classification(monkeypatch):
+    def classify(*args):
+        raise AssertionError("an edge subset was classified")
+
+    monkeypatch.setattr(sdlap.balance, "_analyze_1forest", classify)
+
+
+def test_enumeration_bound_refuses_dense_graphs_before_scanning(monkeypatch):
+    refuse_classification(monkeypatch)
+    for n in (10, 12):
+        big = generate("complete", n, "allneg")
+        with pytest.raises(SizeBoundError, match=f"C\\({n * (n - 1) // 2}, {n}\\)"):
+            enumerate_spanning_1forests(big)
+        with pytest.raises(SizeBoundError):
+            enumerate_spanning_1forests(big, contrabalanced_only=True)
+        with pytest.raises(SizeBoundError):
+            forest_det(big)
+        with pytest.raises(SizeBoundError):
+            is_balanced_forest(big)
+
+
+def test_enumeration_bound_counts_subsets_not_vertices(monkeypatch):
+    # C11 has one edge subset of size 11, and it is a 1-forest.
+    c11 = generate("cycle", 11, "allneg")
+    assert forest_det(c11) == 4
+    (forest,) = enumerate_spanning_1forests(c11)
+    assert forest.contrabalanced and forest.components[0].cycle is not None
+    # K8 has C(28, 8) = 3,108,105 subsets: admitted, so its scan starts.
+    refuse_classification(monkeypatch)
+    with pytest.raises(AssertionError, match="classified"):
+        forest_det(generate("complete", 8, "allneg"))
 
 
 # ---------------------------------------------------------------- forest_det
@@ -424,7 +432,7 @@ def test_forest_det_on_disconnected_graphs():
 def test_forest_det_float_weights():
     wg = WeightedSignedGraph(generate("cycle", 3, "allneg"), (0.5, 2.0, 3.0))
     assert forest_det(wg) == pytest.approx(4 * 0.5 * 2.0 * 3.0)
-    assert forest_det(wg) == pytest.approx(det_float(weighted_laplacian(wg)), rel=1e-9)
+    assert forest_det(wg) == pytest.approx(np.linalg.det(weighted_laplacian(wg).entries), rel=1e-9)
 
 
 # ---------------------------------------------------------------- closed forms

@@ -269,6 +269,30 @@ def test_forests_contrabalanced_census(capsys, tmp_path, c4_one_negative):
     assert obj["count"] == 0 and obj["forest_sum"] == "0"
 
 
+@pytest.mark.parametrize("kind", ["all", "contrabalanced"])
+def test_forests_scans_once_and_sums_like_forest_det(capsys, tmp_path, monkeypatch, kind):
+    import sdlap.balance
+    from sdlap import WeightedSignedGraph, forest_det, generate, serialize
+
+    wg = WeightedSignedGraph(generate("complete", 5, 0.5, seed=3),
+                             tuple(0.1 * (i + 1) for i in range(10)))
+    path = tmp_path / "k5.sg"
+    path.write_text(serialize(wg))
+    expected = forest_det(wg)
+    scans = []
+    scan = sdlap.balance._scan_1forests
+
+    def counted(g, need_cycles):
+        scans.append(need_cycles)
+        return scan(g, need_cycles)
+
+    monkeypatch.setattr(sdlap.balance, "_scan_1forests", counted)
+    code, out, _ = run(capsys, "forests", str(path), "--kind", kind)
+    assert code == 0 and scans == [True]
+    # float weights: the same terms, added in the same order
+    assert json.loads(out)["forest_sum"] == expected
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -364,6 +388,24 @@ def test_bad_file_contents_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.sg"
+    path.write_bytes(b"# caf\xe9\n2\n1 2 +\n")
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8" in err
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, c3_all_negative):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "info", c3_all_negative, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"sdlap: cannot write {target}")
+    assert "Traceback" not in err and not target.exists()
+
+
 def test_non_finite_weight_exits_2(tmp_path, capsys):
     path = tmp_path / "inf.sg"
     path.write_text("3\n1 2 + inf\n2 3 -\n")
@@ -410,3 +452,11 @@ def test_spectrum_tolerance_controls_grouping(capsys, c3_all_negative):
     _, out, _ = run(capsys, "spectrum", c3_all_negative, "--tolerance", "10")
     obj = json.loads(out)
     assert [g["multiplicity"] for g in obj["groups"]] == [3]
+
+
+@pytest.mark.parametrize("bad", ["-1", "-1e-9", "nan", "inf", "-inf"])
+def test_spectrum_rejects_bad_tolerances(capsys, c3_all_negative, bad):
+    code, out, err = run(capsys, "spectrum", c3_all_negative, "--tolerance", bad)
+    assert code == 2
+    assert out == ""
+    assert "--tolerance" in err

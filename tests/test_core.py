@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,8 @@ from sdlap import (
     serialize,
     switch,
 )
+
+from sdlap.core import SignedForest
 
 from conftest import random_connected_graph
 
@@ -265,6 +270,20 @@ def test_generate_rejects_bad_parameters():
         generate("random", 3, seed=1, p=0.0)
 
 
+def test_generate_random_resamples_as_before():
+    # Near the connectivity threshold many samples are rejected, so the
+    # connectivity check decides which sample each seed returns. The digest
+    # pins the edge lists the union-find without signs produced.
+    digest = hashlib.sha256()
+    for seed in range(30):
+        for n in (4, 9, 30, 120):
+            p = min(1.0, 1.1 * math.log(n) / n)
+            digest.update(serialize(generate("random", n, seed=seed, p=p)).encode())
+    assert digest.hexdigest() == (
+        "a7ba8a12c9b4303f6f61c3e849e2f72861e383567c881173a686b78e0a23cbca"
+    )
+
+
 def test_generate_random_graphs_are_connected():
     rng = random.Random(11)
     for _ in range(25):
@@ -282,3 +301,79 @@ def test_components_examples():
     assert components(two_edges) == [[0, 1], [2, 3]]
     empty = SignedGraph(3, ())
     assert components(empty) == [[0], [1], [2]]
+
+
+def bfs_components(g):
+    seen = [False] * g.n
+    out = []
+    for v0 in range(g.n):
+        if seen[v0]:
+            continue
+        seen[v0] = True
+        comp, queue = [v0], deque([v0])
+        while queue:
+            for y, _ in g.adjacency[queue.popleft()]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    queue.append(y)
+        out.append(sorted(comp))
+    return out
+
+
+def random_signed_graph(rng, n_max):
+    n = rng.randint(1, n_max)
+    q = rng.uniform(0.05, 0.9)
+    return SignedGraph(n, tuple(
+        (u, v, rng.choice((1, -1)))
+        for u, v in itertools.combinations(range(n), 2) if rng.random() < q))
+
+
+def test_components_match_breadth_first_search():
+    rng = random.Random(29)
+    for _ in range(200):
+        g = random_signed_graph(rng, 12)
+        assert components(g) == bfs_components(g), g
+
+
+# ---------------------------------------------------------------- SignedForest
+
+
+def tree_path(tree, u, v):
+    prev = {u: None}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for y in tree[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def test_signed_forest_cycle_signs_match_path_sign():
+    rng = random.Random(31)
+    closed = 0
+    for _ in range(150):
+        g = random_signed_graph(rng, 10)
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        forest = SignedForest(g.n)
+        tree = [[] for _ in range(g.n)]
+        for u, v, s in edges:
+            sign = forest.union(u, v, s)
+            if sign == 0:
+                tree[u].append(v)
+                tree[v].append(u)
+                continue
+            closed += 1
+            cycle = tree_path(tree, u, v) + [u]
+            assert sign == path_sign(g, cycle), (g, u, v)
+        for x in range(g.n):
+            root, sign = forest.find(x)
+            assert sign == path_sign(g, tree_path(tree, x, root)), (g, x)
+        assert sorted(forest.classes().values()) == bfs_components(g)
+    assert closed > 400

@@ -14,12 +14,11 @@ from sdlap import (
     distance_table,
     generate,
     is_compatible,
-    sssp_signs,
     switch,
     transmission,
 )
 
-from conftest import all_signed_graphs, brute_table, random_connected_graph
+from conftest import all_signed_graphs, brute_table, random_connected_graph, sssp_signs
 
 
 def c4_one_negative():

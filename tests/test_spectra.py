@@ -8,7 +8,6 @@ import pytest
 from sdlap import (
     Spectrum,
     cospectral,
-    det_float,
     distance_laplacian,
     formula_vs_eigensolver_report,
     generate,
@@ -93,6 +92,17 @@ def test_sym_eig_rejects_non_finite_entries(bad):
         sym_eig(off_diagonal)
 
 
+@pytest.mark.parametrize("bad", [-1e-9, -1.0, math.nan, math.inf, -math.inf])
+def test_sym_eig_rejects_bad_grouping_tolerances(bad):
+    with pytest.raises(ValueError, match="grouping tolerance"):
+        sym_eig(np.eye(2), grouping_tol=bad)
+
+
+def test_sym_eig_accepts_a_zero_grouping_tolerance():
+    assert sym_eig(np.eye(2), grouping_tol=0.0).groups == ((1.0, 2),)
+    assert sym_eig(np.diag([1.0, 2.0]), grouping_tol=0.0).groups == ((1.0, 1), (2.0, 1))
+
+
 def test_sym_eig_rejects_asymmetric_input():
     with pytest.raises(ValueError, match="symmetric"):
         sym_eig(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -107,7 +117,7 @@ def test_sym_eig_trace_and_determinant_identities():
         n = lap.n
         scale = float(np.abs(lap.entries).max())
         assert abs(sum(spectrum.eigenvalues) - float(np.trace(lap.entries))) <= 1e-8 * n * scale
-        reference = det_float(lap)
+        reference = float(np.linalg.det(lap.entries))
         product = math.prod(spectrum.eigenvalues)
         if abs(reference) > 1e-6:
             assert product == pytest.approx(reference, rel=1e-6)
