@@ -24,11 +24,10 @@ a tolerance, and each determinant takes one of three exact routes:
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,13 +42,11 @@ from .core import (
     path_sign,
     switch,
 )
-from .distance import DistanceTable, distance_table, is_compatible
+from .distance import DisconnectedGraphError, DistanceTable, distance_table, is_compatible
 from .matrices import SquareMatrix, distance_laplacian_from_table
 
-# The 1-forest scan classifies each of the C(m, n) edge subsets of size n,
-# at about 15 us a subset (CHANGES.md), so this bounds one scan to about a
-# minute. It admits K8 (3,108,105 subsets) and refuses K9 (94,143,280).
-ENUMERATION_MAX_SUBSETS = 4_000_000
+# Nodes per 1-forest search: K8 needs 5.1e6, at 2 to 5 us each (CHANGES.md).
+ENUMERATION_MAX_NODES = 16_000_000
 
 # det_exact switches from Bareiss to the multimodular route at this order.
 # On distance Laplacians Bareiss was faster through n = 32 and slower from
@@ -69,7 +66,7 @@ _BLOCK = 16
 _PRIME_CHUNK = 8
 
 class SizeBoundError(ValueError):
-    """Spanning 1-forest enumeration would scan too many edge subsets."""
+    """A 1-forest search would visit more than ENUMERATION_MAX_NODES nodes."""
 
 
 class ForestComponent(NamedTuple):
@@ -331,12 +328,11 @@ def _switching_certificate(g: SignedGraph):
     """Spanning-tree marking: returns (balanced, zeta, negative_cycle).
 
     zeta is fixed along a BFS tree so every tree edge switches positive;
-    any non-tree edge that stays negative closes a negative fundamental
+    the first edge that stays negative closes a negative fundamental
     cycle, which is returned as the witness.
     """
-    n = g.n
-    zeta = [0] * n
-    parent = [-1] * n
+    zeta = [0] * g.n
+    tree = []
     zeta[0] = POSITIVE
     queue = deque([0])
     while queue:
@@ -344,31 +340,14 @@ def _switching_certificate(g: SignedGraph):
         for v, s in g.adjacency[u]:
             if zeta[v] == 0:
                 zeta[v] = zeta[u] * s
-                parent[v] = u
+                tree.append((u, v, s))
                 queue.append(v)
-    for v in range(n):
-        if zeta[v] == 0:
-            from .distance import DisconnectedGraphError
-
-            raise DisconnectedGraphError(v, 0)
+    if 0 in zeta:
+        raise DisconnectedGraphError(zeta.index(0), 0)
     for u, v, s in g.edges:
-        if parent[v] == u or parent[u] == v:
-            continue
         if zeta[u] * s * zeta[v] == NEGATIVE:
-            return False, None, _fundamental_cycle(parent, u, v)
+            return False, None, _tree_path(tree, u, v)
     return True, tuple(zeta), None
-
-
-def _fundamental_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
-    up = [u]
-    while parent[up[-1]] != -1:
-        up.append(parent[up[-1]])
-    on_up = {x: i for i, x in enumerate(up)}
-    down = [v]
-    while down[-1] not in on_up:
-        down.append(parent[down[-1]])
-    lca = down[-1]
-    return tuple(up[: on_up[lca] + 1]) + tuple(reversed(down[:-1]))
 
 
 def is_balanced_switching(g: SignedGraph) -> BalanceReport:
@@ -377,67 +356,90 @@ def is_balanced_switching(g: SignedGraph) -> BalanceReport:
     return BalanceReport(balanced, "switching", zeta if balanced else cycle)
 
 
-def _tree_path(tree_adj, u: int, v: int) -> list[int]:
+def _tree_path(tree_edges, u: int, v: int) -> tuple[int, ...]:
+    """Vertices of the path from u to v in a forest of (x, y, sign) edges."""
+    adj: dict[int, list[int]] = {}
+    for x, y, _ in tree_edges:
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
     prev = {u: None}
     queue = deque([u])
     while queue:
         x = queue.popleft()
-        if x == v:
-            break
-        for y in tree_adj[x]:
+        for y in adj[x]:
             if y not in prev:
                 prev[y] = x
                 queue.append(y)
     path = [v]
     while path[-1] != u:
         path.append(prev[path[-1]])
-    path.reverse()
-    return path
+    return tuple(reversed(path))
 
 
-def _analyze_1forest(n: int, edges, subset: Sequence[int],
-                     need_cycles: bool) -> list[ForestComponent] | None:
-    """Classify an edge subset; returns per-component data when every
-    component is a 1-tree, None otherwise."""
+def _scan_1forests(g: SignedGraph, need_cycles: bool,
+                   negative_only: bool = False) -> Iterator[OneForest]:
+    """Spanning 1-forests of g in lexicographic order of their edge index
+    tuples; with negative_only, only the contrabalanced ones.
+
+    A depth-first search over the edge list (Read & Tarjan, Networks 1975)
+    takes, then skips, each edge. It takes no edge that would give a
+    component two cycles (with negative_only, a positive one) and ends a
+    branch when too few edges remain, so every leaf, n edges on n
+    vertices, has one cycle in each component. Raises SizeBoundError
+    rather than visit more than ENUMERATION_MAX_NODES nodes.
+    """
+    n, m, edges = g.n, g.m, g.edges
     forest = SignedForest(n)
-    tree_adj: list[list[int]] = [[] for _ in range(n)]
-    closing: list[tuple[int, int, int]] = []
-    for ei in subset:
-        u, v, s = edges[ei]
-        sign = forest.union(u, v, s)
-        if sign:
-            closing.append((u, v, sign))
-        elif need_cycles:
-            tree_adj[u].append(v)
-            tree_adj[v].append(u)
-    # A 1-forest has exactly one cycle-closing edge in each component.
+    cyclic = [False] * n  # by root
+    # (edge, root it placed below the other, or -1 if it closed a cycle)
+    taken: list[tuple[int, int]] = []
+    e = 0
+    for _ in range(ENUMERATION_MAX_NODES):
+        if len(taken) < n and m - e >= n - len(taken):
+            u, v, s = edges[e]
+            ru, su = forest.find(u)
+            rv, sv = forest.find(v)
+            if ru != rv and not (cyclic[ru] and cyclic[rv]):
+                child = forest.link(ru, rv, su * s * sv)
+                cyclic[forest.parent[child]] = cyclic[ru] or cyclic[rv]
+                taken.append((e, child))
+            elif ru == rv and not cyclic[ru] and (su * s * sv == NEGATIVE or not negative_only):
+                cyclic[ru] = True
+                taken.append((e, -1))
+            e += 1
+            if m - e >= n - len(taken):
+                continue
+        elif len(taken) == n:
+            yield _one_forest(forest, edges, taken, need_cycles)
+        # Backtrack to the latest taken edge whose skip branch can finish.
+        while taken:
+            e, child = taken.pop()
+            if child < 0:
+                cyclic[forest.find(edges[e][0])[0]] = False
+            else:
+                if cyclic[child]:  # then the other component had no cycle
+                    cyclic[forest.parent[child]] = False
+                forest.cut(child)
+            e += 1
+            if m - e >= n - len(taken):
+                break
+        else:
+            return
+    raise SizeBoundError(f"1-forest search needs more than {ENUMERATION_MAX_NODES} nodes")
+
+
+def _one_forest(forest: SignedForest, edges, taken, need_cycles: bool) -> OneForest:
+    """A leaf of _scan_1forests, its components in closing-edge order."""
     groups = forest.classes()
-    roots = {forest.find(u)[0] for u, _, _ in closing}
-    if len(roots) != len(closing) or len(roots) != len(groups):
-        return None
-    return [
-        ForestComponent(
-            tuple(groups[forest.find(u)[0]]),
-            tuple(_tree_path(tree_adj, u, v)) if need_cycles else None,
-            sign,
-        )
-        for u, v, sign in closing
-    ]
-
-
-def _scan_1forests(g: SignedGraph, need_cycles: bool) -> Iterator[OneForest]:
-    n, m = g.n, g.m
-    subsets = math.comb(m, n)
-    if subsets > ENUMERATION_MAX_SUBSETS:
-        raise SizeBoundError(
-            f"1-forest enumeration would scan C({m}, {n}) = {subsets} edge "
-            f"subsets, more than the limit of {ENUMERATION_MAX_SUBSETS}"
-        )
-    edges = g.edges
-    for subset in itertools.combinations(range(m), n):
-        comps = _analyze_1forest(n, edges, subset, need_cycles)
-        if comps is not None:
-            yield OneForest(subset, tuple(comps))
+    tree = [edges[ei] for ei, child in taken if child >= 0] if need_cycles else []
+    comps = []
+    for ei, child in taken:
+        if child < 0:
+            u, v, s = edges[ei]
+            (root, su), (_, sv) = forest.find(u), forest.find(v)
+            cycle = _tree_path(tree, u, v) if need_cycles else None
+            comps.append(ForestComponent(tuple(groups[root]), cycle, su * s * sv))
+    return OneForest(tuple(ei for ei, _ in taken), tuple(comps))
 
 
 def enumerate_spanning_1forests(g: SignedGraph | WeightedSignedGraph,
@@ -449,10 +451,7 @@ def enumerate_spanning_1forests(g: SignedGraph | WeightedSignedGraph,
     matrix-forest determinant sum.
     """
     base = g.base if isinstance(g, WeightedSignedGraph) else g
-    return [
-        forest for forest in _scan_1forests(base, need_cycles=True)
-        if forest.contrabalanced or not contrabalanced_only
-    ]
+    return list(_scan_1forests(base, True, contrabalanced_only))
 
 
 def _forest_sum(wg: WeightedSignedGraph, forests: Iterable[OneForest]):
@@ -468,12 +467,9 @@ def _forest_sum(wg: WeightedSignedGraph, forests: Iterable[OneForest]):
         weights = list(wg.weights)
         total = 0.0
     for forest in forests:
-        if not forest.contrabalanced:
-            continue
-        w = 1
-        for ei in forest.edges:
-            w *= weights[ei]
-        total += (4 ** len(forest.components)) * w
+        if forest.contrabalanced:
+            w = math.prod(weights[ei] for ei in forest.edges)
+            total += (4 ** len(forest.components)) * w
     return total
 
 
@@ -486,7 +482,7 @@ def forest_det(g: SignedGraph | WeightedSignedGraph):
     Returns an exact int when all weights are integers, a float otherwise.
     """
     wg = as_weighted(g)
-    return _forest_sum(wg, _scan_1forests(wg.base, need_cycles=False))
+    return _forest_sum(wg, _scan_1forests(wg.base, False, negative_only=True))
 
 
 def closed_form_det(g: SignedGraph | WeightedSignedGraph):
@@ -496,7 +492,7 @@ def closed_form_det(g: SignedGraph | WeightedSignedGraph):
     unicyclic graphs included) the graph is its own only spanning 1-forest,
     so the determinant is its forest-sum term: the total weight product
     times 2*(1 - cycle sign) per component. Anything else returns None.
-    Works at any size; only the subset enumerators carry a size bound.
+    Its 1-forest search visits at most n + 1 nodes.
     """
     wg = as_weighted(g)
     base = wg.base
@@ -598,8 +594,8 @@ def is_balanced_forest(g: SignedGraph) -> BalanceReport:
     """Decide balance by the matrix-forest sum at unit weights.
 
     The sum has only positive terms, one per contrabalanced spanning
-    1-forest, so it vanishes exactly on balanced connected graphs. Subject
-    to the enumeration size bound.
+    1-forest, so it vanishes exactly on balanced connected graphs. Raises
+    SizeBoundError when the 1-forest search exceeds its node budget.
     """
     # the sum-to-balance step needs connectivity; certificate search checks it
     balanced_sw, zeta, cycle = _switching_certificate(g)

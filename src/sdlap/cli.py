@@ -16,7 +16,7 @@ from pathlib import Path
 from .balance import (
     SizeBoundError,
     _forest_sum,
-    enumerate_spanning_1forests,
+    _scan_1forests,
     closed_form_det,
     is_balanced_det,
     is_balanced_forest,
@@ -178,9 +178,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_forests(args) -> int:
     wg = _load(args.file)
-    forests = enumerate_spanning_1forests(
-        wg, contrabalanced_only=args.kind == "contrabalanced"
-    )
+    forests = list(_scan_1forests(wg.base, args.list, args.kind == "contrabalanced"))
     total = _forest_sum(wg, forests)
     result = {
         "count": len(forests),

@@ -71,12 +71,22 @@ class SignedForest:
         rv, sv = self.find(v)
         if ru == rv:
             return su * s * sv
+        self.link(ru, rv, su * s * sv)
+        return 0
+
+    def link(self, ru: int, rv: int, sign: int) -> int:
+        """Join the roots ru != rv by a path of sign sign; returns the lower."""
         if self.size[ru] < self.size[rv]:
             ru, rv = rv, ru
         self.parent[rv] = ru
-        self.sign[rv] = su * s * sv
+        self.sign[rv] = sign
         self.size[ru] += self.size[rv]
-        return 0
+        return rv
+
+    def cut(self, child: int) -> None:
+        """Undo the link that returned child; the latest link goes first."""
+        self.size[self.parent[child]] -= self.size[child]
+        self.parent[child] = child
 
     def classes(self) -> dict[int, list[int]]:
         """Vertices of each component, ascending, keyed by its root."""

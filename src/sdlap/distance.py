@@ -103,19 +103,6 @@ class DistanceTable:
         """-1 unless every shortest path between u and v is positive."""
         return NEGATIVE if self.neg[u, v] else POSITIVE
 
-    def to_json_obj(self) -> dict:
-        sig_max = np.where(self.pos, 1, -1)
-        sig_min = np.where(self.neg, -1, 1)
-        return {
-            "n": self.n,
-            "dmax": (sig_max * self.dist).tolist(),
-            "dmin": (sig_min * self.dist).tolist(),
-        }
-
-    def to_csv(self, kind: str = "max") -> str:
-        """Row-major CSV of the signed distance matrix of the given kind."""
-        return distance_matrix(self, kind).to_csv()
-
 
 def _level_plan(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Gather rows and segment starts for one level of the signed BFS.

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's own algorithms: shortest
 paths are enumerated by depth-limited DFS or found by a per-source BFS
 instead of the all-sources bit-packed one, determinants come from the
-Leibniz permutation sum, Laplacians are rebuilt with plain loops, and
-eigenvalues come from a cyclic Jacobi iteration instead of LAPACK.
+Leibniz permutation sum, Laplacians are rebuilt with plain loops,
+eigenvalues come from a cyclic Jacobi iteration instead of LAPACK, and
+spanning 1-forests come from testing every edge subset instead of the
+library's depth-first search and signed union-find.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from sdlap import (
     generate,
     switch,
 )
+from sdlap.balance import ForestComponent, OneForest
 
 _CONVERGENCE_FACTOR = 1e-12
 _MAX_SWEEPS = 100
@@ -105,6 +108,82 @@ def sssp_signs(g: SignedGraph, src: int) -> list[PairDistanceSummary]:
         pos[v] = p
         neg[v] = ng
     return [PairDistanceSummary(d, p, ng) for d, p, ng in zip(dist, pos, neg)]
+
+
+def _classify_1forest(g: SignedGraph, subset) -> OneForest | None:
+    """The subset as a OneForest when every component of it holds exactly
+    one cycle, None otherwise.
+
+    Components come from BFS. Peeling degree-one vertices leaves a
+    component's cycle; its closing edge is the cycle edge of highest
+    index, the first one whose addition closes the cycle.
+    """
+    adj = [[] for _ in range(g.n)]
+    for ei in subset:
+        u, v, _ = g.edges[ei]
+        adj[u].append((v, ei))
+        adj[v].append((u, ei))
+    seen = [False] * g.n
+    found = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            for y, _ in adj[queue.popleft()]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    queue.append(y)
+        if len({ei for x in comp for _, ei in adj[x]}) != len(comp):
+            return None
+        degree = {x: len(adj[x]) for x in comp}
+        leaves = [x for x in comp if degree[x] == 1]
+        while leaves:
+            x = leaves.pop()
+            degree[x] = 0
+            for y, _ in adj[x]:
+                if degree[y] > 1:
+                    degree[y] -= 1
+                    if degree[y] == 1:
+                        leaves.append(y)
+        ring = {x for x in comp if degree[x] > 0}
+        ring_edges = {ei for x in ring for y, ei in adj[x] if y in ring}
+        closing = max(ring_edges)
+        u, v, _ = g.edges[closing]
+        cycle, prev = [u], v
+        while cycle[-1] != v:
+            x = cycle[-1]
+            y = next(y for y, _ in adj[x] if y in ring and y != prev)
+            cycle.append(y)
+            prev = x
+        sign = math.prod(g.edges[ei][2] for ei in ring_edges)
+        found.append((closing, ForestComponent(tuple(sorted(comp)), tuple(cycle), sign)))
+    found.sort()
+    return OneForest(tuple(subset), tuple(c for _, c in found))
+
+
+def oracle_1forests(g: SignedGraph) -> list[OneForest]:
+    """Spanning 1-forests by classifying all C(m, n) n-edge subsets, in
+    itertools.combinations order."""
+    forests = (_classify_1forest(g, s) for s in itertools.combinations(range(g.m), g.n))
+    return [f for f in forests if f is not None]
+
+
+def oracle_forest_sum(wg: WeightedSignedGraph, forests: list[OneForest]):
+    """Sum of 4**components * weight product over the contrabalanced
+    members of forests, added in their order."""
+    total = 0 if wg.integer_weights else 0.0
+    weights = [int(w) for w in wg.weights] if wg.integer_weights else wg.weights
+    for forest in forests:
+        if forest.contrabalanced:
+            w = 1
+            for ei in forest.edges:
+                w *= weights[ei]
+            total += 4 ** len(forest.components) * w
+    return total
 
 
 def leibniz_det(rows) -> int:

@@ -12,6 +12,7 @@ from sdlap import (
     WeightedSignedGraph,
     associated_complete,
     closed_form_det,
+    components,
     det_exact,
     distance_laplacian,
     distance_table,
@@ -23,9 +24,11 @@ from sdlap import (
     is_balanced_switching,
     is_compatible,
     path_sign,
+    serialize,
     switch,
     weighted_laplacian,
 )
+from sdlap.cli import main
 
 import sdlap.balance
 from sdlap import BalanceReport
@@ -38,7 +41,13 @@ from sdlap.balance import (
     _primes,
 )
 
-from conftest import leibniz_det, random_connected_graph, random_weighted_graph
+from conftest import (
+    leibniz_det,
+    oracle_1forests,
+    oracle_forest_sum,
+    random_connected_graph,
+    random_weighted_graph,
+)
 
 
 def weighted_negative_triangle():
@@ -329,18 +338,38 @@ def test_forest_cycles_match_path_sign():
             assert len(forest.edges) == wg.n
 
 
-def refuse_classification(monkeypatch):
-    def classify(*args):
-        raise AssertionError("an edge subset was classified")
+def test_search_matches_the_subset_oracle():
+    rng = random.Random(97)
+    disconnected = nonzero = 0
+    for i in range(220):
+        n = rng.randint(2, 7)
+        p = rng.uniform(0.2, 0.7)
+        edges = tuple((u, v, rng.choice((1, -1)))
+                      for u, v in itertools.combinations(range(n), 2) if rng.random() < p)
+        g = SignedGraph(n, edges)
+        if i % 2:
+            weights = tuple(rng.uniform(0.1, 3.0) for _ in edges)
+        else:
+            weights = tuple(float(rng.randint(1, 5)) for _ in edges)
+        wg = WeightedSignedGraph(g, weights)
+        disconnected += len(components(g)) > 1
+        expected = oracle_1forests(g)
+        assert enumerate_spanning_1forests(g) == expected
+        contra = enumerate_spanning_1forests(g, contrabalanced_only=True)
+        assert contra == [f for f in expected if f.contrabalanced]
+        nonzero += bool(contra)
+        # float weights: the same terms, added in the same order
+        total = forest_det(wg)
+        assert type(total) is type(oracle_forest_sum(wg, expected))
+        assert repr(total) == repr(oracle_forest_sum(wg, expected))
+    assert disconnected > 40 and nonzero > 40
 
-    monkeypatch.setattr(sdlap.balance, "_analyze_1forest", classify)
 
-
-def test_enumeration_bound_refuses_dense_graphs_before_scanning(monkeypatch):
-    refuse_classification(monkeypatch)
+def test_node_budget_refuses_dense_graphs_at_every_entry_point(monkeypatch, tmp_path):
+    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 1000)
     for n in (10, 12):
         big = generate("complete", n, "allneg")
-        with pytest.raises(SizeBoundError, match=f"C\\({n * (n - 1) // 2}, {n}\\)"):
+        with pytest.raises(SizeBoundError, match="more than 1000 nodes"):
             enumerate_spanning_1forests(big)
         with pytest.raises(SizeBoundError):
             enumerate_spanning_1forests(big, contrabalanced_only=True)
@@ -348,18 +377,46 @@ def test_enumeration_bound_refuses_dense_graphs_before_scanning(monkeypatch):
             forest_det(big)
         with pytest.raises(SizeBoundError):
             is_balanced_forest(big)
+        path = tmp_path / f"k{n}.sg"
+        path.write_text(serialize(big))
+        for kind in ("all", "contrabalanced"):
+            assert main(["forests", str(path), "--kind", kind]) == 1
 
 
-def test_enumeration_bound_counts_subsets_not_vertices(monkeypatch):
-    # C11 has one edge subset of size 11, and it is a 1-forest.
+def test_node_budget_counts_nodes_not_subsets(monkeypatch):
+    # C11 has one spanning 1-forest, itself, found in 12 nodes.
+    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 1000)
     c11 = generate("cycle", 11, "allneg")
     assert forest_det(c11) == 4
     (forest,) = enumerate_spanning_1forests(c11)
-    assert forest.contrabalanced and forest.components[0].cycle is not None
-    # K8 has C(28, 8) = 3,108,105 subsets: admitted, so its scan starts.
-    refuse_classification(monkeypatch)
-    with pytest.raises(AssertionError, match="classified"):
-        forest_det(generate("complete", 8, "allneg"))
+    assert forest.contrabalanced and forest.components[0].cycle == tuple(range(11))
+    # The negative triangle: take, take, close, leaf. Skip branches with
+    # too few edges left are not visited.
+    triangle = generate("cycle", 3, "allneg")
+    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 4)
+    assert forest_det(triangle) == 4
+    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 3)
+    with pytest.raises(SizeBoundError):
+        forest_det(triangle)
+
+
+@pytest.mark.parametrize("shape", ["cycle", "unicyclic"])
+def test_large_1forests_need_no_recursion(shape, capsys, tmp_path):
+    n = 3000
+    if shape == "cycle":
+        g = generate("cycle", n, "allneg")
+    else:
+        rng = random.Random(5)
+        edges = [(rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n)]
+        edges.append((0, n - 1, -1) if edges[-1][0] else (1, n - 1, -1))
+        g = SignedGraph(n, tuple(edges))
+    expected = 0 if is_balanced_switching(g).balanced else 4
+    assert closed_form_det(g) == forest_det(g) == expected
+    path = tmp_path / "big.sg"
+    path.write_text(serialize(g))
+    assert main(["info", str(path)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["closed_form_det"] == str(expected)
 
 
 # ---------------------------------------------------------------- forest_det

@@ -271,7 +271,7 @@ def test_forests_contrabalanced_census(capsys, tmp_path, c4_one_negative):
 
 @pytest.mark.parametrize("kind", ["all", "contrabalanced"])
 def test_forests_scans_once_and_sums_like_forest_det(capsys, tmp_path, monkeypatch, kind):
-    import sdlap.balance
+    import sdlap.cli
     from sdlap import WeightedSignedGraph, forest_det, generate, serialize
 
     wg = WeightedSignedGraph(generate("complete", 5, 0.5, seed=3),
@@ -279,18 +279,21 @@ def test_forests_scans_once_and_sums_like_forest_det(capsys, tmp_path, monkeypat
     path = tmp_path / "k5.sg"
     path.write_text(serialize(wg))
     expected = forest_det(wg)
-    scans = []
-    scan = sdlap.balance._scan_1forests
+    scan = sdlap.cli._scan_1forests
+    for listed in (False, True):
+        scans = []
 
-    def counted(g, need_cycles):
-        scans.append(need_cycles)
-        return scan(g, need_cycles)
+        def counted(g, need_cycles, negative_only):
+            scans.append((need_cycles, negative_only))
+            return scan(g, need_cycles, negative_only)
 
-    monkeypatch.setattr(sdlap.balance, "_scan_1forests", counted)
-    code, out, _ = run(capsys, "forests", str(path), "--kind", kind)
-    assert code == 0 and scans == [True]
-    # float weights: the same terms, added in the same order
-    assert json.loads(out)["forest_sum"] == expected
+        monkeypatch.setattr(sdlap.cli, "_scan_1forests", counted)
+        code, out, _ = run(capsys, "forests", str(path), "--kind", kind,
+                           *(["--list"] if listed else []))
+        # cycles are traced only when listed; only the kind asked for is searched
+        assert code == 0 and scans == [(listed, kind == "contrabalanced")]
+        # float weights: the same terms, added in the same order
+        assert json.loads(out)["forest_sum"] == expected
 
 
 # ---------------------------------------------------------------- verify
@@ -304,6 +307,24 @@ def test_verify_suite_passes_and_is_deterministic(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert out_a.startswith("PASS forest-theorem")
+
+
+def test_verify_forest_theorem_skips_graphs_the_search_refuses(capsys, monkeypatch):
+    import sdlap.balance
+
+    code, out, _ = run(capsys, "verify", "forest-theorem", "--n", "5")
+    assert code == 0 and "skipped" not in out
+    # Dense graphs on 9 to 11 vertices exceed a 2000-node budget.
+    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 2000)
+    code, out, _ = run(capsys, "verify", "forest-theorem", "--n", "11", "--format", "json")
+    (report,) = json.loads(out)
+    assert code == 0 and report["passed"] and report["instances"] == 200
+    assert 0 < report["details"]["skipped"] < 200
+    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 0)
+    code, out, _ = run(capsys, "verify", "forest-theorem", "--n", "5")
+    assert code == 1
+    assert out.startswith("FAIL forest-theorem: 200 instances, max_abs_difference=0, "
+                          "skipped=200 (forest_det refused every instance)")
 
 
 def test_verify_json_format(capsys):

@@ -370,14 +370,16 @@ def test_per_pair_sign_sets_transform_under_switching():
 
 
 def test_table_json_export():
+    # `sdlap matrix --kind dmax|dmin` encodes a table through distance_matrix
     table = distance_table(c4_one_negative())
-    obj = table.to_json_obj()
-    assert obj["n"] == 4
-    assert obj["dmax"][0] == [0, 1, 2, -1]
-    assert obj["dmin"][0] == [0, 1, -2, -1]
+    obj = distance_matrix(table, "max").to_json_obj()
+    assert obj["n"] == 4 and obj["kind"] == "dmax"
+    assert obj["rows"][0] == [0, 1, 2, -1]
+    obj = distance_matrix(table, "min").to_json_obj()
+    assert obj["kind"] == "dmin" and obj["rows"][0] == [0, 1, -2, -1]
 
 
 def test_table_csv_export():
     table = distance_table(c4_one_negative())
-    assert table.to_csv("max").splitlines()[0] == "0,1,2,-1"
-    assert table.to_csv("min").splitlines()[0] == "0,1,-2,-1"
+    assert distance_matrix(table, "max").to_csv().splitlines()[0] == "0,1,2,-1"
+    assert distance_matrix(table, "min").to_csv().splitlines()[0] == "0,1,-2,-1"
