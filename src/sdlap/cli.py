@@ -8,6 +8,7 @@ failure), 2 usage or input-format error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -71,14 +72,21 @@ def _load(path: str) -> WeightedSignedGraph:
     return parse_edge_list(text)
 
 
+@contextlib.contextmanager
+def _output(out: str | None):
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as f:
+            yield f
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _UsageError(f"cannot write {out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    with _output(out) as f:
+        f.write(text)
 
 
 def _json_dump(obj) -> str:
@@ -129,12 +137,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    wg = _load(args.file)
-    matrix = _build_matrix(wg, args.kind)
-    if args.format == "csv":
-        _emit(matrix.to_csv(), args.out)
-    else:
-        _emit(_json_dump(matrix.to_json_obj()), args.out)
+    matrix = _build_matrix(_load(args.file), args.kind)
+    with _output(args.out) as f:
+        matrix.write(f, args.format)
     return 0
 
 

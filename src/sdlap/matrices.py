@@ -3,24 +3,36 @@ incidence, and the two signed distance Laplacians."""
 
 from __future__ import annotations
 
+import io
+import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .core import SignedGraph, WeightedSignedGraph, as_weighted, canonical_orientation
 
 
-def _fmt_number(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
-def _rows_to_csv(entries: np.ndarray) -> str:
-    rows = entries.tolist()
-    return "\n".join(",".join(_fmt_number(x) for x in row) for row in rows) + "\n"
+def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
+    """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n",
+    one row at a time. CSV floats get .12g; JSON gets repr, or json.dumps for NaN/inf."""
+    if fmt == "csv":
+        num = str if np.issubdtype(blocks["rows"].dtype, np.integer) else "%.12g".__mod__
+        out.writelines(",".join(map(num, row.tolist())) + "\n" for row in blocks["rows"])
+        return out
+    lead = "{\n" + "".join(f'  "{k}": {json.dumps(v)},\n' for k, v in header.items())
+    for key, rows in blocks.items():
+        out.write(f'{lead}  "{key}": [')
+        num = repr if np.isfinite(rows).all() else json.dumps
+        for i, row in enumerate(rows):
+            items = ",\n      ".join(map(num, row.tolist()))
+            row_text = f"[\n      {items}\n    ]" if items else "[]"
+            out.write(f"{',' if i else ''}\n    {row_text}")
+        out.write("\n  ]" if len(rows) else "]")
+        lead = ",\n"
+    out.write("\n}\n")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +65,11 @@ class SquareMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype)
 
+    def write(self, out: TextIO, fmt: str = "json") -> TextIO:
+        return _write_matrix(out, fmt, {"n": self.n, "kind": self.kind}, {"rows": self.entries})
+
     def to_csv(self) -> str:
-        return _rows_to_csv(self.entries)
+        return self.write(io.StringIO(), "csv").getvalue()
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "kind": self.kind, "rows": self.entries.tolist()}
@@ -85,8 +100,13 @@ class IncidenceMatrix:
     def m(self) -> int:
         return self.entries.shape[1]
 
+    def write(self, out: TextIO, fmt: str = "json") -> TextIO:
+        pairs = np.array(self.orientation, dtype=np.int64).reshape(-1, 2) + 1
+        return _write_matrix(out, fmt, {"n": self.n, "m": self.m, "kind": "incidence"},
+                             {"rows": self.entries, "orientation": pairs})
+
     def to_csv(self) -> str:
-        return _rows_to_csv(self.entries)
+        return self.write(io.StringIO(), "csv").getvalue()
 
     def to_json_obj(self) -> dict:
         return {

@@ -4,14 +4,17 @@ The oracles here deliberately avoid the library's own algorithms: shortest
 paths are enumerated by depth-limited DFS or found by a per-source BFS
 instead of the all-sources bit-packed one, determinants come from the
 Leibniz permutation sum, Laplacians are rebuilt with plain loops,
-eigenvalues come from a cyclic Jacobi iteration instead of LAPACK, and
+eigenvalues come from a cyclic Jacobi iteration instead of LAPACK,
 spanning 1-forests come from testing every edge subset instead of the
-library's depth-first search and signed union-find.
+library's depth-first search and signed union-find, and matrix exports
+come from a per-entry number formatter and json.dumps over a whole
+document instead of the streaming row writer.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -306,3 +309,20 @@ def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     else:
         raise ArithmeticError("Jacobi iteration did not converge")
     return np.sort(np.diagonal(a).copy())
+
+
+def _oracle_number(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".12g")
+
+
+def oracle_matrix_csv(entries) -> str:
+    """CSV text of a matrix, formatting each entry by its own Python type."""
+    rows = np.asarray(entries).tolist()
+    return "\n".join(",".join(_oracle_number(x) for x in row) for row in rows) + "\n"
+
+
+def oracle_matrix_json(matrix) -> str:
+    """JSON text of a matrix export, encoded as one document by json.dumps."""
+    return json.dumps(matrix.to_json_obj(), indent=2) + "\n"

@@ -1,8 +1,13 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
-from sdlap.cli import main
+from sdlap import DisconnectedGraphError, IncompatibleGraphError, parse_edge_list
+from sdlap.cli import MATRIX_KINDS, _build_matrix, main
+
+from conftest import oracle_matrix_csv, oracle_matrix_json
 
 
 def run(capsys, *argv):
@@ -97,6 +102,127 @@ def test_matrix_incidence_json(capsys, c3_all_negative):
     obj = json.loads(out)
     assert code == 0
     assert obj["orientation"] == [[1, 2], [2, 3], [1, 3]]
+
+
+def _random_graph_text(rng, n, p, weight):
+    lines = [str(n)]
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if rng.random() < p:
+                lines.append(f"{u} {v} {rng.choice('+-')} {weight(rng)}")
+    return "\n".join(lines) + "\n"
+
+
+def _expected_matrix(wg, kind, fmt):
+    """Exit code and text of `sdlap matrix` by the oracle encoders."""
+    try:
+        matrix = _build_matrix(wg, kind)
+    except (DisconnectedGraphError, IncompatibleGraphError):
+        return 1, ""
+    if fmt == "csv":
+        return 0, oracle_matrix_csv(matrix.entries)
+    return 0, oracle_matrix_json(matrix)
+
+
+def _assert_matrix_outputs_match_oracle(capsys, tmp_path, path, kinds=MATRIX_KINDS):
+    target = tmp_path / "matrix.out"
+    wg = parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    for kind in kinds:
+        for fmt in ("json", "csv"):
+            code, text = _expected_matrix(wg, kind, fmt)
+            assert run(capsys, "matrix", path, "--kind", kind, "--format", fmt)[:2] \
+                == (code, text), (kind, fmt)
+            target.unlink(missing_ok=True)
+            got = run(capsys, "matrix", path, "--kind", kind, "--format", fmt,
+                      "--out", str(target))
+            assert got[:2] == (code, ""), (kind, fmt)
+            written = target.read_bytes() if target.exists() else None
+            assert written == (text.encode("utf-8") if code == 0 else None), (kind, fmt)
+
+
+GOLDEN_GRAPHS = {
+    "integer-weights": _random_graph_text(random.Random(3), 25, 0.25,
+                                          lambda rng: rng.randint(1, 40)),
+    "unit-weights": _random_graph_text(random.Random(4), 12, 0.4, lambda rng: 1),
+    "float-weights": "5\n1 2 + 0.3333333333333333\n2 3 - 1e-7\n3 4 + 123456.789\n"
+                     "4 5 - 2.5\n1 5 + 7\n2 4 - 1e22\n",
+    "random-float-weights": _random_graph_text(
+        random.Random(5), 20, 0.3,
+        lambda rng: repr(rng.choice([1 / 3, 1e-7, 123456.789, 2.5])
+                         * rng.randint(1, 9))),
+    "float-overflow": "3\n1 2 + 1e308\n1 3 + 1e308\n2 3 + 0.5\n",
+    "edgeless": "4\n",
+    "single-vertex": "1\n",
+    "disconnected": "6\n1 2 +\n2 3 - 4\n4 5 - 2.5\n",
+    "compatible": "4\n1 2 +\n2 3 -\n3 4 +\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+def test_matrix_output_is_byte_identical_to_the_oracle(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.sg"
+    path.write_text(GOLDEN_GRAPHS[name], encoding="utf-8")
+    _assert_matrix_outputs_match_oracle(capsys, tmp_path, str(path))
+
+
+def test_large_matrix_output_is_byte_identical_to_the_oracle(capsys, tmp_path):
+    # This graph's incidence matrix has 4e6 float entries, which the
+    # json.dumps oracle takes seconds to encode; the graphs above run the
+    # same encoder on incidence matrices.
+    path = tmp_path / "large.sg"
+    path.write_text(_random_graph_text(random.Random(8), 1000, 0.008,
+                                       lambda rng: rng.randint(1, 9)), encoding="utf-8")
+    kinds = [kind for kind in MATRIX_KINDS if kind != "incidence"]
+    _assert_matrix_outputs_match_oracle(capsys, tmp_path, str(path), kinds)
+
+
+@pytest.mark.parametrize("existing", [True, False])
+@pytest.mark.parametrize("graph, kind", [
+    ("4\n1 2 +\n2 3 +\n3 4 +\n1 4 -\n", "lpm"),
+    ("4\n1 2 +\n3 4 -\n", "dmax"),
+])
+def test_failed_matrix_command_leaves_out_path_alone(capsys, tmp_path, graph, kind,
+                                                      existing):
+    path = tmp_path / "g.sg"
+    path.write_text(graph)
+    target = tmp_path / "out.json"
+    if existing:
+        target.write_text("earlier output\n")
+    code, out, err = run(capsys, "matrix", str(path), "--kind", kind, "--out", str(target))
+    assert code == 1 and out == "" and err.startswith("sdlap: ")
+    if existing:
+        assert target.read_text() == "earlier output\n"
+    else:
+        assert not target.exists()
+
+
+def test_matrix_prints_every_digit_of_large_integer_entries(capsys, tmp_path):
+    path = tmp_path / "big.sg"
+    path.write_text("3\n1 2 + 999999999999999\n2 3 - 1000000000000001\n1 3 + 3\n")
+    rows = [
+        [1000000000000002, -999999999999999, -3],
+        [-999999999999999, 2000000000000000, 1000000000000001],
+        [-3, 1000000000000001, 1000000000000004],
+    ]
+    code, out, _ = run(capsys, "matrix", str(path), "--kind", "laplacian",
+                       "--format", "csv")
+    assert code == 0
+    assert out == "".join(",".join(map(str, row)) + "\n" for row in rows)
+    assert "e+" not in out
+    code, out, _ = run(capsys, "matrix", str(path), "--kind", "laplacian")
+    assert code == 0 and json.loads(out)["rows"] == rows
+
+
+def test_benchmark_tracer_finds_every_entry_point(capsys, monkeypatch, c3_all_negative):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import spans
+
+    argv = ("matrix", c3_all_negative, "--kind", "lmax", "--format", "csv")
+    untraced = run(capsys, *argv)
+    with spans.Tracer():
+        traced = run(capsys, *argv)
+    assert traced == untraced and untraced[0] == 0
 
 
 # ---------------------------------------------------------------- balance
@@ -420,11 +546,12 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
 
 def test_out_into_missing_directory_exits_2(tmp_path, capsys, c3_all_negative):
     target = tmp_path / "missing" / "out.json"
-    code, out, err = run(capsys, "info", c3_all_negative, "--out", str(target))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"sdlap: cannot write {target}")
-    assert "Traceback" not in err and not target.exists()
+    for argv in (["info"], ["matrix", "--kind", "lmax", "--format", "csv"]):
+        code, out, err = run(capsys, *argv, c3_all_negative, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"sdlap: cannot write {target}")
+        assert "Traceback" not in err and not target.exists()
 
 
 def test_non_finite_weight_exits_2(tmp_path, capsys):
