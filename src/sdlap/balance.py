@@ -324,8 +324,8 @@ def _det_mod_primes(a: np.ndarray, primes: list[int]) -> list[int]:
     return [d % q for d, q in zip(det, primes)]
 
 
-def _switching_certificate(g: SignedGraph):
-    """Spanning-tree marking: returns (balanced, zeta, negative_cycle).
+def is_balanced_switching(g: SignedGraph) -> BalanceReport:
+    """Decide balance by switching; the certificate is checkable either way.
 
     zeta is fixed along a BFS tree so every tree edge switches positive;
     the first edge that stays negative closes a negative fundamental
@@ -346,14 +346,8 @@ def _switching_certificate(g: SignedGraph):
         raise DisconnectedGraphError(zeta.index(0), 0)
     for u, v, s in g.edges:
         if zeta[u] * s * zeta[v] == NEGATIVE:
-            return False, None, _tree_path(tree, u, v)
-    return True, tuple(zeta), None
-
-
-def is_balanced_switching(g: SignedGraph) -> BalanceReport:
-    """Decide balance by switching; the certificate is checkable either way."""
-    balanced, zeta, cycle = _switching_certificate(g)
-    return BalanceReport(balanced, "switching", zeta if balanced else cycle)
+            return BalanceReport(False, "switching", _tree_path(tree, u, v))
+    return BalanceReport(True, "switching", tuple(zeta))
 
 
 def _tree_path(tree_edges, u: int, v: int) -> tuple[int, ...]:
@@ -511,8 +505,7 @@ def _in_kernel(lap: SquareMatrix, zeta) -> bool:
             and not (lap.entries @ z).any())
 
 
-def _det_report(lap: SquareMatrix, kind: str,
-                balanced_sw: bool, certificate) -> BalanceReport:
+def _det_report(lap: SquareMatrix, kind: str, switching: BalanceReport) -> BalanceReport:
     """Report det L^kind, checked against the switching verdict.
 
     When the switching oracle reports balance, its certificate zeta is a
@@ -521,17 +514,16 @@ def _det_report(lap: SquareMatrix, kind: str,
     since distance Laplacian entries are below n**2 in magnitude. If it
     fails, the determinant is computed.
     """
-    if balanced_sw and _in_kernel(lap, certificate):
+    if switching.balanced and _in_kernel(lap, switching.certificate):
         det = 0
     else:
         det = det_exact(lap)
-    balanced = det == 0
-    if balanced != balanced_sw:
+    if (det == 0) != switching.balanced:
         raise ArithmeticError(
             f"det L^{kind} = {det} contradicts the switching verdict; "
             f"this is a bug in one of the deciders"
         )
-    return BalanceReport(balanced, f"det-{kind}", certificate, det)
+    return BalanceReport(switching.balanced, f"det-{kind}", switching.certificate, det)
 
 
 def is_balanced_det(g: SignedGraph, kind: str = "all", *,
@@ -554,40 +546,24 @@ def is_balanced_det(g: SignedGraph, kind: str = "all", *,
     if table is None:
         table = distance_table(g)
     if switching is None:
-        balanced_sw, zeta, cycle = _switching_certificate(g)
-        certificate = zeta if balanced_sw else cycle
-    else:
-        balanced_sw, certificate = switching.balanced, switching.certificate
-
-    if kind in ("max", "min"):
-        lap = distance_laplacian_from_table(table, kind)
-        return _det_report(lap, kind, balanced_sw, certificate)
-
-    compatible, _ = is_compatible(table)
-    if kind == "pm":
-        if not compatible:
-            if balanced_sw:
-                raise ArithmeticError(
-                    "balanced graph found incompatible; this is a bug"
-                )
-            return BalanceReport(False, "det-pm", certificate, None)
-        lap = distance_laplacian_from_table(table, "pm")
-        return _det_report(lap, "pm", balanced_sw, certificate)
-
-    lmax = distance_laplacian_from_table(table, "max")
-    lmin = distance_laplacian_from_table(table, "min")
-    report_max = _det_report(lmax, "max", balanced_sw, certificate)
-    _det_report(lmin, "min", balanced_sw, certificate)
-    if compatible:
-        lpm = distance_laplacian_from_table(table, "pm")
-        _det_report(lpm, "pm", balanced_sw, certificate)
-    elif balanced_sw:
-        raise ArithmeticError("balanced graph found incompatible; this is a bug")
-    if balanced_sw and not np.array_equal(lmax.entries, lmin.entries):
+        switching = is_balanced_switching(g)
+    laps = {k: distance_laplacian_from_table(table, k)
+            for k in ("max", "min") if kind in (k, "all")}
+    reports = [_det_report(lap, k, switching) for k, lap in laps.items()]
+    if kind in ("pm", "all"):
+        if is_compatible(table)[0]:
+            lpm = distance_laplacian_from_table(table, "pm")
+            reports.append(_det_report(lpm, "pm", switching))
+        elif switching.balanced:
+            raise ArithmeticError("balanced graph found incompatible; this is a bug")
+        else:
+            reports.append(BalanceReport(False, "det-pm", switching.certificate))
+    if (kind == "all" and switching.balanced
+            and not np.array_equal(laps["max"].entries, laps["min"].entries)):
         raise ArithmeticError(
             "balanced graph with differing max/min Laplacians; this is a bug"
         )
-    return report_max
+    return reports[0]
 
 
 def is_balanced_forest(g: SignedGraph) -> BalanceReport:
@@ -597,14 +573,12 @@ def is_balanced_forest(g: SignedGraph) -> BalanceReport:
     1-forest, so it vanishes exactly on balanced connected graphs. Raises
     SizeBoundError when the 1-forest search exceeds its node budget.
     """
-    # the sum-to-balance step needs connectivity; certificate search checks it
-    balanced_sw, zeta, cycle = _switching_certificate(g)
+    # the sum-to-balance step needs connectivity; switching checks it
+    switching = is_balanced_switching(g)
     total = forest_det(g)
-    balanced = total == 0
-    if balanced != balanced_sw:
+    if (total == 0) != switching.balanced:
         raise ArithmeticError(
             f"forest sum {total} contradicts the switching verdict; "
             f"this is a bug in one of the deciders"
         )
-    certificate = zeta if balanced else cycle
-    return BalanceReport(balanced, "forest-sum", certificate, total)
+    return BalanceReport(switching.balanced, "forest-sum", switching.certificate, total)

@@ -346,10 +346,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"sdlap: {exc}", file=sys.stderr)
-        return 2
-    except _UsageError as exc:
+    except (GraphFormatError, _UsageError) as exc:
         print(f"sdlap: {exc}", file=sys.stderr)
         return 2
     except (DisconnectedGraphError, IncompatibleGraphError, SizeBoundError,

@@ -219,24 +219,17 @@ def transmission(table: DistanceTable) -> np.ndarray:
 
 
 def associated_complete(g: SignedGraph, table: DistanceTable, kind: str) -> WeightedSignedGraph:
-    """Complete the graph: each non-adjacent pair gets an edge whose sign is
-    the pair's sigma_max (or sigma_min) and whose weight is the hop distance.
+    """Complete the graph: each vertex pair gets an edge whose sign and
+    weight are those of its entry in distance_matrix(table, kind), the
+    pair's sigma_max (or sigma_min) and hop distance.
 
-    Edges of g keep their own sign with weight 1, which agrees with the
-    sigma convention because the edge itself is the unique shortest path.
-    Edges come out in lexicographic endpoint order.
+    An edge of g keeps its own sign with weight 1, because it is the
+    unique shortest path between its ends. Edges come out in
+    lexicographic endpoint order.
     """
     if kind not in ("max", "min"):
         raise ValueError(f"kind must be 'max' or 'min', got {kind!r}")
-    sigma = table.sigma_max if kind == "max" else table.sigma_min
-    edges: list[tuple[int, int, int]] = []
-    weights: list[float] = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                edges.append((u, v, g.sign_of(u, v)))
-                weights.append(1.0)
-            else:
-                edges.append((u, v, sigma(u, v)))
-                weights.append(float(table.dist[u, v]))
-    return WeightedSignedGraph(SignedGraph(g.n, tuple(edges)), tuple(weights))
+    u, v = np.triu_indices(g.n, 1)
+    d = distance_matrix(table, kind).entries[u, v]
+    edges = zip(u.tolist(), v.tolist(), np.sign(d).tolist())
+    return WeightedSignedGraph(SignedGraph(g.n, tuple(edges)), tuple(np.abs(d).tolist()))

@@ -121,24 +121,29 @@ class IncidenceMatrix:
 def _weight_values(wg: WeightedSignedGraph):
     """Edge weights and the dtype to store them in.
 
-    Integral weights are stored as int64. Every entry of the adjacency,
-    degree and Laplacian matrices is bounded by some vertex's weight sum,
-    so checking those sums exactly rules out silent int64 wraparound.
+    Integral weights are stored as int64, the rest as float64. Every entry
+    of the adjacency, degree and Laplacian matrices is bounded by some
+    vertex's weight sum, so checking those sums, added in the order the
+    degree matrix adds them, rules out silent int64 wraparound and float
+    overflow to infinity.
     """
-    if not wg.integer_weights:
-        return list(wg.weights), np.float64
-    values = [int(w) for w in wg.weights]
+    exact = wg.integer_weights
+    values = [int(w) for w in wg.weights] if exact else list(wg.weights)
     sums = [0] * wg.n
     for (u, v, _), w in zip(wg.edges, values):
         sums[u] += w
         sums[v] += w
     for vertex, total in enumerate(sums):
-        if total >= 2 ** 63:
+        if exact and total >= 2 ** 63:
             raise ValueError(
                 f"weight sum {total} at vertex index {vertex} does not fit "
                 f"in a 64-bit integer matrix"
             )
-    return values, np.int64
+        if not math.isfinite(total):
+            raise ValueError(
+                f"weight sum at vertex index {vertex} overflows a 64-bit float"
+            )
+    return values, np.int64 if exact else np.float64
 
 
 def adjacency_matrix(g: SignedGraph | WeightedSignedGraph) -> SquareMatrix:

@@ -117,7 +117,7 @@ def _expected_matrix(wg, kind, fmt):
     """Exit code and text of `sdlap matrix` by the oracle encoders."""
     try:
         matrix = _build_matrix(wg, kind)
-    except (DisconnectedGraphError, IncompatibleGraphError):
+    except ValueError:
         return 1, ""
     if fmt == "csv":
         return 0, oracle_matrix_csv(matrix.entries)
@@ -158,7 +158,6 @@ GOLDEN_GRAPHS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
 def test_matrix_output_is_byte_identical_to_the_oracle(capsys, tmp_path, name):
     path = tmp_path / f"{name}.sg"
@@ -197,6 +196,22 @@ def test_failed_matrix_command_leaves_out_path_alone(capsys, tmp_path, graph, ki
         assert not target.exists()
 
 
+@pytest.mark.parametrize("kind", ["adjacency", "degree", "laplacian"])
+def test_matrix_rejects_float_weight_sums_that_overflow(capsys, tmp_path, kind):
+    path = tmp_path / "g.sg"
+    path.write_text(GOLDEN_GRAPHS["float-overflow"])
+    target = tmp_path / "out.json"
+    target.write_text("earlier output\n")
+    code, out, err = run(capsys, "matrix", str(path), "--kind", kind, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("sdlap: ") and "vertex index 0" in err
+    assert target.read_text() == "earlier output\n"
+    # 1e308 is integral, so the weights must include 0.5 to stay float.
+    path.write_text("3\n1 2 + 1e308\n2 3 + 0.5\n")
+    code, out, _ = run(capsys, "matrix", str(path), "--kind", kind)
+    assert code == 0 and "1e+308" in out and "Infinity" not in out
+
+
 def test_matrix_prints_every_digit_of_large_integer_entries(capsys, tmp_path):
     path = tmp_path / "big.sg"
     path.write_text("3\n1 2 + 999999999999999\n2 3 - 1000000000000001\n1 3 + 3\n")
@@ -214,11 +229,19 @@ def test_matrix_prints_every_digit_of_large_integer_entries(capsys, tmp_path):
     assert code == 0 and json.loads(out)["rows"] == rows
 
 
-def test_benchmark_tracer_finds_every_entry_point(capsys, monkeypatch, c3_all_negative):
+@pytest.mark.parametrize("args", [
+    ("matrix", "--kind", "lmax", "--format", "csv"),
+    ("balance",),
+    ("balance", "--method", "det", "--kind", "all"),
+    ("balance", "--method", "forest"),
+    ("forests", "--list"),
+], ids=["matrix", "balance", "balance-det-all", "balance-forest", "forests-list"])
+def test_benchmark_tracer_finds_every_entry_point(capsys, monkeypatch, c3_all_negative,
+                                                   args):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench import spans
 
-    argv = ("matrix", c3_all_negative, "--kind", "lmax", "--format", "csv")
+    argv = (args[0], c3_all_negative) + args[1:]
     untraced = run(capsys, *argv)
     with spans.Tracer():
         traced = run(capsys, *argv)
@@ -239,8 +262,13 @@ def test_balance_both_matches_documented_output(capsys, c4_one_negative):
     }
 
 
+@pytest.mark.parametrize("args", [
+    (),
+    ("--method", "det", "--kind", "all"),
+    ("--method", "forest"),
+], ids=["both", "det-all", "forest"])
 def test_balance_both_builds_one_table_and_one_switching_run(
-        capsys, monkeypatch, c4_one_negative):
+        capsys, monkeypatch, c4_one_negative, args):
     import sdlap.balance
     import sdlap.cli
 
@@ -255,12 +283,12 @@ def test_balance_both_builds_one_table_and_one_switching_run(
     for module in (sdlap.cli, sdlap.balance):
         monkeypatch.setattr(module, "distance_table",
                             counted("table", module.distance_table))
-    monkeypatch.setattr(sdlap.balance, "_switching_certificate",
-                        counted("switching", sdlap.balance._switching_certificate))
-    code, out, _ = run(capsys, "balance", c4_one_negative)
+        monkeypatch.setattr(module, "is_balanced_switching",
+                            counted("switching", module.is_balanced_switching))
+    code, out, _ = run(capsys, "balance", c4_one_negative, *args)
     assert code == 0
-    assert json.loads(out)["det_lmin"] == "84"
-    assert calls == {"table": 1, "switching": 1}
+    assert json.loads(out)["balanced"] is False
+    assert calls["table"] <= 1 and calls["switching"] == 1
 
 
 BALANCED_5 = "5\n1 2 -\n2 3 -\n3 4 +\n4 5 -\n1 5 -\n1 3 +\n2 4 -\n"
