@@ -71,7 +71,7 @@ class SizeBoundError(ValueError):
 
 class ForestComponent(NamedTuple):
     vertices: tuple[int, ...]
-    cycle: tuple[int, ...] | None
+    cycle: tuple[int, ...]
     sign: int
 
 
@@ -346,12 +346,12 @@ def is_balanced_switching(g: SignedGraph) -> BalanceReport:
         raise DisconnectedGraphError(zeta.index(0), 0)
     for u, v, s in g.edges:
         if zeta[u] * s * zeta[v] == NEGATIVE:
-            return BalanceReport(False, "switching", _tree_path(tree, u, v))
+            return BalanceReport(False, "switching", _tree_path(tree, u, v)[0])
     return BalanceReport(True, "switching", tuple(zeta))
 
 
-def _tree_path(tree_edges, u: int, v: int) -> tuple[int, ...]:
-    """Vertices of the path from u to v in a forest of (x, y, sign) edges."""
+def _tree_path(tree_edges, u: int, v: int) -> tuple[tuple[int, ...], dict]:
+    """Path from u to v in a forest of (x, y, sign) edges, and u's tree as BFS parents."""
     adj: dict[int, list[int]] = {}
     for x, y, _ in tree_edges:
         adj.setdefault(x, []).append(y)
@@ -367,13 +367,14 @@ def _tree_path(tree_edges, u: int, v: int) -> tuple[int, ...]:
     path = [v]
     while path[-1] != u:
         path.append(prev[path[-1]])
-    return tuple(reversed(path))
+    return tuple(reversed(path)), prev
 
 
-def _scan_1forests(g: SignedGraph, need_cycles: bool,
-                   negative_only: bool = False) -> Iterator[OneForest]:
-    """Spanning 1-forests of g in lexicographic order of their edge index
-    tuples; with negative_only, only the contrabalanced ones.
+def _scan_1forests(g: SignedGraph, negative_only: bool = False) -> Iterator[tuple]:
+    """One leaf per spanning 1-forest of g, in lexicographic order of edge
+    index tuples; with negative_only, only the contrabalanced ones. A leaf
+    is the forest's edge indices, ascending, and one (closing edge, cycle
+    sign) pair per component, in closing order.
 
     A depth-first search over the edge list (Read & Tarjan, Networks 1975)
     takes, then skips, each edge. It takes no edge that would give a
@@ -404,7 +405,9 @@ def _scan_1forests(g: SignedGraph, need_cycles: bool,
             if m - e >= n - len(taken):
                 continue
         elif len(taken) == n:
-            yield _one_forest(forest, edges, taken, need_cycles)
+            # union of a closing edge links nothing; it returns the cycle sign
+            cycles = tuple((ei, forest.union(*edges[ei])) for ei, child in taken if child < 0)
+            yield tuple(ei for ei, _ in taken), cycles
         # Backtrack to the latest taken edge whose skip branch can finish.
         while taken:
             e, child = taken.pop()
@@ -422,18 +425,16 @@ def _scan_1forests(g: SignedGraph, need_cycles: bool,
     raise SizeBoundError(f"1-forest search needs more than {ENUMERATION_MAX_NODES} nodes")
 
 
-def _one_forest(forest: SignedForest, edges, taken, need_cycles: bool) -> OneForest:
-    """A leaf of _scan_1forests, its components in closing-edge order."""
-    groups = forest.classes()
-    tree = [edges[ei] for ei, child in taken if child >= 0] if need_cycles else []
+def _as_one_forest(g: SignedGraph, leaf: tuple) -> OneForest:
+    """A search leaf as a OneForest, by one BFS per component over its tree edges."""
+    forest_edges, cycles = leaf
+    closing = {ei for ei, _ in cycles}
+    tree = [g.edges[ei] for ei in forest_edges if ei not in closing]
     comps = []
-    for ei, child in taken:
-        if child < 0:
-            u, v, s = edges[ei]
-            (root, su), (_, sv) = forest.find(u), forest.find(v)
-            cycle = _tree_path(tree, u, v) if need_cycles else None
-            comps.append(ForestComponent(tuple(groups[root]), cycle, su * s * sv))
-    return OneForest(tuple(ei for ei, _ in taken), tuple(comps))
+    for ei, sign in cycles:
+        cycle, visited = _tree_path(tree, g.edges[ei][0], g.edges[ei][1])
+        comps.append(ForestComponent(tuple(sorted(visited)), cycle, sign))
+    return OneForest(forest_edges, tuple(comps))
 
 
 def enumerate_spanning_1forests(g: SignedGraph | WeightedSignedGraph,
@@ -445,25 +446,24 @@ def enumerate_spanning_1forests(g: SignedGraph | WeightedSignedGraph,
     matrix-forest determinant sum.
     """
     base = g.base if isinstance(g, WeightedSignedGraph) else g
-    return list(_scan_1forests(base, True, contrabalanced_only))
+    return [_as_one_forest(base, leaf) for leaf in _scan_1forests(base, contrabalanced_only)]
 
 
-def _forest_sum(wg: WeightedSignedGraph, forests: Iterable[OneForest]):
+def _forest_sum(wg: WeightedSignedGraph, leaves: Iterable[tuple]):
     """Sum of 4**components * weight product over the contrabalanced
-    members of forests, spanning 1-forests of wg, added in their order.
+    leaves of the 1-forest search on wg, added in their order.
 
-    Returns an exact int when all weights are integers, a float otherwise.
+    Returns an exact int when all weights are integers, a float otherwise;
+    raises ValueError when a float sum overflows.
     """
-    if wg.integer_weights:
-        weights = [int(w) for w in wg.weights]
-        total: int | float = 0
-    else:
-        weights = list(wg.weights)
-        total = 0.0
-    for forest in forests:
-        if forest.contrabalanced:
-            w = math.prod(weights[ei] for ei in forest.edges)
-            total += (4 ** len(forest.components)) * w
+    exact = wg.integer_weights
+    weights = [int(w) for w in wg.weights] if exact else list(wg.weights)
+    total: int | float = 0 if exact else 0.0
+    for forest_edges, cycles in leaves:
+        if all(sign == NEGATIVE for _, sign in cycles):
+            total += (4 ** len(cycles)) * math.prod(weights[ei] for ei in forest_edges)
+    if not (exact or math.isfinite(total)):
+        raise ValueError("1-forest sum overflows a 64-bit float")
     return total
 
 
@@ -473,10 +473,11 @@ def forest_det(g: SignedGraph | WeightedSignedGraph):
 
     Equals det_exact(weighted_laplacian(g)) for every signed graph,
     connected or not, which is the identity the verification suite checks.
-    Returns an exact int when all weights are integers, a float otherwise.
+    Returns an exact int when all weights are integers, a float otherwise;
+    raises ValueError when a float sum overflows.
     """
     wg = as_weighted(g)
-    return _forest_sum(wg, _scan_1forests(wg.base, False, negative_only=True))
+    return _forest_sum(wg, _scan_1forests(wg.base, negative_only=True))
 
 
 def closed_form_det(g: SignedGraph | WeightedSignedGraph):
@@ -491,8 +492,8 @@ def closed_form_det(g: SignedGraph | WeightedSignedGraph):
     wg = as_weighted(g)
     base = wg.base
     if base.m == base.n:
-        forests = list(_scan_1forests(base, need_cycles=False))
-        return _forest_sum(wg, forests) if forests else None
+        leaves = list(_scan_1forests(base))
+        return _forest_sum(wg, leaves) if leaves else None
     if base.m == base.n - 1 and len(components(base)) == 1:
         return 0 if wg.integer_weights else 0.0
     return None

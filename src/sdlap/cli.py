@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 computation error (disconnected input,
-incompatible pair for a pm matrix, enumeration size bound, verification
-failure), 2 usage or input-format error.
+incompatible pair for a pm matrix, enumeration size bound, an int64 or
+float64 vertex weight sum or a float 1-forest sum that overflows,
+verification failure), 2 usage or input-format error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 from .balance import (
     SizeBoundError,
+    _as_one_forest,
     _forest_sum,
     _scan_1forests,
     closed_form_det,
@@ -183,10 +185,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_forests(args) -> int:
     wg = _load(args.file)
-    forests = list(_scan_1forests(wg.base, args.list, args.kind == "contrabalanced"))
-    total = _forest_sum(wg, forests)
+    leaves = list(_scan_1forests(wg.base, args.kind == "contrabalanced"))
+    total = _forest_sum(wg, leaves)
     result = {
-        "count": len(forests),
+        "count": len(leaves),
         "forest_sum": str(total) if isinstance(total, int) else total,
     }
     if args.list:
@@ -202,7 +204,7 @@ def _cmd_forests(args) -> int:
                     for c in f.components
                 ],
             }
-            for f in forests
+            for f in (_as_one_forest(wg.base, leaf) for leaf in leaves)
         ]
     _emit(_json_dump(result), args.out)
     return 0

@@ -454,6 +454,16 @@ def test_forest_det_equals_exact_laplacian_determinant():
         assert forest_det(wg) == det_exact(weighted_laplacian(wg))
 
 
+def test_float_forest_sums_that_overflow_are_rejected():
+    g = generate("cycle", 3, "allneg")
+    huge = WeightedSignedGraph(g, (1e308, 1e308, 0.5))
+    with pytest.raises(ValueError, match="1-forest sum overflows a 64-bit float"):
+        forest_det(huge)
+    with pytest.raises(ValueError, match="overflows"):
+        closed_form_det(huge)
+    assert forest_det(WeightedSignedGraph(g, (1e308, 0.5, 0.5))) == 1e308
+
+
 def test_forest_det_on_disconnected_graphs():
     # block-diagonal Laplacians keep the identity without connectivity
     two_triangles = SignedGraph(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -7,7 +8,12 @@ import pytest
 from sdlap import DisconnectedGraphError, IncompatibleGraphError, parse_edge_list
 from sdlap.cli import MATRIX_KINDS, _build_matrix, main
 
-from conftest import oracle_matrix_csv, oracle_matrix_json
+from conftest import (
+    oracle_1forests,
+    oracle_forest_sum,
+    oracle_matrix_csv,
+    oracle_matrix_json,
+)
 
 
 def run(capsys, *argv):
@@ -433,21 +439,96 @@ def test_forests_scans_once_and_sums_like_forest_det(capsys, tmp_path, monkeypat
     path = tmp_path / "k5.sg"
     path.write_text(serialize(wg))
     expected = forest_det(wg)
-    scan = sdlap.cli._scan_1forests
+    scan, as_one_forest = sdlap.cli._scan_1forests, sdlap.cli._as_one_forest
     for listed in (False, True):
-        scans = []
+        scans, built = [], []
 
-        def counted(g, need_cycles, negative_only):
-            scans.append((need_cycles, negative_only))
-            return scan(g, need_cycles, negative_only)
+        def counted(g, negative_only=False):
+            scans.append(negative_only)
+            return scan(g, negative_only)
+
+        def counted_build(g, leaf):
+            built.append(leaf)
+            return as_one_forest(g, leaf)
 
         monkeypatch.setattr(sdlap.cli, "_scan_1forests", counted)
+        monkeypatch.setattr(sdlap.cli, "_as_one_forest", counted_build)
         code, out, _ = run(capsys, "forests", str(path), "--kind", kind,
                            *(["--list"] if listed else []))
-        # cycles are traced only when listed; only the kind asked for is searched
-        assert code == 0 and scans == [(listed, kind == "contrabalanced")]
+        # one search, for only the kind asked for
+        assert code == 0 and scans == [kind == "contrabalanced"]
+        # components and cycles are built for --list only, once per forest
+        obj = json.loads(out)
+        assert len(built) == (obj["count"] if listed else 0)
         # float weights: the same terms, added in the same order
-        assert json.loads(out)["forest_sum"] == expected
+        assert obj["forest_sum"] == expected
+
+
+def _render_forests(wg, forests, total) -> dict:
+    """The `forests --list` document for a list of OneForest values."""
+    return {
+        "count": len(forests),
+        "forest_sum": str(total) if isinstance(total, int) else total,
+        "forests": [
+            {
+                "edges": [[wg.edges[ei][0] + 1, wg.edges[ei][1] + 1] for ei in f.edges],
+                "components": [
+                    {"vertices": [v + 1 for v in c.vertices],
+                     "cycle": [v + 1 for v in c.cycle],
+                     "sign": c.sign}
+                    for c in f.components
+                ],
+            }
+            for f in forests
+        ],
+    }
+
+
+def test_forests_list_matches_the_subset_oracle(capsys, tmp_path):
+    from sdlap import SignedGraph, WeightedSignedGraph, components, serialize
+
+    rng = random.Random(2024)
+    disconnected = multi = floats = 0
+    for i in range(60):
+        # one random piece, or two on disjoint vertex sets, shuffled together
+        sizes = [rng.randint(3, 7)] if i % 3 == 0 else [rng.randint(3, 4), rng.randint(3, 4)]
+        n = sum(sizes)
+        label = rng.sample(range(n), n)
+        edges, first = [], 0
+        for size in sizes:
+            p = rng.uniform(0.3, 0.7) if len(sizes) == 1 else rng.uniform(0.5, 1.0)
+            edges += [(label[first + u], label[first + v], rng.choice((1, -1)))
+                      for u, v in itertools.combinations(range(size), 2) if rng.random() < p]
+            first += size
+        rng.shuffle(edges)
+        if i % 2:
+            weights = tuple(round(rng.uniform(0.1, 3.0), 3) for _ in edges)
+        else:
+            weights = tuple(float(rng.randint(1, 5)) for _ in edges)
+        path = tmp_path / f"g{i}.sg"
+        path.write_text(serialize(WeightedSignedGraph(SignedGraph(n, tuple(edges)), weights)))
+        wg = parse_edge_list(path.read_text())
+        expected = oracle_1forests(wg.base)
+        disconnected += len(components(wg.base)) > 1
+        multi += any(len(f.components) > 1 for f in expected)
+        floats += not wg.integer_weights
+        for kind, keep in (("all", expected),
+                           ("contrabalanced", [f for f in expected if f.contrabalanced])):
+            code, out, err = run(capsys, "forests", str(path), "--kind", kind, "--list")
+            assert code == 0 and err == ""
+            total = oracle_forest_sum(wg, expected)
+            assert json.loads(out) == _render_forests(wg, keep, total)
+    assert disconnected >= 40 and multi >= 15 and floats >= 25
+
+
+@pytest.mark.parametrize("argv", [["info"], ["forests"],
+                                  ["forests", "--kind", "contrabalanced", "--list"]])
+def test_float_forest_sums_that_overflow_exit_1(capsys, tmp_path, argv):
+    path = tmp_path / "huge.sg"
+    path.write_text("3\n1 2 - 1e308\n1 3 - 1e308\n2 3 - 0.5\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err == "sdlap: 1-forest sum overflows a 64-bit float\n"
 
 
 # ---------------------------------------------------------------- verify

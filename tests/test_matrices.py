@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -20,7 +21,13 @@ from sdlap import (
 )
 from sdlap.matrices import SquareMatrix
 
-from conftest import classic_laplacian, random_connected_graph, random_weighted_graph
+from conftest import (
+    classic_laplacian,
+    oracle_matrix_csv,
+    oracle_matrix_json,
+    random_connected_graph,
+    random_weighted_graph,
+)
 
 
 def weighted_negative_triangle():
@@ -235,6 +242,15 @@ def test_square_matrix_exports():
     obj = m.to_json_obj()
     assert obj == {"n": 4, "kind": "lmax", "rows": m.entries.tolist()}
     json.dumps(obj)
+
+
+def test_square_matrix_exports_nan_and_infinities_like_json_dumps():
+    # no builder yields these entries, but a caller-built matrix may hold them
+    m = SquareMatrix(np.array([[np.nan, np.inf, 1.5], [-np.inf, 0.0, -2.0],
+                               [1e308, np.nan, -np.inf]]), "custom")
+    assert m.write(io.StringIO(), "json").getvalue() == oracle_matrix_json(m)
+    assert m.to_csv() == oracle_matrix_csv(m.entries)
+    assert m.to_csv().splitlines()[0] == "nan,inf,1.5"
 
 
 def test_incidence_export_includes_orientation():
