@@ -20,8 +20,6 @@ from .core import (
     GenerationError,
     GraphFormatError,
     SignedGraph,
-    WeightedSignedGraph,
-    as_weighted,
     canonical_orientation,
     components,
     generate,
@@ -34,7 +32,6 @@ from .distance import (
     DisconnectedGraphError,
     DistanceTable,
     IncompatibleGraphError,
-    PairDistanceSummary,
     associated_complete,
     distance_matrix,
     distance_table,

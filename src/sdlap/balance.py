@@ -36,8 +36,6 @@ from .core import (
     POSITIVE,
     SignedForest,
     SignedGraph,
-    WeightedSignedGraph,
-    as_weighted,
     components,
     path_sign,
     switch,
@@ -332,7 +330,7 @@ def is_balanced_switching(g: SignedGraph) -> BalanceReport:
     cycle, which is returned as the witness.
     """
     zeta = [0] * g.n
-    tree = []
+    tree: list[list[int]] = [[] for _ in range(g.n)]
     zeta[0] = POSITIVE
     queue = deque([0])
     while queue:
@@ -340,7 +338,8 @@ def is_balanced_switching(g: SignedGraph) -> BalanceReport:
         for v, s in g.adjacency[u]:
             if zeta[v] == 0:
                 zeta[v] = zeta[u] * s
-                tree.append((u, v, s))
+                tree[u].append(v)
+                tree[v].append(u)
                 queue.append(v)
     if 0 in zeta:
         raise DisconnectedGraphError(zeta.index(0), 0)
@@ -350,12 +349,9 @@ def is_balanced_switching(g: SignedGraph) -> BalanceReport:
     return BalanceReport(True, "switching", tuple(zeta))
 
 
-def _tree_path(tree_edges, u: int, v: int) -> tuple[tuple[int, ...], dict]:
-    """Path from u to v in a forest of (x, y, sign) edges, and u's tree as BFS parents."""
-    adj: dict[int, list[int]] = {}
-    for x, y, _ in tree_edges:
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
+def _tree_path(adj: list[list[int]], u: int, v: int) -> tuple[tuple[int, ...], dict]:
+    """Path from u to v in a forest given as neighbour lists, and u's tree
+    as BFS parents; the cost is linear in the size of u's tree."""
     prev = {u: None}
     queue = deque([u])
     while queue:
@@ -429,7 +425,12 @@ def _as_one_forest(g: SignedGraph, leaf: tuple) -> OneForest:
     """A search leaf as a OneForest, by one BFS per component over its tree edges."""
     forest_edges, cycles = leaf
     closing = {ei for ei, _ in cycles}
-    tree = [g.edges[ei] for ei in forest_edges if ei not in closing]
+    tree: list[list[int]] = [[] for _ in range(g.n)]
+    for ei in forest_edges:
+        if ei not in closing:
+            u, v, _ = g.edges[ei]
+            tree[u].append(v)
+            tree[v].append(u)
     comps = []
     for ei, sign in cycles:
         cycle, visited = _tree_path(tree, g.edges[ei][0], g.edges[ei][1])
@@ -437,7 +438,7 @@ def _as_one_forest(g: SignedGraph, leaf: tuple) -> OneForest:
     return OneForest(forest_edges, tuple(comps))
 
 
-def enumerate_spanning_1forests(g: SignedGraph | WeightedSignedGraph,
+def enumerate_spanning_1forests(g: SignedGraph,
                                 contrabalanced_only: bool = False) -> list[OneForest]:
     """All spanning n-edge subgraphs whose components are 1-trees.
 
@@ -445,19 +446,18 @@ def enumerate_spanning_1forests(g: SignedGraph | WeightedSignedGraph,
     cycle is negative; those are exactly the subgraphs contributing to the
     matrix-forest determinant sum.
     """
-    base = g.base if isinstance(g, WeightedSignedGraph) else g
-    return [_as_one_forest(base, leaf) for leaf in _scan_1forests(base, contrabalanced_only)]
+    return [_as_one_forest(g, leaf) for leaf in _scan_1forests(g, contrabalanced_only)]
 
 
-def _forest_sum(wg: WeightedSignedGraph, leaves: Iterable[tuple]):
+def _forest_sum(g: SignedGraph, leaves: Iterable[tuple]):
     """Sum of 4**components * weight product over the contrabalanced
-    leaves of the 1-forest search on wg, added in their order.
+    leaves of the 1-forest search on g, added in their order.
 
     Returns an exact int when all weights are integers, a float otherwise;
     raises ValueError when a float sum overflows.
     """
-    exact = wg.integer_weights
-    weights = [int(w) for w in wg.weights] if exact else list(wg.weights)
+    exact = g.integer_weights
+    weights = [int(w) for w in g.weights] if exact else list(g.weights)
     total: int | float = 0 if exact else 0.0
     for forest_edges, cycles in leaves:
         if all(sign == NEGATIVE for _, sign in cycles):
@@ -467,7 +467,7 @@ def _forest_sum(wg: WeightedSignedGraph, leaves: Iterable[tuple]):
     return total
 
 
-def forest_det(g: SignedGraph | WeightedSignedGraph):
+def forest_det(g: SignedGraph):
     """Matrix-forest determinant: sum of 4**components * weight product
     over the contrabalanced spanning 1-forests.
 
@@ -476,11 +476,10 @@ def forest_det(g: SignedGraph | WeightedSignedGraph):
     Returns an exact int when all weights are integers, a float otherwise;
     raises ValueError when a float sum overflows.
     """
-    wg = as_weighted(g)
-    return _forest_sum(wg, _scan_1forests(wg.base, negative_only=True))
+    return _forest_sum(g, _scan_1forests(g, negative_only=True))
 
 
-def closed_form_det(g: SignedGraph | WeightedSignedGraph):
+def closed_form_det(g: SignedGraph):
     """Laplacian determinant by shape, or None when no closed form applies.
 
     Trees give 0. When every component is a 1-tree (cycles and connected
@@ -489,13 +488,11 @@ def closed_form_det(g: SignedGraph | WeightedSignedGraph):
     times 2*(1 - cycle sign) per component. Anything else returns None.
     Its 1-forest search visits at most n + 1 nodes.
     """
-    wg = as_weighted(g)
-    base = wg.base
-    if base.m == base.n:
-        leaves = list(_scan_1forests(base))
-        return _forest_sum(wg, leaves) if leaves else None
-    if base.m == base.n - 1 and len(components(base)) == 1:
-        return 0 if wg.integer_weights else 0.0
+    if g.m == g.n:
+        leaves = list(_scan_1forests(g))
+        return _forest_sum(g, leaves) if leaves else None
+    if g.m == g.n - 1 and len(components(g)) == 1:
+        return 0 if g.integer_weights else 0.0
     return None
 
 
@@ -570,13 +567,14 @@ def is_balanced_det(g: SignedGraph, kind: str = "all", *,
 def is_balanced_forest(g: SignedGraph) -> BalanceReport:
     """Decide balance by the matrix-forest sum at unit weights.
 
-    The sum has only positive terms, one per contrabalanced spanning
-    1-forest, so it vanishes exactly on balanced connected graphs. Raises
+    The weights of g are dropped: the sum has only positive terms, one per
+    contrabalanced spanning 1-forest, so it vanishes exactly on balanced
+    connected graphs, and unit weights keep it an exact integer. Raises
     SizeBoundError when the 1-forest search exceeds its node budget.
     """
     # the sum-to-balance step needs connectivity; switching checks it
     switching = is_balanced_switching(g)
-    total = forest_det(g)
+    total = forest_det(SignedGraph(g.n, g.edges))
     if (total == 0) != switching.balanced:
         raise ArithmeticError(
             f"forest sum {total} contradicts the switching verdict; "

@@ -28,8 +28,7 @@ from .balance import (
 from .core import (
     GenerationError,
     GraphFormatError,
-    WeightedSignedGraph,
-    as_weighted,
+    SignedGraph,
     components,
     generate,
     parse_edge_list,
@@ -64,7 +63,7 @@ class _UsageError(ValueError):
     """Bad generator spec or similar user-input problem: exit code 2."""
 
 
-def _load(path: str) -> WeightedSignedGraph:
+def _load(path: str) -> SignedGraph:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -95,32 +94,29 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-def _build_matrix(wg: WeightedSignedGraph, kind: str):
+def _build_matrix(g: SignedGraph, kind: str):
     if kind in ("dmax", "dmin", "dpm"):
-        table = distance_table(wg.base)
-        return distance_matrix(table, kind[1:])
+        return distance_matrix(distance_table(g), kind[1:])
     if kind in ("lmax", "lmin", "lpm"):
-        table = distance_table(wg.base)
-        return distance_laplacian_from_table(table, kind[1:])
+        return distance_laplacian_from_table(distance_table(g), kind[1:])
     if kind == "adjacency":
-        return adjacency_matrix(wg)
+        return adjacency_matrix(g)
     if kind == "degree":
-        return weighted_degree_matrix(wg)
+        return weighted_degree_matrix(g)
     if kind == "laplacian":
-        return weighted_laplacian(wg)
-    return incidence_matrix(wg)
+        return weighted_laplacian(g)
+    return incidence_matrix(g)
 
 
 def _cmd_info(args) -> int:
-    wg = _load(args.file)
-    g = wg.base
+    g = _load(args.file)
     comps = components(g)
     info = {
         "n": g.n,
         "m": g.m,
         "positive_edges": sum(1 for _, _, s in g.edges if s > 0),
         "negative_edges": sum(1 for _, _, s in g.edges if s < 0),
-        "integer_weights": wg.integer_weights,
+        "integer_weights": g.integer_weights,
         "components": len(comps),
         "connected": len(comps) == 1,
     }
@@ -132,7 +128,7 @@ def _cmd_info(args) -> int:
             info["incompatible_pair"] = [witness[0] + 1, witness[1] + 1]
         info["transmissions"] = [int(t) for t in transmission(table)]
         info["balanced"] = is_balanced_switching(g).balanced
-    cf = closed_form_det(wg)
+    cf = closed_form_det(g)
     info["closed_form_det"] = cf if cf is None or isinstance(cf, float) else str(cf)
     _emit(_json_dump(info), args.out)
     return 0
@@ -146,8 +142,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    wg = _load(args.file)
-    g = wg.base
+    g = _load(args.file)
     if args.method == "switching":
         _emit(_json_dump(is_balanced_switching(g).to_json_obj()), args.out)
     elif args.method == "det":
@@ -174,8 +169,7 @@ def _cmd_spectrum(args) -> int:
         raise _UsageError(
             f"--tolerance must be finite and nonnegative, got {args.tolerance}"
         )
-    wg = _load(args.file)
-    spectrum = sym_eig(_build_matrix(wg, args.kind), grouping_tol=args.tolerance)
+    spectrum = sym_eig(_build_matrix(_load(args.file), args.kind), grouping_tol=args.tolerance)
     if args.format == "csv":
         _emit(spectrum.to_csv(), args.out)
     else:
@@ -184,9 +178,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_forests(args) -> int:
-    wg = _load(args.file)
-    leaves = list(_scan_1forests(wg.base, args.kind == "contrabalanced"))
-    total = _forest_sum(wg, leaves)
+    g = _load(args.file)
+    leaves = list(_scan_1forests(g, args.kind == "contrabalanced"))
+    total = _forest_sum(g, leaves)
     result = {
         "count": len(leaves),
         "forest_sum": str(total) if isinstance(total, int) else total,
@@ -194,7 +188,7 @@ def _cmd_forests(args) -> int:
     if args.list:
         result["forests"] = [
             {
-                "edges": [[wg.edges[ei][0] + 1, wg.edges[ei][1] + 1] for ei in f.edges],
+                "edges": [[g.edges[ei][0] + 1, g.edges[ei][1] + 1] for ei in f.edges],
                 "components": [
                     {
                         "vertices": [v + 1 for v in c.vertices],
@@ -204,7 +198,7 @@ def _cmd_forests(args) -> int:
                     for c in f.components
                 ],
             }
-            for f in (_as_one_forest(wg.base, leaf) for leaf in leaves)
+            for f in (_as_one_forest(g, leaf) for leaf in leaves)
         ]
     _emit(_json_dump(result), args.out)
     return 0

@@ -98,15 +98,21 @@ class SignedForest:
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """Simple undirected graph whose edges carry a sign of +1 or -1.
+    """Simple undirected graph whose edges carry a sign of +1 or -1 and a
+    finite, strictly positive weight.
 
     Edges are stored with endpoints normalized so that u < v, in the order
-    they were supplied. Instances are immutable values: every operation in
-    this package returns a new graph, so sharing across threads is safe.
+    they were supplied; weights[i] belongs to edges[i], and omitted weights
+    mean weight 1 on every edge. Hop distances, and so the distance
+    matrices, ignore weights; the adjacency, degree, Laplacian and
+    incidence matrices and the forest sums use them. Instances are
+    immutable values: every operation in this package returns a new graph,
+    so sharing across threads is safe.
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
+    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -128,10 +134,27 @@ class SignedGraph:
             seen.add((u, v))
             normalized.append((u, v, s))
         object.__setattr__(self, "edges", tuple(normalized))
+        if self.weights is None:
+            weights = (1.0,) * len(normalized)
+        else:
+            weights = tuple(float(w) for w in self.weights)
+        if len(weights) != len(normalized):
+            raise ValueError(f"{len(weights)} weights for {len(normalized)} edges")
+        for i, w in enumerate(weights):
+            if not 0 < w < math.inf:
+                raise ValueError(
+                    f"weight {w!r} at edge {i} is not finite and strictly positive"
+                )
+        object.__setattr__(self, "weights", weights)
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @property
+    def integer_weights(self) -> bool:
+        """True when every weight is integral (enables exact determinants)."""
+        return all(w.is_integer() for w in self.weights)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -146,9 +169,6 @@ class SignedGraph:
     def _sign_by_pair(self) -> dict[tuple[int, int], int]:
         return {(u, v): s for u, v, s in self.edges}
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._sign_by_pair
-
     def sign_of(self, u: int, v: int) -> int:
         try:
             return self._sign_by_pair[(min(u, v), max(u, v))]
@@ -156,62 +176,12 @@ class SignedGraph:
             raise ValueError(f"vertex indices {u} and {v} are not adjacent") from None
 
 
-@dataclass(frozen=True)
-class WeightedSignedGraph:
-    """A signed graph with a finite, strictly positive weight on each edge."""
-
-    base: SignedGraph
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        if len(weights) != self.base.m:
-            raise ValueError(
-                f"{len(weights)} weights for {self.base.m} edges"
-            )
-        for i, w in enumerate(weights):
-            if not 0 < w < math.inf:
-                raise ValueError(
-                    f"weight {w!r} at edge {i} is not finite and strictly positive"
-                )
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def unit(cls, g: SignedGraph) -> "WeightedSignedGraph":
-        return cls(g, (1.0,) * g.m)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        return self.base.edges
-
-    @property
-    def integer_weights(self) -> bool:
-        """True when every weight is integral (enables exact determinants)."""
-        return all(w.is_integer() for w in self.weights)
-
-
-def as_weighted(g: SignedGraph | WeightedSignedGraph) -> WeightedSignedGraph:
-    """Coerce to a weighted graph, attaching unit weights when necessary."""
-    if isinstance(g, WeightedSignedGraph):
-        return g
-    return WeightedSignedGraph.unit(g)
-
-
-def canonical_orientation(g: SignedGraph | WeightedSignedGraph) -> tuple[tuple[int, int], ...]:
+def canonical_orientation(g: SignedGraph) -> tuple[tuple[int, int], ...]:
     """Default edge orientation: the lower-indexed endpoint is the tail."""
-    base = g.base if isinstance(g, WeightedSignedGraph) else g
-    return tuple((u, v) for u, v, _ in base.edges)
+    return tuple((u, v) for u, v, _ in g.edges)
 
 
-def parse_edge_list(text: str) -> WeightedSignedGraph:
+def parse_edge_list(text: str) -> SignedGraph:
     """Parse the edge-list file format.
 
     Format: '#' lines are comments; the first non-comment line is the vertex
@@ -272,21 +242,20 @@ def parse_edge_list(text: str) -> WeightedSignedGraph:
         weights.append(weight)
     if n is None:
         raise GraphFormatError("missing vertex count line")
-    return WeightedSignedGraph(SignedGraph(n, tuple(edges)), tuple(weights))
+    return SignedGraph(n, tuple(edges), tuple(weights))
 
 
 def _format_weight(w: float) -> str:
     return str(int(w)) if w.is_integer() else repr(w)
 
 
-def serialize(g: SignedGraph | WeightedSignedGraph) -> str:
+def serialize(g: SignedGraph) -> str:
     """Emit the edge-list format; unit weights are omitted.
 
-    parse_edge_list(serialize(g)) reproduces g exactly, including edge order.
+    parse_edge_list(serialize(g)) == g, edge order and weights included.
     """
-    wg = as_weighted(g)
-    lines = [str(wg.n)]
-    for (u, v, s), w in zip(wg.edges, wg.weights):
+    lines = [str(g.n)]
+    for (u, v, s), w in zip(g.edges, g.weights):
         token = "+" if s == POSITIVE else "-"
         entry = f"{u + 1} {v + 1} {token}"
         if w != 1.0:
@@ -300,6 +269,7 @@ def switch(g: SignedGraph, zeta: Sequence[int]) -> SignedGraph:
 
     Switching preserves the sign of every closed walk, so it preserves
     balance; applying the same zeta twice restores the original graph.
+    Weights are kept.
     """
     if len(zeta) != g.n:
         raise ValueError(f"switching function has length {len(zeta)}, expected {g.n}")
@@ -307,7 +277,7 @@ def switch(g: SignedGraph, zeta: Sequence[int]) -> SignedGraph:
         if z not in (POSITIVE, NEGATIVE):
             raise ValueError(f"switching value {z!r} is not +1 or -1")
     return SignedGraph(
-        g.n, tuple((u, v, zeta[u] * s * zeta[v]) for u, v, s in g.edges)
+        g.n, tuple((u, v, zeta[u] * s * zeta[v]) for u, v, s in g.edges), g.weights
     )
 
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import NEGATIVE, POSITIVE, SignedGraph, WeightedSignedGraph
+from .core import SignedGraph
 from .matrices import SquareMatrix
 
 DISTANCE_KINDS = ("max", "min", "pm")
@@ -58,12 +57,6 @@ class IncompatibleGraphError(ValueError):
         )
 
 
-class PairDistanceSummary(NamedTuple):
-    d: int
-    exists_pos: bool
-    exists_neg: bool
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceTable:
     """Symmetric hop distances plus the two sign-existence flags per pair.
@@ -89,19 +82,6 @@ class DistanceTable:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-    def entry(self, u: int, v: int) -> PairDistanceSummary:
-        return PairDistanceSummary(
-            int(self.dist[u, v]), bool(self.pos[u, v]), bool(self.neg[u, v])
-        )
-
-    def sigma_max(self, u: int, v: int) -> int:
-        """+1 unless every shortest path between u and v is negative."""
-        return POSITIVE if self.pos[u, v] else NEGATIVE
-
-    def sigma_min(self, u: int, v: int) -> int:
-        """-1 unless every shortest path between u and v is positive."""
-        return NEGATIVE if self.neg[u, v] else POSITIVE
 
 
 def _level_plan(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +111,8 @@ def _level_plan(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def distance_table(g: SignedGraph) -> DistanceTable:
     """Hop distance and sign flags for every pair, by one BFS from all
-    sources at once (see the module docstring).
+    sources at once (see the module docstring). Distances count hops, so
+    the weights of g are ignored.
 
     Raises DisconnectedGraphError on disconnected input, naming source 0
     and the least vertex it cannot reach.
@@ -196,7 +177,9 @@ def is_compatible(table: DistanceTable) -> tuple[bool, tuple[int, int] | None]:
 def distance_matrix(table: DistanceTable, kind: str) -> SquareMatrix:
     """Signed distance matrix: entry is sigma(u,v) * d(u,v).
 
-    kind "max" uses sigma_max, "min" uses sigma_min, and "pm" requires the
+    sigma_max(u,v) is +1 unless every shortest path between u and v is
+    negative, and sigma_min(u,v) is -1 unless every one is positive. kind
+    "max" uses sigma_max, "min" uses sigma_min, and "pm" requires the
     table to be compatible (then the two coincide).
     """
     if kind not in DISTANCE_KINDS:
@@ -218,7 +201,7 @@ def transmission(table: DistanceTable) -> np.ndarray:
     return table.dist.sum(axis=1)
 
 
-def associated_complete(g: SignedGraph, table: DistanceTable, kind: str) -> WeightedSignedGraph:
+def associated_complete(g: SignedGraph, table: DistanceTable, kind: str) -> SignedGraph:
     """Complete the graph: each vertex pair gets an edge whose sign and
     weight are those of its entry in distance_matrix(table, kind), the
     pair's sigma_max (or sigma_min) and hop distance.
@@ -232,4 +215,4 @@ def associated_complete(g: SignedGraph, table: DistanceTable, kind: str) -> Weig
     u, v = np.triu_indices(g.n, 1)
     d = distance_matrix(table, kind).entries[u, v]
     edges = zip(u.tolist(), v.tolist(), np.sign(d).tolist())
-    return WeightedSignedGraph(SignedGraph(g.n, tuple(edges)), tuple(np.abs(d).tolist()))
+    return SignedGraph(g.n, tuple(edges), tuple(np.abs(d).tolist()))

@@ -11,7 +11,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import SignedGraph, WeightedSignedGraph, as_weighted, canonical_orientation
+from .core import SignedGraph, canonical_orientation
 
 
 def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
@@ -118,7 +118,7 @@ class IncidenceMatrix:
         }
 
 
-def _weight_values(wg: WeightedSignedGraph):
+def _weight_values(g: SignedGraph):
     """Edge weights and the dtype to store them in.
 
     Integral weights are stored as int64, the rest as float64. Every entry
@@ -127,10 +127,10 @@ def _weight_values(wg: WeightedSignedGraph):
     degree matrix adds them, rules out silent int64 wraparound and float
     overflow to infinity.
     """
-    exact = wg.integer_weights
-    values = [int(w) for w in wg.weights] if exact else list(wg.weights)
-    sums = [0] * wg.n
-    for (u, v, _), w in zip(wg.edges, values):
+    exact = g.integer_weights
+    values = [int(w) for w in g.weights] if exact else list(g.weights)
+    sums = [0] * g.n
+    for (u, v, _), w in zip(g.edges, values):
         sums[u] += w
         sums[v] += w
     for vertex, total in enumerate(sums):
@@ -146,50 +146,46 @@ def _weight_values(wg: WeightedSignedGraph):
     return values, np.int64 if exact else np.float64
 
 
-def adjacency_matrix(g: SignedGraph | WeightedSignedGraph) -> SquareMatrix:
+def adjacency_matrix(g: SignedGraph) -> SquareMatrix:
     """Symmetric matrix with sign*weight on edges and zero elsewhere."""
-    wg = as_weighted(g)
-    values, dtype = _weight_values(wg)
-    a = np.zeros((wg.n, wg.n), dtype=dtype)
-    for (u, v, s), w in zip(wg.edges, values):
+    values, dtype = _weight_values(g)
+    a = np.zeros((g.n, g.n), dtype=dtype)
+    for (u, v, s), w in zip(g.edges, values):
         a[u, v] = a[v, u] = s * w
     return SquareMatrix(a, "adjacency")
 
 
-def weighted_degree_matrix(g: SignedGraph | WeightedSignedGraph) -> SquareMatrix:
+def weighted_degree_matrix(g: SignedGraph) -> SquareMatrix:
     """Diagonal of per-vertex weight sums; signs are ignored."""
-    wg = as_weighted(g)
-    values, dtype = _weight_values(wg)
-    d = np.zeros((wg.n, wg.n), dtype=dtype)
-    for (u, v, _), w in zip(wg.edges, values):
+    values, dtype = _weight_values(g)
+    d = np.zeros((g.n, g.n), dtype=dtype)
+    for (u, v, _), w in zip(g.edges, values):
         d[u, u] += w
         d[v, v] += w
     return SquareMatrix(d, "degree")
 
 
-def weighted_laplacian(g: SignedGraph | WeightedSignedGraph) -> SquareMatrix:
+def weighted_laplacian(g: SignedGraph) -> SquareMatrix:
     """Weighted degree matrix minus signed weighted adjacency matrix."""
-    wg = as_weighted(g)
-    entries = weighted_degree_matrix(wg).entries - adjacency_matrix(wg).entries
+    entries = weighted_degree_matrix(g).entries - adjacency_matrix(g).entries
     return SquareMatrix(entries, "laplacian")
 
 
-def incidence_matrix(g: SignedGraph | WeightedSignedGraph,
+def incidence_matrix(g: SignedGraph,
                      orientation: Sequence[tuple[int, int]] | None = None) -> IncidenceMatrix:
     """Oriented incidence matrix; defaults to the tail-is-lower orientation.
 
     For any orientation the product H @ H.T equals the weighted Laplacian:
     flipping an edge flips its whole column, which cancels in the product.
     """
-    wg = as_weighted(g)
     if orientation is None:
-        orientation = canonical_orientation(wg)
+        orientation = canonical_orientation(g)
     orientation = tuple((int(t), int(h)) for t, h in orientation)
-    if len(orientation) != wg.m:
-        raise ValueError(f"{len(orientation)} orientation pairs for {wg.m} edges")
-    h = np.zeros((wg.n, wg.m), dtype=float)
+    if len(orientation) != g.m:
+        raise ValueError(f"{len(orientation)} orientation pairs for {g.m} edges")
+    h = np.zeros((g.n, g.m), dtype=float)
     for j, ((u, v, s), (tail, head), w) in enumerate(
-        zip(wg.edges, orientation, wg.weights)
+        zip(g.edges, orientation, g.weights)
     ):
         if {tail, head} != {u, v}:
             raise ValueError(
@@ -201,7 +197,7 @@ def incidence_matrix(g: SignedGraph | WeightedSignedGraph,
     return IncidenceMatrix(h, orientation)
 
 
-def distance_laplacian(g: SignedGraph | WeightedSignedGraph, kind: str) -> SquareMatrix:
+def distance_laplacian(g: SignedGraph, kind: str) -> SquareMatrix:
     """Transmission diagonal minus the signed distance matrix of the kind.
 
     kind is "max", "min", or "pm"; "pm" requires every vertex pair to be
@@ -210,8 +206,7 @@ def distance_laplacian(g: SignedGraph | WeightedSignedGraph, kind: str) -> Squar
     """
     from .distance import distance_table
 
-    base = g.base if isinstance(g, WeightedSignedGraph) else g
-    return distance_laplacian_from_table(distance_table(base), kind)
+    return distance_laplacian_from_table(distance_table(g), kind)
 
 
 def distance_laplacian_from_table(table, kind: str) -> SquareMatrix:

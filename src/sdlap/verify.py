@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
-from .core import SignedGraph, WeightedSignedGraph, generate, switch
+from .core import SignedGraph, generate, switch
 from .distance import distance_table, is_compatible
 from .matrices import (
     distance_laplacian_from_table,
@@ -108,7 +108,7 @@ def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> Sui
     skipped = 0
     for i in range(count):
         g = _random_connected(rng, 2, n_max)
-        wg = WeightedSignedGraph(g, _random_integer_weights(rng, g.m))
+        wg = SignedGraph(g.n, g.edges, _random_integer_weights(rng, g.m))
         try:
             rhs = forest_det(wg)
         except SizeBoundError:
@@ -245,7 +245,7 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8, seed: int = 
     max_dev = 0.0
     for i in range(count):
         g = _random_connected(rng, 2, n_max)
-        wg = WeightedSignedGraph(g, _random_integer_weights(rng, g.m))
+        wg = SignedGraph(g.n, g.edges, _random_integer_weights(rng, g.m))
         lap = weighted_laplacian(wg).entries
         for _ in range(orientations_per_graph):
             orientation = tuple(

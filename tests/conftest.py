@@ -24,9 +24,7 @@ import numpy as np
 from sdlap import (
     POSITIVE,
     DisconnectedGraphError,
-    PairDistanceSummary,
     SignedGraph,
-    WeightedSignedGraph,
     generate,
     switch,
 )
@@ -72,8 +70,8 @@ def brute_table(g: SignedGraph):
     ]
 
 
-def sssp_signs(g: SignedGraph, src: int) -> list[PairDistanceSummary]:
-    """Hop distance and shortest-path sign flags from one source vertex,
+def sssp_signs(g: SignedGraph, src: int) -> list[tuple[int, bool, bool]]:
+    """(d, exists_pos, exists_neg) for every vertex from one source vertex,
     by an ordinary single-source BFS."""
     if not 0 <= src < g.n:
         raise ValueError(f"source index {src} outside 0..{g.n - 1}")
@@ -110,7 +108,7 @@ def sssp_signs(g: SignedGraph, src: int) -> list[PairDistanceSummary]:
                     ng = ng or pos[u]
         pos[v] = p
         neg[v] = ng
-    return [PairDistanceSummary(d, p, ng) for d, p, ng in zip(dist, pos, neg)]
+    return list(zip(dist, pos, neg))
 
 
 def _classify_1forest(g: SignedGraph, subset) -> OneForest | None:
@@ -175,11 +173,11 @@ def oracle_1forests(g: SignedGraph) -> list[OneForest]:
     return [f for f in forests if f is not None]
 
 
-def oracle_forest_sum(wg: WeightedSignedGraph, forests: list[OneForest]):
+def oracle_forest_sum(g: SignedGraph, forests: list[OneForest]):
     """Sum of 4**components * weight product over the contrabalanced
     members of forests, added in their order."""
-    total = 0 if wg.integer_weights else 0.0
-    weights = [int(w) for w in wg.weights] if wg.integer_weights else wg.weights
+    total = 0 if g.integer_weights else 0.0
+    weights = [int(w) for w in g.weights] if g.integer_weights else g.weights
     for forest in forests:
         if forest.contrabalanced:
             w = 1
@@ -259,9 +257,9 @@ def random_connected_graph(rng: random.Random, n_min: int, n_max: int) -> Signed
 
 
 def random_weighted_graph(rng: random.Random, n_min: int, n_max: int,
-                          high: int = 5) -> WeightedSignedGraph:
+                          high: int = 5) -> SignedGraph:
     g = random_connected_graph(rng, n_min, n_max)
-    return WeightedSignedGraph(g, tuple(float(rng.randint(1, high)) for _ in range(g.m)))
+    return SignedGraph(g.n, g.edges, tuple(float(rng.randint(1, high)) for _ in range(g.m)))
 
 
 def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sdlap import (
-    WeightedSignedGraph,
+    SignedGraph,
     associated_complete,
     closed_form_det,
     det_exact,
@@ -111,7 +111,8 @@ def test_criterion_4_golden_mixed_square():
 
 
 def test_criterion_5_golden_weighted_cycle():
-    wg = WeightedSignedGraph(generate("cycle", 3, "allneg"), (2.0, 3.0, 5.0))
+    g = generate("cycle", 3, "allneg")
+    wg = SignedGraph(g.n, g.edges, (2.0, 3.0, 5.0))
     lap = weighted_laplacian(wg)
     closed = closed_form_det(wg)
     exact = det_exact(lap)

@@ -9,7 +9,6 @@ import pytest
 from sdlap import (
     SignedGraph,
     SizeBoundError,
-    WeightedSignedGraph,
     associated_complete,
     closed_form_det,
     components,
@@ -31,7 +30,7 @@ from sdlap import (
 from sdlap.cli import main
 
 import sdlap.balance
-from sdlap import BalanceReport
+from sdlap import BalanceReport, ForestComponent
 from sdlap.balance import (
     _BLOCK,
     _MODULAR_MIN_ORDER,
@@ -51,7 +50,8 @@ from conftest import (
 
 
 def weighted_negative_triangle():
-    return WeightedSignedGraph(generate("cycle", 3, "allneg"), (2.0, 3.0, 5.0))
+    g = generate("cycle", 3, "allneg")
+    return SignedGraph(g.n, g.edges, (2.0, 3.0, 5.0))
 
 
 def both_routes(rows) -> int:
@@ -330,12 +330,22 @@ def test_forest_cycles_match_path_sign():
             for component in forest.components:
                 cycle = component.cycle
                 assert len(set(cycle)) == len(cycle) >= 3
-                assert path_sign(wg.base, cycle + (cycle[0],)) == component.sign
+                assert path_sign(wg, cycle + (cycle[0],)) == component.sign
             covered = sorted(
                 v for component in forest.components for v in component.vertices
             )
             assert covered == list(range(wg.n))
             assert len(forest.edges) == wg.n
+
+
+def test_disjoint_negative_triangles_form_one_forest():
+    # each component's cycle is traced over the tree edges of its own
+    # component only, so many components cost time linear in n
+    triangles = [(3 * c, 3 * c + 1, 3 * c + 2) for c in range(50)]
+    edges = tuple((t[a], t[b], -1) for t in triangles for a, b in ((0, 1), (1, 2), (0, 2)))
+    [forest] = enumerate_spanning_1forests(SignedGraph(150, edges))
+    assert forest.edges == tuple(range(150))
+    assert forest.components == tuple(ForestComponent(t, t, -1) for t in triangles)
 
 
 def test_search_matches_the_subset_oracle():
@@ -351,7 +361,7 @@ def test_search_matches_the_subset_oracle():
             weights = tuple(rng.uniform(0.1, 3.0) for _ in edges)
         else:
             weights = tuple(float(rng.randint(1, 5)) for _ in edges)
-        wg = WeightedSignedGraph(g, weights)
+        wg = SignedGraph(g.n, g.edges, weights)
         disconnected += len(components(g)) > 1
         expected = oracle_1forests(g)
         assert enumerate_spanning_1forests(g) == expected
@@ -456,12 +466,12 @@ def test_forest_det_equals_exact_laplacian_determinant():
 
 def test_float_forest_sums_that_overflow_are_rejected():
     g = generate("cycle", 3, "allneg")
-    huge = WeightedSignedGraph(g, (1e308, 1e308, 0.5))
+    huge = SignedGraph(g.n, g.edges, (1e308, 1e308, 0.5))
     with pytest.raises(ValueError, match="1-forest sum overflows a 64-bit float"):
         forest_det(huge)
     with pytest.raises(ValueError, match="overflows"):
         closed_form_det(huge)
-    assert forest_det(WeightedSignedGraph(g, (1e308, 0.5, 0.5))) == 1e308
+    assert forest_det(SignedGraph(g.n, g.edges, (1e308, 0.5, 0.5))) == 1e308
 
 
 def test_forest_det_on_disconnected_graphs():
@@ -492,12 +502,13 @@ def test_forest_det_on_disconnected_graphs():
             continue
         checked += 1
         weights = tuple(float(rng.randint(1, 4)) for _ in range(g.m))
-        wg = WeightedSignedGraph(g, weights)
+        wg = SignedGraph(g.n, g.edges, weights)
         assert forest_det(wg) == det_exact(weighted_laplacian(wg))
 
 
 def test_forest_det_float_weights():
-    wg = WeightedSignedGraph(generate("cycle", 3, "allneg"), (0.5, 2.0, 3.0))
+    g = generate("cycle", 3, "allneg")
+    wg = SignedGraph(g.n, g.edges, (0.5, 2.0, 3.0))
     assert forest_det(wg) == pytest.approx(4 * 0.5 * 2.0 * 3.0)
     assert forest_det(wg) == pytest.approx(np.linalg.det(weighted_laplacian(wg).entries), rel=1e-9)
 
@@ -507,7 +518,8 @@ def test_forest_det_float_weights():
 
 def test_closed_form_on_trees():
     assert closed_form_det(generate("path", 5, "++-+")) == 0
-    wg = WeightedSignedGraph(generate("path", 3, "+-"), (2.0, 7.0))
+    g = generate("path", 3, "+-")
+    wg = SignedGraph(g.n, g.edges, (2.0, 7.0))
     assert closed_form_det(wg) == 0
 
 
@@ -529,7 +541,8 @@ def test_closed_form_on_disjoint_negative_triangles():
 
 def test_closed_form_weighted_cycle():
     assert closed_form_det(weighted_negative_triangle()) == 120
-    positive = WeightedSignedGraph(generate("cycle", 4, "allpos"), (1.0, 2.0, 3.0, 4.0))
+    g = generate("cycle", 4, "allpos")
+    positive = SignedGraph(g.n, g.edges, (1.0, 2.0, 3.0, 4.0))
     assert closed_form_det(positive) == 0
 
 
@@ -550,7 +563,7 @@ def test_closed_form_agrees_with_det_exact_on_matching_shapes():
             continue
         g = generate(kind, n, rng.choice((0.0, 0.3, 0.6, 1.0)),
                      seed=rng.getrandbits(32), p=rng.uniform(0.3, 0.9))
-        wg = WeightedSignedGraph(g, tuple(float(rng.randint(1, 5)) for _ in range(g.m)))
+        wg = SignedGraph(g.n, g.edges, tuple(float(rng.randint(1, 5)) for _ in range(g.m)))
         value = closed_form_det(wg)
         if value is None:
             continue
@@ -570,9 +583,7 @@ def test_closed_form_on_constructed_unicyclic_and_1forest_instances():
             a, b = rng.sample(range(n), 2)
             extra = (min(a, b), max(a, b))
         edges = tuple((u, v, rng.choice((1, -1))) for u, v in pairs + [extra])
-        wg = WeightedSignedGraph(
-            SignedGraph(n, edges), tuple(float(rng.randint(1, 5)) for _ in edges)
-        )
+        wg = SignedGraph(n, edges, tuple(float(rng.randint(1, 5)) for _ in edges))
         assert closed_form_det(wg) == det_exact(weighted_laplacian(wg))
     for _ in range(20):
         # 1-forest: disjoint union of two signed cycles
@@ -584,10 +595,7 @@ def test_closed_form_on_constructed_unicyclic_and_1forest_instances():
             edges.extend(
                 (min(u, v), max(u, v), rng.choice((1, -1))) for u, v in ring
             )
-        wg = WeightedSignedGraph(
-            SignedGraph(a + b, tuple(edges)),
-            tuple(float(rng.randint(1, 5)) for _ in edges),
-        )
+        wg = SignedGraph(a + b, tuple(edges), tuple(float(rng.randint(1, 5)) for _ in edges))
         assert closed_form_det(wg) == det_exact(weighted_laplacian(wg))
 
 

@@ -369,6 +369,22 @@ def test_balance_forest_report(capsys, c3_all_negative):
     assert obj["method"] == "forest-sum"
 
 
+@pytest.mark.parametrize("text, total", [
+    ("3\n1 2 - 1e308\n1 3 - 1e308\n2 3 - 0.5\n", 4),
+    ("4\n1 2 + 2.5\n2 3 - 3\n3 4 + 0.25\n1 4 + 7\n1 3 - 1.5\n", 12),
+], ids=["overflowing-weights", "fractional-weights"])
+def test_balance_forest_sums_at_unit_weights(capsys, tmp_path, text, total):
+    from sdlap import is_balanced_forest
+
+    path = tmp_path / "weighted.sg"
+    path.write_text(text)
+    code, out, err = run(capsys, "balance", str(path), "--method", "forest")
+    assert code == 0 and err == ""
+    assert json.loads(out)["determinant"] == str(total)
+    report = is_balanced_forest(parse_edge_list(text))
+    assert report.determinant == total and type(report.determinant) is int
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -432,10 +448,10 @@ def test_forests_contrabalanced_census(capsys, tmp_path, c4_one_negative):
 @pytest.mark.parametrize("kind", ["all", "contrabalanced"])
 def test_forests_scans_once_and_sums_like_forest_det(capsys, tmp_path, monkeypatch, kind):
     import sdlap.cli
-    from sdlap import WeightedSignedGraph, forest_det, generate, serialize
+    from sdlap import SignedGraph, forest_det, generate, serialize
 
-    wg = WeightedSignedGraph(generate("complete", 5, 0.5, seed=3),
-                             tuple(0.1 * (i + 1) for i in range(10)))
+    g = generate("complete", 5, 0.5, seed=3)
+    wg = SignedGraph(g.n, g.edges, tuple(0.1 * (i + 1) for i in range(10)))
     path = tmp_path / "k5.sg"
     path.write_text(serialize(wg))
     expected = forest_det(wg)
@@ -485,7 +501,7 @@ def _render_forests(wg, forests, total) -> dict:
 
 
 def test_forests_list_matches_the_subset_oracle(capsys, tmp_path):
-    from sdlap import SignedGraph, WeightedSignedGraph, components, serialize
+    from sdlap import SignedGraph, components, serialize
 
     rng = random.Random(2024)
     disconnected = multi = floats = 0
@@ -506,10 +522,10 @@ def test_forests_list_matches_the_subset_oracle(capsys, tmp_path):
         else:
             weights = tuple(float(rng.randint(1, 5)) for _ in edges)
         path = tmp_path / f"g{i}.sg"
-        path.write_text(serialize(WeightedSignedGraph(SignedGraph(n, tuple(edges)), weights)))
+        path.write_text(serialize(SignedGraph(n, tuple(edges), weights)))
         wg = parse_edge_list(path.read_text())
-        expected = oracle_1forests(wg.base)
-        disconnected += len(components(wg.base)) > 1
+        expected = oracle_1forests(wg)
+        disconnected += len(components(wg)) > 1
         multi += any(len(f.components) > 1 for f in expected)
         floats += not wg.integer_weights
         for kind, keep in (("all", expected),

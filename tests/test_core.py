@@ -12,7 +12,6 @@ from sdlap import (
     GenerationError,
     GraphFormatError,
     SignedGraph,
-    WeightedSignedGraph,
     components,
     generate,
     parse_edge_list,
@@ -50,7 +49,7 @@ def weighted_graphs(draw, max_n=6):
             max_size=g.m,
         )
     )
-    return WeightedSignedGraph(g, tuple(weights))
+    return SignedGraph(g.n, g.edges, tuple(weights))
 
 
 # ---------------------------------------------------------------- parsing
@@ -116,7 +115,7 @@ def test_serialize_parse_round_trip(wg):
 
 def test_round_trip_unweighted_graph():
     g = generate("cycle", 5, "allneg")
-    assert parse_edge_list(serialize(g)).base == g
+    assert parse_edge_list(serialize(g)) == g
 
 
 # ---------------------------------------------------------------- graph type
@@ -138,17 +137,43 @@ def test_graph_normalizes_endpoint_order_and_rejects_bad_input():
 
 
 def test_weighted_graph_validation():
-    g = SignedGraph(2, ((0, 1, 1),))
-    with pytest.raises(ValueError, match="weights"):
-        WeightedSignedGraph(g, (1.0, 2.0))
-    with pytest.raises(ValueError, match="strictly positive"):
-        WeightedSignedGraph(g, (0.0,))
-    for weight in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="finite"):
-            WeightedSignedGraph(g, (weight,))
+    edges = ((0, 1, 1),)
+    with pytest.raises(ValueError, match="^2 weights for 1 edges$"):
+        SignedGraph(2, edges, (1.0, 2.0))
+    with pytest.raises(ValueError, match="^0 weights for 1 edges$"):
+        SignedGraph(2, edges, ())
+    for weight in (0.0, -2.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError) as err:
+            SignedGraph(2, edges, (weight,))
+        assert str(err.value) == (
+            f"weight {weight!r} at edge 0 is not finite and strictly positive"
+        )
+
+
+def test_omitted_weights_are_unit_weights():
+    g = generate("cycle", 4, "+-+-")
+    assert g.weights == (1.0,) * 4 and g.integer_weights
+    assert SignedGraph(g.n, g.edges) == SignedGraph(g.n, g.edges, (1.0,) * g.m)
+    assert SignedGraph(g.n, g.edges) == SignedGraph(g.n, g.edges, [1, 1, 1, 1])
+    assert SignedGraph(g.n, g.edges) != SignedGraph(g.n, g.edges, (1.0, 1.0, 2.0, 1.0))
+
+
+def test_weights_follow_their_edges():
+    g = SignedGraph(3, ((2, 0, -1), (1, 0, 1)), (2, 0.5))
+    assert g.edges == ((0, 2, -1), (0, 1, 1))
+    assert g.weights == (2.0, 0.5) and not g.integer_weights
+    assert parse_edge_list(serialize(g)) == g
 
 
 # ---------------------------------------------------------------- switching
+
+
+def test_switch_keeps_weights():
+    g = SignedGraph(3, ((0, 1, -1), (1, 2, -1), (0, 2, 1)), (3.0, 0.25, 7.0))
+    switched = switch(g, (1, -1, 1))
+    assert switched.edges == ((0, 1, 1), (1, 2, 1), (0, 2, 1))
+    assert switched.weights == g.weights
+    assert switch(switched, (1, -1, 1)) == g
 
 
 def test_switch_example_on_triangle():

@@ -7,7 +7,6 @@ from sdlap import (
     DisconnectedGraphError,
     DistanceTable,
     IncompatibleGraphError,
-    PairDistanceSummary,
     SignedGraph,
     associated_complete,
     distance_matrix,
@@ -26,25 +25,29 @@ def c4_one_negative():
     return generate("cycle", 4, "+++-")
 
 
+def entries(table):
+    """The table as rows of (d, exists_pos, exists_neg) tuples."""
+    return [list(zip(*row))
+            for row in zip(table.dist.tolist(), table.pos.tolist(), table.neg.tolist())]
+
+
 # ---------------------------------------------------------------- sssp
 
 
 def test_sssp_on_all_negative_triangle():
     g = generate("cycle", 3, "allneg")
     row = sssp_signs(g, 0)
-    assert row[0] == PairDistanceSummary(0, True, False)
-    assert row[1] == PairDistanceSummary(1, False, True)
-    assert row[2] == PairDistanceSummary(1, False, True)
+    assert row == [(0, True, False), (1, False, True), (1, False, True)]
 
 
 def test_sssp_sees_both_signs_on_mixed_square():
     row = sssp_signs(c4_one_negative(), 0)
-    assert row[2] == PairDistanceSummary(2, True, True)
+    assert row[2] == (2, True, True)
 
 
 def test_sssp_on_positive_path():
     g = generate("path", 3, "allpos")
-    assert sssp_signs(g, 0)[2] == PairDistanceSummary(2, True, False)
+    assert sssp_signs(g, 0)[2] == (2, True, False)
 
 
 def test_sssp_rejects_disconnected_graphs():
@@ -64,11 +67,11 @@ def test_sssp_validates_source():
 
 
 def test_table_of_all_negative_triangle():
-    table = distance_table(generate("cycle", 3, "allneg"))
+    rows = entries(distance_table(generate("cycle", 3, "allneg")))
     for u in range(3):
         for v in range(3):
             if u != v:
-                assert table.entry(u, v) == PairDistanceSummary(1, False, True)
+                assert rows[u][v] == (1, False, True)
 
 
 def test_table_antipodal_pairs_of_mixed_square():
@@ -84,28 +87,20 @@ def test_table_antipodal_pairs_of_mixed_square():
 
 def test_table_of_single_positive_edge():
     table = distance_table(generate("path", 2, "allpos"))
-    assert table.entry(0, 1) == PairDistanceSummary(1, True, False)
+    assert entries(table)[0][1] == (1, True, False)
 
 
 def test_tables_match_brute_force_enumeration_exhaustively():
     for n in range(1, 5):
         for g in all_signed_graphs(n):
-            table = distance_table(g)
-            expected = brute_table(g)
-            for u in range(n):
-                for v in range(n):
-                    assert table.entry(u, v) == expected[u][v], (g, u, v)
+            assert entries(distance_table(g)) == brute_table(g), g
 
 
 def test_tables_match_brute_force_enumeration_on_random_graphs():
     rng = random.Random(2024)
     for _ in range(150):
         g = random_connected_graph(rng, 5, 6)
-        table = distance_table(g)
-        expected = brute_table(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                assert table.entry(u, v) == expected[u][v]
+        assert entries(distance_table(g)) == brute_table(g), g
 
 
 def test_table_symmetry_and_triangle_inequality():
@@ -127,8 +122,8 @@ def assert_rows_match_sssp(g):
     table = distance_table(g)
     assert table.dist.shape == (g.n, g.n) and table.dist.dtype == np.int64
     assert table.pos.dtype == bool and table.neg.dtype == bool
-    for s in range(g.n):
-        assert [table.entry(s, v) for v in range(g.n)] == sssp_signs(g, s), (g, s)
+    for s, row in enumerate(entries(table)):
+        assert row == sssp_signs(g, s), (g, s)
 
 
 def test_table_rows_match_single_source_bfs():
@@ -333,9 +328,7 @@ def test_associated_complete_of_complete_graph_is_itself():
     g = generate("complete", 4, 0.5, seed=3)
     table = distance_table(g)
     for kind in ("max", "min"):
-        completed = associated_complete(g, table, kind)
-        assert completed.base == g
-        assert completed.weights == (1.0,) * g.m
+        assert associated_complete(g, table, kind) == g
 
 
 def test_associated_complete_rejects_pm():
@@ -354,18 +347,17 @@ def test_per_pair_sign_sets_transform_under_switching():
         zeta = [rng.choice((1, -1)) for _ in range(g.n)]
         table = distance_table(g)
         switched_table = distance_table(switch(g, zeta))
+        # off the diagonal, the sign of a distance matrix entry is sigma(u, v)
+        sigma = [np.sign(distance_matrix(t, kind).entries)
+                 for t in (table, switched_table) for kind in ("max", "min")]
         for u in range(g.n):
             for v in range(g.n):
                 if u == v:
                     continue
                 original = sorted(
-                    (zeta[u] * zeta[v] * table.sigma_max(u, v),
-                     zeta[u] * zeta[v] * table.sigma_min(u, v))
+                    (zeta[u] * zeta[v] * sigma[0][u, v], zeta[u] * zeta[v] * sigma[1][u, v])
                 )
-                transformed = sorted(
-                    (switched_table.sigma_max(u, v), switched_table.sigma_min(u, v))
-                )
-                assert original == transformed
+                assert original == sorted((sigma[2][u, v], sigma[3][u, v]))
                 assert table.dist[u, v] == switched_table.dist[u, v]
 
 

@@ -9,7 +9,6 @@ import pytest
 from sdlap import (
     IncompatibleGraphError,
     SignedGraph,
-    WeightedSignedGraph,
     adjacency_matrix,
     associated_complete,
     distance_laplacian,
@@ -32,7 +31,7 @@ from conftest import (
 
 def weighted_negative_triangle():
     g = generate("cycle", 3, "allneg")
-    return WeightedSignedGraph(g, (2.0, 3.0, 5.0))
+    return SignedGraph(g.n, g.edges, (2.0, 3.0, 5.0))
 
 
 # ---------------------------------------------------------------- builders
@@ -45,7 +44,7 @@ def test_adjacency_of_all_negative_triangle():
 
 
 def test_adjacency_of_weighted_negative_edge():
-    wg = WeightedSignedGraph(SignedGraph(2, ((0, 1, -1),)), (3.0,))
+    wg = SignedGraph(2, ((0, 1, -1),), (3.0,))
     assert adjacency_matrix(wg).entries.tolist() == [[0, -3], [-3, 0]]
 
 
@@ -59,7 +58,7 @@ def test_degree_matrix_examples():
     assert tri.entries.tolist() == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
     star = SignedGraph(4, ((0, 1, 1), (0, 2, -1), (0, 3, 1)))
     assert np.diagonal(weighted_degree_matrix(star).entries).tolist() == [3, 1, 1, 1]
-    halves = WeightedSignedGraph(SignedGraph(2, ((0, 1, 1),)), (2.5,))
+    halves = SignedGraph(2, ((0, 1, 1),), (2.5,))
     m = weighted_degree_matrix(halves)
     assert m.entries.tolist() == [[2.5, 0.0], [0.0, 2.5]]
     assert not m.exact
@@ -69,13 +68,13 @@ def test_degree_matrix_examples():
                                      weighted_laplacian])
 def test_integer_builders_reject_weight_sums_beyond_int64(builder):
     triangle = generate("cycle", 3, "allpos")
-    wrapping = WeightedSignedGraph(triangle, (5e18, 5e18, 1.0))
+    wrapping = SignedGraph(triangle.n, triangle.edges, (5e18, 5e18, 1.0))
     with pytest.raises(ValueError, match="vertex index 1"):
         builder(wrapping)
     with pytest.raises(ValueError, match="64-bit"):
-        builder(WeightedSignedGraph(triangle, (2.0 ** 63, 1.0, 1.0)))
+        builder(SignedGraph(triangle.n, triangle.edges, (2.0 ** 63, 1.0, 1.0)))
     below = 2 ** 63 - 1024  # the largest float below 2**63
-    m = builder(WeightedSignedGraph(SignedGraph(2, ((0, 1, -1),)), (float(below),)))
+    m = builder(SignedGraph(2, ((0, 1, -1),), (float(below),)))
     assert m.exact and int(np.abs(m.entries).max()) == below
 
 
@@ -107,7 +106,7 @@ def test_all_positive_laplacian_matches_textbook_construction():
         n = rng.randint(2, 6)
         g = generate("random", n, signs="allpos", seed=rng.getrandbits(32), p=0.7)
         weights = tuple(float(rng.randint(1, 6)) for _ in range(g.m))
-        wg = WeightedSignedGraph(g, weights)
+        wg = SignedGraph(g.n, g.edges, weights)
         expected = classic_laplacian(n, [(u, v, w) for (u, v, _), w in zip(g.edges, weights)])
         assert np.array_equal(weighted_laplacian(wg).entries, np.array(expected))
 
@@ -116,9 +115,9 @@ def test_all_positive_laplacian_matches_textbook_construction():
 
 
 def test_incidence_columns():
-    pos = WeightedSignedGraph(SignedGraph(2, ((0, 1, 1),)), (4.0,))
+    pos = SignedGraph(2, ((0, 1, 1),), (4.0,))
     assert incidence_matrix(pos).entries[:, 0].tolist() == [2.0, -2.0]
-    neg = WeightedSignedGraph(SignedGraph(2, ((0, 1, -1),)), (1.0,))
+    neg = SignedGraph(2, ((0, 1, -1),), (1.0,))
     assert incidence_matrix(neg).entries[:, 0].tolist() == [-1.0, -1.0]
 
 
@@ -138,7 +137,7 @@ def test_incidence_rejects_mismatched_orientation():
 
 def test_every_orientation_factorizes_the_laplacian():
     g = generate("cycle", 4, "+-+-")
-    wg = WeightedSignedGraph(g, (1.0, 2.0, 3.0, 4.0))
+    wg = SignedGraph(g.n, g.edges, (1.0, 2.0, 3.0, 4.0))
     lap = weighted_laplacian(wg).entries
     for flips in itertools.product((False, True), repeat=wg.m):
         orientation = tuple(
