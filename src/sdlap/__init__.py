@@ -48,17 +48,6 @@ from .matrices import (
     weighted_degree_matrix,
     weighted_laplacian,
 )
-from .spectra import (
-    FormulaComparisonRow,
-    Spectrum,
-    TransmissionShiftReport,
-    cospectral,
-    formula_vs_eigensolver_report,
-    odd_cycle_formula_spectrum,
-    report_to_csv,
-    report_to_markdown,
-    sym_eig,
-    transmission_regular_shift_check,
-)
+from .spectra import Spectrum, cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
 
 __version__ = "0.1.0"

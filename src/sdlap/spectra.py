@@ -1,21 +1,21 @@
-"""Symmetric eigensolving and the spectral identities.
+"""Symmetric eigensolving and closed-form cycle spectra.
 
 Eigenvalues come from LAPACK through numpy.linalg.eigvalsh. sym_eig wraps
 it with the checks the rest of the package relies on: the input must be
-finite and symmetric, and the eigenvalue sum must match the trace.
+finite and symmetric, the eigenvalues finite, and their sum must match
+the trace. cycle_spectrum gives the distance Laplacian spectrum of a
+uniformly signed cycle without an eigensolver, so it can check one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .core import SignedGraph, generate
-from .distance import DistanceTable, distance_matrix, distance_table, transmission
-from .matrices import SquareMatrix, distance_laplacian_from_table
+from .matrices import SquareMatrix
 
 MULTIPLICITY_TOL = 1e-7
 
@@ -68,7 +68,8 @@ def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:
     Every entry must be finite, and the input symmetric within 1e-12
     relative to its largest entry; otherwise ValueError. The eigenvalues
     come from LAPACK's symmetric solver (numpy.linalg.eigvalsh) applied to
-    (m + m.T) / 2, and their sum must match the trace within
+    m + (m.T - m) / 2, which cannot overflow where (m + m.T) / 2 can. They
+    must be finite, and their sum must match the trace within
     1e-8 * n * max|entry|, else ArithmeticError. grouping_tol only affects
     how eigenvalues are grouped into multiplicities, not their values; it
     must be finite and nonnegative, else ValueError.
@@ -81,59 +82,48 @@ def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if a.size and float(np.abs(a - a.T).max()) > 1e-12 * scale:
+    with np.errstate(over="ignore"):  # an infinite skew is not symmetric
+        skew = a.T - a
+    if a.size and float(np.abs(skew).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    values = np.linalg.eigvalsh((a + a.T) / 2.0)
+    values = np.linalg.eigvalsh(a + skew / 2.0)
+    if not np.isfinite(values).all():
+        raise ArithmeticError("an eigenvalue overflows a 64-bit float")
     n = a.shape[0]
     if n:
-        drift = abs(float(values.sum()) - float(np.trace(a)))
-        if drift > 1e-8 * n * scale:
+        # Both sums are taken in units of scale, where neither can overflow.
+        drift = abs(float((values / scale).sum() - (np.diagonal(a) / scale).sum()))
+        if drift > 1e-8 * n:
             raise ArithmeticError(
-                f"eigenvalue sum drifted from the trace by {drift:g}"
+                f"eigenvalue sum drifted from the trace by {drift * scale:g}"
             )
     return Spectrum.from_values(values, tol=grouping_tol)
 
 
-def cospectral(a, b, tol: float) -> bool:
-    """True when the two symmetric matrices share a spectrum within tol."""
-    arr_a = _as_square_array(a)
-    arr_b = _as_square_array(b)
-    if arr_a.shape != arr_b.shape:
-        raise ValueError(f"order mismatch: {arr_a.shape[0]} vs {arr_b.shape[0]}")
-    ev_a = sym_eig(arr_a).eigenvalues
-    ev_b = sym_eig(arr_b).eigenvalues
-    return max(abs(x - y) for x, y in zip(ev_a, ev_b)) <= tol if ev_a else True
+def cycle_spectrum(n: int, sign: int) -> Spectrum:
+    """Distance Laplacian spectrum of the cycle on n >= 3 vertices whose
+    edges all have sign +1 or -1, in closed form.
 
+    A shortest path of length d on such a cycle has sign sign^d, so
+    L^max = L^min = L^pm, and the distance matrix is circulant with first
+    row sign^δ(d)·δ(d), where δ(d) = min(d, n - d). Its eigenvalues are
+    the cosine transform of that row (Davis, Circulant Matrices, 1979),
+    and every transmission is t = Σ δ(d), which is k(k+1) for n = 2k+1
+    and k² for n = 2k:
 
-@dataclass(frozen=True)
-class TransmissionShiftReport:
-    is_transmission_regular: bool
-    t: int | None
-    max_deviation: float | None
+        λ_j = t - Σ_{d=1..n-1} sign^δ(d)·δ(d)·cos(2πjd/n),  j = 0..n-1.
 
-
-def transmission_regular_shift_check(g: SignedGraph, kind: str, *,
-                                     table: DistanceTable | None = None
-                                     ) -> TransmissionShiftReport:
-    """Check the eigenvalue shift on transmission-regular graphs.
-
-    When every vertex has the same transmission t, the distance Laplacian
-    spectrum must be {t - lambda} over the distance matrix spectrum; the
-    report carries the largest deviation between the two sorted lists.
-    A caller that already holds distance_table(g) passes it as table.
+    Switching conjugates the Laplacian by diag(ζ), so this is also the
+    spectrum of every odd cycle whose edge signs multiply to sign.
     """
-    if table is None:
-        table = distance_table(g)
-    tr = transmission(table)
-    t = int(tr[0])
-    if not bool((tr == t).all()):
-        return TransmissionShiftReport(False, None, None)
-    d = distance_matrix(table, kind)
-    lap = distance_laplacian_from_table(table, kind)
-    ev_l = sym_eig(lap).eigenvalues
-    shifted = sorted(t - v for v in sym_eig(d).eigenvalues)
-    deviation = max(abs(x - y) for x, y in zip(ev_l, shifted))
-    return TransmissionShiftReport(True, t, deviation)
+    if n < 3 or sign not in (1, -1):
+        raise ValueError(f"need n >= 3 and sign +1 or -1, got n={n}, sign={sign}")
+    d = np.arange(1, n)
+    delta = np.minimum(d, n - d)
+    row = sign ** delta * delta
+    # jd is reduced modulo n before it is scaled, so every angle is below 2π.
+    angles = (2 * math.pi / n) * (np.outer(np.arange(n), d) % n)
+    return Spectrum.from_values(int(delta.sum()) - np.cos(angles) @ row)
 
 
 def odd_cycle_formula_spectrum(k: int) -> Spectrum:
@@ -144,9 +134,11 @@ def odd_cycle_formula_spectrum(k: int) -> Spectrum:
     j = 0..k-1, a doubled value
     k(k+1) - k(-1)^j / sin((2j+1)pi/2n) - sin^2((2j+1)k pi/2n) / sin^2((2j+1)pi/2n).
 
-    The evaluation is verbatim on purpose: it does not reproduce the
-    eigensolver's spectrum at small k (see formula_vs_eigensolver_report),
-    so callers must not treat it as ground truth.
+    The evaluation is verbatim on purpose, and it is not the spectrum:
+    cycle_spectrum(2k+1, -1) is. The simple value is 2 too small at odd k,
+    and the doubled values are off by an error that grows about as k²
+    (the largest deviation is 2.0 at k = 1, 7.2 at k = 2 and 42 at k = 5).
+    verify.transmission_shift_suite reports the gap.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -159,58 +151,3 @@ def odd_cycle_formula_spectrum(k: int) -> Spectrum:
         value = k * (k + 1) - k * (-1) ** j / s - (sk * sk) / (s * s)
         values.extend([value, value])
     return Spectrum.from_values(values)
-
-
-@dataclass(frozen=True)
-class FormulaComparisonRow:
-    k: int
-    n: int
-    numeric: tuple[float, ...]
-    formula: tuple[float, ...]
-    max_abs_deviation: float
-
-
-def formula_vs_eigensolver_report(k_range: Sequence[int]) -> list[FormulaComparisonRow]:
-    """Compare the printed odd-cycle closed form against the eigensolver.
-
-    For each k, builds the all-negative cycle on 2k+1 vertices, computes
-    its distance Laplacian spectrum numerically, evaluates the closed
-    form, and tabulates the entrywise distance of the sorted multisets.
-    Reports only; never asserts agreement.
-    """
-    rows = []
-    for k in k_range:
-        g = generate("cycle", 2 * k + 1, "allneg")
-        table = distance_table(g)
-        numeric = sym_eig(distance_laplacian_from_table(table, "pm")).eigenvalues
-        formula = odd_cycle_formula_spectrum(k).eigenvalues
-        deviation = max(abs(x - y) for x, y in zip(numeric, formula))
-        rows.append(FormulaComparisonRow(k, 2 * k + 1, numeric, formula, deviation))
-    return rows
-
-
-def _join(values: tuple[float, ...]) -> str:
-    return " ".join(format(v, ".10g") for v in values)
-
-
-def report_to_markdown(rows: list[FormulaComparisonRow]) -> str:
-    lines = [
-        "| k | n | eigensolver | formula | max deviation |",
-        "|---|---|-------------|---------|---------------|",
-    ]
-    for r in rows:
-        lines.append(
-            f"| {r.k} | {r.n} | {_join(r.numeric)} | {_join(r.formula)} "
-            f"| {r.max_abs_deviation:.6g} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def report_to_csv(rows: list[FormulaComparisonRow]) -> str:
-    lines = ["k,n,max_deviation,eigensolver,formula"]
-    for r in rows:
-        lines.append(
-            f"{r.k},{r.n},{r.max_abs_deviation:.12g},"
-            f"{_join(r.numeric)},{_join(r.formula)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -15,13 +15,13 @@ import numpy as np
 
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
 from .core import SignedGraph, generate, switch
-from .distance import distance_table, is_compatible
+from .distance import distance_table, is_compatible, transmission
 from .matrices import (
     distance_laplacian_from_table,
     incidence_matrix,
     weighted_laplacian,
 )
-from .spectra import sym_eig, transmission_regular_shift_check
+from .spectra import cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
 
 SUITES = (
     "forest-theorem",
@@ -199,40 +199,44 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1,
 
 def transmission_shift_suite(n_min: int = 3, n_max: int = 12,
                              tol: float = 1e-8) -> SuiteReport:
-    """On cycles of both uniform signatures, the distance Laplacian
-    spectrum is the transmission minus the distance spectrum; the
-    transmission itself must be k(k+1) for odd n = 2k+1 and k^2 for even
-    n = 2k."""
+    """On cycles of both uniform signatures and both kinds, every
+    transmission is k(k+1) for odd n = 2k+1 and k^2 for even n = 2k, and
+    the distance Laplacian spectrum is within tol of cycle_spectrum, the
+    closed form that needs no eigensolver.
+
+    Also reports, without requiring agreement, how far the printed
+    odd-cycle formula (odd_cycle_formula_spectrum) is from the spectrum
+    of the all-negative odd cycles.
+    """
     report = SuiteReport("transmission-shift", True, 0)
     max_dev = 0.0
     min_eig = float("inf")
-    instances = 0
+    printed_dev = 0.0
     for n in range(n_min, n_max + 1):
         expected_t = (n // 2) * (n // 2 + 1) if n % 2 else (n // 2) ** 2
-        for signs in ("allpos", "allneg"):
-            g = generate("cycle", n, signs)
-            table = distance_table(g)
+        for sign, signs in ((1, "allpos"), (-1, "allneg")):
+            table = distance_table(generate("cycle", n, signs))
+            found_t = sorted(set(transmission(table).tolist()))
+            if found_t != [expected_t]:
+                report.record_failure(f"C{n} {signs}: transmissions {found_t} != {expected_t}")
+            expected = cycle_spectrum(n, sign).eigenvalues
             for kind in ("max", "min"):
-                instances += 1
-                result = transmission_regular_shift_check(g, kind, table=table)
-                label = f"C{n} {signs} {kind}"
-                if not result.is_transmission_regular:
-                    report.record_failure(f"{label}: not transmission-regular")
-                    continue
-                if result.t != expected_t:
+                report.instances += 1
+                values = sym_eig(distance_laplacian_from_table(table, kind)).eigenvalues
+                dev = max(abs(x - y) for x, y in zip(values, expected))
+                if dev > tol:
                     report.record_failure(
-                        f"{label}: transmission {result.t} != {expected_t}"
+                        f"C{n} {signs} {kind}: deviation {dev:g} from cycle_spectrum"
                     )
-                if result.max_deviation > tol:
-                    report.record_failure(
-                        f"{label}: shift deviation {result.max_deviation:g}"
-                    )
-                max_dev = max(max_dev, result.max_deviation)
-                lap = distance_laplacian_from_table(table, kind)
-                min_eig = min(min_eig, _min_eigenvalue(lap))
-    report.instances = instances
+                max_dev = max(max_dev, dev)
+                min_eig = min(min_eig, values[0])
+            if sign < 0 and n % 2:
+                printed = odd_cycle_formula_spectrum(n // 2).eigenvalues
+                printed_dev = max(printed_dev,
+                                  max(abs(x - y) for x, y in zip(expected, printed)))
     report.details["max_deviation"] = max_dev
     report.details["min_eigenvalue"] = min_eig
+    report.details["printed_formula_max_deviation"] = printed_dev
     return report
 
 

@@ -16,12 +16,10 @@ from sdlap import (
     det_exact,
     distance_laplacian,
     distance_table,
+    cycle_spectrum,
     forest_det,
-    formula_vs_eigensolver_report,
     generate,
     parse_edge_list,
-    report_to_csv,
-    report_to_markdown,
     serialize,
     sym_eig,
     weighted_laplacian,
@@ -154,8 +152,8 @@ def test_criterion_8_transmission_regular_shift(shift_report):
     announce(
         8,
         shift_report.passed and shift_report.details["max_deviation"] <= 1e-8,
-        f"transmission shift on cycles n=3..12, both signatures "
-        f"(max deviation {shift_report.details['max_deviation']:.2e})",
+        f"transmissions and closed-form spectra of cycles n=3..12, both "
+        f"signatures (max deviation {shift_report.details['max_deviation']:.2e})",
     )
 
 
@@ -173,24 +171,20 @@ def test_criterion_9_positive_semidefinite(balance_report, cospectral_report,
     )
 
 
-def test_criterion_10_odd_cycle_formula_comparator():
-    rows = formula_vs_eigensolver_report(list(range(1, 8)))
-    complete = len(rows) == 7 and all(
-        row.n == 2 * row.k + 1
-        and len(row.numeric) == row.n
-        and len(row.formula) == row.n
-        and np.isfinite(row.max_abs_deviation)
-        for row in rows
-    )
-    markdown = report_to_markdown(rows)
-    csv = report_to_csv(rows)
-    print()
-    print(markdown, end="")
+def test_criterion_10_odd_cycle_formula_comparator(shift_report):
+    deviations = []
+    for k in range(1, 8):
+        lap = distance_laplacian(generate("cycle", 2 * k + 1, "allneg"), "pm")
+        numeric = sym_eig(lap).eigenvalues
+        closed = cycle_spectrum(2 * k + 1, -1).eigenvalues
+        deviations.append(max(abs(x - y) for x, y in zip(numeric, closed)))
+    printed = shift_report.details["printed_formula_max_deviation"]
     announce(
         10,
-        complete and len(markdown.splitlines()) == 9 and len(csv.splitlines()) == 8,
-        "comparator table complete for k=1..7 (agreement not required; "
-        f"deviations {[round(r.max_abs_deviation, 3) for r in rows]})",
+        max(deviations) <= 1e-8 and np.isfinite(printed),
+        f"closed-form odd-cycle spectra match the eigensolver for k=1..7 "
+        f"(max deviation {max(deviations):.2e}); the printed formula is off by "
+        f"up to {printed:.3g} (agreement not required)",
     )
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,35 @@ def test_spectrum_json_groups(capsys, c3_all_negative):
     assert [g["multiplicity"] for g in obj["groups"]] == [2, 1]
 
 
+NEAR_FLOAT_LIMIT = "3\n1 2 - 1e308\n1 3 - 0.5\n2 3 - 0.5\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    (NEAR_FLOAT_LIMIT, [-1e308, 0.0, 1e308]),
+    # the eigenvalues are finite, but their plain sum overflows
+    ("4\n1 2 + 1e308\n3 4 + 1e308\n2 3 + 0.5\n", [-1e308, -1e308, 1e308, 1e308]),
+], ids=["one-huge-edge", "sum-overflows"])
+def test_spectrum_of_entries_near_the_float_limit(capsys, tmp_path, text, expected):
+    path = tmp_path / "huge.sg"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "spectrum", str(path), "--kind", "adjacency")
+    assert code == 0
+    assert json.loads(out)["eigenvalues"] == pytest.approx(expected, rel=1e-12, abs=1.0)
+
+
+def test_spectrum_that_overflows_exits_1(capsys, tmp_path):
+    # the largest eigenvalue of this Laplacian is about 2e308
+    path = tmp_path / "huge.sg"
+    path.write_text(NEAR_FLOAT_LIMIT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "spectrum", str(path), "--kind", "laplacian")
+    assert (code, out) == (1, "")
+    assert err == "sdlap: an eigenvalue overflows a 64-bit float\n"
+
+
 # ---------------------------------------------------------------- info & forests
 
 
@@ -603,22 +633,50 @@ def test_run_suite_rejects_vertex_bounds_below_three():
 
 
 def test_transmission_shift_suite_builds_one_table_per_cycle(monkeypatch):
-    import sdlap.spectra
     import sdlap.verify
 
-    calls = []
+    calls = {"distance_table": 0, "sym_eig": 0}
 
     def counted(fn):
-        def wrapper(g):
-            calls.append(g)
-            return fn(g)
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
         return wrapper
 
-    for module in (sdlap.spectra, sdlap.verify):
-        monkeypatch.setattr(module, "distance_table", counted(module.distance_table))
+    for name in calls:
+        monkeypatch.setattr(sdlap.verify, name, counted(getattr(sdlap.verify, name)))
     report = sdlap.verify.transmission_shift_suite(3, 12)
     assert report.passed and report.instances == 40
-    assert len(calls) == 20
+    assert calls == {"distance_table": 20, "sym_eig": 40}
+
+
+def test_transmission_shift_suite_fails_without_the_sign_rule(monkeypatch):
+    import sys
+
+    import numpy as np
+
+    from sdlap.matrices import SquareMatrix
+    from sdlap.verify import transmission_shift_suite
+
+    def unsigned(table, kind):
+        return SquareMatrix(np.array(table.dist, dtype=np.int64), f"d{kind}")
+
+    assert transmission_shift_suite(3, 12).passed
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdlap") and hasattr(module, "distance_matrix"):
+            monkeypatch.setattr(module, "distance_matrix", unsigned)
+    report = transmission_shift_suite(3, 12)
+    assert not report.passed
+    assert report.failures[0] == "C3 allneg max: deviation 2 from cycle_spectrum"
+
+
+def test_verify_all_prints_one_pass_line_per_suite(capsys):
+    from sdlap.verify import SUITES
+
+    code, out, _ = run(capsys, "verify", "all", "--n", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in SUITES]
 
 
 @pytest.mark.parametrize("count", [0, -1])

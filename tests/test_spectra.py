@@ -7,16 +7,16 @@ import pytest
 
 from sdlap import (
     Spectrum,
-    cospectral,
+    cycle_spectrum,
     distance_laplacian,
-    formula_vs_eigensolver_report,
+    distance_matrix,
+    distance_table,
     generate,
     odd_cycle_formula_spectrum,
-    report_to_csv,
-    report_to_markdown,
+    switch,
     sym_eig,
-    transmission_regular_shift_check,
 )
+from sdlap.verify import transmission_shift_suite
 
 from conftest import jacobi_eigenvalues, random_connected_graph
 
@@ -151,69 +151,85 @@ def test_spectrum_separates_values_beyond_tolerance():
     assert [k for _, k in spectrum.groups] == [1, 1]
 
 
-# ---------------------------------------------------------------- cospectral
-
-
-def test_matrix_is_cospectral_with_itself():
-    lap = distance_laplacian(generate("cycle", 5, "allneg"), "pm")
-    assert cospectral(lap, lap, 1e-12)
+# ---------------------------------------------------------------- cycles
 
 
 def test_balanced_path_is_cospectral_with_underlying_path():
-    signed = distance_laplacian(generate("path", 3, "+-"), "pm")
-    plain = distance_laplacian(generate("path", 3, "allpos"), "pm")
-    assert cospectral(signed, plain, 1e-8)
+    signed = sym_eig(distance_laplacian(generate("path", 3, "+-"), "pm")).eigenvalues
+    plain = sym_eig(distance_laplacian(generate("path", 3, "allpos"), "pm")).eigenvalues
+    assert signed == pytest.approx(plain, abs=1e-8)
 
 
 def test_unbalanced_triangle_is_not_cospectral_with_underlying_triangle():
-    signed = distance_laplacian(generate("cycle", 3, "allneg"), "pm")
+    assert cycle_spectrum(3, 1).eigenvalues == pytest.approx((0.0, 3.0, 3.0), abs=1e-12)
+    assert cycle_spectrum(3, -1).eigenvalues == pytest.approx((1.0, 1.0, 4.0), abs=1e-12)
     plain = distance_laplacian(generate("cycle", 3, "allpos"), "pm")
     assert sym_eig(plain).eigenvalues == pytest.approx((0.0, 3.0, 3.0), abs=1e-9)
-    assert not cospectral(signed, plain, 1e-8)
-
-
-def test_cospectral_rejects_order_mismatch():
-    with pytest.raises(ValueError, match="order"):
-        cospectral(np.eye(2), np.eye(3), 1e-8)
-
-
-# ---------------------------------------------------------------- shift
 
 
 def test_shift_on_all_negative_c5():
-    report = transmission_regular_shift_check(generate("cycle", 5, "allneg"), "max")
-    assert report.is_transmission_regular
-    assert report.t == 6
-    assert report.max_deviation <= 1e-8
-    values = sym_eig(distance_laplacian(generate("cycle", 5, "allneg"), "pm")).eigenvalues
     expected = (3.145898033750315, 3.145898033750315, 4.0, 9.854101966249685, 9.854101966249685)
+    assert cycle_spectrum(5, -1).eigenvalues == pytest.approx(expected, abs=1e-12)
+    assert [k for _, k in cycle_spectrum(5, -1).groups] == [2, 1, 2]
+    values = sym_eig(distance_laplacian(generate("cycle", 5, "allneg"), "pm")).eigenvalues
     assert values == pytest.approx(expected, abs=1e-8)
 
 
 def test_shift_on_all_negative_triangle():
-    g = generate("cycle", 3, "allneg")
-    report = transmission_regular_shift_check(g, "min")
-    assert report.t == 2 and report.max_deviation <= 1e-9
-    from sdlap import distance_matrix, distance_table
-
-    d_values = sym_eig(distance_matrix(distance_table(g), "min")).eigenvalues
+    # L = 2I - D on the triangle, whose transmission is 2
+    table = distance_table(generate("cycle", 3, "allneg"))
+    d_values = sym_eig(distance_matrix(table, "min")).eigenvalues
     assert d_values == pytest.approx((-2.0, 1.0, 1.0), abs=1e-9)
-
-
-def test_paths_are_not_transmission_regular():
-    report = transmission_regular_shift_check(generate("path", 3, "allpos"), "max")
-    assert not report.is_transmission_regular
-    assert report.t is None and report.max_deviation is None
+    shifted = sorted(2 - v for v in d_values)
+    assert cycle_spectrum(3, -1).eigenvalues == pytest.approx(shifted, abs=1e-9)
 
 
 def test_shift_holds_on_cycles_of_both_signatures():
+    # the spectrum of L^kind is t minus that of the distance matrix, and
+    # both are the closed form's
     for n in range(3, 13):
-        for signs in ("allpos", "allneg"):
-            g = generate("cycle", n, signs)
+        t = (n // 2) * (n // 2 + 1) if n % 2 else (n // 2) ** 2
+        for sign, signs in ((1, "allpos"), (-1, "allneg")):
+            table = distance_table(generate("cycle", n, signs))
+            expected = cycle_spectrum(n, sign).eigenvalues
             for kind in ("max", "min"):
-                report = transmission_regular_shift_check(g, kind)
-                assert report.is_transmission_regular
-                assert report.max_deviation <= 1e-8
+                shifted = sorted(t - v for v in sym_eig(distance_matrix(table, kind)).eigenvalues)
+                assert shifted == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cycle_spectrum_matches_the_jacobi_oracle(sign):
+    for n in range(3, 16):
+        lap = distance_laplacian(generate("cycle", n, "allpos" if sign > 0 else "allneg"), "max")
+        oracle = jacobi_eigenvalues(lap.entries.astype(float))
+        assert np.abs(np.array(cycle_spectrum(n, sign).eigenvalues) - oracle).max() < 1e-9
+
+
+def test_cycle_spectrum_matches_switched_odd_cycles():
+    # switching conjugates L by diag(zeta), so the spectrum depends only on
+    # the sign product; on a uniform odd cycle that product is the sign
+    rng = random.Random(12)
+    for n in range(3, 40, 2):
+        for sign, signs in ((1, "allpos"), (-1, "allneg")):
+            zeta = [rng.choice((1, -1)) for _ in range(n)]
+            g = switch(generate("cycle", n, signs), zeta)
+            expected = np.array(cycle_spectrum(n, sign).eigenvalues)
+            for kind in ("max", "min"):
+                values = np.array(sym_eig(distance_laplacian(g, kind)).eigenvalues)
+                assert np.abs(values - expected).max() < 1e-9
+
+
+def test_cycle_spectrum_of_balanced_even_cycles_is_the_unsigned_one():
+    # an all-negative even cycle is balanced, so it switches to the all-positive one
+    for n in range(4, 31, 2):
+        assert cycle_spectrum(n, -1).eigenvalues == pytest.approx(
+            cycle_spectrum(n, 1).eigenvalues, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, sign", [(2, 1), (0, -1), (5, 0), (5, 2)])
+def test_cycle_spectrum_rejects_bad_arguments(n, sign):
+    with pytest.raises(ValueError, match="n >= 3 and sign"):
+        cycle_spectrum(n, sign)
 
 
 # ---------------------------------------------------------------- formula
@@ -240,22 +256,7 @@ def test_formula_rejects_bad_k():
 
 
 def test_comparator_reports_known_deviation_at_k1():
-    (row,) = formula_vs_eigensolver_report([1])
-    assert row.n == 3
-    assert row.numeric == pytest.approx((1.0, 1.0, 4.0), abs=1e-9)
-    assert row.formula == pytest.approx((-1.0, -1.0, 2.0), abs=1e-12)
-    assert row.max_abs_deviation == pytest.approx(2.0, abs=1e-9)
-
-
-def test_comparator_on_empty_range():
-    assert formula_vs_eigensolver_report([]) == []
-
-
-def test_comparator_report_formats():
-    rows = formula_vs_eigensolver_report([1, 2])
-    markdown = report_to_markdown(rows)
-    assert markdown.splitlines()[0].startswith("| k | n |")
-    assert len(markdown.splitlines()) == 4
-    csv = report_to_csv(rows)
-    assert csv.splitlines()[0] == "k,n,max_deviation,eigensolver,formula"
-    assert len(csv.splitlines()) == 3
+    # the triangle's spectrum is 1, 1, 4; the printed formula gives -1, -1, 2
+    report = transmission_shift_suite(3, 3)
+    assert report.passed and report.instances == 4
+    assert report.details["printed_formula_max_deviation"] == pytest.approx(2.0, abs=1e-9)
