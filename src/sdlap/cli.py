@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_forests.set_defaults(func=_cmd_forests)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES + ("all",))
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
     p_verify.add_argument("--n", type=int, default=None,
                           help=f"vertex count bound, at least {MIN_VERIFY_N}")
     p_verify.add_argument("--seed", type=int, default=1)

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -22,7 +22,7 @@ GENERATOR_KINDS = ("cycle", "path", "complete", "random")
 _SIGN_TOKENS = {"+": POSITIVE, "1": POSITIVE, "-": NEGATIVE, "-1": NEGATIVE}
 _MAX_RANDOM_ATTEMPTS = 500
 
-SignSpec = Union[str, float, Iterable, None]
+SignSpec = Union[str, float, None]
 
 
 class GraphFormatError(ValueError):
@@ -297,44 +297,25 @@ def _is_connected(n: int, pairs: list[tuple[int, int]]) -> bool:
     return joins == n - 1
 
 
-def _resolve_signs(m: int, signs: SignSpec, rng: random.Random,
-                   edges: list[tuple[int, int]]) -> tuple[int, ...]:
-    if isinstance(signs, str):
-        key = signs.replace("_", "-").lower()
-        if key in ("allpos", "all-positive", "+"):
-            return (POSITIVE,) * m
-        if key in ("allneg", "all-negative", "-"):
-            return (NEGATIVE,) * m
-        if key and set(key) <= {"+", "-"}:
-            if len(key) != m:
-                raise ValueError(
-                    f"sign string has length {len(key)}, expected one sign per edge ({m})"
-                )
-            return tuple(POSITIVE if c == "+" else NEGATIVE for c in key)
-        raise ValueError(f"unrecognized sign spec {signs!r}")
+def _resolve_signs(m: int, signs: SignSpec, rng: random.Random) -> tuple[int, ...]:
     if isinstance(signs, float):
         if not 0.0 <= signs <= 1.0:
             raise ValueError(f"sign probability {signs} outside [0, 1]")
         return tuple(
             NEGATIVE if rng.random() < signs else POSITIVE for _ in range(m)
         )
-    # remaining option: a set of negative edges, by index or endpoint pair
-    negative: set[int] = set()
-    by_pair = {pair: i for i, pair in enumerate(edges)}
-    for item in signs:  # type: ignore[union-attr]
-        if isinstance(item, bool):
-            raise ValueError("negative-edge entries must be indices or pairs")
-        if isinstance(item, int):
-            if not 0 <= item < m:
-                raise ValueError(f"negative-edge index {item} outside 0..{m - 1}")
-            negative.add(item)
-        else:
-            u, v = item
-            pair = (min(u, v), max(u, v))
-            if pair not in by_pair:
-                raise ValueError(f"negative-edge pair {item!r} is not an edge")
-            negative.add(by_pair[pair])
-    return tuple(NEGATIVE if i in negative else POSITIVE for i in range(m))
+    key = signs.replace("_", "-").lower() if isinstance(signs, str) else ""
+    if key in ("allpos", "all-positive", "+"):
+        return (POSITIVE,) * m
+    if key in ("allneg", "all-negative", "-"):
+        return (NEGATIVE,) * m
+    if key and set(key) <= {"+", "-"}:
+        if len(key) != m:
+            raise ValueError(
+                f"sign string has length {len(key)}, expected one sign per edge ({m})"
+            )
+        return tuple(POSITIVE if c == "+" else NEGATIVE for c in key)
+    raise ValueError(f"unrecognized sign spec {signs!r}")
 
 
 def generate(kind: str, n: int, signs: SignSpec = None,
@@ -342,11 +323,11 @@ def generate(kind: str, n: int, signs: SignSpec = None,
     """Build a cycle, path, complete, or random connected signed graph.
 
     signs selects the signature: "allpos"/"allneg", a +/- string with one
-    character per edge, an iterable naming the negative edges (indices or
-    endpoint pairs), or a float q giving each edge sign -1 with probability
-    q. Defaults to all-positive, except kind="random" which defaults to
-    q=0.5. For kind="random", p is the edge probability; sampling retries
-    until the graph is connected and is deterministic for a fixed seed.
+    character per edge, or a float q giving each edge sign -1 with
+    probability q. Defaults to all-positive, except kind="random" which
+    defaults to q=0.5. For kind="random", p is the edge probability;
+    sampling retries until the graph is connected and is deterministic for
+    a fixed seed.
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -380,7 +361,7 @@ def generate(kind: str, n: int, signs: SignSpec = None,
 
     if signs is None:
         signs = 0.5 if kind == "random" else "allpos"
-    resolved = _resolve_signs(len(pairs), signs, rng, pairs)
+    resolved = _resolve_signs(len(pairs), signs, rng)
     return SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(pairs, resolved)))
 
 

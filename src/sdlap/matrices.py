@@ -119,13 +119,13 @@ class IncidenceMatrix:
 
 
 def _weight_values(g: SignedGraph):
-    """Edge weights and the dtype to store them in.
+    """Edge weights and the per-vertex weight sums, in the dtype to store
+    them in.
 
     Integral weights are stored as int64, the rest as float64. Every entry
     of the adjacency, degree and Laplacian matrices is bounded by some
-    vertex's weight sum, so checking those sums, added in the order the
-    degree matrix adds them, rules out silent int64 wraparound and float
-    overflow to infinity.
+    vertex's weight sum, so checking those sums rules out silent int64
+    wraparound and float overflow to infinity.
     """
     exact = g.integer_weights
     values = [int(w) for w in g.weights] if exact else list(g.weights)
@@ -143,32 +143,31 @@ def _weight_values(g: SignedGraph):
             raise ValueError(
                 f"weight sum at vertex index {vertex} overflows a 64-bit float"
             )
-    return values, np.int64 if exact else np.float64
+    return values, np.array(sums, dtype=np.int64 if exact else np.float64)
+
+
+def _signed_adjacency(g: SignedGraph, values, dtype) -> np.ndarray:
+    a = np.zeros((g.n, g.n), dtype=dtype)
+    for (u, v, s), w in zip(g.edges, values):
+        a[u, v] = a[v, u] = s * w
+    return a
 
 
 def adjacency_matrix(g: SignedGraph) -> SquareMatrix:
     """Symmetric matrix with sign*weight on edges and zero elsewhere."""
-    values, dtype = _weight_values(g)
-    a = np.zeros((g.n, g.n), dtype=dtype)
-    for (u, v, s), w in zip(g.edges, values):
-        a[u, v] = a[v, u] = s * w
-    return SquareMatrix(a, "adjacency")
+    values, sums = _weight_values(g)
+    return SquareMatrix(_signed_adjacency(g, values, sums.dtype), "adjacency")
 
 
 def weighted_degree_matrix(g: SignedGraph) -> SquareMatrix:
     """Diagonal of per-vertex weight sums; signs are ignored."""
-    values, dtype = _weight_values(g)
-    d = np.zeros((g.n, g.n), dtype=dtype)
-    for (u, v, _), w in zip(g.edges, values):
-        d[u, u] += w
-        d[v, v] += w
-    return SquareMatrix(d, "degree")
+    return SquareMatrix(np.diag(_weight_values(g)[1]), "degree")
 
 
 def weighted_laplacian(g: SignedGraph) -> SquareMatrix:
     """Weighted degree matrix minus signed weighted adjacency matrix."""
-    entries = weighted_degree_matrix(g).entries - adjacency_matrix(g).entries
-    return SquareMatrix(entries, "laplacian")
+    values, sums = _weight_values(g)
+    return SquareMatrix(np.diag(sums) - _signed_adjacency(g, values, sums.dtype), "laplacian")
 
 
 def incidence_matrix(g: SignedGraph,

@@ -645,29 +645,84 @@ def test_transmission_shift_suite_builds_one_table_per_cycle(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(sdlap.verify, name, counted(getattr(sdlap.verify, name)))
-    report = sdlap.verify.transmission_shift_suite(3, 12)
+    report = sdlap.verify.transmission_shift_suite(n_max=12)
     assert report.passed and report.instances == 40
     assert calls == {"distance_table": 20, "sym_eig": 40}
 
 
-def test_transmission_shift_suite_fails_without_the_sign_rule(monkeypatch):
+def _drop_the_sign_rule(monkeypatch):
+    """Make every module that binds distance_matrix get unsigned distances."""
     import sys
 
     import numpy as np
 
     from sdlap.matrices import SquareMatrix
-    from sdlap.verify import transmission_shift_suite
 
     def unsigned(table, kind):
         return SquareMatrix(np.array(table.dist, dtype=np.int64), f"d{kind}")
 
-    assert transmission_shift_suite(3, 12).passed
     for name, module in list(sys.modules.items()):
         if name.startswith("sdlap") and hasattr(module, "distance_matrix"):
             monkeypatch.setattr(module, "distance_matrix", unsigned)
-    report = transmission_shift_suite(3, 12)
+
+
+def test_transmission_shift_suite_fails_without_the_sign_rule(monkeypatch):
+    from sdlap.verify import transmission_shift_suite
+
+    assert transmission_shift_suite(n_max=12).passed
+    _drop_the_sign_rule(monkeypatch)
+    report = transmission_shift_suite(n_max=12)
     assert not report.passed
     assert report.failures[0] == "C3 allneg max: deviation 2 from cycle_spectrum"
+
+
+def test_cospectrality_suite_fails_without_the_sign_rule(monkeypatch):
+    from sdlap.verify import cospectrality_suite
+
+    report = cospectrality_suite()
+    assert report.passed and report.details["max_deviation"] == 0
+    _drop_the_sign_rule(monkeypatch)
+    report = cospectrality_suite()
+    assert not report.passed and report.details["max_deviation"] > 0
+    assert "differs from Z·L·Z" in report.failures[0]
+
+
+@pytest.mark.parametrize("suite", ["balance-equivalence", "cospectrality",
+                                   "transmission-shift"])
+def test_spectral_suites_fail_on_a_negative_eigenvalue(monkeypatch, suite):
+    import sdlap.verify
+    from sdlap.spectra import Spectrum
+
+    real = sdlap.verify.sym_eig
+    monkeypatch.setattr(sdlap.verify, "sym_eig", lambda m: Spectrum.from_values(
+        v - 1 for v in real(m).eigenvalues))
+    report = sdlap.verify.run_suite(suite)
+    assert not report.passed and report.details["min_eigenvalue"] < -0.9
+    assert any("negative eigenvalue" in failure for failure in report.failures)
+
+
+def test_benchmark_runs_every_verify_suite_in_order():
+    import ast
+
+    from sdlap.verify import SUITES
+
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    (listed,) = [ast.literal_eval(node.value) for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_SUITES"]]
+    assert listed == tuple(SUITES)
+
+
+def test_benchmark_tracer_times_each_verify_suite(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import spans
+
+    from sdlap.verify import SUITES
+
+    with spans.Tracer() as tracer:
+        code, out, _ = run(capsys, "verify", "all", "--n", "4")
+    assert code == 0 and out.count("PASS") == len(SUITES)
+    assert [tracer.calls[spans.GROUPS[fn.__name__]] for fn in SUITES.values()] == [1] * 5
 
 
 def test_verify_all_prints_one_pass_line_per_suite(capsys):
@@ -677,14 +732,6 @@ def test_verify_all_prints_one_pass_line_per_suite(capsys):
     assert code == 0
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in SUITES]
-
-
-@pytest.mark.parametrize("count", [0, -1])
-def test_run_suite_rejects_instance_counts_below_one(count):
-    from sdlap.verify import run_suite
-
-    with pytest.raises(ValueError, match="at least 1"):
-        run_suite("cospectrality", count=count)
 
 
 def test_verify_accepts_the_smallest_vertex_bound(capsys):

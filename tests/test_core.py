@@ -276,10 +276,13 @@ def test_generate_random_is_deterministic():
 def test_generate_sign_string_and_negative_sets():
     g = generate("cycle", 4, "+++-")
     assert [s for _, _, s in g.edges] == [1, 1, 1, -1]
-    by_index = generate("cycle", 4, signs=[3])
-    assert by_index == g
-    by_pair = generate("cycle", 4, signs=[(0, 3)])
-    assert by_pair == g
+    assert generate("cycle", 4, "-+--") == SignedGraph(
+        4, ((0, 1, -1), (1, 2, 1), (2, 3, -1), (0, 3, -1)))
+    assert generate("cycle", 4, "++++") == generate("cycle", 4, "allpos")
+    # Negative edges are named by a +/- string, not by a set of indices or pairs.
+    for negative_set in ([3], [(0, 3)]):
+        with pytest.raises(ValueError, match="unrecognized sign spec"):
+            generate("cycle", 4, signs=negative_set)
 
 
 def test_generate_rejects_bad_parameters():

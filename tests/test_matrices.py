@@ -88,6 +88,21 @@ def test_laplacian_examples():
     assert w.entries[0].tolist() == [7, 2, 5]
 
 
+def test_weighted_laplacian_sums_the_weights_once(monkeypatch):
+    import sdlap.matrices
+
+    calls = []
+    real = sdlap.matrices._weight_values
+    monkeypatch.setattr(sdlap.matrices, "_weight_values",
+                        lambda g: calls.append(g) or real(g))
+    g = weighted_negative_triangle()
+    lap = weighted_laplacian(g)
+    assert len(calls) == 1
+    expected = weighted_degree_matrix(g).entries - adjacency_matrix(g).entries
+    assert lap.entries.dtype == expected.dtype
+    assert np.array_equal(lap.entries, expected)
+
+
 def test_laplacian_row_sums_count_negative_weight():
     rng = random.Random(17)
     for _ in range(30):

@@ -257,6 +257,6 @@ def test_formula_rejects_bad_k():
 
 def test_comparator_reports_known_deviation_at_k1():
     # the triangle's spectrum is 1, 1, 4; the printed formula gives -1, -1, 2
-    report = transmission_shift_suite(3, 3)
+    report = transmission_shift_suite(n_max=3)
     assert report.passed and report.instances == 4
     assert report.details["printed_formula_max_deviation"] == pytest.approx(2.0, abs=1e-9)
