@@ -1,15 +1,15 @@
 """Balance deciders and determinant machinery.
 
 Balance is decided three independent ways: a switching oracle over a
-spanning tree, exact integer determinants of the signed distance
-Laplacians, and the matrix-forest sum over contrabalanced spanning
+spanning tree, the exact integer determinant of any one signed distance
+Laplacian, and the matrix-forest sum over contrabalanced spanning
 1-forests. "Determinant equals zero" is always an exact predicate, never
 a tolerance, and each determinant takes one of three exact routes:
 
 * Certificate. When the switching oracle reports a balanced graph with
-  switching function zeta, L zeta = 0 is checked exactly in int64. zeta
-  is a nonzero +-1 vector, so this proves det L = 0 in O(n^2) without
-  elimination; if the check fails the determinant is computed.
+  switching function zeta, L zeta = 0 is checked exactly in int64 (entries
+  are below n**2). zeta is a nonzero +-1 vector, so this proves det L = 0
+  in O(n^2) without elimination; if the check fails, det L is computed.
 * Multimodular (det_exact from order _MODULAR_MIN_ORDER on). The matrix
   is reduced modulo primes below 2**23 and eliminated for a batch of
   primes at once, as a float64 array, by blocked LU whose trailing update
@@ -40,7 +40,8 @@ from .core import (
     path_sign,
     switch,
 )
-from .distance import DisconnectedGraphError, DistanceTable, distance_table, is_compatible
+from .distance import (DisconnectedGraphError, DistanceTable, IncompatibleGraphError,
+                       distance_table)
 from .matrices import SquareMatrix, distance_laplacian_from_table
 
 # Nodes per 1-forest search: K8 needs 5.1e6, at 2 to 5 us each (CHANGES.md).
@@ -503,15 +504,33 @@ def _in_kernel(lap: SquareMatrix, zeta) -> bool:
             and not (lap.entries @ z).any())
 
 
-def _det_report(lap: SquareMatrix, kind: str, switching: BalanceReport) -> BalanceReport:
-    """Report det L^kind, checked against the switching verdict.
+def is_balanced_det(g: SignedGraph, kind: str = "max", *,
+                    table: DistanceTable | None = None,
+                    switching: BalanceReport | None = None) -> BalanceReport:
+    """Decide balance from det L^kind, checked against the switching verdict.
 
-    When the switching oracle reports balance, its certificate zeta is a
-    nonzero +-1 vector; L zeta = 0 then puts zeta in the kernel of L and
-    proves det L = 0 without elimination. The check is exact in int64,
-    since distance Laplacian entries are below n**2 in magnitude. If it
-    fails, the determinant is computed.
+    kind is one of distance.DISTANCE_KINDS, and each decides on its own:
+    det L^max = 0, det L^min = 0, and "compatible and det L^pm = 0" each
+    hold exactly on balanced graphs, so "pm" on an incompatible graph
+    reports unbalanced with no determinant. Only L^kind is built, and a
+    balanced verdict takes the certificate route of the module docstring.
+    A determinant that contradicts the switching verdict raises
+    ArithmeticError.
+
+    A caller that already holds distance_table(g) or
+    is_balanced_switching(g) passes them as table and switching, so that
+    several reports on one graph build each only once.
     """
+    if table is None:
+        table = distance_table(g)
+    if switching is None:
+        switching = is_balanced_switching(g)
+    try:
+        lap = distance_laplacian_from_table(table, kind)
+    except IncompatibleGraphError:
+        if switching.balanced:
+            raise ArithmeticError("balanced graph found incompatible; this is a bug")
+        return BalanceReport(False, "det-pm", switching.certificate)
     if switching.balanced and _in_kernel(lap, switching.certificate):
         det = 0
     else:
@@ -522,46 +541,6 @@ def _det_report(lap: SquareMatrix, kind: str, switching: BalanceReport) -> Balan
             f"this is a bug in one of the deciders"
         )
     return BalanceReport(switching.balanced, f"det-{kind}", switching.certificate, det)
-
-
-def is_balanced_det(g: SignedGraph, kind: str = "all", *,
-                    table: DistanceTable | None = None,
-                    switching: BalanceReport | None = None) -> BalanceReport:
-    """Decide balance from a signed distance Laplacian determinant.
-
-    kind "max" / "min" / "pm" uses the single determinant; "pm" on an
-    incompatible graph reports unbalanced with no determinant (balance
-    would force compatibility). kind "all" evaluates every route and
-    raises ArithmeticError if the verdicts ever disagree, including the
-    entrywise equality of the max and min Laplacians on balanced input.
-
-    A caller that already holds distance_table(g) or
-    is_balanced_switching(g) passes them as table and switching, so that
-    several reports on one graph build each only once.
-    """
-    if kind not in ("max", "min", "pm", "all"):
-        raise ValueError(f"kind must be max, min, pm, or all, got {kind!r}")
-    if table is None:
-        table = distance_table(g)
-    if switching is None:
-        switching = is_balanced_switching(g)
-    laps = {k: distance_laplacian_from_table(table, k)
-            for k in ("max", "min") if kind in (k, "all")}
-    reports = [_det_report(lap, k, switching) for k, lap in laps.items()]
-    if kind in ("pm", "all"):
-        if is_compatible(table)[0]:
-            lpm = distance_laplacian_from_table(table, "pm")
-            reports.append(_det_report(lpm, "pm", switching))
-        elif switching.balanced:
-            raise ArithmeticError("balanced graph found incompatible; this is a bug")
-        else:
-            reports.append(BalanceReport(False, "det-pm", switching.certificate))
-    if (kind == "all" and switching.balanced
-            and not np.array_equal(laps["max"].entries, laps["min"].entries)):
-        raise ArithmeticError(
-            "balanced graph with differing max/min Laplacians; this is a bug"
-        )
-    return reports[0]
 
 
 def is_balanced_forest(g: SignedGraph) -> BalanceReport:

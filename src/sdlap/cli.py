@@ -35,6 +35,7 @@ from .core import (
     serialize,
 )
 from .distance import (
+    DISTANCE_KINDS,
     DisconnectedGraphError,
     IncompatibleGraphError,
     distance_matrix,
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("switching", "det", "forest", "both"), default="both"
     )
     p_balance.add_argument(
-        "--kind", choices=("max", "min", "pm", "all"), default="all",
+        "--kind", choices=DISTANCE_KINDS, default="max",
         help="which determinant to use with --method det",
     )
     add_common(p_balance)

@@ -179,8 +179,8 @@ def distance_matrix(table: DistanceTable, kind: str) -> SquareMatrix:
 
     sigma_max(u,v) is +1 unless every shortest path between u and v is
     negative, and sigma_min(u,v) is -1 unless every one is positive. kind
-    "max" uses sigma_max, "min" uses sigma_min, and "pm" requires the
-    table to be compatible (then the two coincide).
+    "max" uses sigma_max and "min" uses sigma_min. "pm" requires the table
+    to be compatible, where the two coincide, and then uses sigma_max.
     """
     if kind not in DISTANCE_KINDS:
         raise ValueError(f"kind must be one of {DISTANCE_KINDS}, got {kind!r}")
@@ -188,12 +188,11 @@ def distance_matrix(table: DistanceTable, kind: str) -> SquareMatrix:
         ok, witness = is_compatible(table)
         if not ok:
             raise IncompatibleGraphError(witness)
-        sig = np.where(table.pos, 1, -1)
-    elif kind == "max":
-        sig = np.where(table.pos, 1, -1)
-    else:
+    if kind == "min":
         sig = np.where(table.neg, -1, 1)
-    return SquareMatrix((sig * table.dist).astype(np.int64), f"d{kind}")
+    else:
+        sig = np.where(table.pos, 1, -1)
+    return SquareMatrix(sig * table.dist, f"d{kind}")
 
 
 def transmission(table: DistanceTable) -> np.ndarray:

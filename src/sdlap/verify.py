@@ -3,9 +3,9 @@
 Each suite checks one identity on a seeded stream of random graphs and
 returns a SuiteReport; the CLI `verify` verb and the acceptance tests are
 both thin wrappers over these functions. Every suite is deterministic for
-a fixed seed, and its signature holds its default sizes. The spectral
-suites also fail on a distance Laplacian that is not positive
-semidefinite.
+a fixed seed, its signature holds its default sizes, and it raises
+ValueError at sizes that would test nothing. The spectral suites also
+fail on a distance Laplacian that is not positive semidefinite.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .spectra import cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
 
 # Smallest vertex-count bound a suite accepts, and the smallest cycle
 # transmission-shift checks. Random graphs have 2 to n_max vertices and
-# the cycles 3 to n_max, so a lower bound either crashes or passes
-# without testing anything.
+# the cycles 3 to n_max, so a lower bound, like a count below 1, either
+# crashes or passes without testing anything.
 MIN_VERIFY_N = 3
 
 # Largest deviation of an eigensolver spectrum from cycle_spectrum.
@@ -70,6 +70,13 @@ class SuiteReport:
         return asdict(self)
 
 
+def _check_sizes(n_max: int, count: int = 1) -> None:
+    if count < 1:
+        raise ValueError(f"instance count must be at least 1, got {count}")
+    if n_max < MIN_VERIFY_N:
+        raise ValueError(f"vertex count bound must be at least {MIN_VERIFY_N}, got {n_max}")
+
+
 def _random_connected(rng: random.Random, n_max: int) -> SignedGraph:
     """Mixed stream of balanced and unbalanced connected signed graphs."""
     n = rng.randint(2, n_max)
@@ -98,6 +105,7 @@ def _psd_minimum(report: SuiteReport, values, label: str) -> float:
 def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> SuiteReport:
     """det_exact(weighted Laplacian) == forest_det, exactly, on random
     connected graphs with integer weights that forest_det does not refuse."""
+    _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("forest-theorem", True, count)
     max_diff = 0
@@ -131,6 +139,7 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
     Laplacians are positive semidefinite, reporting the smallest
     eigenvalue seen.
     """
+    _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("balance-equivalence", True, count)
     balanced_count = 0
@@ -173,6 +182,7 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
     cospectral. Checks that identity on L^pm entrywise in int64, reporting
     the largest entry difference, and that L(switch(g, ζ)) is positive
     semidefinite."""
+    _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("cospectrality", True, count)
     max_dev = 0
@@ -207,6 +217,7 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
     odd-cycle formula (odd_cycle_formula_spectrum) is from the spectrum
     of the all-negative odd cycles.
     """
+    _check_sizes(n_max)
     report = SuiteReport("transmission-shift", True, 0)
     max_dev = 0.0
     min_eig = float("inf")
@@ -243,6 +254,7 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
                                   seed: int = 1) -> SuiteReport:
     """H @ H.T reproduces the weighted Laplacian exactly (integer weights)
     for several random orientations of each random graph."""
+    _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("incidence-factorization", True, count)
     max_dev = 0.0
@@ -278,8 +290,6 @@ def run_suite(name: str, n_max: int | None = None, seed: int = 1) -> SuiteReport
     bounding the vertex count instead."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    if n_max is not None and n_max < MIN_VERIFY_N:
-        raise ValueError(f"vertex count bound must be at least {MIN_VERIFY_N}, got {n_max}")
     # Looked up by name, so a rebound suite (a test double, a timer) runs.
     suite = globals()[SUITES[name].__name__]
     return suite(seed=seed) if n_max is None else suite(n_max=n_max, seed=seed)

@@ -610,7 +610,7 @@ def test_closed_form_has_no_size_bound():
 
 
 def test_det_decider_on_signed_path():
-    report = is_balanced_det(generate("path", 3, "+-"), "all")
+    report = is_balanced_det(generate("path", 3, "+-"), "max")
     assert report.balanced
     assert report.determinant == 0
     assert report.method == "det-max"
@@ -631,7 +631,6 @@ def test_det_decider_on_mixed_square():
         assert report.method == f"det-{kind}"
     pm = is_balanced_det(g, "pm")
     assert not pm.balanced and pm.determinant is None
-    assert is_balanced_det(g, "all").determinant == 84
 
 
 def balanced_graph(n, seed):
@@ -656,14 +655,14 @@ def test_balanced_verdicts_are_proved_by_the_switching_function(monkeypatch):
     calls = counted_det_exact(monkeypatch)
     for n in (3, 12, _MODULAR_MIN_ORDER + 5):
         g = balanced_graph(n, n)
-        for kind in ("max", "min", "pm", "all"):
+        for kind in ("max", "min", "pm"):
             report = is_balanced_det(g, kind)
             assert report.balanced and report.determinant == 0
             assert report.certificate == is_balanced_switching(g).certificate
     assert calls == []
 
 
-def test_all_kinds_build_each_laplacian_once(monkeypatch):
+def test_all_kinds_build_each_laplacian_once(monkeypatch, capsys, tmp_path):
     built = []
     real = sdlap.balance.distance_laplacian_from_table
 
@@ -672,8 +671,27 @@ def test_all_kinds_build_each_laplacian_once(monkeypatch):
         return real(table, kind)
 
     monkeypatch.setattr(sdlap.balance, "distance_laplacian_from_table", counted)
-    is_balanced_det(balanced_graph(10, 7), "all")
-    assert sorted(built) == ["max", "min", "pm"]
+    g = balanced_graph(10, 7)
+    for kind in ("max", "min", "pm"):
+        built.clear()
+        is_balanced_det(g, kind)
+        assert built == [kind]
+    # unbalanced and incompatible (antipodes of an even cycle), on the
+    # multimodular route: the default det method eliminates L^max alone
+    n = _MODULAR_MIN_ORDER + 4
+    h = generate("cycle", n, "-" + "+" * (n - 1))
+    assert not is_compatible(distance_table(h))[0]
+    path = tmp_path / "cycle.sg"
+    path.write_text(serialize(h))
+    calls = counted_det_exact(monkeypatch)
+    assert main(["balance", str(path), "--method", "det"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "det-max"
+    assert len(calls) == 1
+
+
+def test_det_decider_rejects_kind_all():
+    with pytest.raises(ValueError, match="kind must be one of"):
+        is_balanced_det(generate("cycle", 4, "+++-"), "all")
 
 
 def test_certificate_that_misses_the_kernel_falls_back_to_the_determinant(monkeypatch):
@@ -690,7 +708,7 @@ def test_certificate_that_misses_the_kernel_falls_back_to_the_determinant(monkey
 def test_claimed_balance_on_unbalanced_graph_still_raises(zeta):
     g = generate("cycle", 4, "+++-")
     claim = BalanceReport(True, "switching", zeta)
-    for kind in ("max", "min", "all"):
+    for kind in ("max", "min"):
         with pytest.raises(ArithmeticError, match="contradicts"):
             is_balanced_det(g, kind, switching=claim)
 
@@ -698,7 +716,7 @@ def test_claimed_balance_on_unbalanced_graph_still_raises(zeta):
 def test_claimed_imbalance_on_balanced_graph_still_raises():
     g = balanced_graph(_MODULAR_MIN_ORDER + 2, 5)
     claim = BalanceReport(False, "switching", (0, 1, 2))
-    for kind in ("max", "min", "pm", "all"):
+    for kind in ("max", "min", "pm"):
         with pytest.raises(ArithmeticError, match="contradicts"):
             is_balanced_det(g, kind, switching=claim)
 
@@ -741,7 +759,7 @@ def test_decider_verdicts_are_switching_invariant():
         g = random_connected_graph(rng, 2, 6)
         zeta = [rng.choice((1, -1)) for _ in range(g.n)]
         h = switch(g, zeta)
-        assert is_balanced_det(g, "all").balanced == is_balanced_det(h, "all").balanced
+        assert is_balanced_det(g, "max").balanced == is_balanced_det(h, "max").balanced
         assert is_balanced_forest(g).balanced == is_balanced_forest(h).balanced
 
 

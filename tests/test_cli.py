@@ -239,10 +239,10 @@ def test_matrix_prints_every_digit_of_large_integer_entries(capsys, tmp_path):
 @pytest.mark.parametrize("args", [
     ("matrix", "--kind", "lmax", "--format", "csv"),
     ("balance",),
-    ("balance", "--method", "det", "--kind", "all"),
+    ("balance", "--method", "det", "--kind", "pm"),
     ("balance", "--method", "forest"),
     ("forests", "--list"),
-], ids=["matrix", "balance", "balance-det-all", "balance-forest", "forests-list"])
+], ids=["matrix", "balance", "balance-det-pm", "balance-forest", "forests-list"])
 def test_benchmark_tracer_finds_every_entry_point(capsys, monkeypatch, c3_all_negative,
                                                    args):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
@@ -271,9 +271,9 @@ def test_balance_both_matches_documented_output(capsys, c4_one_negative):
 
 @pytest.mark.parametrize("args", [
     (),
-    ("--method", "det", "--kind", "all"),
+    ("--method", "det", "--kind", "pm"),
     ("--method", "forest"),
-], ids=["both", "det-all", "forest"])
+], ids=["both", "det-pm", "forest"])
 def test_balance_both_builds_one_table_and_one_switching_run(
         capsys, monkeypatch, c4_one_negative, args):
     import sdlap.balance
@@ -298,13 +298,33 @@ def test_balance_both_builds_one_table_and_one_switching_run(
     assert calls["table"] <= 1 and calls["switching"] == 1
 
 
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "unbalanced"])
+def test_balance_output_passes_the_benchmark_check(capsys, monkeypatch, tmp_path, balanced):
+    # perfbench/workloads.py imports its oracle as a top-level module
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    # n = 40 takes the multimodular determinant route, as the benchmark does
+    make = workloads._balanced_spec if balanced else workloads._unbalanced_spec
+    spec = make("g", 40, random.Random(40))
+    text = spec.build()
+    path = tmp_path / "g.sg"
+    path.write_text(text)
+    graph = workloads.InputGraph(spec, path, text)
+    check, controls = workloads._check_balance(graph)
+    code, out, _ = run(capsys, "balance", str(path))
+    assert code == 0 and json.loads(out)["balanced"] is balanced
+    assert check(out) is None
+    assert check(controls["determinant off by one"](out)) is not None
+
+
 BALANCED_5 = "5\n1 2 -\n2 3 -\n3 4 +\n4 5 -\n1 5 -\n1 3 +\n2 4 -\n"
 
 
 def test_balance_outputs_on_a_balanced_graph_are_unchanged(capsys, tmp_path):
     path = tmp_path / "balanced5.sg"
     path.write_text(BALANCED_5)
-    code, out, _ = run(capsys, "balance", str(path), "--method", "det", "--kind", "all")
+    code, out, _ = run(capsys, "balance", str(path), "--method", "det")
     assert code == 0
     assert out == (
         '{\n  "balanced": true,\n  "method": "det-max",\n  "determinant": "0",\n'
@@ -632,6 +652,22 @@ def test_run_suite_rejects_vertex_bounds_below_three():
         run_suite("transmission-shift", n_max=2)
 
 
+@pytest.mark.parametrize("suite, sizes, message", [
+    ("forest_theorem_suite", {"count": 0}, "at least 1"),
+    ("balance_equivalence_suite", {"count": 0}, "at least 1"),
+    ("cospectrality_suite", {"count": 0}, "at least 1"),
+    ("incidence_factorization_suite", {"count": 0}, "at least 1"),
+    ("cospectrality_suite", {"n_max": 1}, "at least 3"),
+    ("transmission_shift_suite", {"n_max": 2}, "at least 3"),
+], ids=["forest-theorem-count", "balance-equivalence-count", "cospectrality-count",
+        "incidence-factorization-count", "cospectrality-n", "transmission-shift-n"])
+def test_suites_refuse_sizes_that_test_nothing(suite, sizes, message):
+    import sdlap.verify
+
+    with pytest.raises(ValueError, match=message):
+        getattr(sdlap.verify, suite)(**sizes)
+
+
 def test_transmission_shift_suite_builds_one_table_per_cycle(monkeypatch):
     import sdlap.verify
 
@@ -749,6 +785,13 @@ def test_verify_rejects_unknown_suite(capsys):
 
 def test_unknown_flag_exits_2(capsys, c3_all_negative):
     assert run(capsys, "spectrum", c3_all_negative, "--frobnicate")[0] == 2
+
+
+def test_balance_kind_all_exits_2(capsys, c3_all_negative):
+    code, out, err = run(capsys, "balance", c3_all_negative, "--method", "det",
+                         "--kind", "all")
+    assert code == 2
+    assert out == "" and "invalid choice" in err
 
 
 def test_missing_file_exits_2(capsys):
