@@ -33,6 +33,7 @@ from .distance import (
     DistanceTable,
     IncompatibleGraphError,
     associated_complete,
+    distance_laplacian,
     distance_matrix,
     distance_table,
     is_compatible,
@@ -42,8 +43,6 @@ from .matrices import (
     IncidenceMatrix,
     SquareMatrix,
     adjacency_matrix,
-    distance_laplacian,
-    distance_laplacian_from_table,
     incidence_matrix,
     weighted_degree_matrix,
     weighted_laplacian,

@@ -41,8 +41,8 @@ from .core import (
     switch,
 )
 from .distance import (DisconnectedGraphError, DistanceTable, IncompatibleGraphError,
-                       distance_table)
-from .matrices import SquareMatrix, distance_laplacian_from_table
+                       distance_laplacian, distance_table)
+from .matrices import SquareMatrix
 
 # Nodes per 1-forest search: K8 needs 5.1e6, at 2 to 5 us each (CHANGES.md).
 ENUMERATION_MAX_NODES = 16_000_000
@@ -526,7 +526,7 @@ def is_balanced_det(g: SignedGraph, kind: str = "max", *,
     if switching is None:
         switching = is_balanced_switching(g)
     try:
-        lap = distance_laplacian_from_table(table, kind)
+        lap = distance_laplacian(table, kind)
     except IncompatibleGraphError:
         if switching.balanced:
             raise ArithmeticError("balanced graph found incompatible; this is a bug")

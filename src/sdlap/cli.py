@@ -38,6 +38,7 @@ from .distance import (
     DISTANCE_KINDS,
     DisconnectedGraphError,
     IncompatibleGraphError,
+    distance_laplacian,
     distance_matrix,
     distance_table,
     is_compatible,
@@ -45,7 +46,6 @@ from .distance import (
 )
 from .matrices import (
     adjacency_matrix,
-    distance_laplacian_from_table,
     incidence_matrix,
     weighted_degree_matrix,
     weighted_laplacian,
@@ -99,7 +99,7 @@ def _build_matrix(g: SignedGraph, kind: str):
     if kind in ("dmax", "dmin", "dpm"):
         return distance_matrix(distance_table(g), kind[1:])
     if kind in ("lmax", "lmin", "lpm"):
-        return distance_laplacian_from_table(distance_table(g), kind[1:])
+        return distance_laplacian(distance_table(g), kind[1:])
     if kind == "adjacency":
         return adjacency_matrix(g)
     if kind == "degree":

@@ -1,4 +1,5 @@
-"""All-pairs hop distances with shortest-path sign classification.
+"""All-pairs hop distances with shortest-path sign classification, and the
+signed distance matrices, transmissions and Laplacians derived from them.
 
 distance_table runs one breadth-first search for every source at once,
 level by level, as whole-array boolean operations in the style of
@@ -200,18 +201,26 @@ def transmission(table: DistanceTable) -> np.ndarray:
     return table.dist.sum(axis=1)
 
 
-def associated_complete(g: SignedGraph, table: DistanceTable, kind: str) -> SignedGraph:
-    """Complete the graph: each vertex pair gets an edge whose sign and
-    weight are those of its entry in distance_matrix(table, kind), the
-    pair's sigma_max (or sigma_min) and hop distance.
+def distance_laplacian(table: DistanceTable, kind: str) -> SquareMatrix:
+    """Transmission diagonal minus distance_matrix(table, kind), labelled
+    "l" + kind; "pm" raises IncompatibleGraphError as distance_matrix does."""
+    d = distance_matrix(table, kind)
+    return SquareMatrix(np.diag(transmission(table)) - d.entries, f"l{kind}")
 
-    An edge of g keeps its own sign with weight 1, because it is the
-    unique shortest path between its ends. Edges come out in
+
+def associated_complete(table: DistanceTable, kind: str) -> SignedGraph:
+    """Complete graph on the table's vertices: each vertex pair gets an
+    edge whose sign and weight are those of its entry in
+    distance_matrix(table, kind), the pair's sigma_max (or sigma_min) and
+    hop distance.
+
+    An edge of the tabled graph keeps its own sign with weight 1, because
+    it is the unique shortest path between its ends. Edges come out in
     lexicographic endpoint order.
     """
     if kind not in ("max", "min"):
         raise ValueError(f"kind must be 'max' or 'min', got {kind!r}")
-    u, v = np.triu_indices(g.n, 1)
+    u, v = np.triu_indices(table.n, 1)
     d = distance_matrix(table, kind).entries[u, v]
     edges = zip(u.tolist(), v.tolist(), np.sign(d).tolist())
-    return SignedGraph(g.n, tuple(edges), tuple(np.abs(d).tolist()))
+    return SignedGraph(table.n, tuple(edges), tuple(np.abs(d).tolist()))

@@ -1,5 +1,6 @@
-"""Dense matrix builders: weighted adjacency, degree, Laplacian, oriented
-incidence, and the two signed distance Laplacians."""
+"""Dense matrices and their builders from edge weights: weighted
+adjacency, degree, Laplacian and oriented incidence. The signed distance
+matrices and Laplacians are built in distance."""
 
 from __future__ import annotations
 
@@ -194,24 +195,3 @@ def incidence_matrix(g: SignedGraph,
         h[tail, j] = s * root
         h[head, j] = -root
     return IncidenceMatrix(h, orientation)
-
-
-def distance_laplacian(g: SignedGraph, kind: str) -> SquareMatrix:
-    """Transmission diagonal minus the signed distance matrix of the kind.
-
-    kind is "max", "min", or "pm"; "pm" requires every vertex pair to be
-    compatible and raises IncompatibleGraphError with a witness otherwise.
-    Distances are hop counts, so weights on g are ignored.
-    """
-    from .distance import distance_table
-
-    return distance_laplacian_from_table(distance_table(g), kind)
-
-
-def distance_laplacian_from_table(table, kind: str) -> SquareMatrix:
-    """Same as distance_laplacian but reusing an existing distance table."""
-    from .distance import distance_matrix, transmission
-
-    d = distance_matrix(table, kind)
-    entries = np.diag(transmission(table)) - d.entries
-    return SquareMatrix(entries, f"l{kind}")

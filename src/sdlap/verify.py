@@ -17,12 +17,8 @@ import numpy as np
 
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
 from .core import SignedGraph, generate, switch
-from .distance import distance_table, is_compatible, transmission
-from .matrices import (
-    distance_laplacian_from_table,
-    incidence_matrix,
-    weighted_laplacian,
-)
+from .distance import distance_laplacian, distance_table, is_compatible, transmission
+from .matrices import incidence_matrix, weighted_laplacian
 from .spectra import cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
 
 # Smallest vertex-count bound a suite accepts, and the smallest cycle
@@ -150,14 +146,12 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
         if not sw.verify(g):
             report.record_failure(f"instance {i}: certificate failed to verify")
         table = distance_table(g)
-        lmax = distance_laplacian_from_table(table, "max")
-        lmin = distance_laplacian_from_table(table, "min")
+        lmax = distance_laplacian(table, "max")
+        lmin = distance_laplacian(table, "min")
         det_max = det_exact(lmax)
         det_min = det_exact(lmin)
         compatible, _ = is_compatible(table)
-        pm_verdict = compatible and det_exact(
-            distance_laplacian_from_table(table, "pm")
-        ) == 0
+        pm_verdict = compatible and det_exact(distance_laplacian(table, "pm")) == 0
         verdicts = (sw.balanced, det_max == 0, det_min == 0, pm_verdict)
         if len(set(verdicts)) != 1:
             report.record_failure(
@@ -192,8 +186,8 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
         p = 1.0 if n <= 2 else rng.uniform(0.3, 0.95)
         g_pos = generate("random", n, signs="allpos", seed=rng.getrandbits(32), p=p)
         zeta = [rng.choice((1, -1)) for _ in range(n)]
-        lap = distance_laplacian_from_table(distance_table(switch(g_pos, zeta)), "pm")
-        lap_pos = distance_laplacian_from_table(distance_table(g_pos), "pm")
+        lap = distance_laplacian(distance_table(switch(g_pos, zeta)), "pm")
+        lap_pos = distance_laplacian(distance_table(g_pos), "pm")
         z = np.array(zeta, dtype=np.int64)
         dev = int(np.abs(lap.entries - z[:, None] * lap_pos.entries * z).max())
         max_dev = max(max_dev, dev)
@@ -232,7 +226,7 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
             expected = cycle_spectrum(n, sign).eigenvalues
             for kind in ("max", "min"):
                 report.instances += 1
-                values = sym_eig(distance_laplacian_from_table(table, kind)).eigenvalues
+                values = sym_eig(distance_laplacian(table, kind)).eigenvalues
                 dev = max(abs(x - y) for x, y in zip(values, expected))
                 if dev > _SPECTRUM_TOL:
                     report.record_failure(

@@ -82,7 +82,7 @@ def test_criterion_2_balance_tri_equivalence(balance_report):
 
 
 def test_criterion_3_golden_all_negative_triangle():
-    lap = distance_laplacian(generate("cycle", 3, "allneg"), "pm")
+    lap = distance_laplacian(distance_table(generate("cycle", 3, "allneg")), "pm")
     det = det_exact(lap)
     values = np.array(sym_eig(lap).eigenvalues)
     deviation = float(np.abs(values - np.array([1.0, 1.0, 4.0])).max())
@@ -96,10 +96,10 @@ def test_criterion_3_golden_all_negative_triangle():
 def test_criterion_4_golden_mixed_square():
     g = generate("cycle", 4, "+++-")
     table = distance_table(g)
-    det_max = det_exact(distance_laplacian(g, "max"))
-    det_min = det_exact(distance_laplacian(g, "min"))
-    forest_max = forest_det(associated_complete(g, table, "max"))
-    forest_min = forest_det(associated_complete(g, table, "min"))
+    det_max = det_exact(distance_laplacian(distance_table(g), "max"))
+    det_min = det_exact(distance_laplacian(distance_table(g), "min"))
+    forest_max = forest_det(associated_complete(table, "max"))
+    forest_min = forest_det(associated_complete(table, "min"))
     announce(
         4,
         det_max == det_min == forest_max == forest_min == 84,
@@ -172,7 +172,7 @@ def test_criterion_9_positive_semidefinite(balance_report, cospectral_report,
 def test_criterion_10_odd_cycle_formula_comparator(shift_report):
     deviations = []
     for k in range(1, 8):
-        lap = distance_laplacian(generate("cycle", 2 * k + 1, "allneg"), "pm")
+        lap = distance_laplacian(distance_table(generate("cycle", 2 * k + 1, "allneg")), "pm")
         numeric = sym_eig(lap).eigenvalues
         closed = cycle_spectrum(2 * k + 1, -1).eigenvalues
         deviations.append(max(abs(x - y) for x, y in zip(numeric, closed)))

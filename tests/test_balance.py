@@ -70,9 +70,9 @@ def random_rows(rng, n, lo=-9, hi=9):
 
 
 def test_det_exact_golden_values():
-    assert det_exact(distance_laplacian(generate("cycle", 3, "allneg"), "pm")) == 4
-    assert det_exact(distance_laplacian(generate("path", 3, "+-"), "pm")) == 0
-    assert det_exact(distance_laplacian(generate("cycle", 4, "+++-"), "max")) == 84
+    assert det_exact(distance_laplacian(distance_table(generate("cycle", 3, "allneg")), "pm")) == 4
+    assert det_exact(distance_laplacian(distance_table(generate("path", 3, "+-")), "pm")) == 0
+    assert det_exact(distance_laplacian(distance_table(generate("cycle", 4, "+++-")), "max")) == 84
 
 
 def test_det_exact_matches_permutation_expansion():
@@ -136,7 +136,7 @@ def test_routes_agree_on_laplacians_on_both_sides_of_the_threshold():
     for n in (_MODULAR_MIN_ORDER - 1, _MODULAR_MIN_ORDER + 8):
         g = generate("random", n, 0.5, seed=n, p=8 / n)
         for kind in ("max", "min"):
-            lap = distance_laplacian(g, kind)
+            lap = distance_laplacian(distance_table(g), kind)
             assert det_exact(lap) == both_routes(lap.entries.tolist())
 
 
@@ -312,7 +312,7 @@ def test_trees_have_no_spanning_1forests():
 
 def test_mixed_square_completion_forest_census():
     g = generate("cycle", 4, "+++-")
-    completion = associated_complete(g, distance_table(g), "max")
+    completion = associated_complete(distance_table(g), "max")
     forests = enumerate_spanning_1forests(completion)
     assert len(forests) == 15
     contra = enumerate_spanning_1forests(completion, contrabalanced_only=True)
@@ -437,13 +437,13 @@ def test_forest_det_golden_values():
     assert forest_det(weighted_negative_triangle()) == 120
     g = generate("cycle", 4, "+++-")
     table = distance_table(g)
-    assert forest_det(associated_complete(g, table, "max")) == 84
-    assert forest_det(associated_complete(g, table, "min")) == 84
+    assert forest_det(associated_complete(table, "max")) == 84
+    assert forest_det(associated_complete(table, "min")) == 84
 
 
 def test_forest_det_contributions_of_mixed_square_completion():
     g = generate("cycle", 4, "+++-")
-    completion = associated_complete(g, distance_table(g), "max")
+    completion = associated_complete(distance_table(g), "max")
     weights = completion.weights
 
     def contribution(f):
@@ -664,13 +664,13 @@ def test_balanced_verdicts_are_proved_by_the_switching_function(monkeypatch):
 
 def test_all_kinds_build_each_laplacian_once(monkeypatch, capsys, tmp_path):
     built = []
-    real = sdlap.balance.distance_laplacian_from_table
+    real = sdlap.balance.distance_laplacian
 
     def counted(table, kind):
         built.append(kind)
         return real(table, kind)
 
-    monkeypatch.setattr(sdlap.balance, "distance_laplacian_from_table", counted)
+    monkeypatch.setattr(sdlap.balance, "distance_laplacian", counted)
     g = balanced_graph(10, 7)
     for kind in ("max", "min", "pm"):
         built.clear()
@@ -738,10 +738,10 @@ def test_tri_equivalence_on_random_graphs():
         g = random_connected_graph(rng, 2, 8)
         sw = is_balanced_switching(g).balanced
         table = distance_table(g)
-        det_max = det_exact(distance_laplacian(g, "max"))
-        det_min = det_exact(distance_laplacian(g, "min"))
+        det_max = det_exact(distance_laplacian(distance_table(g), "max"))
+        det_min = det_exact(distance_laplacian(distance_table(g), "min"))
         compatible, _ = is_compatible(table)
-        pm_verdict = compatible and det_exact(distance_laplacian(g, "pm")) == 0
+        pm_verdict = compatible and det_exact(distance_laplacian(distance_table(g), "pm")) == 0
         assert sw == (det_max == 0) == (det_min == 0) == pm_verdict
         assert det_max >= 0 and det_min >= 0
 

@@ -318,6 +318,34 @@ def test_balance_output_passes_the_benchmark_check(capsys, monkeypatch, tmp_path
     assert check(controls["determinant off by one"](out)) is not None
 
 
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "unbalanced"])
+def test_distance_outputs_pass_the_benchmark_checks(capsys, monkeypatch, tmp_path, balanced):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    make = workloads._balanced_spec if balanced else workloads._unbalanced_spec
+    spec = make("g", 60, random.Random(60))
+    text = spec.build()
+    path = tmp_path / "g.sg"
+    path.write_text(text)
+    graph = workloads.InputGraph(spec, path, text)
+    # balanced graphs are compatible, so their pm Laplacian exists
+    kind = "pm" if balanced else "max"
+    cases = [
+        (["info"], workloads._check_info(graph)),
+        (["matrix", "--kind", "lmin", "--format", "csv"],
+         workloads._check_matrix_csv(graph, "lmin")),
+        (["matrix", "--kind", "dmax"], workloads._check_matrix_json(graph, "dmax")),
+        (["spectrum", "--kind", "l" + kind], workloads._check_spectrum(graph, kind)),
+    ]
+    for argv, (check, controls) in cases:
+        code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0, argv
+        assert check(out) is None, argv
+        for name, corrupt in controls.items():
+            assert check(corrupt(out)) is not None, (argv, name)
+
+
 BALANCED_5 = "5\n1 2 -\n2 3 -\n3 4 +\n4 5 -\n1 5 -\n1 3 +\n2 4 -\n"
 
 
@@ -345,7 +373,7 @@ def test_balance_json_matches_bareiss_above_the_order_threshold(
         capsys, tmp_path, n, balanced):
     import random
 
-    from sdlap import distance_laplacian, generate, serialize, switch
+    from sdlap import distance_laplacian, distance_table, generate, serialize, switch
     from sdlap.balance import _MODULAR_MIN_ORDER, _det_bareiss
 
     assert n >= _MODULAR_MIN_ORDER
@@ -357,7 +385,7 @@ def test_balance_json_matches_bareiss_above_the_order_threshold(
         g = generate("random", n, 0.5, seed=n, p=8 / n)
     path = tmp_path / "g.sg"
     path.write_text(serialize(g))
-    dets = {kind: _det_bareiss(distance_laplacian(g, kind).entries.tolist())
+    dets = {kind: _det_bareiss(distance_laplacian(distance_table(g), kind).entries.tolist())
             for kind in ("max", "min")}
     assert (dets["max"] == 0) is balanced
     expected = json.dumps({

@@ -310,14 +310,14 @@ def test_cycle_transmission_formula():
 def test_associated_complete_of_mixed_square():
     g = c4_one_negative()
     table = distance_table(g)
-    kmax = associated_complete(g, table, "max")
+    kmax = associated_complete(table, "max")
     assert {(u, v): s for u, v, s in kmax.edges} == {
         (0, 1): 1, (0, 2): 1, (0, 3): -1, (1, 2): 1, (1, 3): 1, (2, 3): 1,
     }
     assert dict(zip([(u, v) for u, v, _ in kmax.edges], kmax.weights)) == {
         (0, 1): 1.0, (0, 2): 2.0, (0, 3): 1.0, (1, 2): 1.0, (1, 3): 2.0, (2, 3): 1.0,
     }
-    kmin = associated_complete(g, table, "min")
+    kmin = associated_complete(table, "min")
     assert {(u, v): s for u, v, s in kmin.edges} == {
         (0, 1): 1, (0, 2): -1, (0, 3): -1, (1, 2): 1, (1, 3): -1, (2, 3): 1,
     }
@@ -328,13 +328,25 @@ def test_associated_complete_of_complete_graph_is_itself():
     g = generate("complete", 4, 0.5, seed=3)
     table = distance_table(g)
     for kind in ("max", "min"):
-        assert associated_complete(g, table, kind) == g
+        assert associated_complete(table, kind) == g
+
+
+def test_associated_complete_takes_its_order_from_the_table():
+    # a graph argument could disagree with the table on the vertex count
+    table = distance_table(generate("cycle", 5, "allneg"))
+    completion = associated_complete(table, "max")
+    assert (completion.n, completion.m) == (5, 10)
+    d = distance_matrix(table, "max").entries
+    for (u, v, s), w in zip(completion.edges, completion.weights):
+        assert s * w == d[u, v]
+    with pytest.raises(TypeError):
+        associated_complete(generate("cycle", 3, "allpos"), table, "max")
 
 
 def test_associated_complete_rejects_pm():
     g = generate("path", 2, "allpos")
     with pytest.raises(ValueError, match="kind"):
-        associated_complete(g, distance_table(g), "pm")
+        associated_complete(distance_table(g), "pm")
 
 
 # ---------------------------------------------------------------- switching

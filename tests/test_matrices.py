@@ -181,22 +181,22 @@ def test_random_incidence_factorization_is_exact_for_integer_weights():
 
 
 def test_distance_laplacian_of_all_negative_triangle():
-    m = distance_laplacian(generate("cycle", 3, "allneg"), "pm")
+    m = distance_laplacian(distance_table(generate("cycle", 3, "allneg")), "pm")
     assert m.entries.tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
     assert m.exact and m.kind == "lpm"
 
 
 def test_distance_laplacian_of_signed_path():
-    m = distance_laplacian(generate("path", 3, "+-"), "pm")
+    m = distance_laplacian(distance_table(generate("path", 3, "+-")), "pm")
     assert m.entries.tolist() == [[3, -1, 2], [-1, 2, 1], [2, 1, 3]]
 
 
 def test_distance_laplacian_of_mixed_square():
     g = generate("cycle", 4, "+++-")
-    lmax = distance_laplacian(g, "max")
+    lmax = distance_laplacian(distance_table(g), "max")
     assert lmax.entries[0].tolist() == [4, -1, -2, 1]
     with pytest.raises(IncompatibleGraphError):
-        distance_laplacian(g, "pm")
+        distance_laplacian(distance_table(g), "pm")
 
 
 def test_distance_laplacian_bridge_to_associated_complete():
@@ -205,8 +205,8 @@ def test_distance_laplacian_bridge_to_associated_complete():
         g = random_connected_graph(rng, 2, 7)
         table = distance_table(g)
         for kind in ("max", "min"):
-            direct = distance_laplacian(g, kind)
-            completed = weighted_laplacian(associated_complete(g, table, kind))
+            direct = distance_laplacian(distance_table(g), kind)
+            completed = weighted_laplacian(associated_complete(table, kind))
             assert np.array_equal(direct.entries, completed.entries)
 
 
@@ -220,9 +220,9 @@ def test_pm_matches_max_and_min_on_compatible_graphs():
         if not is_compatible(distance_table(g))[0]:
             continue
         seen += 1
-        pm = distance_laplacian(g, "pm").entries
-        assert np.array_equal(pm, distance_laplacian(g, "max").entries)
-        assert np.array_equal(pm, distance_laplacian(g, "min").entries)
+        pm = distance_laplacian(distance_table(g), "pm").entries
+        assert np.array_equal(pm, distance_laplacian(distance_table(g), "max").entries)
+        assert np.array_equal(pm, distance_laplacian(distance_table(g), "min").entries)
 
 
 def test_matrices_are_symmetric_and_distance_laplacians_psd():
@@ -234,13 +234,13 @@ def test_matrices_are_symmetric_and_distance_laplacians_psd():
             adjacency_matrix(wg),
             weighted_degree_matrix(wg),
             weighted_laplacian(wg),
-            distance_laplacian(g, "max"),
-            distance_laplacian(g, "min"),
+            distance_laplacian(distance_table(g), "max"),
+            distance_laplacian(distance_table(g), "min"),
         ):
             assert np.array_equal(m.entries, m.entries.T)
         for kind in ("max", "min"):
             eigs = np.linalg.eigvalsh(
-                distance_laplacian(g, kind).entries.astype(float)
+                distance_laplacian(distance_table(g), kind).entries.astype(float)
             )
             assert eigs.min() >= -1e-9
         lap_eigs = np.linalg.eigvalsh(weighted_laplacian(wg).entries.astype(float))
@@ -251,7 +251,7 @@ def test_matrices_are_symmetric_and_distance_laplacians_psd():
 
 
 def test_square_matrix_exports():
-    m = distance_laplacian(generate("cycle", 4, "+++-"), "max")
+    m = distance_laplacian(distance_table(generate("cycle", 4, "+++-")), "max")
     assert m.to_csv().splitlines()[0] == "4,-1,-2,1"
     obj = m.to_json_obj()
     assert obj == {"n": 4, "kind": "lmax", "rows": m.entries.tolist()}

@@ -1,0 +1,57 @@
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "sdlap").glob("*.py")}
+
+
+def test_package_imports_only_at_module_level():
+    nested = [f"{name}.py:{node.lineno}" for name, tree in _modules().items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+    assert nested == []
+
+
+def test_package_import_graph_has_no_cycle():
+    modules = _modules()
+    # `from .x import`, function bodies included
+    edges = {name: {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1} & modules.keys()
+             for name, tree in modules.items()}
+    done, stack = set(), []
+
+    def visit(name):
+        if name in stack:
+            cycle = stack[stack.index(name):] + [name]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if name not in done:
+            stack.append(name)
+            for target in sorted(edges[name]):
+                visit(target)
+            stack.pop()
+            done.add(name)
+
+    for name in sorted(edges):
+        visit(name)
+    assert edges["matrices"] == {"core"}
+
+
+def test_readme_library_quick_start_runs_as_written():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Library quick start"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 6
+    assert lines[:2] == ["84", "False"]
+    eigenvalues = ast.literal_eval(lines[2])
+    assert len(eigenvalues) == 4 and list(eigenvalues) == sorted(eigenvalues)
+    assert lines[3:] == ["4", "120", "120"]

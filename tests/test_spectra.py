@@ -34,7 +34,7 @@ def test_sym_eig_of_two_by_two():
 
 
 def test_sym_eig_of_all_negative_triangle_laplacian():
-    lap = distance_laplacian(generate("cycle", 3, "allneg"), "pm")
+    lap = distance_laplacian(distance_table(generate("cycle", 3, "allneg")), "pm")
     values = sym_eig(lap).eigenvalues
     assert values == pytest.approx((1.0, 1.0, 4.0), abs=1e-9)
 
@@ -68,7 +68,7 @@ def test_sym_eig_matches_oracle_on_repeated_eigenvalues():
     graphs = [generate("cycle", 2 * k + 1, "allneg") for k in range(1, 6)]
     graphs += [generate("complete", 5, signs) for signs in ("allpos", "allneg")]
     for g in graphs:
-        lap = distance_laplacian(g, "pm")
+        lap = distance_laplacian(distance_table(g), "pm")
         spectrum = sym_eig(lap)
         oracle = jacobi_eigenvalues(lap.entries.astype(float))
         assert np.abs(np.array(spectrum.eigenvalues) - oracle).max() < 1e-9
@@ -112,7 +112,7 @@ def test_sym_eig_trace_and_determinant_identities():
     rng = random.Random(81)
     for _ in range(30):
         g = random_connected_graph(rng, 2, 8)
-        lap = distance_laplacian(g, "max")
+        lap = distance_laplacian(distance_table(g), "max")
         spectrum = sym_eig(lap)
         n = lap.n
         scale = float(np.abs(lap.entries).max())
@@ -155,15 +155,15 @@ def test_spectrum_separates_values_beyond_tolerance():
 
 
 def test_balanced_path_is_cospectral_with_underlying_path():
-    signed = sym_eig(distance_laplacian(generate("path", 3, "+-"), "pm")).eigenvalues
-    plain = sym_eig(distance_laplacian(generate("path", 3, "allpos"), "pm")).eigenvalues
+    signed = sym_eig(distance_laplacian(distance_table(generate("path", 3, "+-")), "pm")).eigenvalues
+    plain = sym_eig(distance_laplacian(distance_table(generate("path", 3, "allpos")), "pm")).eigenvalues
     assert signed == pytest.approx(plain, abs=1e-8)
 
 
 def test_unbalanced_triangle_is_not_cospectral_with_underlying_triangle():
     assert cycle_spectrum(3, 1).eigenvalues == pytest.approx((0.0, 3.0, 3.0), abs=1e-12)
     assert cycle_spectrum(3, -1).eigenvalues == pytest.approx((1.0, 1.0, 4.0), abs=1e-12)
-    plain = distance_laplacian(generate("cycle", 3, "allpos"), "pm")
+    plain = distance_laplacian(distance_table(generate("cycle", 3, "allpos")), "pm")
     assert sym_eig(plain).eigenvalues == pytest.approx((0.0, 3.0, 3.0), abs=1e-9)
 
 
@@ -171,7 +171,7 @@ def test_shift_on_all_negative_c5():
     expected = (3.145898033750315, 3.145898033750315, 4.0, 9.854101966249685, 9.854101966249685)
     assert cycle_spectrum(5, -1).eigenvalues == pytest.approx(expected, abs=1e-12)
     assert [k for _, k in cycle_spectrum(5, -1).groups] == [2, 1, 2]
-    values = sym_eig(distance_laplacian(generate("cycle", 5, "allneg"), "pm")).eigenvalues
+    values = sym_eig(distance_laplacian(distance_table(generate("cycle", 5, "allneg")), "pm")).eigenvalues
     assert values == pytest.approx(expected, abs=1e-8)
 
 
@@ -200,7 +200,7 @@ def test_shift_holds_on_cycles_of_both_signatures():
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cycle_spectrum_matches_the_jacobi_oracle(sign):
     for n in range(3, 16):
-        lap = distance_laplacian(generate("cycle", n, "allpos" if sign > 0 else "allneg"), "max")
+        lap = distance_laplacian(distance_table(generate("cycle", n, "allpos" if sign > 0 else "allneg")), "max")
         oracle = jacobi_eigenvalues(lap.entries.astype(float))
         assert np.abs(np.array(cycle_spectrum(n, sign).eigenvalues) - oracle).max() < 1e-9
 
@@ -215,7 +215,7 @@ def test_cycle_spectrum_matches_switched_odd_cycles():
             g = switch(generate("cycle", n, signs), zeta)
             expected = np.array(cycle_spectrum(n, sign).eigenvalues)
             for kind in ("max", "min"):
-                values = np.array(sym_eig(distance_laplacian(g, kind)).eigenvalues)
+                values = np.array(sym_eig(distance_laplacian(distance_table(g), kind)).eigenvalues)
                 assert np.abs(values - expected).max() < 1e-9
 
 
