@@ -4,27 +4,44 @@ Balance is decided three independent ways: a switching oracle over a
 spanning tree, the exact integer determinant of any one signed distance
 Laplacian, and the matrix-forest sum over contrabalanced spanning
 1-forests. "Determinant equals zero" is always an exact predicate, never
-a tolerance, and each determinant takes one of three exact routes:
+a tolerance, and each determinant takes one of these exact routes:
 
 * Certificate. When the switching oracle reports a balanced graph with
   switching function zeta, L zeta = 0 is checked exactly in int64 (entries
   are below n**2). zeta is a nonzero +-1 vector, so this proves det L = 0
   in O(n^2) without elimination; if the check fails, det L is computed.
-* Multimodular (det_exact from order _MODULAR_MIN_ORDER on). The matrix
-  is reduced modulo primes below 2**23 and eliminated for a batch of
-  primes at once, as a float64 array, by blocked LU whose trailing update
-  is one batched matmul (Dumas, Giorgi & Pernet, ACM TOMS 2008). Every
-  value stays an integer below 2**53, so the float arithmetic is exact.
-  Primes are added until their product exceeds twice the Hadamard bound,
-  and the Chinese remainder theorem then gives the determinant itself:
-  the result is deterministic, not probabilistic.
-* Bareiss (smaller orders). Fraction-free elimination over Python
-  integers, which costs less than one modular elimination there.
+* Bareiss (det_exact below order _PADIC_MIN_ORDER). Fraction-free
+  elimination over Python integers, which costs less than one modular
+  elimination there.
+* p-adic (det_exact from order _PADIC_MIN_ORDER on). The matrix is
+  inverted once modulo the prime _LIFT_PRIME, and Dixon's p-adic lifting
+  (Numer. Math. 1982) solves A x = b for a fixed small-integer b to a
+  precision that rational reconstruction turns into x = y / d. A y = d b
+  with gcd(d, y) = 1 is checked in Python integers; by Cramer's rule it
+  proves that d divides det A. On distance Laplacians d is nearly all of
+  det A (Abbott, Bronstein & Mulders, ISSAC 1999), so the cofactor det / d
+  is recovered from det A modulo _LIFT_PRIME and, while the Hadamard bound
+  asks for them, further primes. The result is exact and deterministic.
+* Multimodular (the fallback from order _MODULAR_MIN_ORDER on, when the
+  p-adic route does not apply: A is singular modulo _LIFT_PRIME, which
+  includes det A = 0, its entries break the float invariant stated at
+  _LIFT_PRIME, or the certificate fails; below that order Bareiss is the
+  fallback). The matrix is reduced modulo primes below 2**23 and
+  eliminated for a batch of primes at once, as a float64 array, by blocked
+  LU whose trailing update is one batched matmul (Dumas, Giorgi & Pernet,
+  ACM TOMS 2008). Primes are added until their product exceeds twice the
+  Hadamard bound, and the Chinese remainder theorem then gives the
+  determinant itself.
+
+Both modular routes keep every float64 value an integer below 2**53, so
+their float arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -47,22 +64,40 @@ from .matrices import SquareMatrix
 # Nodes per 1-forest search: K8 needs 5.1e6, at 2 to 5 us each (CHANGES.md).
 ENUMERATION_MAX_NODES = 16_000_000
 
-# det_exact switches from Bareiss to the multimodular route at this order.
-# On distance Laplacians Bareiss was faster through n = 32 and slower from
-# n = 36 on (timings in CHANGES.md).
+# det_exact takes the p-adic route from this order on and Bareiss below
+# it: on distance Laplacians Bareiss was faster through n = 24 and slower
+# from n = 26 on (timings in CHANGES.md).
+_PADIC_MIN_ORDER = 26
+# When the p-adic route does not apply, det_exact falls back to Bareiss
+# below this order and to the multimodular route from it on; Bareiss was
+# faster than the multimodular route through n = 32 and slower from n = 36
+# on.
 _MODULAR_MIN_ORDER = 36
 # The multimodular route uses primes p < _PRIME_LIMIT and blocks of at most
 # _BLOCK columns. Reduced entries have magnitude below p, and at most
 # _BLOCK products of two of them accumulate before the next reduction, so
 # every value is an integer of magnitude at most _BLOCK * (p - 1)**2 + p.
 # With _BLOCK * (p - 1)**2 + 2 * p < 2**53, which _reduce also needs, all
-# float64 arithmetic is exact.
+# float64 arithmetic is exact. The p-adic inverse uses the same block
+# width, but its bound (at _LIFT_PRIME) does not depend on it.
 _PRIME_LIMIT = 1 << 23
 _BLOCK = 16
 # Primes eliminated together in one float64 array. Sixteen at once saved
 # about 15 % of the time but raised the peak memory of `balance` at
 # n = 140 by 10 % (CHANGES.md).
 _PRIME_CHUNK = 8
+# Lifting prime of the p-adic route, the largest prime below 2**20.
+# Residues have magnitude below p. Between reductions the Gauss-Jordan
+# inverse and the lifting step x = A^-1 r mod p hold at most
+# n * (p - 1)**2 + p, and the residual update r - A x, for an order-n
+# matrix with entries |a| <= amax and a right-hand side |b| <= bmax, at
+# most n * amax * p + bmax. So float64 arithmetic is exact while
+#     n * (p - 1)**2 + 2 * p < 2**53    (n <= 8192) and
+#     n * amax * p + bmax < 2**53,
+# and int64 column norms are exact while n * amax**2 < 2**63.
+# _lift_is_exact checks all three at run time; a matrix that fails them
+# takes the fallback route.
+_LIFT_PRIME = 1048573
 
 class SizeBoundError(ValueError):
     """A 1-forest search would visit more than ENUMERATION_MAX_NODES nodes."""
@@ -130,6 +165,8 @@ def _int_rows(m) -> list[list[int]]:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"square matrix required, got shape {arr.shape}")
     rows = arr.tolist()
+    if arr.dtype.kind in "iu":
+        return rows
     out: list[list[int]] = []
     for i, row in enumerate(rows):
         converted = []
@@ -147,14 +184,22 @@ def _int_rows(m) -> list[list[int]]:
 def det_exact(m) -> int:
     """Exact determinant of an integer matrix.
 
-    Orders below _MODULAR_MIN_ORDER use Bareiss elimination over Python
-    integers; larger ones use elimination modulo word-size primes with
-    enough primes for the Hadamard bound (see the module docstring). Both
-    routes are exact at any order. Raises ValueError on a non-integer,
+    Orders below _PADIC_MIN_ORDER use Bareiss elimination over Python
+    integers. Larger ones use the p-adic route: a certified divisor d of
+    the determinant from one solve modulo powers of _LIFT_PRIME, and the
+    cofactor det / d modulo as few primes as the Hadamard bound allows.
+    Where that route does not apply, the multimodular route (Bareiss below
+    _MODULAR_MIN_ORDER) takes over; the module docstring has the details.
+    Every route is exact at any order. Raises ValueError on a non-integer,
     NaN or infinite entry.
     """
     a = _int_rows(m)
-    if len(a) < _MODULAR_MIN_ORDER:
+    n = len(a)
+    if n >= _PADIC_MIN_ORDER:
+        det = _det_padic(a)
+        if det is not None:
+            return det
+    if n < _MODULAR_MIN_ORDER:
         return _det_bareiss(a)
     return _det_modular(a)
 
@@ -240,15 +285,31 @@ def _det_modular(a: list[list[int]]) -> int:
         entries = np.array(a, dtype=np.int64).reshape(n, n)
     except OverflowError:
         entries = np.array(a, dtype=object).reshape(n, n)
-    value, modulus = 0, 1
+    return _crt(_det_residues(entries, moduli), moduli)
+
+
+def _det_residues(entries: np.ndarray, moduli: list[int]) -> list[int]:
+    """det(entries) modulo each prime of moduli, _PRIME_CHUNK primes at a time."""
+    out: list[int] = []
     for start in range(0, len(moduli), _PRIME_CHUNK):
         chunk = moduli[start : start + _PRIME_CHUNK]
         p = np.array(chunk, dtype=entries.dtype)[:, None, None]
-        residues = np.remainder(entries, p).astype(np.float64)
-        for r, q in zip(_det_mod_primes(residues, chunk), chunk):
-            value += modulus * ((r - value) * pow(modulus, -1, q) % q)
-            modulus *= q
-    return value - modulus if 2 * value > modulus else value
+        out += _det_mod_primes(np.remainder(entries, p).astype(np.float64), chunk)
+    return out
+
+
+def _crt(residues: list[int], moduli: list[int]) -> int:
+    """The symmetric residue modulo prod(moduli) with the given residues."""
+    value, modulus = 0, 1
+    for r, q in zip(residues, moduli):
+        value += modulus * ((r - value) * pow(modulus, -1, q) % q)
+        modulus *= q
+    return _symmetric(value, modulus)
+
+
+def _symmetric(x: int, m: int) -> int:
+    """The residue x in [0, m) moved to (-m/2, m/2]."""
+    return x - m if 2 * x > m else x
 
 
 def _reduce(x: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> None:
@@ -321,6 +382,182 @@ def _det_mod_primes(a: np.ndarray, primes: list[int]) -> list[int]:
         trailing -= a[:, k1:, k0:k1] @ a[:, k0:k1, k1:]
         _reduce(trailing, mat_p, mat_inv)
     return [d % q for d, q in zip(det, primes)]
+
+
+def _lift_is_exact(n: int, amax: int, bmax: int) -> bool:
+    """True when the p-adic route's float64 arithmetic is exact for an
+    order-n matrix with entries of magnitude at most amax and a right-hand
+    side with entries of magnitude at most bmax (see _LIFT_PRIME)."""
+    p = _LIFT_PRIME
+    return (n * (p - 1) ** 2 + 2 * p < 2**53
+            and n * amax * p + bmax < 2**53
+            and n * amax * amax < 2**63)
+
+
+def _det_padic(a: list[list[int]]) -> int | None:
+    """Exact determinant as d * (det / d), where d is the denominator of
+    A^-1 b (module docstring), or None when the route does not apply: A
+    is singular modulo _LIFT_PRIME, its entries break the float invariant,
+    or the certificate fails.
+
+    x = A^-1 b is lifted to p**k > 2 N**2, where N bounds |det A| and
+    every Cramer numerator |det A_j(b)| <= ||b|| prod_{i != j} ||col_i||.
+    Rational reconstruction gives x = y / d; A y = d b with gcd(d, y) = 1,
+    checked in Python integers, proves that d divides det A. The cofactor
+    det / d, at most H / d in magnitude for the Hadamard bound
+    H = prod ||col_i||, comes from det modulo p and, while their product
+    is at most 2 H / d, modulo further primes that do not divide d.
+    """
+    n = len(a)
+    p = _LIFT_PRIME
+    try:
+        entries = np.array(a, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        return None
+    b = np.array(random.Random(n).choices(range(1, 10), k=n))
+    if not _lift_is_exact(n, max(-int(entries.min()), int(entries.max())), int(b.max())):
+        return None
+    solved = _inverse_mod(np.remainder(entries, p).astype(np.float64), p)
+    if solved is None:
+        return None
+    inverse, det_p = solved
+    col_sq = math.prod(np.einsum("ij,ij->j", entries, entries).tolist())
+    bound = math.isqrt(int(b @ b) * col_sq)
+    steps, modulus = 1, p
+    while modulus <= 2 * bound * bound:
+        steps, modulus = steps + 1, modulus * p
+    x = _lift(entries.astype(np.float64), inverse, b, steps)
+    # Vector rational reconstruction: y_j = d x_j once d x_j is small;
+    # otherwise d grows by the denominator of d x_j, whose numerator is
+    # at most bound and denominator at most bound // d.
+    d, y = 1, []
+    for xj in x:
+        t = _symmetric(d * xj % modulus, modulus)
+        if abs(t) > bound:
+            e = _rational(t % modulus, modulus, bound, bound // d)
+            if e is None:
+                return None
+            d *= e
+            y = [yi * e for yi in y]
+            t = _symmetric(d * xj % modulus, modulus)
+        y.append(t)
+    if math.gcd(d, *y) != 1 or any(
+            sum(map(operator.mul, row, y)) != d * bi for row, bi in zip(a, b.tolist())):
+        return None
+    # d divides det A, which is nonzero modulo p, so d is invertible
+    # modulo p; further primes that divide d are skipped. _primes yields p
+    # only after hundreds of thousands of larger primes, far more than any
+    # bound that _lift_is_exact admits asks for.
+    moduli, product = [p], p
+    primes = _primes()
+    while (product * d) ** 2 <= 4 * col_sq:
+        q = next(primes, None)
+        if q is None:
+            return None
+        if d % q:
+            moduli.append(q)
+            product *= q
+    residues = [det_p] + _det_residues(entries, moduli[1:])
+    return d * _crt([r * pow(d, -1, q) % q for r, q in zip(residues, moduli)], moduli)
+
+
+def _rational(x: int, m: int, num_bound: int, den_bound: int) -> int | None:
+    """The denominator d of a fraction y / d = x modulo m with |y| <= num_bound
+    and 0 < d <= den_bound, by the half extended Euclidean algorithm; it is
+    unique when m > 2 * num_bound * den_bound. None when there is none."""
+    r0, r1, s0, s1 = m, x, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    return abs(s1) if 0 < abs(s1) <= den_bound else None
+
+
+def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, int] | None:
+    """(A^-1 mod p, det A mod p) by in-place Gauss-Jordan elimination, or
+    None when A is singular modulo p.
+
+    a is a float64 array holding the residues of A; it is overwritten.
+    Columns are eliminated in blocks of _BLOCK, with row swaps applied to
+    whole rows. Within a block the elimination touches only the block's
+    columns, which afterwards hold the block's columns of T, the product of
+    its elimination steps; T differs from the identity only there, so the
+    other columns are then brought up to date by one matmul. An entry is
+    reduced only when it is read as a pivot row or column or as a factor
+    of that matmul, so it accumulates at most n products of two residues,
+    which the invariant at _LIFT_PRIME keeps exact.
+    """
+    n = len(a)
+    pf = float(p)
+    p_inv = 1.0 / pf
+    det = 1
+    swaps = []
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        panel = a[:, k0:k1]
+        for k in range(k0, k1):
+            column = a[:, k]
+            _reduce(column, pf, p_inv)
+            nonzero = np.flatnonzero(column[k:])
+            if not nonzero.size:
+                return None
+            r = k + int(nonzero[0])
+            if r != k:
+                a[[k, r]] = a[[r, k]]
+                swaps.append((k, r))
+                det = -det
+            row = panel[k]
+            _reduce(row, pf, p_inv)
+            pivot = int(a[k, k])
+            det = det * pivot % p
+            factors = column.copy()
+            factors[k] = 0
+            column[:] = 0
+            a[k, k] = 1
+            row *= pow(pivot, -1, p)
+            _reduce(row, pf, p_inv)
+            panel -= np.outer(factors, row)
+        _reduce(panel, pf, p_inv)
+        for rest in (a[:, :k0], a[:, k1:]):
+            top = rest[k0:k1].copy()
+            _reduce(top, pf, p_inv)
+            rest[k0:k1] = 0
+            rest += panel @ top
+    _reduce(a, pf, p_inv)
+    for k, r in reversed(swaps):
+        a[:, [k, r]] = a[:, [r, k]]
+    return a, det
+
+
+def _lift(a: np.ndarray, inverse: np.ndarray, b: np.ndarray, steps: int) -> list[int]:
+    """x = A^-1 b modulo p**steps, by Dixon's p-adic lifting.
+
+    Each step takes the digit x_i = A^-1 r_i mod p and the exact residual
+    r_{i+1} = (r_i - A x_i) / p; both products stay exact under the
+    invariants at _LIFT_PRIME. Digits are packed three to an int64 and
+    assembled into Python integers (not reduced modulo p**steps).
+    """
+    p = _LIFT_PRIME
+    pf = float(p)
+    p_inv = 1.0 / pf
+    n = len(b)
+    digits = np.zeros((-(-steps // 3) * 3, n))
+    r = b.astype(np.float64)
+    for i in range(steps):
+        x = r.copy()
+        _reduce(x, pf, p_inv)
+        x = inverse @ x
+        _reduce(x, pf, p_inv)
+        digits[i] = x
+        r -= a @ x
+        r /= pf
+    d = digits.astype(np.int64)
+    words = (d[0::3] + p * d[1::3] + p * p * d[2::3]).tolist()
+    base = p**3
+    x = [0] * n
+    for w in reversed(words):
+        x = [xj * base + wj for xj, wj in zip(x, w)]
+    return x
 
 
 def is_balanced_switching(g: SignedGraph) -> BalanceReport:

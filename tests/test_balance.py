@@ -33,10 +33,14 @@ import sdlap.balance
 from sdlap import BalanceReport, ForestComponent
 from sdlap.balance import (
     _BLOCK,
+    _LIFT_PRIME,
     _MODULAR_MIN_ORDER,
+    _PADIC_MIN_ORDER,
     _PRIME_LIMIT,
     _det_bareiss,
     _det_modular,
+    _det_padic,
+    _lift_is_exact,
     _primes,
 )
 
@@ -55,10 +59,13 @@ def weighted_negative_triangle():
 
 
 def both_routes(rows) -> int:
-    """Determinant by each route separately; fails unless they agree."""
+    """Determinant by each route separately; fails unless they agree. The
+    p-adic route may decline (None), but never disagrees."""
     bareiss = _det_bareiss([list(r) for r in rows])
     modular = _det_modular([list(r) for r in rows])
     assert bareiss == modular
+    if rows:
+        assert _det_padic([list(r) for r in rows]) in (None, bareiss)
     return bareiss
 
 
@@ -223,6 +230,162 @@ def test_det_exact_rejects_bad_entries_above_the_threshold(bad):
     n = _MODULAR_MIN_ORDER + 4
     m = np.eye(n)
     m[n - 1, n - 2] = bad
+    with pytest.raises(ValueError, match="non-integer"):
+        det_exact(m)
+
+
+# ---------------------------------------------------------------- the p-adic route
+
+
+def padic_route(rows) -> int:
+    """The p-adic determinant, which must not decline, checked against
+    the other two routes and det_exact."""
+    value = _det_padic([list(r) for r in rows])
+    assert value is not None
+    assert value == both_routes(rows) == det_exact(rows)
+    return value
+
+
+def test_lifting_prime_is_prime_and_keeps_float_arithmetic_below_2_to_the_53():
+    p = _LIFT_PRIME
+    assert p < 2**20 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    # the Gauss-Jordan inverse and the lifting matrix-vector step
+    assert 8192 * (p - 1) ** 2 + 2 * p < 2**53 <= 8193 * (p - 1) ** 2 + 2 * p
+    assert _lift_is_exact(8192, 1, 9) and not _lift_is_exact(8193, 1, 9)
+    # the residual update r - A x
+    n = 100
+    amax = (2**53 - 10) // (n * p)
+    assert _lift_is_exact(n, amax, 9) and not _lift_is_exact(n, amax + 1, 9)
+
+
+def test_padic_route_agrees_on_both_sides_of_its_order_threshold():
+    rng = random.Random(251)
+    for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER, _PADIC_MIN_ORDER + _BLOCK + 3):
+        assert padic_route(random_rows(rng, n)) != 0
+    for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER + 1, 60):
+        g = generate("random", n, 0.5, seed=n, p=8 / n)
+        for kind in ("max", "min"):
+            lap = distance_laplacian(distance_table(g), kind)
+            assert padic_route(lap.entries.tolist()) == det_exact(lap)
+
+
+def test_padic_route_across_narrow_blocks(monkeypatch):
+    monkeypatch.setattr(sdlap.balance, "_BLOCK", 3)
+    rng = random.Random(257)
+    for n in (1, 2, 7, 11, 20):
+        rows = random_rows(rng, n, -2, 2)
+        if _det_bareiss([list(r) for r in rows]) % _LIFT_PRIME:
+            padic_route(rows)
+
+
+def modular_fallbacks(monkeypatch):
+    """Orders of the matrices that det_exact hands to _det_modular."""
+    calls = []
+    real = sdlap.balance._det_modular
+    monkeypatch.setattr(sdlap.balance, "_det_modular", lambda a: calls.append(len(a)) or real(a))
+    return calls
+
+
+@pytest.mark.parametrize("n", [_PADIC_MIN_ORDER + 1, _MODULAR_MIN_ORDER + 1])
+def test_column_times_the_lifting_prime_falls_back(monkeypatch, n):
+    # singular modulo the lifting prime: Bareiss takes over below
+    # _MODULAR_MIN_ORDER, the multimodular route from it on
+    rng = random.Random(263)
+    rows = random_rows(rng, n)
+    for row in rows:
+        row[2] *= _LIFT_PRIME
+    assert _det_padic(rows) is None
+    value = both_routes(rows)
+    calls = modular_fallbacks(monkeypatch)
+    assert det_exact(rows) == value != 0 and value % _LIFT_PRIME == 0
+    assert calls == ([] if n < _MODULAR_MIN_ORDER else [n])
+
+
+def test_rank_deficient_matrix_above_the_threshold_falls_back(monkeypatch):
+    rng = random.Random(269)
+    n = _MODULAR_MIN_ORDER + 3
+    left = np.array(random_rows(rng, n, -5, 5))[:, : n - 2]
+    right = np.array(random_rows(rng, n, -5, 5))[: n - 2, :]
+    rows = (left @ right).tolist()
+    assert _det_padic(rows) is None
+    calls = modular_fallbacks(monkeypatch)
+    assert det_exact(rows) == both_routes(rows) == 0
+    assert calls == [n]
+
+
+def test_large_cofactors_stay_exact():
+    # diag(2, ..., 2): d is at most 2, so the cofactor 2**(n-1) needs
+    # primes beyond the lifting prime
+    for n in (_PADIC_MIN_ORDER, 100):
+        rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        assert padic_route(rows) == 2**n
+    # q * I for the first prime q of the cofactor stream: d = q, and the
+    # cofactor q**(n-1) must be taken modulo primes other than q
+    q = next(_primes())
+    n = _PADIC_MIN_ORDER + 1
+    rows = [[q if i == j else 0 for j in range(n)] for i in range(n)]
+    assert padic_route(rows) == q**n
+    # a multiple of a random matrix: det = 3**n det R
+    rng = random.Random(271)
+    rows = [[3 * x for x in row] for row in random_rows(rng, _PADIC_MIN_ORDER + 4)]
+    assert padic_route(rows) % 3 ** (_PADIC_MIN_ORDER + 4) == 0
+
+
+def test_padic_route_declines_entries_beyond_int64_and_the_float_bound(monkeypatch):
+    rng = random.Random(277)
+    n = _MODULAR_MIN_ORDER + 2
+    calls = modular_fallbacks(monkeypatch)
+    for big in (2**70, 2**40):
+        rows = random_rows(rng, n)
+        for i in range(n):
+            rows[i][(i + 1) % n] += big
+        assert _det_padic(rows) is None
+        assert det_exact(rows) == both_routes(rows)
+    assert calls == [n, n]
+    # just inside the float bound the route still applies
+    amax = (2**53 - 10) // (n * _LIFT_PRIME)
+    rows = random_rows(rng, n)
+    rows[0][1] = amax
+    assert _lift_is_exact(n, amax, 9)
+    padic_route(rows)
+
+
+def test_padic_route_on_a_matrix_whose_column_norms_exceed_its_row_norms():
+    # one heavy row: the Cramer numerators are bounded by column norms,
+    # whose product here is far above the row norms' product
+    rng = random.Random(281)
+    n = _PADIC_MIN_ORDER + 6
+    rows = random_rows(rng, n, -2, 2)
+    rows[0] = [rng.randint(-500, 500) for _ in range(n)]
+    for i in range(n):
+        rows[i][i] += 5
+    col_sq = math.prod(sum(row[j] ** 2 for row in rows) for j in range(n))
+    row_sq = math.prod(sum(x * x for x in row) for row in rows)
+    assert col_sq > row_sq**2
+    assert padic_route(rows) != 0
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    # a doubled denominator breaks gcd(d, y) = 1
+    ("_rational", lambda real: lambda *args: None if (e := real(*args)) is None else 2 * e),
+    # a wrong last coordinate of x breaks A y = d b
+    ("_lift", lambda real: lambda *args: (x := real(*args))[:-1] + [x[-1] + 1]),
+])
+def test_failed_certificate_falls_back(monkeypatch, name, corrupt):
+    monkeypatch.setattr(sdlap.balance, name, corrupt(getattr(sdlap.balance, name)))
+    n = _MODULAR_MIN_ORDER + 3
+    rows = random_rows(random.Random(283), n)
+    assert _det_padic(rows) is None
+    calls = modular_fallbacks(monkeypatch)
+    assert det_exact(rows) == _det_bareiss(rows)
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
+@pytest.mark.parametrize("n", [_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER])
+def test_det_exact_rejects_bad_entries_at_the_padic_threshold(bad, n):
+    m = np.eye(n)
+    m[0, n - 1] = bad
     with pytest.raises(ValueError, match="non-integer"):
         det_exact(m)
 
@@ -676,8 +839,8 @@ def test_all_kinds_build_each_laplacian_once(monkeypatch, capsys, tmp_path):
         built.clear()
         is_balanced_det(g, kind)
         assert built == [kind]
-    # unbalanced and incompatible (antipodes of an even cycle), on the
-    # multimodular route: the default det method eliminates L^max alone
+    # unbalanced and incompatible (antipodes of an even cycle), above the
+    # Bareiss orders: the default det method eliminates L^max alone
     n = _MODULAR_MIN_ORDER + 4
     h = generate("cycle", n, "-" + "+" * (n - 1))
     assert not is_compatible(distance_table(h))[0]
