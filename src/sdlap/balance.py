@@ -13,27 +13,24 @@ a tolerance, and each determinant takes one of these exact routes:
 * Bareiss (det_exact below order _PADIC_MIN_ORDER). Fraction-free
   elimination over Python integers, which costs less than one modular
   elimination there.
-* p-adic (det_exact from order _PADIC_MIN_ORDER on). The matrix is
-  inverted once modulo the prime _LIFT_PRIME, and Dixon's p-adic lifting
-  (Numer. Math. 1982) solves A x = b for a fixed small-integer b to a
-  precision that rational reconstruction turns into x = y / d. A y = d b
-  with gcd(d, y) = 1 is checked in Python integers; by Cramer's rule it
-  proves that d divides det A. On distance Laplacians d is nearly all of
-  det A (Abbott, Bronstein & Mulders, ISSAC 1999), so the cofactor det / d
-  is recovered from det A modulo _LIFT_PRIME and, while the Hadamard bound
-  asks for them, further primes. The result is exact and deterministic.
-* Multimodular (the fallback from order _MODULAR_MIN_ORDER on, when the
-  p-adic route does not apply: A is singular modulo _LIFT_PRIME, which
-  includes det A = 0, its entries break the float invariant stated at
-  _LIFT_PRIME, or the certificate fails; below that order Bareiss is the
-  fallback). The matrix is reduced modulo primes below 2**23 and
-  eliminated for a batch of primes at once, as a float64 array, by blocked
-  LU whose trailing update is one batched matmul (Dumas, Giorgi & Pernet,
-  ACM TOMS 2008). Primes are added until their product exceeds twice the
-  Hadamard bound, and the Chinese remainder theorem then gives the
-  determinant itself.
+* Modular (det_exact from order _PADIC_MIN_ORDER on), with an optional
+  certified divisor d. The matrix is inverted once modulo the prime
+  _LIFT_PRIME, and Dixon's p-adic lifting (Numer. Math. 1982) solves
+  A x = b for a fixed small-integer b to a precision that rational
+  reconstruction turns into x = y / d. A y = d b with gcd(d, y) = 1 is
+  checked in Python integers; by Cramer's rule it proves that d divides
+  det A. On distance Laplacians d is nearly all of det A (Abbott,
+  Bronstein & Mulders, ISSAC 1999). Where the lifting does not apply (A is
+  singular modulo _LIFT_PRIME, which includes det A = 0, its entries break
+  the float invariant stated at _LIFT_PRIME, or the certificate fails),
+  d = 1. The cofactor det / d comes from det A modulo primes below 2**23
+  (and _LIFT_PRIME where d is certified), eliminated a batch at a time by
+  float64 blocked LU whose trailing update is one batched matmul (Dumas,
+  Giorgi & Pernet, ACM TOMS 2008), until their product exceeds twice the
+  Hadamard bound over d; the Chinese remainder theorem then gives it
+  exactly.
 
-Both modular routes keep every float64 value an integer below 2**53, so
+Both float64 eliminations keep every value an integer below 2**53, so
 their float arithmetic is exact.
 """
 
@@ -64,16 +61,11 @@ from .matrices import SquareMatrix
 # Nodes per 1-forest search: K8 needs 5.1e6, at 2 to 5 us each (CHANGES.md).
 ENUMERATION_MAX_NODES = 16_000_000
 
-# det_exact takes the p-adic route from this order on and Bareiss below
+# det_exact takes the modular route from this order on and Bareiss below
 # it: on distance Laplacians Bareiss was faster through n = 24 and slower
 # from n = 26 on (timings in CHANGES.md).
 _PADIC_MIN_ORDER = 26
-# When the p-adic route does not apply, det_exact falls back to Bareiss
-# below this order and to the multimodular route from it on; Bareiss was
-# faster than the multimodular route through n = 32 and slower from n = 36
-# on.
-_MODULAR_MIN_ORDER = 36
-# The multimodular route uses primes p < _PRIME_LIMIT and blocks of at most
+# The prime loop uses primes p < _PRIME_LIMIT and blocks of at most
 # _BLOCK columns. Reduced entries have magnitude below p, and at most
 # _BLOCK products of two of them accumulate before the next reduction, so
 # every value is an integer of magnitude at most _BLOCK * (p - 1)**2 + p.
@@ -86,7 +78,7 @@ _BLOCK = 16
 # about 15 % of the time but raised the peak memory of `balance` at
 # n = 140 by 10 % (CHANGES.md).
 _PRIME_CHUNK = 8
-# Lifting prime of the p-adic route, the largest prime below 2**20.
+# Lifting prime of the p-adic divisor, the largest prime below 2**20.
 # Residues have magnitude below p. Between reductions the Gauss-Jordan
 # inverse and the lifting step x = A^-1 r mod p hold at most
 # n * (p - 1)**2 + p, and the residual update r - A x, for an order-n
@@ -94,9 +86,9 @@ _PRIME_CHUNK = 8
 # most n * amax * p + bmax. So float64 arithmetic is exact while
 #     n * (p - 1)**2 + 2 * p < 2**53    (n <= 8192) and
 #     n * amax * p + bmax < 2**53,
-# and int64 column norms are exact while n * amax**2 < 2**63.
-# _lift_is_exact checks all three at run time; a matrix that fails them
-# takes the fallback route.
+# and the int64 column norms of the Hadamard bound are exact while
+# n * amax**2 < 2**63. _lift_is_exact checks all three at run time; for a
+# matrix that fails them the lifting step declines.
 _LIFT_PRIME = 1048573
 
 class SizeBoundError(ValueError):
@@ -185,21 +177,15 @@ def det_exact(m) -> int:
     """Exact determinant of an integer matrix.
 
     Orders below _PADIC_MIN_ORDER use Bareiss elimination over Python
-    integers. Larger ones use the p-adic route: a certified divisor d of
-    the determinant from one solve modulo powers of _LIFT_PRIME, and the
-    cofactor det / d modulo as few primes as the Hadamard bound allows.
-    Where that route does not apply, the multimodular route (Bareiss below
-    _MODULAR_MIN_ORDER) takes over; the module docstring has the details.
-    Every route is exact at any order. Raises ValueError on a non-integer,
-    NaN or infinite entry.
+    integers. Larger ones use the modular route: a divisor d of the
+    determinant, certified by one solve modulo powers of _LIFT_PRIME where
+    that applies and 1 where not, and the cofactor det / d modulo as few
+    primes as the Hadamard bound allows; the module docstring has the
+    details. Every route is exact at any order. Raises ValueError on a
+    non-integer, NaN or infinite entry.
     """
     a = _int_rows(m)
-    n = len(a)
-    if n >= _PADIC_MIN_ORDER:
-        det = _det_padic(a)
-        if det is not None:
-            return det
-    if n < _MODULAR_MIN_ORDER:
+    if len(a) < _PADIC_MIN_ORDER:
         return _det_bareiss(a)
     return _det_modular(a)
 
@@ -262,30 +248,48 @@ def _primes():
 
 
 def _det_modular(a: list[list[int]]) -> int:
-    """Exact determinant from residues modulo word-size primes.
+    """Exact determinant as d * (det / d), with d from _padic_divisor, or 1
+    where it declines.
 
     Hadamard's inequality gives |det| <= H with H**2 the product of the
-    squared row norms. Primes are taken until their product M satisfies
-    M**2 > 4 * H**2, so the determinant is the symmetric residue of its
-    Chinese-remainder reconstruction modulo M. A bound beyond the product
-    of all primes below _PRIME_LIMIT (about 1.2e7 bits) goes to Bareiss.
+    squared column norms. Primes that do not divide d are taken until their
+    product M satisfies (M d)**2 > 4 H**2, so det / d is the symmetric
+    residue of its Chinese-remainder reconstruction modulo M. A bound
+    beyond the product of all primes below _PRIME_LIMIT (about 1.2e7 bits)
+    goes to Bareiss.
     """
     n = len(a)
-    bound_sq = math.prod(sum(x * x for x in row) for row in a)
-    primes = _primes()
-    moduli: list[int] = []
-    product = 1
-    while product * product <= 4 * bound_sq:
-        q = next(primes, None)
-        if q is None:
-            return _det_bareiss(a)
-        moduli.append(q)
-        product *= q
     try:
         entries = np.array(a, dtype=np.int64).reshape(n, n)
     except OverflowError:
         entries = np.array(a, dtype=object).reshape(n, n)
-    return _crt(_det_residues(entries, moduli), moduli)
+    amax = max(-int(entries.min(initial=0)), int(entries.max(initial=0)))
+    if n * amax * amax < 2**63:  # the int64 invariant at _LIFT_PRIME
+        col_sq = np.einsum("ij,ij->j", entries, entries).tolist()
+    else:
+        col_sq = (entries.astype(object) ** 2).sum(axis=0).tolist()
+    bound_sq = math.prod(col_sq)
+    d, moduli, residues = 1, [], []
+    divisor = _padic_divisor(a, entries, amax, bound_sq)
+    if divisor is not None:
+        d, det_p = divisor
+        moduli, residues = [_LIFT_PRIME], [det_p]
+    # d divides det A, which is nonzero modulo _LIFT_PRIME when the lifting
+    # applied, so d is invertible modulo it; primes that divide d are
+    # skipped. _primes yields _LIFT_PRIME only after hundreds of thousands
+    # of larger primes, far more than any bound that _lift_is_exact admits
+    # asks for.
+    product = math.prod(moduli)
+    primes = _primes()
+    while (product * d) ** 2 <= 4 * bound_sq:
+        q = next(primes, None)
+        if q is None:
+            return _det_bareiss(a)
+        if d % q:
+            moduli.append(q)
+            product *= q
+    residues += _det_residues(entries, moduli[len(residues):])
+    return d * _crt([r * pow(d, -1, q) % q for r, q in zip(residues, moduli)], moduli)
 
 
 def _det_residues(entries: np.ndarray, moduli: list[int]) -> list[int]:
@@ -385,7 +389,7 @@ def _det_mod_primes(a: np.ndarray, primes: list[int]) -> list[int]:
 
 
 def _lift_is_exact(n: int, amax: int, bmax: int) -> bool:
-    """True when the p-adic route's float64 arithmetic is exact for an
+    """True when the lifting step's float64 arithmetic is exact for an
     order-n matrix with entries of magnitude at most amax and a right-hand
     side with entries of magnitude at most bmax (see _LIFT_PRIME)."""
     p = _LIFT_PRIME
@@ -394,35 +398,30 @@ def _lift_is_exact(n: int, amax: int, bmax: int) -> bool:
             and n * amax * amax < 2**63)
 
 
-def _det_padic(a: list[list[int]]) -> int | None:
-    """Exact determinant as d * (det / d), where d is the denominator of
-    A^-1 b (module docstring), or None when the route does not apply: A
-    is singular modulo _LIFT_PRIME, its entries break the float invariant,
-    or the certificate fails.
+def _padic_divisor(a: list[list[int]], entries: np.ndarray, amax: int,
+                   bound_sq: int) -> tuple[int, int] | None:
+    """(d, det A mod _LIFT_PRIME) for a certified divisor d of det A, the
+    denominator of A^-1 b (module docstring), or None when the lifting does
+    not apply: A is singular modulo _LIFT_PRIME, its entries break the float
+    invariant, or the certificate fails.
 
-    x = A^-1 b is lifted to p**k > 2 N**2, where N bounds |det A| and
-    every Cramer numerator |det A_j(b)| <= ||b|| prod_{i != j} ||col_i||.
-    Rational reconstruction gives x = y / d; A y = d b with gcd(d, y) = 1,
-    checked in Python integers, proves that d divides det A. The cofactor
-    det / d, at most H / d in magnitude for the Hadamard bound
-    H = prod ||col_i||, comes from det modulo p and, while their product
-    is at most 2 H / d, modulo further primes that do not divide d.
+    a holds the rows of A and entries the same matrix as an array; amax is
+    the largest entry magnitude and bound_sq = prod ||col_i||**2 the squared
+    Hadamard bound. x = A^-1 b is lifted to p**k > 2 N**2, where N bounds
+    |det A| and every Cramer numerator |det A_j(b)| <= ||b|| prod_{i != j}
+    ||col_i||. Rational reconstruction gives x = y / d; A y = d b with
+    gcd(d, y) = 1, checked in Python integers, proves that d divides det A.
     """
     n = len(a)
     p = _LIFT_PRIME
-    try:
-        entries = np.array(a, dtype=np.int64).reshape(n, n)
-    except OverflowError:
-        return None
     b = np.array(random.Random(n).choices(range(1, 10), k=n))
-    if not _lift_is_exact(n, max(-int(entries.min()), int(entries.max())), int(b.max())):
+    if not _lift_is_exact(n, amax, int(b.max(initial=0))):
         return None
     solved = _inverse_mod(np.remainder(entries, p).astype(np.float64), p)
     if solved is None:
         return None
     inverse, det_p = solved
-    col_sq = math.prod(np.einsum("ij,ij->j", entries, entries).tolist())
-    bound = math.isqrt(int(b @ b) * col_sq)
+    bound = math.isqrt(int(b @ b) * bound_sq)
     steps, modulus = 1, p
     while modulus <= 2 * bound * bound:
         steps, modulus = steps + 1, modulus * p
@@ -444,21 +443,7 @@ def _det_padic(a: list[list[int]]) -> int | None:
     if math.gcd(d, *y) != 1 or any(
             sum(map(operator.mul, row, y)) != d * bi for row, bi in zip(a, b.tolist())):
         return None
-    # d divides det A, which is nonzero modulo p, so d is invertible
-    # modulo p; further primes that divide d are skipped. _primes yields p
-    # only after hundreds of thousands of larger primes, far more than any
-    # bound that _lift_is_exact admits asks for.
-    moduli, product = [p], p
-    primes = _primes()
-    while (product * d) ** 2 <= 4 * col_sq:
-        q = next(primes, None)
-        if q is None:
-            return None
-        if d % q:
-            moduli.append(q)
-            product *= q
-    residues = [det_p] + _det_residues(entries, moduli[1:])
-    return d * _crt([r * pow(d, -1, q) % q for r, q in zip(residues, moduli)], moduli)
+    return d, det_p
 
 
 def _rational(x: int, m: int, num_bound: int, den_bound: int) -> int | None:

@@ -34,12 +34,10 @@ from sdlap import BalanceReport, ForestComponent
 from sdlap.balance import (
     _BLOCK,
     _LIFT_PRIME,
-    _MODULAR_MIN_ORDER,
     _PADIC_MIN_ORDER,
     _PRIME_LIMIT,
     _det_bareiss,
     _det_modular,
-    _det_padic,
     _lift_is_exact,
     _primes,
 )
@@ -58,14 +56,26 @@ def weighted_negative_triangle():
     return SignedGraph(g.n, g.edges, (2.0, 3.0, 5.0))
 
 
+def modular(rows, lift=True) -> tuple[int, tuple[int, int] | None]:
+    """_det_modular on rows, and what its lifting step returned: (d, det
+    mod _LIFT_PRIME), or None where it declined. With lift=False the step
+    is made to decline, so the prime loop runs with d = 1."""
+    found = []
+    real = sdlap.balance._padic_divisor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdlap.balance, "_padic_divisor",
+                   lambda *args: found.append(real(*args) if lift else None) or found[-1])
+        value = _det_modular([list(r) for r in rows])
+    return value, found[0]
+
+
 def both_routes(rows) -> int:
-    """Determinant by each route separately; fails unless they agree. The
-    p-adic route may decline (None), but never disagrees."""
+    """Determinant by Bareiss, by the prime loop alone (d = 1) and by the
+    whole modular route, each separately; fails unless they agree. The
+    lifting step may decline, but never disagrees."""
     bareiss = _det_bareiss([list(r) for r in rows])
-    modular = _det_modular([list(r) for r in rows])
-    assert bareiss == modular
-    if rows:
-        assert _det_padic([list(r) for r in rows]) in (None, bareiss)
+    assert modular(rows, lift=False) == (bareiss, None)
+    assert modular(rows)[0] == bareiss
     return bareiss
 
 
@@ -115,7 +125,7 @@ def test_det_exact_avoids_overflow():
     assert value == pytest.approx(np.linalg.det(np.array(rows, dtype=float)), rel=1e-9)
 
 
-# ------------------------------------------------- the two determinant routes
+# ------------------------------------------------- the determinant routes
 
 
 def test_float_elimination_stays_below_2_to_the_53():
@@ -134,13 +144,13 @@ def test_primes_are_distinct_primes_below_the_limit_largest_first():
 
 def test_routes_agree_on_both_sides_of_the_order_threshold():
     rng = random.Random(223)
-    for n in (_MODULAR_MIN_ORDER - 1, _MODULAR_MIN_ORDER, _MODULAR_MIN_ORDER + _BLOCK + 3):
+    for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER, _PADIC_MIN_ORDER + _BLOCK + 3):
         rows = random_rows(rng, n)
         assert det_exact(rows) == both_routes(rows) != 0
 
 
 def test_routes_agree_on_laplacians_on_both_sides_of_the_threshold():
-    for n in (_MODULAR_MIN_ORDER - 1, _MODULAR_MIN_ORDER + 8):
+    for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER + 8):
         g = generate("random", n, 0.5, seed=n, p=8 / n)
         for kind in ("max", "min"):
             lap = distance_laplacian(distance_table(g), kind)
@@ -163,7 +173,7 @@ def test_modular_route_across_many_narrow_blocks(monkeypatch):
 
 def test_routes_handle_python_ints_beyond_int64():
     rng = random.Random(229)
-    for n in (5, _MODULAR_MIN_ORDER + 1):
+    for n in (5, _PADIC_MIN_ORDER + 1):
         rows = random_rows(rng, n)
         for i in range(n):
             rows[i][i] += rng.choice((1, -1)) * 2**70 + rng.randint(0, 2**66)
@@ -174,7 +184,7 @@ def test_routes_handle_python_ints_beyond_int64():
 
 def test_routes_return_zero_on_rank_deficient_matrices():
     rng = random.Random(233)
-    n = _MODULAR_MIN_ORDER + 3
+    n = _PADIC_MIN_ORDER + 3
     for rank in (n - 1, n - 5, 1):
         left = np.array(random_rows(rng, n, -5, 5))[:, :rank]
         right = np.array(random_rows(rng, n, -5, 5))[:rank, :]
@@ -189,7 +199,7 @@ def test_modular_route_swaps_rows_for_one_prime_only():
     # prime pivots on another row while the others keep row 0.
     p = next(_primes())
     rng = random.Random(239)
-    rows = random_rows(rng, _MODULAR_MIN_ORDER + 2)
+    rows = random_rows(rng, _PADIC_MIN_ORDER + 2)
     rows[0][0] = 3 * p
     assert both_routes(rows) != 0
     # a whole column divisible by p makes det vanish modulo p alone
@@ -202,13 +212,13 @@ def test_modular_route_swaps_rows_for_one_prime_only():
 def test_modular_route_reconstructs_a_determinant_at_its_hadamard_bound():
     # det = H, just below the product M of the first n primes; only with
     # M > 2H is the symmetric residue modulo M the determinant.
-    n = _MODULAR_MIN_ORDER + 1
+    n = _PADIC_MIN_ORDER + 1
     diagonal = list(itertools.islice(_primes(), n))
     diagonal[-1] -= 1
     rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    assert _det_modular(rows) == math.prod(diagonal)
+    assert modular(rows, lift=False)[0] == math.prod(diagonal)
     rows[0][0] = -rows[0][0]
-    assert _det_modular(rows) == -math.prod(diagonal)
+    assert modular(rows, lift=False)[0] == -math.prod(diagonal)
 
 
 def test_routes_on_empty_and_single_entry_matrices():
@@ -221,27 +231,27 @@ def test_routes_on_empty_and_single_entry_matrices():
 def test_modular_route_falls_back_when_primes_run_out(monkeypatch):
     monkeypatch.setattr(sdlap.balance, "_primes",
                         lambda: itertools.islice(_primes(), 2))
-    rows = random_rows(random.Random(241), _MODULAR_MIN_ORDER)
-    assert _det_modular([list(r) for r in rows]) == _det_bareiss(rows)
+    rows = random_rows(random.Random(241), _PADIC_MIN_ORDER)
+    assert modular(rows, lift=False)[0] == _det_bareiss(rows)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
 def test_det_exact_rejects_bad_entries_above_the_threshold(bad):
-    n = _MODULAR_MIN_ORDER + 4
+    n = _PADIC_MIN_ORDER + 4
     m = np.eye(n)
     m[n - 1, n - 2] = bad
     with pytest.raises(ValueError, match="non-integer"):
         det_exact(m)
 
 
-# ---------------------------------------------------------------- the p-adic route
+# ---------------------------------------------------------------- the lifting step
 
 
 def padic_route(rows) -> int:
-    """The p-adic determinant, which must not decline, checked against
-    the other two routes and det_exact."""
-    value = _det_padic([list(r) for r in rows])
-    assert value is not None
+    """The modular determinant with a certified divisor, which the lifting
+    step must not decline, checked against both_routes and det_exact."""
+    value, divisor = modular(rows)
+    assert divisor is not None
     assert value == both_routes(rows) == det_exact(rows)
     return value
 
@@ -278,39 +288,53 @@ def test_padic_route_across_narrow_blocks(monkeypatch):
             padic_route(rows)
 
 
-def modular_fallbacks(monkeypatch):
-    """Orders of the matrices that det_exact hands to _det_modular."""
-    calls = []
-    real = sdlap.balance._det_modular
-    monkeypatch.setattr(sdlap.balance, "_det_modular", lambda a: calls.append(len(a)) or real(a))
-    return calls
+def routes_taken(monkeypatch):
+    """(route, order) for each determinant det_exact computes from here on:
+    "bareiss", "divisor" where the lifting step certifies a divisor, or
+    "plain" where it declines and the prime loop runs with d = 1."""
+    taken = []
+    bareiss, divisor = sdlap.balance._det_bareiss, sdlap.balance._padic_divisor
+
+    def spy_bareiss(a):
+        taken.append(("bareiss", len(a)))
+        return bareiss(a)
+
+    def spy_divisor(a, *args):
+        found = divisor(a, *args)
+        taken.append(("plain" if found is None else "divisor", len(a)))
+        return found
+
+    monkeypatch.setattr(sdlap.balance, "_det_bareiss", spy_bareiss)
+    monkeypatch.setattr(sdlap.balance, "_padic_divisor", spy_divisor)
+    return taken
 
 
-@pytest.mark.parametrize("n", [_PADIC_MIN_ORDER + 1, _MODULAR_MIN_ORDER + 1])
+@pytest.mark.parametrize("n", [_PADIC_MIN_ORDER + 1, _PADIC_MIN_ORDER + 11])
 def test_column_times_the_lifting_prime_falls_back(monkeypatch, n):
-    # singular modulo the lifting prime: Bareiss takes over below
-    # _MODULAR_MIN_ORDER, the multimodular route from it on
+    # singular modulo the lifting prime: the prime loop runs with d = 1
     rng = random.Random(263)
     rows = random_rows(rng, n)
     for row in rows:
         row[2] *= _LIFT_PRIME
-    assert _det_padic(rows) is None
+    assert modular(rows)[1] is None
     value = both_routes(rows)
-    calls = modular_fallbacks(monkeypatch)
+    taken = routes_taken(monkeypatch)
     assert det_exact(rows) == value != 0 and value % _LIFT_PRIME == 0
-    assert calls == ([] if n < _MODULAR_MIN_ORDER else [n])
+    assert taken == [("plain", n)]
 
 
 def test_rank_deficient_matrix_above_the_threshold_falls_back(monkeypatch):
     rng = random.Random(269)
-    n = _MODULAR_MIN_ORDER + 3
-    left = np.array(random_rows(rng, n, -5, 5))[:, : n - 2]
-    right = np.array(random_rows(rng, n, -5, 5))[: n - 2, :]
-    rows = (left @ right).tolist()
-    assert _det_padic(rows) is None
-    calls = modular_fallbacks(monkeypatch)
-    assert det_exact(rows) == both_routes(rows) == 0
-    assert calls == [n]
+    for n in (_PADIC_MIN_ORDER + 1, _PADIC_MIN_ORDER + 3):
+        left = np.array(random_rows(rng, n, -5, 5))[:, : n - 2]
+        right = np.array(random_rows(rng, n, -5, 5))[: n - 2, :]
+        rows = (left @ right).tolist()
+        assert modular(rows)[1] is None
+        with monkeypatch.context() as mp:
+            taken = routes_taken(mp)
+            assert det_exact(rows) == 0
+        assert taken == [("plain", n)]
+        assert both_routes(rows) == 0
 
 
 def test_large_cofactors_stay_exact():
@@ -333,15 +357,17 @@ def test_large_cofactors_stay_exact():
 
 def test_padic_route_declines_entries_beyond_int64_and_the_float_bound(monkeypatch):
     rng = random.Random(277)
-    n = _MODULAR_MIN_ORDER + 2
-    calls = modular_fallbacks(monkeypatch)
+    n = _PADIC_MIN_ORDER + 2
     for big in (2**70, 2**40):
         rows = random_rows(rng, n)
         for i in range(n):
             rows[i][(i + 1) % n] += big
-        assert _det_padic(rows) is None
-        assert det_exact(rows) == both_routes(rows)
-    assert calls == [n, n]
+        assert modular(rows)[1] is None
+        with monkeypatch.context() as mp:
+            taken = routes_taken(mp)
+            value = det_exact(rows)
+        assert taken == [("plain", n)]
+        assert value == both_routes(rows)
     # just inside the float bound the route still applies
     amax = (2**53 - 10) // (n * _LIFT_PRIME)
     rows = random_rows(rng, n)
@@ -373,12 +399,12 @@ def test_padic_route_on_a_matrix_whose_column_norms_exceed_its_row_norms():
 ])
 def test_failed_certificate_falls_back(monkeypatch, name, corrupt):
     monkeypatch.setattr(sdlap.balance, name, corrupt(getattr(sdlap.balance, name)))
-    n = _MODULAR_MIN_ORDER + 3
+    n = _PADIC_MIN_ORDER + 3
     rows = random_rows(random.Random(283), n)
-    assert _det_padic(rows) is None
-    calls = modular_fallbacks(monkeypatch)
+    assert modular(rows)[1] is None
+    taken = routes_taken(monkeypatch)
     assert det_exact(rows) == _det_bareiss(rows)
-    assert calls == [n]
+    assert taken == [("plain", n)]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
@@ -816,7 +842,7 @@ def counted_det_exact(monkeypatch):
 
 def test_balanced_verdicts_are_proved_by_the_switching_function(monkeypatch):
     calls = counted_det_exact(monkeypatch)
-    for n in (3, 12, _MODULAR_MIN_ORDER + 5):
+    for n in (3, 12, _PADIC_MIN_ORDER + 5):
         g = balanced_graph(n, n)
         for kind in ("max", "min", "pm"):
             report = is_balanced_det(g, kind)
@@ -841,7 +867,7 @@ def test_all_kinds_build_each_laplacian_once(monkeypatch, capsys, tmp_path):
         assert built == [kind]
     # unbalanced and incompatible (antipodes of an even cycle), above the
     # Bareiss orders: the default det method eliminates L^max alone
-    n = _MODULAR_MIN_ORDER + 4
+    n = _PADIC_MIN_ORDER + 4
     h = generate("cycle", n, "-" + "+" * (n - 1))
     assert not is_compatible(distance_table(h))[0]
     path = tmp_path / "cycle.sg"
@@ -877,7 +903,7 @@ def test_claimed_balance_on_unbalanced_graph_still_raises(zeta):
 
 
 def test_claimed_imbalance_on_balanced_graph_still_raises():
-    g = balanced_graph(_MODULAR_MIN_ORDER + 2, 5)
+    g = balanced_graph(_PADIC_MIN_ORDER + 2, 5)
     claim = BalanceReport(False, "switching", (0, 1, 2))
     for kind in ("max", "min", "pm"):
         with pytest.raises(ArithmeticError, match="contradicts"):

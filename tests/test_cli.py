@@ -304,7 +304,8 @@ def test_balance_output_passes_the_benchmark_check(capsys, monkeypatch, tmp_path
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
 
-    # n = 40 takes the multimodular determinant route, as the benchmark does
+    # at n = 40 an unbalanced graph's determinants take the modular route
+    # with a certified divisor, as the benchmark's do
     make = workloads._balanced_spec if balanced else workloads._unbalanced_spec
     spec = make("g", 40, random.Random(40))
     text = spec.build()
@@ -374,9 +375,9 @@ def test_balance_json_matches_bareiss_above_the_order_threshold(
     import random
 
     from sdlap import distance_laplacian, distance_table, generate, serialize, switch
-    from sdlap.balance import _MODULAR_MIN_ORDER, _det_bareiss
+    from sdlap.balance import _PADIC_MIN_ORDER, _det_bareiss
 
-    assert n >= _MODULAR_MIN_ORDER
+    assert n >= _PADIC_MIN_ORDER
     if balanced:
         rng = random.Random(n)
         g = switch(generate("random", n, "allpos", seed=n, p=8 / n),
