@@ -15,8 +15,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .matrices import SquareMatrix
-
 MULTIPLICITY_TOL = 1e-7
 
 
@@ -56,10 +54,10 @@ class Spectrum:
 
 
 def _as_square_array(m) -> np.ndarray:
-    arr = m.entries if isinstance(m, SquareMatrix) else np.asarray(m)
+    arr = np.array(m, dtype=float)  # a SquareMatrix converts through its __array__
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"square matrix required, got shape {arr.shape}")
-    return np.array(arr, dtype=float)
+    return arr
 
 
 def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:

@@ -30,8 +30,9 @@ from sdlap import (
 from sdlap.cli import main
 
 import sdlap.balance
+import sdlap.exact
 from sdlap import BalanceReport, ForestComponent
-from sdlap.balance import (
+from sdlap.exact import (
     _BLOCK,
     _LIFT_PRIME,
     _PADIC_MIN_ORDER,
@@ -61,9 +62,9 @@ def modular(rows, lift=True) -> tuple[int, tuple[int, int] | None]:
     mod _LIFT_PRIME), or None where it declined. With lift=False the step
     is made to decline, so the prime loop runs with d = 1."""
     found = []
-    real = sdlap.balance._padic_divisor
+    real = sdlap.exact._padic_divisor
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdlap.balance, "_padic_divisor",
+        mp.setattr(sdlap.exact, "_padic_divisor",
                    lambda *args: found.append(real(*args) if lift else None) or found[-1])
         value = _det_modular([list(r) for r in rows])
     return value, found[0]
@@ -160,7 +161,7 @@ def test_routes_agree_on_laplacians_on_both_sides_of_the_threshold():
 def test_modular_route_across_many_narrow_blocks(monkeypatch):
     # Narrow blocks put block boundaries, trailing updates and pivots
     # that vanish modulo a prime inside a small matrix.
-    monkeypatch.setattr(sdlap.balance, "_BLOCK", 3)
+    monkeypatch.setattr(sdlap.exact, "_BLOCK", 3)
     rng = random.Random(227)
     for n in (7, 11, 20):
         rows = random_rows(rng, n, -2, 2)
@@ -229,7 +230,7 @@ def test_routes_on_empty_and_single_entry_matrices():
 
 
 def test_modular_route_falls_back_when_primes_run_out(monkeypatch):
-    monkeypatch.setattr(sdlap.balance, "_primes",
+    monkeypatch.setattr(sdlap.exact, "_primes",
                         lambda: itertools.islice(_primes(), 2))
     rows = random_rows(random.Random(241), _PADIC_MIN_ORDER)
     assert modular(rows, lift=False)[0] == _det_bareiss(rows)
@@ -280,7 +281,7 @@ def test_padic_route_agrees_on_both_sides_of_its_order_threshold():
 
 
 def test_padic_route_across_narrow_blocks(monkeypatch):
-    monkeypatch.setattr(sdlap.balance, "_BLOCK", 3)
+    monkeypatch.setattr(sdlap.exact, "_BLOCK", 3)
     rng = random.Random(257)
     for n in (1, 2, 7, 11, 20):
         rows = random_rows(rng, n, -2, 2)
@@ -293,7 +294,7 @@ def routes_taken(monkeypatch):
     "bareiss", "divisor" where the lifting step certifies a divisor, or
     "plain" where it declines and the prime loop runs with d = 1."""
     taken = []
-    bareiss, divisor = sdlap.balance._det_bareiss, sdlap.balance._padic_divisor
+    bareiss, divisor = sdlap.exact._det_bareiss, sdlap.exact._padic_divisor
 
     def spy_bareiss(a):
         taken.append(("bareiss", len(a)))
@@ -304,8 +305,8 @@ def routes_taken(monkeypatch):
         taken.append(("plain" if found is None else "divisor", len(a)))
         return found
 
-    monkeypatch.setattr(sdlap.balance, "_det_bareiss", spy_bareiss)
-    monkeypatch.setattr(sdlap.balance, "_padic_divisor", spy_divisor)
+    monkeypatch.setattr(sdlap.exact, "_det_bareiss", spy_bareiss)
+    monkeypatch.setattr(sdlap.exact, "_padic_divisor", spy_divisor)
     return taken
 
 
@@ -398,7 +399,7 @@ def test_padic_route_on_a_matrix_whose_column_norms_exceed_its_row_norms():
     ("_lift", lambda real: lambda *args: (x := real(*args))[:-1] + [x[-1] + 1]),
 ])
 def test_failed_certificate_falls_back(monkeypatch, name, corrupt):
-    monkeypatch.setattr(sdlap.balance, name, corrupt(getattr(sdlap.balance, name)))
+    monkeypatch.setattr(sdlap.exact, name, corrupt(getattr(sdlap.exact, name)))
     n = _PADIC_MIN_ORDER + 3
     rows = random_rows(random.Random(283), n)
     assert modular(rows)[1] is None

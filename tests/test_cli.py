@@ -236,23 +236,25 @@ def test_matrix_prints_every_digit_of_large_integer_entries(capsys, tmp_path):
     assert code == 0 and json.loads(out)["rows"] == rows
 
 
-@pytest.mark.parametrize("args", [
-    ("matrix", "--kind", "lmax", "--format", "csv"),
-    ("balance",),
-    ("balance", "--method", "det", "--kind", "pm"),
-    ("balance", "--method", "forest"),
-    ("forests", "--list"),
+@pytest.mark.parametrize("args, det_calls", [
+    (("matrix", "--kind", "lmax", "--format", "csv"), 0),
+    (("balance",), 2),
+    (("balance", "--method", "det", "--kind", "pm"), 1),
+    (("balance", "--method", "forest"), 0),
+    (("forests", "--list"), 0),
 ], ids=["matrix", "balance", "balance-det-pm", "balance-forest", "forests-list"])
 def test_benchmark_tracer_finds_every_entry_point(capsys, monkeypatch, c3_all_negative,
-                                                   args):
+                                                   args, det_calls):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench import spans
 
     argv = (args[0], c3_all_negative) + args[1:]
     untraced = run(capsys, *argv)
-    with spans.Tracer():
+    with spans.Tracer() as tracer:
         traced = run(capsys, *argv)
     assert traced == untraced and untraced[0] == 0
+    # the determinant spans find det_exact where the benchmark looks for it
+    assert tracer.calls["balance.det"] == det_calls
 
 
 # ---------------------------------------------------------------- balance
@@ -375,7 +377,7 @@ def test_balance_json_matches_bareiss_above_the_order_threshold(
     import random
 
     from sdlap import distance_laplacian, distance_table, generate, serialize, switch
-    from sdlap.balance import _PADIC_MIN_ORDER, _det_bareiss
+    from sdlap.exact import _PADIC_MIN_ORDER, _det_bareiss
 
     assert n >= _PADIC_MIN_ORDER
     if balanced:

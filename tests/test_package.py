@@ -40,6 +40,8 @@ def test_package_import_graph_has_no_cycle():
     for name in sorted(edges):
         visit(name)
     assert edges["matrices"] == {"core"}
+    assert edges["exact"] == set()
+    assert edges["spectra"] == set()
 
 
 def test_readme_library_quick_start_runs_as_written():
