@@ -25,7 +25,6 @@ from .core import (
     POSITIVE,
     SignedForest,
     SignedGraph,
-    components,
     path_sign,
     switch,
 )
@@ -266,20 +265,13 @@ def forest_det(g: SignedGraph):
 
 
 def closed_form_det(g: SignedGraph):
-    """Laplacian determinant by shape, or None when no closed form applies.
+    """Laplacian determinant of a graph with at most n edges, else None.
 
-    Trees give 0. When every component is a 1-tree (cycles and connected
-    unicyclic graphs included) the graph is its own only spanning 1-forest,
-    so the determinant is its forest-sum term: the total weight product
-    times 2*(1 - cycle sign) per component. Anything else returns None.
-    Its 1-forest search visits at most n + 1 nodes.
+    With m < n no spanning 1-forest exists, and with m = n the graph is
+    its own only candidate, so forest_det is exact here, connected or not,
+    and its search visits at most n + 1 nodes.
     """
-    if g.m == g.n:
-        leaves = list(_scan_1forests(g))
-        return _forest_sum(g, leaves) if leaves else None
-    if g.m == g.n - 1 and len(components(g)) == 1:
-        return 0 if g.integer_weights else 0.0
-    return None
+    return forest_det(g) if g.m <= g.n else None
 
 
 def _in_kernel(lap: SquareMatrix, zeta) -> bool:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -137,7 +139,16 @@ class SignedGraph:
         if self.weights is None:
             weights = (1.0,) * len(normalized)
         else:
-            weights = tuple(float(w) for w in self.weights)
+            weights = []
+            for i, w in enumerate(self.weights):
+                try:
+                    x = float(w)
+                except OverflowError:  # a number beyond float64, such as 10**400
+                    x = math.inf
+                # int(w) compares exactly; np.int64 == float64 would round w
+                if isinstance(w, numbers.Integral) and int(w) != x:
+                    raise ValueError(f"integer weight {w!r} at edge {i} is not a float64 value")
+                weights.append(x)
         if len(weights) != len(normalized):
             raise ValueError(f"{len(weights)} weights for {len(normalized)} edges")
         for i, w in enumerate(weights):
@@ -145,7 +156,7 @@ class SignedGraph:
                 raise ValueError(
                     f"weight {w!r} at edge {i} is not finite and strictly positive"
                 )
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", tuple(weights))
 
     @property
     def m(self) -> int:
@@ -187,12 +198,15 @@ def parse_edge_list(text: str) -> SignedGraph:
     Format: '#' lines are comments; the first non-comment line is the vertex
     count n; every further line is "u v s [w]" with 1-based endpoints,
     s in {+, -, 1, -1} and an optional finite positive weight (default 1).
+    When every weight is an integer, each must be exactly the float64 it
+    is read as, because the forest sums and determinants are then exact.
 
     Raises GraphFormatError with the offending line number on bad input.
     """
     n: int | None = None
     edges: list[tuple[int, int, int]] = []
     weights: list[float] = []
+    inexact: tuple[int, str] | None = None
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -234,6 +248,8 @@ def parse_edge_list(text: str) -> SignedGraph:
                 raise GraphFormatError(f"non-finite weight {tokens[3]}", lineno)
             if not weight > 0:
                 raise GraphFormatError(f"nonpositive weight {tokens[3]}", lineno)
+            if inexact is None and weight.is_integer() and Fraction(tokens[3]) != weight:
+                inexact = (lineno, tokens[3])
         key = (min(u, v) - 1, max(u, v) - 1)
         if key in seen:
             raise GraphFormatError(f"duplicate edge between {u} and {v}", lineno)
@@ -242,6 +258,10 @@ def parse_edge_list(text: str) -> SignedGraph:
         weights.append(weight)
     if n is None:
         raise GraphFormatError("missing vertex count line")
+    # Integer weights are summed exactly, so each must be the number written.
+    if inexact and all(w.is_integer() for w in weights):
+        lineno, token = inexact
+        raise GraphFormatError(f"integer weight {token} is not a float64 value", lineno)
     return SignedGraph(n, tuple(edges), tuple(weights))
 
 
@@ -304,17 +324,16 @@ def _resolve_signs(m: int, signs: SignSpec, rng: random.Random) -> tuple[int, ..
         return tuple(
             NEGATIVE if rng.random() < signs else POSITIVE for _ in range(m)
         )
-    key = signs.replace("_", "-").lower() if isinstance(signs, str) else ""
-    if key in ("allpos", "all-positive", "+"):
+    if signs == "allpos":
         return (POSITIVE,) * m
-    if key in ("allneg", "all-negative", "-"):
+    if signs == "allneg":
         return (NEGATIVE,) * m
-    if key and set(key) <= {"+", "-"}:
-        if len(key) != m:
+    if isinstance(signs, str) and signs and set(signs) <= {"+", "-"}:
+        if len(signs) != m:
             raise ValueError(
-                f"sign string has length {len(key)}, expected one sign per edge ({m})"
+                f"sign string has length {len(signs)}, expected one sign per edge ({m})"
             )
-        return tuple(POSITIVE if c == "+" else NEGATIVE for c in key)
+        return tuple(POSITIVE if c == "+" else NEGATIVE for c in signs)
     raise ValueError(f"unrecognized sign spec {signs!r}")
 
 

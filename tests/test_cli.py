@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sdlap import DisconnectedGraphError, IncompatibleGraphError, parse_edge_list
+from sdlap import DisconnectedGraphError, IncompatibleGraphError, generate, parse_edge_list
 from sdlap.cli import MATRIX_KINDS, _build_matrix, main
 
 from conftest import (
@@ -71,6 +71,26 @@ def test_gen_rejects_malformed_specs(capsys):
     assert run(capsys, "gen", "wheel:4")[0] == 2
     code, _, err = run(capsys, "gen", "cycle:2:allneg")
     assert code == 2 and "cycle" in err
+
+
+@pytest.mark.parametrize("signs, message", [
+    ("+", "sign string has length 1"),
+    ("-", "sign string has length 1"),
+    ("all-positive", "unrecognized sign spec"),
+    ("all_negative", "unrecognized sign spec"),
+    ("ALLPOS", "unrecognized sign spec"),
+    ("AllNeg", "unrecognized sign spec"),
+])
+def test_gen_rejects_removed_sign_spellings(capsys, signs, message):
+    code, out, err = run(capsys, "gen", f"cycle:4:{signs}")
+    assert (code, out) == (2, "") and message in err
+    with pytest.raises(ValueError, match=message):
+        generate("cycle", 4, signs)
+
+
+def test_gen_one_edge_takes_a_one_sign_string(capsys):
+    assert run(capsys, "gen", "path:2:+") == (0, "2\n1 2 +\n", "")
+    assert run(capsys, "gen", "path:2:-") == (0, "2\n1 2 -\n", "")
 
 
 def test_gen_connectivity_failure_is_computation_error(capsys):
@@ -497,6 +517,23 @@ def test_info_reports_basic_facts(capsys, c4_one_negative):
     assert obj["incompatible_pair"] == [1, 3]
     assert obj["balanced"] is False
     assert obj["transmissions"] == [4, 4, 4, 4]
+
+
+def test_info_gives_the_exact_zero_of_a_sparse_disconnected_graph(capsys, tmp_path):
+    # a negative triangle plus a disjoint edge: 4 edges on 5 vertices, no
+    # spanning 1-forest, so det L = 0
+    path = tmp_path / "mixed.sg"
+    path.write_text("5\n1 2 -\n2 3 -\n1 3 -\n4 5 +\n")
+    code, out, _ = run(capsys, "info", str(path))
+    assert code == 0 and '"closed_form_det": "0"' in out
+
+
+def test_integer_weight_float64_cannot_hold_exits_2(capsys, tmp_path):
+    path = tmp_path / "big.sg"
+    path.write_text("3\n1 2 - 9007199254740993\n2 3 -\n1 3 -\n")
+    code, out, err = run(capsys, "forests", str(path), "--kind", "contrabalanced")
+    assert (code, out) == (2, "")
+    assert err == "sdlap: line 2: integer weight 9007199254740993 is not a float64 value\n"
 
 
 def test_forests_census(capsys, c3_all_negative):

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,8 @@ def test_parse_accepts_comments_and_numeric_signs():
         ("2\n1 2 + inf", 2, "non-finite weight"),
         ("2\n1 2 + 1e400", 2, "non-finite weight"),
         ("2\n1 2 + nan", 2, "non-finite weight"),
+        ("3\n1 2 - 3\n2 3 - 9007199254740993", 3, "integer weight 9007199254740993 is not"),
+        ("2\n1 2 + 1e23", 2, "integer weight 1e23 is not a float64 value"),
         ("2\n1 2 + -Infinity", 2, "non-finite weight"),
         ("2\n1 2 +\n2 1 -", 3, "duplicate"),
         ("2\n1 3 +", 2, "vertex outside"),
@@ -148,6 +152,25 @@ def test_weighted_graph_validation():
         assert str(err.value) == (
             f"weight {weight!r} at edge 0 is not finite and strictly positive"
         )
+
+
+@pytest.mark.parametrize("weight", [2**53 + 1, np.int64(2**53 + 1), 10**400],
+                         ids=["int", "np.int64", "beyond-float64"])
+def test_integer_weights_float64_cannot_hold_are_rejected(weight):
+    with pytest.raises(ValueError, match=re.escape(f"integer weight {weight!r} at edge 0 is")):
+        SignedGraph(2, ((0, 1, 1),), (weight,))
+
+
+@pytest.mark.parametrize("weight", ["9007199254740992", "1e20", str(2**60)])
+def test_integer_weights_that_are_float64_values_round_trip(weight):
+    g = parse_edge_list(f"2\n1 2 + {weight}\n")
+    assert g.weights == (float(weight),) and g.integer_weights
+    assert parse_edge_list(serialize(g)) == g == SignedGraph(2, ((0, 1, 1),), (int(float(weight)),))
+
+
+def test_inexact_integer_token_beside_a_float_weight_is_read_as_a_float():
+    g = parse_edge_list("3\n1 2 + 9007199254740993\n2 3 + 0.5\n")
+    assert g.weights == (2.0**53, 0.5)
 
 
 def test_omitted_weights_are_unit_weights():

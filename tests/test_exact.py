@@ -1,0 +1,358 @@
+"""Exact determinants: the routes of sdlap.exact behind det_exact."""
+
+import itertools
+import math
+import random
+
+import numpy as np
+import pytest
+
+from sdlap import (
+    det_exact,
+    distance_laplacian,
+    distance_table,
+    generate,
+)
+
+import sdlap.exact
+from sdlap.exact import (
+    _BLOCK,
+    _LIFT_PRIME,
+    _PADIC_MIN_ORDER,
+    _PRIME_LIMIT,
+    _det_bareiss,
+    _det_modular,
+    _lift_is_exact,
+    _primes,
+)
+
+from conftest import leibniz_det
+
+
+def modular(rows, lift=True) -> tuple[int, tuple[int, int] | None]:
+    """_det_modular on rows, and what its lifting step returned: (d, det
+    mod _LIFT_PRIME), or None where it declined. With lift=False the step
+    is made to decline, so the prime loop runs with d = 1."""
+    found = []
+    real = sdlap.exact._padic_divisor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdlap.exact, "_padic_divisor",
+                   lambda *args: found.append(real(*args) if lift else None) or found[-1])
+        value = _det_modular([list(r) for r in rows])
+    return value, found[0]
+
+
+def both_routes(rows) -> int:
+    """Determinant by Bareiss, by the prime loop alone (d = 1) and by the
+    whole modular route, each separately; fails unless they agree. The
+    lifting step may decline, but never disagrees."""
+    bareiss = _det_bareiss([list(r) for r in rows])
+    assert modular(rows, lift=False) == (bareiss, None)
+    assert modular(rows)[0] == bareiss
+    return bareiss
+
+
+def random_rows(rng, n, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+# ---------------------------------------------------------------- det_exact
+
+
+def test_det_exact_matches_permutation_expansion():
+    rng = random.Random(101)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        assert det_exact(rows) == both_routes(rows) == leibniz_det(rows)
+
+
+# ------------------------------------------------- the determinant routes
+
+
+def test_float_elimination_stays_below_2_to_the_53():
+    # largest value _det_mod_primes holds, plus the p that _reduce adds
+    assert _BLOCK * (_PRIME_LIMIT - 2) ** 2 + 2 * _PRIME_LIMIT < 2**53
+
+
+def test_primes_are_distinct_primes_below_the_limit_largest_first():
+    first = list(itertools.islice(_primes(), 60))
+    assert first == sorted(set(first), reverse=True)
+    assert first[0] < _PRIME_LIMIT
+    for q in first:
+        assert all(q % d for d in range(2, math.isqrt(q) + 1))
+    assert first == list(itertools.islice(_primes(), 60))
+
+
+def test_routes_agree_on_both_sides_of_the_order_threshold():
+    rng = random.Random(223)
+    for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER, _PADIC_MIN_ORDER + _BLOCK + 3):
+        rows = random_rows(rng, n)
+        assert det_exact(rows) == both_routes(rows) != 0
+
+
+def test_routes_agree_on_laplacians_on_both_sides_of_the_threshold():
+    for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER + 8):
+        g = generate("random", n, 0.5, seed=n, p=8 / n)
+        for kind in ("max", "min"):
+            lap = distance_laplacian(distance_table(g), kind)
+            assert det_exact(lap) == both_routes(lap.entries.tolist())
+
+
+def test_modular_route_across_many_narrow_blocks(monkeypatch):
+    # Narrow blocks put block boundaries, trailing updates and pivots
+    # that vanish modulo a prime inside a small matrix.
+    monkeypatch.setattr(sdlap.exact, "_BLOCK", 3)
+    rng = random.Random(227)
+    for n in (7, 11, 20):
+        rows = random_rows(rng, n, -2, 2)
+        # the first pivot comes from below the first block
+        for row in rows[:3]:
+            row[0] = 0
+        rows[n - 1][0] = 1
+        both_routes(rows)
+
+
+def test_routes_handle_python_ints_beyond_int64():
+    rng = random.Random(229)
+    for n in (5, _PADIC_MIN_ORDER + 1):
+        rows = random_rows(rng, n)
+        for i in range(n):
+            rows[i][i] += rng.choice((1, -1)) * 2**70 + rng.randint(0, 2**66)
+        value = both_routes(rows)
+        assert det_exact(rows) == value
+        assert value.bit_length() > 63 * n
+
+
+def test_routes_return_zero_on_rank_deficient_matrices():
+    rng = random.Random(233)
+    n = _PADIC_MIN_ORDER + 3
+    for rank in (n - 1, n - 5, 1):
+        left = np.array(random_rows(rng, n, -5, 5))[:, :rank]
+        right = np.array(random_rows(rng, n, -5, 5))[:rank, :]
+        assert both_routes((left @ right).tolist()) == 0
+    zero_row = random_rows(rng, n)
+    zero_row[4] = [0] * n
+    assert both_routes(zero_row) == 0
+
+
+def test_modular_route_swaps_rows_for_one_prime_only():
+    # The leading entry is a multiple of the first prime only, so that
+    # prime pivots on another row while the others keep row 0.
+    p = next(_primes())
+    rng = random.Random(239)
+    rows = random_rows(rng, _PADIC_MIN_ORDER + 2)
+    rows[0][0] = 3 * p
+    assert both_routes(rows) != 0
+    # a whole column divisible by p makes det vanish modulo p alone
+    for row in rows:
+        row[1] *= p
+    value = both_routes(rows)
+    assert value != 0 and value % p == 0
+
+
+def test_modular_route_reconstructs_a_determinant_at_its_hadamard_bound():
+    # det = H, just below the product M of the first n primes; only with
+    # M > 2H is the symmetric residue modulo M the determinant.
+    n = _PADIC_MIN_ORDER + 1
+    diagonal = list(itertools.islice(_primes(), n))
+    diagonal[-1] -= 1
+    rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert modular(rows, lift=False)[0] == math.prod(diagonal)
+    rows[0][0] = -rows[0][0]
+    assert modular(rows, lift=False)[0] == -math.prod(diagonal)
+
+
+def test_routes_on_empty_and_single_entry_matrices():
+    assert both_routes([]) == 1
+    assert det_exact(np.zeros((0, 0), dtype=np.int64)) == 1
+    for x in (-5, 0, 7, 2**80, -(2**80)):
+        assert both_routes([[x]]) == x
+
+
+def test_modular_route_falls_back_when_primes_run_out(monkeypatch):
+    monkeypatch.setattr(sdlap.exact, "_primes",
+                        lambda: itertools.islice(_primes(), 2))
+    rows = random_rows(random.Random(241), _PADIC_MIN_ORDER)
+    assert modular(rows, lift=False)[0] == _det_bareiss(rows)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
+def test_det_exact_rejects_bad_entries_above_the_threshold(bad):
+    n = _PADIC_MIN_ORDER + 4
+    m = np.eye(n)
+    m[n - 1, n - 2] = bad
+    with pytest.raises(ValueError, match="non-integer"):
+        det_exact(m)
+
+
+# ---------------------------------------------------------------- the lifting step
+
+
+def padic_route(rows) -> int:
+    """The modular determinant with a certified divisor, which the lifting
+    step must not decline, checked against both_routes and det_exact."""
+    value, divisor = modular(rows)
+    assert divisor is not None
+    assert value == both_routes(rows) == det_exact(rows)
+    return value
+
+
+def test_lifting_prime_is_prime_and_keeps_float_arithmetic_below_2_to_the_53():
+    p = _LIFT_PRIME
+    assert p < 2**20 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    # the Gauss-Jordan inverse and the lifting matrix-vector step
+    assert 8192 * (p - 1) ** 2 + 2 * p < 2**53 <= 8193 * (p - 1) ** 2 + 2 * p
+    assert _lift_is_exact(8192, 1, 9) and not _lift_is_exact(8193, 1, 9)
+    # the residual update r - A x
+    n = 100
+    amax = (2**53 - 10) // (n * p)
+    assert _lift_is_exact(n, amax, 9) and not _lift_is_exact(n, amax + 1, 9)
+
+
+def test_padic_route_agrees_on_both_sides_of_its_order_threshold():
+    rng = random.Random(251)
+    for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER, _PADIC_MIN_ORDER + _BLOCK + 3):
+        assert padic_route(random_rows(rng, n)) != 0
+    for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER + 1, 60):
+        g = generate("random", n, 0.5, seed=n, p=8 / n)
+        for kind in ("max", "min"):
+            lap = distance_laplacian(distance_table(g), kind)
+            assert padic_route(lap.entries.tolist()) == det_exact(lap)
+
+
+def test_padic_route_across_narrow_blocks(monkeypatch):
+    monkeypatch.setattr(sdlap.exact, "_BLOCK", 3)
+    rng = random.Random(257)
+    for n in (1, 2, 7, 11, 20):
+        rows = random_rows(rng, n, -2, 2)
+        if _det_bareiss([list(r) for r in rows]) % _LIFT_PRIME:
+            padic_route(rows)
+
+
+def routes_taken(monkeypatch):
+    """(route, order) for each determinant det_exact computes from here on:
+    "bareiss", "divisor" where the lifting step certifies a divisor, or
+    "plain" where it declines and the prime loop runs with d = 1."""
+    taken = []
+    bareiss, divisor = sdlap.exact._det_bareiss, sdlap.exact._padic_divisor
+
+    def spy_bareiss(a):
+        taken.append(("bareiss", len(a)))
+        return bareiss(a)
+
+    def spy_divisor(a, *args):
+        found = divisor(a, *args)
+        taken.append(("plain" if found is None else "divisor", len(a)))
+        return found
+
+    monkeypatch.setattr(sdlap.exact, "_det_bareiss", spy_bareiss)
+    monkeypatch.setattr(sdlap.exact, "_padic_divisor", spy_divisor)
+    return taken
+
+
+@pytest.mark.parametrize("n", [_PADIC_MIN_ORDER + 1, _PADIC_MIN_ORDER + 11])
+def test_column_times_the_lifting_prime_falls_back(monkeypatch, n):
+    # singular modulo the lifting prime: the prime loop runs with d = 1
+    rng = random.Random(263)
+    rows = random_rows(rng, n)
+    for row in rows:
+        row[2] *= _LIFT_PRIME
+    assert modular(rows)[1] is None
+    value = both_routes(rows)
+    taken = routes_taken(monkeypatch)
+    assert det_exact(rows) == value != 0 and value % _LIFT_PRIME == 0
+    assert taken == [("plain", n)]
+
+
+def test_rank_deficient_matrix_above_the_threshold_falls_back(monkeypatch):
+    rng = random.Random(269)
+    for n in (_PADIC_MIN_ORDER + 1, _PADIC_MIN_ORDER + 3):
+        left = np.array(random_rows(rng, n, -5, 5))[:, : n - 2]
+        right = np.array(random_rows(rng, n, -5, 5))[: n - 2, :]
+        rows = (left @ right).tolist()
+        assert modular(rows)[1] is None
+        with monkeypatch.context() as mp:
+            taken = routes_taken(mp)
+            assert det_exact(rows) == 0
+        assert taken == [("plain", n)]
+        assert both_routes(rows) == 0
+
+
+def test_large_cofactors_stay_exact():
+    # diag(2, ..., 2): d is at most 2, so the cofactor 2**(n-1) needs
+    # primes beyond the lifting prime
+    for n in (_PADIC_MIN_ORDER, 100):
+        rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        assert padic_route(rows) == 2**n
+    # q * I for the first prime q of the cofactor stream: d = q, and the
+    # cofactor q**(n-1) must be taken modulo primes other than q
+    q = next(_primes())
+    n = _PADIC_MIN_ORDER + 1
+    rows = [[q if i == j else 0 for j in range(n)] for i in range(n)]
+    assert padic_route(rows) == q**n
+    # a multiple of a random matrix: det = 3**n det R
+    rng = random.Random(271)
+    rows = [[3 * x for x in row] for row in random_rows(rng, _PADIC_MIN_ORDER + 4)]
+    assert padic_route(rows) % 3 ** (_PADIC_MIN_ORDER + 4) == 0
+
+
+def test_padic_route_declines_entries_beyond_int64_and_the_float_bound(monkeypatch):
+    rng = random.Random(277)
+    n = _PADIC_MIN_ORDER + 2
+    for big in (2**70, 2**40):
+        rows = random_rows(rng, n)
+        for i in range(n):
+            rows[i][(i + 1) % n] += big
+        assert modular(rows)[1] is None
+        with monkeypatch.context() as mp:
+            taken = routes_taken(mp)
+            value = det_exact(rows)
+        assert taken == [("plain", n)]
+        assert value == both_routes(rows)
+    # just inside the float bound the route still applies
+    amax = (2**53 - 10) // (n * _LIFT_PRIME)
+    rows = random_rows(rng, n)
+    rows[0][1] = amax
+    assert _lift_is_exact(n, amax, 9)
+    padic_route(rows)
+
+
+def test_padic_route_on_a_matrix_whose_column_norms_exceed_its_row_norms():
+    # one heavy row: the Cramer numerators are bounded by column norms,
+    # whose product here is far above the row norms' product
+    rng = random.Random(281)
+    n = _PADIC_MIN_ORDER + 6
+    rows = random_rows(rng, n, -2, 2)
+    rows[0] = [rng.randint(-500, 500) for _ in range(n)]
+    for i in range(n):
+        rows[i][i] += 5
+    col_sq = math.prod(sum(row[j] ** 2 for row in rows) for j in range(n))
+    row_sq = math.prod(sum(x * x for x in row) for row in rows)
+    assert col_sq > row_sq**2
+    assert padic_route(rows) != 0
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    # a doubled denominator breaks gcd(d, y) = 1
+    ("_rational", lambda real: lambda *args: None if (e := real(*args)) is None else 2 * e),
+    # a wrong last coordinate of x breaks A y = d b
+    ("_lift", lambda real: lambda *args: (x := real(*args))[:-1] + [x[-1] + 1]),
+])
+def test_failed_certificate_falls_back(monkeypatch, name, corrupt):
+    monkeypatch.setattr(sdlap.exact, name, corrupt(getattr(sdlap.exact, name)))
+    n = _PADIC_MIN_ORDER + 3
+    rows = random_rows(random.Random(283), n)
+    assert modular(rows)[1] is None
+    taken = routes_taken(monkeypatch)
+    assert det_exact(rows) == _det_bareiss(rows)
+    assert taken == [("plain", n)]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
+@pytest.mark.parametrize("n", [_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER])
+def test_det_exact_rejects_bad_entries_at_the_padic_threshold(bad, n):
+    m = np.eye(n)
+    m[0, n - 1] = bad
+    with pytest.raises(ValueError, match="non-integer"):
+        det_exact(m)

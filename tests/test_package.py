@@ -1,8 +1,12 @@
 import ast
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
+
+from sdlap.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,3 +61,26 @@ def test_readme_library_quick_start_runs_as_written():
     eigenvalues = ast.literal_eval(lines[2])
     assert len(eigenvalues) == 4 and list(eigenvalues) == sorted(eigenvalues)
     assert lines[3:] == ["4", "120", "120"]
+
+
+def test_readme_cli_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## CLI quick start"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    runs: dict[str, list[str]] = {}  # verb -> [its stdout, the lines shown below it]
+    for line in block.splitlines():
+        if line.startswith("sdlap "):
+            argv = shlex.split(line, comments=True)[1:]
+            assert main(argv) == 0, line
+            run = runs.setdefault(argv[0], [])
+            run.append(capsys.readouterr().out)
+        elif line.startswith("# "):
+            run.append(line[2:])
+    matrix_out, *matrix_rows = runs["matrix"]
+    assert matrix_rows[-1] == "..." and len(matrix_rows) == 3
+    assert matrix_out.splitlines()[:2] == matrix_rows[:2]
+    balance_out, balance_json = runs["balance"]
+    assert json.loads(balance_out) == json.loads(balance_json)
+    spectrum_out, spectrum_csv = runs["spectrum"]
+    assert spectrum_out.strip() == spectrum_csv == "1,1,4"
