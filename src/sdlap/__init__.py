@@ -9,6 +9,7 @@ from .balance import (
     closed_form_det,
     det_exact,
     enumerate_spanning_1forests,
+    forest_census,
     forest_det,
     is_balanced_det,
     is_balanced_forest,

@@ -13,10 +13,9 @@ unbalanced, det L is computed exactly by sdlap.exact.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,10 +34,14 @@ from .matrices import SquareMatrix
 
 # Nodes per 1-forest search: K8 needs 5.1e6, at 2 to 5 us each (CHANGES.md).
 ENUMERATION_MAX_NODES = 16_000_000
+# Live states of the 1-forest census after any edge: K10 peaks at 402,610
+# (about 200 MB), and K11 passes the cap within about 5 s.
+FOREST_MAX_STATES = 500_000
 
 
 class SizeBoundError(ValueError):
-    """A 1-forest search would visit more than ENUMERATION_MAX_NODES nodes."""
+    """A 1-forest search would visit more than ENUMERATION_MAX_NODES nodes,
+    or the 1-forest census would hold more than FOREST_MAX_STATES states."""
 
 
 class ForestComponent(NamedTuple):
@@ -234,42 +237,219 @@ def enumerate_spanning_1forests(g: SignedGraph,
     return [_as_one_forest(g, leaf) for leaf in _scan_1forests(g, contrabalanced_only)]
 
 
-def _forest_sum(g: SignedGraph, leaves: Iterable[tuple]):
-    """Sum of 4**components * weight product over the contrabalanced
-    leaves of the 1-forest search on g, added in their order.
+def _integer_weights(g: SignedGraph) -> tuple[list[int], int]:
+    """Weights as integers a_i with w_i = a_i / 2**shift, and shift.
 
-    Returns an exact int when all weights are integers, a float otherwise;
-    raises ValueError when a float sum overflows.
+    Every float is a dyadic rational, so one common shift makes all
+    weights integers; it is 0 when they are integers already.
     """
-    exact = g.integer_weights
-    weights = [int(w) for w in g.weights] if exact else list(g.weights)
-    total: int | float = 0 if exact else 0.0
-    for forest_edges, cycles in leaves:
-        if all(sign == NEGATIVE for _, sign in cycles):
-            total += (4 ** len(cycles)) * math.prod(weights[ei] for ei in forest_edges)
-    if not (exact or math.isfinite(total)):
-        raise ValueError("1-forest sum overflows a 64-bit float")
-    return total
+    ratios = [w.as_integer_ratio() for w in g.weights]
+    shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    return [a << (shift - d.bit_length() + 1) for a, d in ratios], shift
+
+
+def _strip_pendants(g: SignedGraph, weights: list[int]) -> tuple[list[dict], int] | None:
+    """Adjacency {neighbour: edge index} of g with degree-one vertices
+    removed repeatedly, and the product of the removed edges' weights.
+
+    A vertex of degree one has its edge in every spanning 1-forest, as a
+    pendant edge of its component, so each removal multiplies every term
+    of the sum by that edge's weight and changes neither the count nor the
+    cycles. Returns None when a vertex is left with no edge: its component
+    is a tree, and g has no spanning 1-forest.
+    """
+    adj: list[dict] = [{} for _ in range(g.n)]
+    for i, (u, v, _) in enumerate(g.edges):
+        adj[u][v] = i
+        adj[v][u] = i
+    factor = 1
+    removed = [False] * g.n
+    stack = [v for v in range(g.n) if len(adj[v]) < 2]
+    while stack:
+        v = stack.pop()
+        if removed[v]:
+            continue
+        if not adj[v]:
+            return None
+        ((u, ei),) = adj[v].items()
+        factor *= weights[ei]
+        removed[v] = True
+        del adj[u][v]
+        adj[v] = {}
+        if len(adj[u]) < 2:
+            stack.append(u)
+    return adj, factor
+
+
+def _frontier_order(adj: list[dict]) -> list[int]:
+    """The vertices that have edges, in a greedy order that keeps the
+    frontier (placed vertices with unplaced neighbours) small.
+
+    The next vertex is a neighbour of the placed ones whose placing grows
+    the frontier least, then the one with fewest unplaced neighbours, then
+    the lowest; a new component starts at a vertex of least degree.
+    """
+    unplaced = [len(a) for a in adj]
+    placed = [False] * len(adj)
+    starts = iter(sorted((v for v in range(len(adj)) if adj[v]), key=lambda v: len(adj[v])))
+    candidates: set[int] = set()
+    order = []
+
+    def growth(x):
+        leaving = sum(1 for y in adj[x] if placed[y] and unplaced[y] == 1)
+        return (unplaced[x] > 0) - leaving, unplaced[x], x
+
+    while True:
+        if candidates:
+            v = min(candidates, key=growth)
+            candidates.discard(v)
+        else:
+            v = next((x for x in starts if not placed[x]), None)
+            if v is None:
+                return order
+        placed[v] = True
+        order.append(v)
+        for y in adj[v]:
+            unplaced[y] -= 1
+            if not placed[y]:
+                candidates.add(y)
+
+
+def _merge(states: dict, key: tuple, count: int, total: int) -> None:
+    old = states.get(key)
+    states[key] = (count, total) if old is None else (old[0] + count, old[1] + total)
+
+
+def _take(states: dict, i: int, j: int, sign: int, w: int, negative_only: bool) -> dict:
+    """States after the edge between frontier positions i and j, of sign
+    sign and weight w, is skipped or taken (see forest_census)."""
+    out = dict(states)
+    w4 = 4 * w
+    for t, (count, total) in states.items():
+        a, b = t[i], t[j]
+        if not (a or b):
+            continue  # both components already hold a cycle
+        if a and b and a != b and a != -b:
+            # join two acyclic components under the lower root; r carries
+            # the sign of the path between the two roots
+            r, z = sorted((abs(a), abs(b)))
+            r = r * sign if (a > 0) == (b > 0) else -r * sign
+            _merge(out, tuple([r if c == z else -r if c == -z else c for c in t]),
+                   count, total * w)
+            continue
+        x = abs(a or b)
+        key = tuple([0 if c == x or c == -x else c for c in t])
+        if not (a and b):  # joins a component that holds a cycle
+            _merge(out, key, count, total * w)
+        elif (a == b) == (sign < 0):  # closes a negative cycle
+            _merge(out, key, count, total * w4)
+        elif not negative_only:  # a positive cycle: counted, adds 0
+            _merge(out, key, count, 0)
+    return out
+
+
+def _drop(states: dict, k: int) -> dict:
+    """States after frontier position k leaves; a state dies when k was
+    the last frontier vertex of a component without a cycle."""
+    out: dict = {}
+    root = k + 1
+    for t, (count, total) in states.items():
+        c, rest = t[k], t[k + 1:]
+        x = abs(c)
+        if x == root:
+            # k was its component's root: the next member becomes it
+            q = next((q for q, d in enumerate(rest) if d == x or d == -x), None)
+            if q is None:
+                continue
+            new = k + q + 2 if rest[q] > 0 else -(k + q + 2)  # its label before the shift
+            rest = [new if d == x else -new if d == -x else d for d in rest]
+        elif c and t.count(c) + t.count(-c) == 1:
+            continue
+        _merge(out, t[:k] + tuple([d - 1 if d > root else d + 1 if d < -root else d
+                                   for d in rest]), count, total)
+    return out
+
+
+def forest_census(g: SignedGraph, contrabalanced_only: bool = False) -> tuple[int, int | float]:
+    """(count, sum) over the spanning 1-forests F of g: count is how many
+    there are (with contrabalanced_only, how many have only negative
+    cycles), sum is the sum of 4**components * weight product over the
+    contrabalanced ones, which is forest_det(g).
+
+    Frontier dynamic programming (Sekine, Imai & Tani, ISAAC 1995) over
+    the edges in the vertex order of _frontier_order, after pendant
+    vertices are stripped. A state maps each frontier vertex to 0 when
+    its component holds a cycle; otherwise to +-(r + 1), where r is the
+    frontier position of the component's first vertex and the sign is
+    that of the path between them. Components with a cycle need neither
+    label nor sign: no further edge may join two of them or close a cycle
+    in one. Each state carries (count, sum) of the partial forests that
+    reach it; a state dies when a component leaves the frontier without a
+    cycle, or with a positive one under contrabalanced_only.
+
+    Returns an exact int sum when all weights are integers. Otherwise the
+    sum is computed exactly over integers (every weight is a/2**k, and
+    every forest has n edges) and rounded once to the nearest float;
+    raises ValueError when that overflows. Raises SizeBoundError when more
+    than FOREST_MAX_STATES states are live after any edge.
+    """
+    weights, shift = _integer_weights(g)
+    stripped = _strip_pendants(g, weights)
+    count, total = 0, 0
+    if stripped is not None:
+        adj, factor = stripped
+        order = _frontier_order(adj)
+        position = {v: p for p, v in enumerate(order)}
+        unseen = [len(a) for a in adj]  # edges not yet processed
+        states = {(): (1, factor)}
+        front: list[int] = []
+        for v in order:
+            front.append(v)
+            states = {t + (len(front),): value for t, value in states.items()}
+            # earlier neighbours that leave the frontier sooner go first
+            for u in sorted((u for u in adj[v] if position[u] < position[v]),
+                            key=unseen.__getitem__):
+                i, j = front.index(u), front.index(v)
+                states = _take(states, i, j, g.edges[adj[v][u]][2],
+                               weights[adj[v][u]], contrabalanced_only)
+                if len(states) > FOREST_MAX_STATES:
+                    raise SizeBoundError(
+                        f"1-forest census needs more than {FOREST_MAX_STATES} states")
+                unseen[u] -= 1
+                unseen[v] -= 1
+                for x in (u, v):
+                    if not unseen[x]:
+                        states = _drop(states, front.index(x))
+                        front.remove(x)
+        count, total = states.get((), (0, 0))
+    if not shift:
+        return count, total
+    try:
+        return count, total / (1 << shift * g.n)
+    except OverflowError:
+        raise ValueError("1-forest sum overflows a 64-bit float") from None
 
 
 def forest_det(g: SignedGraph):
     """Matrix-forest determinant: sum of 4**components * weight product
-    over the contrabalanced spanning 1-forests.
+    over the contrabalanced spanning 1-forests, by forest_census.
 
     Equals det_exact(weighted_laplacian(g)) for every signed graph,
     connected or not, which is the identity the verification suite checks.
-    Returns an exact int when all weights are integers, a float otherwise;
-    raises ValueError when a float sum overflows.
+    Returns an exact int when all weights are integers, the correctly
+    rounded float otherwise; raises ValueError when a float sum overflows
+    and SizeBoundError when the census exceeds its state cap.
     """
-    return _forest_sum(g, _scan_1forests(g, negative_only=True))
+    return forest_census(g, contrabalanced_only=True)[1]
 
 
 def closed_form_det(g: SignedGraph):
     """Laplacian determinant of a graph with at most n edges, else None.
 
     With m < n no spanning 1-forest exists, and with m = n the graph is
-    its own only candidate, so forest_det is exact here, connected or not,
-    and its search visits at most n + 1 nodes.
+    its own only candidate, so forest_det is exact here, connected or not.
+    After pendant stripping such a graph is a disjoint union of cycles, or
+    has a vertex with no edge left, so the census holds few states.
     """
     return forest_det(g) if g.m <= g.n else None
 
@@ -326,7 +506,7 @@ def is_balanced_forest(g: SignedGraph) -> BalanceReport:
     The weights of g are dropped: the sum has only positive terms, one per
     contrabalanced spanning 1-forest, so it vanishes exactly on balanced
     connected graphs, and unit weights keep it an exact integer. Raises
-    SizeBoundError when the 1-forest search exceeds its node budget.
+    SizeBoundError when the 1-forest census exceeds its state cap.
     """
     # the sum-to-balance step needs connectivity; switching checks it
     switching = is_balanced_switching(g)

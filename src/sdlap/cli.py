@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 computation error (disconnected input,
-incompatible pair for a pm matrix, enumeration size bound, an int64 or
+incompatible pair for a pm matrix, a 1-forest size bound, an int64 or
 float64 vertex weight sum or a float 1-forest sum that overflows,
 verification failure), 2 usage or input-format error.
 """
@@ -17,10 +17,9 @@ from pathlib import Path
 
 from .balance import (
     SizeBoundError,
-    _as_one_forest,
-    _forest_sum,
-    _scan_1forests,
     closed_form_det,
+    enumerate_spanning_1forests,
+    forest_census,
     is_balanced_det,
     is_balanced_forest,
     is_balanced_switching,
@@ -180,10 +179,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_forests(args) -> int:
     g = _load(args.file)
-    leaves = list(_scan_1forests(g, args.kind == "contrabalanced"))
-    total = _forest_sum(g, leaves)
+    contrabalanced = args.kind == "contrabalanced"
+    count, total = forest_census(g, contrabalanced)
     result = {
-        "count": len(leaves),
+        "count": count,
         "forest_sum": str(total) if isinstance(total, int) else total,
     }
     if args.list:
@@ -199,7 +198,7 @@ def _cmd_forests(args) -> int:
                     for c in f.components
                 ],
             }
-            for f in (_as_one_forest(g, leaf) for leaf in leaves)
+            for f in enumerate_spanning_1forests(g, contrabalanced)
         ]
     _emit(_json_dump(result), args.out)
     return 0
@@ -242,6 +241,11 @@ def _parse_gen_spec(spec: str):
                 p = float(token[2:])
             except ValueError:
                 raise _UsageError(f"bad probability in {spec!r}")
+        elif token.startswith("q="):
+            try:
+                signs = float(token[2:])
+            except ValueError:
+                raise _UsageError(f"bad sign probability in {spec!r}")
         else:
             signs = token
     return kind, n, signs, seed, p
@@ -327,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "spec",
         help="kind:n[:signs][:p=F][:seed=N], e.g. cycle:5:allneg or "
-        "random:8:p=0.4:seed=3; signs may be allpos, allneg, or a +/- string",
+        "random:8:p=0.4:seed=3; signs may be allpos, allneg, a +/- string, "
+        "or q=F, each edge negative with probability F",
     )
     add_common(p_gen)
     p_gen.set_defaults(func=_cmd_gen)

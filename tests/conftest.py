@@ -6,7 +6,8 @@ instead of the all-sources bit-packed one, determinants come from the
 Leibniz permutation sum, Laplacians are rebuilt with plain loops,
 eigenvalues come from a cyclic Jacobi iteration instead of LAPACK,
 spanning 1-forests come from testing every edge subset instead of the
-library's depth-first search and signed union-find, and matrix exports
+library's depth-first search, signed union-find and frontier dynamic
+programming, forest sums are added as fractions, and matrix exports
 come from a per-entry number formatter and json.dumps over a whole
 document instead of the streaming row writer.
 """
@@ -18,6 +19,7 @@ import json
 import math
 import random
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -175,16 +177,16 @@ def oracle_1forests(g: SignedGraph) -> list[OneForest]:
 
 def oracle_forest_sum(g: SignedGraph, forests: list[OneForest]):
     """Sum of 4**components * weight product over the contrabalanced
-    members of forests, added in their order."""
-    total = 0 if g.integer_weights else 0.0
-    weights = [int(w) for w in g.weights] if g.integer_weights else g.weights
+    members of forests, in exact rational arithmetic: an int when every
+    weight is an integer, else the float nearest the exact sum."""
+    ratios = [w.as_integer_ratio() for w in g.weights]
+    total = Fraction(0)
     for forest in forests:
         if forest.contrabalanced:
-            w = 1
-            for ei in forest.edges:
-                w *= weights[ei]
-            total += 4 ** len(forest.components) * w
-    return total
+            total += Fraction(4 ** len(forest.components)
+                              * math.prod(ratios[ei][0] for ei in forest.edges),
+                              math.prod(ratios[ei][1] for ei in forest.edges))
+    return int(total) if g.integer_weights else float(total)
 
 
 def leibniz_det(rows) -> int:

@@ -15,6 +15,7 @@ from sdlap import (
     distance_laplacian,
     distance_table,
     enumerate_spanning_1forests,
+    forest_census,
     forest_det,
     generate,
     is_balanced_det,
@@ -170,21 +171,75 @@ def test_search_matches_the_subset_oracle():
         contra = enumerate_spanning_1forests(g, contrabalanced_only=True)
         assert contra == [f for f in expected if f.contrabalanced]
         nonzero += bool(contra)
-        # float weights: the same terms, added in the same order
+        # float weights: the exact sum, rounded once
         total = forest_det(wg)
         assert type(total) is type(oracle_forest_sum(wg, expected))
         assert repr(total) == repr(oracle_forest_sum(wg, expected))
     assert disconnected > 40 and nonzero > 40
 
 
+def with_pendant_tree(rng, g, size):
+    """g with a random tree of size new vertices hung from its vertices."""
+    edges = list(g.edges)
+    for v in range(g.n, g.n + size):
+        edges.append((rng.randrange(v), v, rng.choice((1, -1))))
+    weights = g.weights + tuple(float(rng.randint(1, 5)) for _ in range(size))
+    return SignedGraph(g.n + size, tuple(edges), weights)
+
+
+def test_census_matches_the_subset_oracle():
+    rng = random.Random(71)
+    graphs = [random_weighted_graph(rng, 2, 6) for _ in range(60)]
+    for g in graphs[:20]:
+        graphs.append(SignedGraph(g.n + 1, g.edges, g.weights))  # isolated vertex
+        graphs.append(with_pendant_tree(rng, g, rng.randint(1, 3)))
+    for g in graphs[-20:]:
+        graphs.append(SignedGraph(g.n, g.edges, tuple(w / 4 for w in g.weights)))
+    for g in graphs:
+        expected = oracle_1forests(g)
+        total = oracle_forest_sum(g, expected)
+        contrabalanced = sum(f.contrabalanced for f in expected)
+        census = forest_census(g)
+        assert census == (len(expected), total) and type(census[1]) is type(total)
+        assert forest_census(g, contrabalanced_only=True) == (contrabalanced, total)
+
+
+def necklace(rng, beads=5, size=18):
+    """beads signed cycles of size vertices, each tied to the next by one edge."""
+    edges = []
+    for b in range(beads):
+        ring = [b * size + i for i in range(size)]
+        edges += [(u, v, rng.choice((1, -1))) for u, v in zip(ring, ring[1:] + ring[:1])]
+        edges.append((b * size, (b + 1) % beads * size + size // 2, rng.choice((1, -1))))
+    return SignedGraph(beads * size, tuple(edges),
+                       tuple(float(rng.randint(1, 5)) for _ in edges))
+
+
+def test_census_reaches_k9_and_the_necklace():
+    rng = random.Random(43)
+    k9 = generate("complete", 9, 0.5, seed=5)
+    k9 = SignedGraph(9, k9.edges, tuple(float(rng.randint(1, 3)) for _ in range(k9.m)))
+    ring = necklace(rng)
+    assert (ring.n, ring.m) == (90, 95)
+    for g in (k9, ring):
+        det = det_exact(weighted_laplacian(g))
+        assert det > 0 and forest_det(g) == det
+
+
 def test_node_budget_refuses_dense_graphs_at_every_entry_point(monkeypatch, tmp_path):
+    # the search's node budget bounds the listing, the census's state cap
+    # every sum and count
     monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 1000)
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 1000)
     for n in (10, 12):
         big = generate("complete", n, "allneg")
         with pytest.raises(SizeBoundError, match="more than 1000 nodes"):
             enumerate_spanning_1forests(big)
         with pytest.raises(SizeBoundError):
             enumerate_spanning_1forests(big, contrabalanced_only=True)
+        for contrabalanced_only in (False, True):
+            with pytest.raises(SizeBoundError, match="more than 1000 states"):
+                forest_census(big, contrabalanced_only)
         with pytest.raises(SizeBoundError):
             forest_det(big)
         with pytest.raises(SizeBoundError):
@@ -193,6 +248,7 @@ def test_node_budget_refuses_dense_graphs_at_every_entry_point(monkeypatch, tmp_
         path.write_text(serialize(big))
         for kind in ("all", "contrabalanced"):
             assert main(["forests", str(path), "--kind", kind]) == 1
+            assert main(["forests", str(path), "--kind", kind, "--list"]) == 1
 
 
 def test_node_budget_counts_nodes_not_subsets(monkeypatch):
@@ -207,9 +263,21 @@ def test_node_budget_counts_nodes_not_subsets(monkeypatch):
     triangle = generate("cycle", 3, "allneg")
     monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 4)
     assert forest_det(triangle) == 4
+    assert len(enumerate_spanning_1forests(triangle, contrabalanced_only=True)) == 1
     monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 3)
     with pytest.raises(SizeBoundError):
-        forest_det(triangle)
+        enumerate_spanning_1forests(triangle, contrabalanced_only=True)
+
+
+def test_state_cap_counts_live_states_after_each_edge(monkeypatch):
+    # The negative triangle peaks at 4 states, after its second edge: each
+    # of the first two edges is taken or skipped.
+    triangle = generate("cycle", 3, "allneg")
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 4)
+    assert forest_census(triangle) == (1, 4)
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 3)
+    with pytest.raises(SizeBoundError, match="more than 3 states"):
+        forest_census(triangle)
 
 
 @pytest.mark.parametrize("shape", ["cycle", "unicyclic"])
@@ -241,6 +309,23 @@ def test_forest_det_golden_values():
     table = distance_table(g)
     assert forest_det(associated_complete(table, "max")) == 84
     assert forest_det(associated_complete(table, "min")) == 84
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_forest_sum_of_the_associated_complete_graph_is_det_l(kind):
+    # the paper's proof route: det L^kind(g) is the 1-forest sum of the
+    # complete graph whose edges carry the signs and distances of D^kind
+    rng = random.Random(41)
+    for n in range(4, 9):
+        for balanced in (True, False):
+            g = switch(generate("random", n, "allpos", seed=rng.getrandbits(32), p=0.6),
+                       [rng.choice((1, -1)) for _ in range(n)])
+            while is_balanced_switching(g).balanced is not balanced:
+                g = generate("random", n, 0.5, seed=rng.getrandbits(32), p=0.6)
+            table = distance_table(g)
+            det = det_exact(distance_laplacian(table, kind))
+            assert (det == 0) is balanced
+            assert forest_det(associated_complete(table, kind)) == det
 
 
 def test_forest_det_contributions_of_mixed_square_completion():
@@ -411,10 +496,12 @@ def graphs_with_at_most_n_edges(n):
 
 
 def test_closed_form_is_exact_on_every_graph_with_at_most_n_edges(monkeypatch):
+    # Pendant stripping leaves disjoint cycles, and the census walks each
+    # one holding at most 4 states.
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 4)
     rng = random.Random(19)
     count = 0
     for n in range(1, 6):
-        monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", n + 1)
         for edges in graphs_with_at_most_n_edges(n):
             wg = SignedGraph(n, edges, tuple(rng.randint(1, 5) for _ in edges))
             assert closed_form_det(wg) == det_exact(weighted_laplacian(wg))
@@ -422,10 +509,10 @@ def test_closed_form_is_exact_on_every_graph_with_at_most_n_edges(monkeypatch):
     assert count == 13089
 
 
-def test_closed_form_search_stays_within_n_plus_1_nodes(monkeypatch):
+def test_closed_form_census_stays_within_4_states(monkeypatch):
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 4)
     rng = random.Random(23)
     for n in (6, 7):
-        monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", n + 1)
         pairs = list(itertools.combinations(range(n), 2))
         for _ in range(300):
             chosen = rng.sample(pairs, rng.randint(n - 1, n))

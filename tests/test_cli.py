@@ -93,6 +93,23 @@ def test_gen_one_edge_takes_a_one_sign_string(capsys):
     assert run(capsys, "gen", "path:2:-") == (0, "2\n1 2 -\n", "")
 
 
+def test_gen_takes_a_sign_probability(capsys):
+    from sdlap import serialize
+
+    expected = serialize(generate("random", 12, 0.3, seed=4))
+    assert run(capsys, "gen", "random:12:q=0.3:seed=4") == (0, expected, "")
+    assert run(capsys, "gen", "cycle:4:q=1") == (0, "4\n1 2 -\n2 3 -\n3 4 -\n1 4 -\n", "")
+
+
+@pytest.mark.parametrize("token, message", [
+    ("q=1.5", "sign probability 1.5 outside [0, 1]"),
+    ("q=x", "bad sign probability"),
+])
+def test_gen_rejects_bad_sign_probabilities(capsys, token, message):
+    code, out, err = run(capsys, "gen", f"cycle:4:{token}")
+    assert (code, out) == (2, "") and message in err
+
+
 def test_gen_connectivity_failure_is_computation_error(capsys):
     code, _, err = run(capsys, "gen", "random:3:p=0:seed=1")
     assert code == 1
@@ -573,28 +590,31 @@ def test_forests_scans_once_and_sums_like_forest_det(capsys, tmp_path, monkeypat
     path = tmp_path / "k5.sg"
     path.write_text(serialize(wg))
     expected = forest_det(wg)
-    scan, as_one_forest = sdlap.cli._scan_1forests, sdlap.cli._as_one_forest
+    census, enumerate_forests = sdlap.cli.forest_census, sdlap.cli.enumerate_spanning_1forests
     for listed in (False, True):
-        scans, built = [], []
+        censuses, scans, built = [], [], []
 
-        def counted(g, negative_only=False):
-            scans.append(negative_only)
-            return scan(g, negative_only)
+        def counted_census(g, contrabalanced_only=False):
+            censuses.append(contrabalanced_only)
+            return census(g, contrabalanced_only)
 
-        def counted_build(g, leaf):
-            built.append(leaf)
-            return as_one_forest(g, leaf)
+        def counted_scan(g, contrabalanced_only=False):
+            scans.append(contrabalanced_only)
+            forests = enumerate_forests(g, contrabalanced_only)
+            built.extend(forests)
+            return forests
 
-        monkeypatch.setattr(sdlap.cli, "_scan_1forests", counted)
-        monkeypatch.setattr(sdlap.cli, "_as_one_forest", counted_build)
+        monkeypatch.setattr(sdlap.cli, "forest_census", counted_census)
+        monkeypatch.setattr(sdlap.cli, "enumerate_spanning_1forests", counted_scan)
         code, out, _ = run(capsys, "forests", str(path), "--kind", kind,
                            *(["--list"] if listed else []))
-        # one search, for only the kind asked for
-        assert code == 0 and scans == [kind == "contrabalanced"]
-        # components and cycles are built for --list only, once per forest
+        # one census, and one search for --list only, of the kind asked for
+        assert code == 0 and censuses == [kind == "contrabalanced"]
+        assert scans == ([kind == "contrabalanced"] if listed else [])
+        # the census counts the forests that --list lists
         obj = json.loads(out)
         assert len(built) == (obj["count"] if listed else 0)
-        # float weights: the same terms, added in the same order
+        # float weights: the exact sum, rounded once
         assert obj["forest_sum"] == expected
 
 
@@ -680,16 +700,23 @@ def test_verify_suite_passes_and_is_deterministic(capsys):
 
 def test_verify_forest_theorem_skips_graphs_the_search_refuses(capsys, monkeypatch):
     import sdlap.balance
+    import sdlap.verify
+    from sdlap import SizeBoundError
 
     code, out, _ = run(capsys, "verify", "forest-theorem", "--n", "5")
     assert code == 0 and "skipped" not in out
-    # Dense graphs on 9 to 11 vertices exceed a 2000-node budget.
-    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 2000)
+    # Dense graphs on 9 to 11 vertices exceed a 2000-state cap.
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 2000)
     code, out, _ = run(capsys, "verify", "forest-theorem", "--n", "11", "--format", "json")
     (report,) = json.loads(out)
     assert code == 0 and report["passed"] and report["instances"] == 200
     assert 0 < report["details"]["skipped"] < 200
-    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 0)
+
+    def refuse(g):
+        raise SizeBoundError("refused")
+
+    # trees never reach the cap, so every refusal is forced here
+    monkeypatch.setattr(sdlap.verify, "forest_det", refuse)
     code, out, _ = run(capsys, "verify", "forest-theorem", "--n", "5")
     assert code == 1
     assert out.startswith("FAIL forest-theorem: 200 instances, max_abs_difference=0, "
