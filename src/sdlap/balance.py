@@ -32,16 +32,14 @@ from .distance import (DisconnectedGraphError, DistanceTable, IncompatibleGraphE
 from .exact import determinant
 from .matrices import SquareMatrix
 
-# Nodes per 1-forest search: K8 needs 5.1e6, at 2 to 5 us each (CHANGES.md).
-ENUMERATION_MAX_NODES = 16_000_000
-# Live states of the 1-forest census after any edge: K10 peaks at 402,610
-# (about 200 MB), and K11 passes the cap within about 5 s.
+# Live states of the 1-forest census after any edge, and forests of a
+# listing: K10 peaks at 402,610 states (about 200 MB), K8 has 1,456,875 forests.
 FOREST_MAX_STATES = 500_000
 
 
 class SizeBoundError(ValueError):
-    """A 1-forest search would visit more than ENUMERATION_MAX_NODES nodes,
-    or the 1-forest census would hold more than FOREST_MAX_STATES states."""
+    """The 1-forest census would hold more than FOREST_MAX_STATES live
+    states, or a listing more than FOREST_MAX_STATES forests."""
 
 
 class ForestComponent(NamedTuple):
@@ -154,89 +152,6 @@ def _tree_path(adj: list[list[int]], u: int, v: int) -> tuple[tuple[int, ...], d
     return tuple(reversed(path)), prev
 
 
-def _scan_1forests(g: SignedGraph, negative_only: bool = False) -> Iterator[tuple]:
-    """One leaf per spanning 1-forest of g, in lexicographic order of edge
-    index tuples; with negative_only, only the contrabalanced ones. A leaf
-    is the forest's edge indices, ascending, and one (closing edge, cycle
-    sign) pair per component, in closing order.
-
-    A depth-first search over the edge list (Read & Tarjan, Networks 1975)
-    takes, then skips, each edge. It takes no edge that would give a
-    component two cycles (with negative_only, a positive one) and ends a
-    branch when too few edges remain, so every leaf, n edges on n
-    vertices, has one cycle in each component. Raises SizeBoundError
-    rather than visit more than ENUMERATION_MAX_NODES nodes.
-    """
-    n, m, edges = g.n, g.m, g.edges
-    forest = SignedForest(n)
-    cyclic = [False] * n  # by root
-    # (edge, root it placed below the other, or -1 if it closed a cycle)
-    taken: list[tuple[int, int]] = []
-    e = 0
-    for _ in range(ENUMERATION_MAX_NODES):
-        if len(taken) < n and m - e >= n - len(taken):
-            u, v, s = edges[e]
-            ru, su = forest.find(u)
-            rv, sv = forest.find(v)
-            if ru != rv and not (cyclic[ru] and cyclic[rv]):
-                child = forest.link(ru, rv, su * s * sv)
-                cyclic[forest.parent[child]] = cyclic[ru] or cyclic[rv]
-                taken.append((e, child))
-            elif ru == rv and not cyclic[ru] and (su * s * sv == NEGATIVE or not negative_only):
-                cyclic[ru] = True
-                taken.append((e, -1))
-            e += 1
-            if m - e >= n - len(taken):
-                continue
-        elif len(taken) == n:
-            # union of a closing edge links nothing; it returns the cycle sign
-            cycles = tuple((ei, forest.union(*edges[ei])) for ei, child in taken if child < 0)
-            yield tuple(ei for ei, _ in taken), cycles
-        # Backtrack to the latest taken edge whose skip branch can finish.
-        while taken:
-            e, child = taken.pop()
-            if child < 0:
-                cyclic[forest.find(edges[e][0])[0]] = False
-            else:
-                if cyclic[child]:  # then the other component had no cycle
-                    cyclic[forest.parent[child]] = False
-                forest.cut(child)
-            e += 1
-            if m - e >= n - len(taken):
-                break
-        else:
-            return
-    raise SizeBoundError(f"1-forest search needs more than {ENUMERATION_MAX_NODES} nodes")
-
-
-def _as_one_forest(g: SignedGraph, leaf: tuple) -> OneForest:
-    """A search leaf as a OneForest, by one BFS per component over its tree edges."""
-    forest_edges, cycles = leaf
-    closing = {ei for ei, _ in cycles}
-    tree: list[list[int]] = [[] for _ in range(g.n)]
-    for ei in forest_edges:
-        if ei not in closing:
-            u, v, _ = g.edges[ei]
-            tree[u].append(v)
-            tree[v].append(u)
-    comps = []
-    for ei, sign in cycles:
-        cycle, visited = _tree_path(tree, g.edges[ei][0], g.edges[ei][1])
-        comps.append(ForestComponent(tuple(sorted(visited)), cycle, sign))
-    return OneForest(forest_edges, tuple(comps))
-
-
-def enumerate_spanning_1forests(g: SignedGraph,
-                                contrabalanced_only: bool = False) -> list[OneForest]:
-    """All spanning n-edge subgraphs whose components are 1-trees.
-
-    With contrabalanced_only, keeps only forests in which every component
-    cycle is negative; those are exactly the subgraphs contributing to the
-    matrix-forest determinant sum.
-    """
-    return [_as_one_forest(g, leaf) for leaf in _scan_1forests(g, contrabalanced_only)]
-
-
 def _integer_weights(g: SignedGraph) -> tuple[list[int], int]:
     """Weights as integers a_i with w_i = a_i / 2**shift, and shift.
 
@@ -248,9 +163,9 @@ def _integer_weights(g: SignedGraph) -> tuple[list[int], int]:
     return [a << (shift - d.bit_length() + 1) for a, d in ratios], shift
 
 
-def _strip_pendants(g: SignedGraph, weights: list[int]) -> tuple[list[dict], int] | None:
+def _strip_pendants(g: SignedGraph) -> tuple[list[dict], list[int]] | None:
     """Adjacency {neighbour: edge index} of g with degree-one vertices
-    removed repeatedly, and the product of the removed edges' weights.
+    removed repeatedly, and the indices of the removed edges.
 
     A vertex of degree one has its edge in every spanning 1-forest, as a
     pendant edge of its component, so each removal multiplies every term
@@ -262,23 +177,18 @@ def _strip_pendants(g: SignedGraph, weights: list[int]) -> tuple[list[dict], int
     for i, (u, v, _) in enumerate(g.edges):
         adj[u][v] = i
         adj[v][u] = i
-    factor = 1
-    removed = [False] * g.n
+    pendant = []
     stack = [v for v in range(g.n) if len(adj[v]) < 2]
     while stack:
         v = stack.pop()
-        if removed[v]:
-            continue
         if not adj[v]:
             return None
-        ((u, ei),) = adj[v].items()
-        factor *= weights[ei]
-        removed[v] = True
+        u, ei = adj[v].popitem()
+        pendant.append(ei)
         del adj[u][v]
-        adj[v] = {}
         if len(adj[u]) < 2:
             stack.append(u)
-    return adj, factor
+    return adj, pendant
 
 
 def _frontier_order(adj: list[dict]) -> list[int]:
@@ -320,11 +230,12 @@ def _merge(states: dict, key: tuple, count: int, total: int) -> None:
     states[key] = (count, total) if old is None else (old[0] + count, old[1] + total)
 
 
-def _take(states: dict, i: int, j: int, sign: int, w: int, negative_only: bool) -> dict:
+def _take(states: dict, i: int, j: int, sign: int, factors: tuple, negative_only: bool) -> dict:
     """States after the edge between frontier positions i and j, of sign
-    sign and weight w, is skipped or taken (see forest_census)."""
+    sign, is skipped or taken; a take multiplies the value by factors[0],
+    [1] or [2] as it joins, closes a negative or closes a positive cycle."""
     out = dict(states)
-    w4 = 4 * w
+    w, w4, w0 = factors
     for t, (count, total) in states.items():
         a, b = t[i], t[j]
         if not (a or b):
@@ -343,8 +254,8 @@ def _take(states: dict, i: int, j: int, sign: int, w: int, negative_only: bool) 
             _merge(out, key, count, total * w)
         elif (a == b) == (sign < 0):  # closes a negative cycle
             _merge(out, key, count, total * w4)
-        elif not negative_only:  # a positive cycle: counted, adds 0
-            _merge(out, key, count, 0)
+        elif not negative_only:  # a positive cycle
+            _merge(out, key, count, total * w0)
     return out
 
 
@@ -370,22 +281,88 @@ def _drop(states: dict, k: int) -> dict:
     return out
 
 
+class _Node(tuple):
+    """A forest diagram node: the links (previous node, taken edge or None)
+    by which partial forests reach one census state; the root has none. As
+    a census value, + merges states and * takes an edge, as numbers do."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Node(((self, None), (other, None)))
+
+    def __mul__(self, edge):
+        return _Node(((self, edge),))
+
+
+def _root_paths(node: _Node) -> Iterator[list[int]]:
+    """The taken edges of each path from node to the root. The walk keeps
+    each partial path as a linked list, so long paths cost no copying."""
+    stack = [(node, None)]
+    while stack:
+        node, taken = stack.pop()
+        if not node:
+            edges = []
+            while taken:
+                edge, taken = taken
+                edges.append(edge)
+            yield edges
+        stack += [(prev, taken if edge is None else (edge, taken)) for prev, edge in node]
+
+
+def _frontier(g: SignedGraph, start, factors: list[tuple], negative_only: bool) -> tuple:
+    """(count, value) of the spanning 1-forests of g by frontier dynamic
+    programming (Sekine, Imai & Tani, ISAAC 1995) over the edges in the
+    vertex order of _frontier_order, after pendant vertices are stripped.
+
+    A state maps each frontier vertex to 0 when its component holds a
+    cycle; otherwise to +-(r + 1), where r is the frontier position of the
+    component's first vertex and the sign is that of the path between
+    them. Components with a cycle need neither label nor sign: no further
+    edge may join two of them or close a cycle in one. A state carries the
+    count of the partial forests that reach it and their value: start
+    times one of factors[e] per edge e taken (see _take; a pendant edge
+    joins), summed where states meet. A state dies when a component leaves
+    the frontier without a cycle, or with a positive one under
+    negative_only. Raises SizeBoundError when more than FOREST_MAX_STATES
+    states are live after any edge.
+    """
+    stripped = _strip_pendants(g)
+    if stripped is None:
+        return 0, 0
+    adj, pendant = stripped
+    for e in pendant:
+        start = start * factors[e][0]
+    order = _frontier_order(adj)
+    position = {v: p for p, v in enumerate(order)}
+    unseen = [len(a) for a in adj]  # edges not yet processed
+    states = {(): (1, start)}
+    front: list[int] = []
+    for v in order:
+        front.append(v)
+        states = {t + (len(front),): value for t, value in states.items()}
+        # earlier neighbours that leave the frontier sooner go first
+        for u in sorted((u for u in adj[v] if position[u] < position[v]),
+                        key=unseen.__getitem__):
+            e = adj[v][u]
+            states = _take(states, front.index(u), front.index(v), g.edges[e][2],
+                           factors[e], negative_only)
+            if len(states) > FOREST_MAX_STATES:
+                raise SizeBoundError(
+                    f"1-forest census needs more than {FOREST_MAX_STATES} states")
+            for x in (u, v):
+                unseen[x] -= 1
+                if not unseen[x]:
+                    states = _drop(states, front.index(x))
+                    front.remove(x)
+    return states.get((), (0, 0))
+
+
 def forest_census(g: SignedGraph, contrabalanced_only: bool = False) -> tuple[int, int | float]:
     """(count, sum) over the spanning 1-forests F of g: count is how many
     there are (with contrabalanced_only, how many have only negative
     cycles), sum is the sum of 4**components * weight product over the
     contrabalanced ones, which is forest_det(g).
-
-    Frontier dynamic programming (Sekine, Imai & Tani, ISAAC 1995) over
-    the edges in the vertex order of _frontier_order, after pendant
-    vertices are stripped. A state maps each frontier vertex to 0 when
-    its component holds a cycle; otherwise to +-(r + 1), where r is the
-    frontier position of the component's first vertex and the sign is
-    that of the path between them. Components with a cycle need neither
-    label nor sign: no further edge may join two of them or close a cycle
-    in one. Each state carries (count, sum) of the partial forests that
-    reach it; a state dies when a component leaves the frontier without a
-    cycle, or with a positive one under contrabalanced_only.
 
     Returns an exact int sum when all weights are integers. Otherwise the
     sum is computed exactly over integers (every weight is a/2**k, and
@@ -394,40 +371,66 @@ def forest_census(g: SignedGraph, contrabalanced_only: bool = False) -> tuple[in
     than FOREST_MAX_STATES states are live after any edge.
     """
     weights, shift = _integer_weights(g)
-    stripped = _strip_pendants(g, weights)
-    count, total = 0, 0
-    if stripped is not None:
-        adj, factor = stripped
-        order = _frontier_order(adj)
-        position = {v: p for p, v in enumerate(order)}
-        unseen = [len(a) for a in adj]  # edges not yet processed
-        states = {(): (1, factor)}
-        front: list[int] = []
-        for v in order:
-            front.append(v)
-            states = {t + (len(front),): value for t, value in states.items()}
-            # earlier neighbours that leave the frontier sooner go first
-            for u in sorted((u for u in adj[v] if position[u] < position[v]),
-                            key=unseen.__getitem__):
-                i, j = front.index(u), front.index(v)
-                states = _take(states, i, j, g.edges[adj[v][u]][2],
-                               weights[adj[v][u]], contrabalanced_only)
-                if len(states) > FOREST_MAX_STATES:
-                    raise SizeBoundError(
-                        f"1-forest census needs more than {FOREST_MAX_STATES} states")
-                unseen[u] -= 1
-                unseen[v] -= 1
-                for x in (u, v):
-                    if not unseen[x]:
-                        states = _drop(states, front.index(x))
-                        front.remove(x)
-        count, total = states.get((), (0, 0))
+    count, total = _frontier(g, 1, [(w, 4 * w, 0) for w in weights], contrabalanced_only)
     if not shift:
         return count, total
     try:
         return count, total / (1 << shift * g.n)
     except OverflowError:
         raise ValueError("1-forest sum overflows a 64-bit float") from None
+
+
+def _scan_1forests(g: SignedGraph, negative_only: bool = False) -> Iterator[tuple]:
+    """One leaf per spanning 1-forest of g, in lexicographic order of edge
+    index tuples; with negative_only, only the contrabalanced ones. A leaf
+    is the forest's edge indices, ascending, and one (closing edge, cycle
+    sign) pair per component, in closing order. The census runs in listing
+    mode: a state's value is a node of the forest diagram (Kawahara, Inoue,
+    Iwashita & Minato, IEICE Trans. Fundamentals, 2017), whose paths to the
+    root take the edges of one forest each. Raises SizeBoundError, before
+    any forest is built, when there are more than FOREST_MAX_STATES forests
+    or the census exceeds its cap.
+    """
+    count, node = _frontier(g, _Node(), [(e, e, e) for e in range(g.m)], negative_only)
+    if count > FOREST_MAX_STATES:
+        raise SizeBoundError(
+            f"1-forest listing has {count} forests, more than {FOREST_MAX_STATES}")
+    if not count:
+        return
+    for forest_edges in sorted(tuple(sorted(core)) for core in _root_paths(node)):
+        union = SignedForest(g.n).union
+        yield forest_edges, tuple([(ei, sign) for ei in forest_edges
+                                   if (sign := union(*g.edges[ei]))])
+
+
+def _as_one_forest(g: SignedGraph, leaf: tuple) -> OneForest:
+    """A listing leaf as a OneForest, by one BFS per component over its tree edges."""
+    forest_edges, cycles = leaf
+    closing = {ei for ei, _ in cycles}
+    tree: list[list[int]] = [[] for _ in range(g.n)]
+    for ei in forest_edges:
+        if ei not in closing:
+            u, v, _ = g.edges[ei]
+            tree[u].append(v)
+            tree[v].append(u)
+    comps = []
+    for ei, sign in cycles:
+        cycle, visited = _tree_path(tree, g.edges[ei][0], g.edges[ei][1])
+        comps.append(ForestComponent(tuple(sorted(visited)), cycle, sign))
+    return OneForest(forest_edges, tuple(comps))
+
+
+def enumerate_spanning_1forests(g: SignedGraph,
+                                contrabalanced_only: bool = False) -> list[OneForest]:
+    """All spanning n-edge subgraphs whose components are 1-trees, in
+    lexicographic order of their edge indices.
+
+    With contrabalanced_only, keeps only forests in which every component
+    cycle is negative; those are exactly the subgraphs contributing to the
+    matrix-forest determinant sum. Raises SizeBoundError when there are
+    more than FOREST_MAX_STATES of them or the census exceeds its cap.
+    """
+    return [_as_one_forest(g, leaf) for leaf in _scan_1forests(g, contrabalanced_only)]
 
 
 def forest_det(g: SignedGraph):

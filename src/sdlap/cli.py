@@ -227,16 +227,22 @@ def _parse_gen_spec(spec: str):
         n = int(parts[1])
     except ValueError:
         raise _UsageError(f"generator spec {spec!r}: bad vertex count {parts[1]!r}")
-    signs = None
-    seed = None
+    signs = seed = None
     p = 0.5
+    given = set()
     for token in parts[2:]:
-        if token.startswith("seed="):
+        field = token.split("=")[0] if token.startswith(("seed=", "p=")) else "signs"
+        if field in given:
+            raise _UsageError(f"generator spec {spec!r} gives {field} more than once")
+        given.add(field)
+        if field == "seed":
             try:
                 seed = int(token[5:])
             except ValueError:
                 raise _UsageError(f"bad seed in {spec!r}")
-        elif token.startswith("p="):
+        elif field == "p":
+            if kind != "random":
+                raise _UsageError(f"generator spec {spec!r}: p= is for random graphs only")
             try:
                 p = float(token[2:])
             except ValueError:

@@ -153,17 +153,27 @@ def test_disjoint_negative_triangles_form_one_forest():
 
 def test_search_matches_the_subset_oracle():
     rng = random.Random(97)
+
+    def random_graphs(count):
+        for _ in range(count):
+            n = rng.randint(2, 7)
+            p = rng.uniform(0.2, 0.7)
+            yield SignedGraph(n, tuple((u, v, rng.choice((1, -1)))
+                                       for u, v in itertools.combinations(range(n), 2)
+                                       if rng.random() < p))
+
+    # a negative triangle with pendant trees, and a triangle beside a tree,
+    # which has no spanning 1-forest: both lists strip pendant vertices
+    pendant_trees = SignedGraph(8, ((0, 1, -1), (1, 2, 1), (0, 2, 1), (2, 3, 1),
+                                    (3, 4, -1), (3, 5, 1), (0, 6, -1), (6, 7, 1)))
+    beside_a_tree = SignedGraph(7, ((0, 1, 1), (1, 2, -1), (0, 2, -1),
+                                    (3, 4, 1), (4, 5, -1), (4, 6, 1)))
     disconnected = nonzero = 0
-    for i in range(220):
-        n = rng.randint(2, 7)
-        p = rng.uniform(0.2, 0.7)
-        edges = tuple((u, v, rng.choice((1, -1)))
-                      for u, v in itertools.combinations(range(n), 2) if rng.random() < p)
-        g = SignedGraph(n, edges)
+    for i, g in enumerate(itertools.chain(random_graphs(220), (pendant_trees, beside_a_tree))):
         if i % 2:
-            weights = tuple(rng.uniform(0.1, 3.0) for _ in edges)
+            weights = tuple(rng.uniform(0.1, 3.0) for _ in g.edges)
         else:
-            weights = tuple(float(rng.randint(1, 5)) for _ in edges)
+            weights = tuple(float(rng.randint(1, 5)) for _ in g.edges)
         wg = SignedGraph(g.n, g.edges, weights)
         disconnected += len(components(g)) > 1
         expected = oracle_1forests(g)
@@ -176,6 +186,8 @@ def test_search_matches_the_subset_oracle():
         assert type(total) is type(oracle_forest_sum(wg, expected))
         assert repr(total) == repr(oracle_forest_sum(wg, expected))
     assert disconnected > 40 and nonzero > 40
+    assert len(enumerate_spanning_1forests(pendant_trees, contrabalanced_only=True)) == 1
+    assert enumerate_spanning_1forests(beside_a_tree) == []
 
 
 def with_pendant_tree(rng, g, size):
@@ -226,20 +238,16 @@ def test_census_reaches_k9_and_the_necklace():
         assert det > 0 and forest_det(g) == det
 
 
-def test_node_budget_refuses_dense_graphs_at_every_entry_point(monkeypatch, tmp_path):
-    # the search's node budget bounds the listing, the census's state cap
-    # every sum and count
-    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 1000)
+def test_state_cap_refuses_dense_graphs_at_every_entry_point(monkeypatch, tmp_path):
+    # the census's state cap bounds every sum, count and listing
     monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 1000)
     for n in (10, 12):
         big = generate("complete", n, "allneg")
-        with pytest.raises(SizeBoundError, match="more than 1000 nodes"):
-            enumerate_spanning_1forests(big)
-        with pytest.raises(SizeBoundError):
-            enumerate_spanning_1forests(big, contrabalanced_only=True)
         for contrabalanced_only in (False, True):
             with pytest.raises(SizeBoundError, match="more than 1000 states"):
                 forest_census(big, contrabalanced_only)
+            with pytest.raises(SizeBoundError, match="more than 1000 states"):
+                enumerate_spanning_1forests(big, contrabalanced_only)
         with pytest.raises(SizeBoundError):
             forest_det(big)
         with pytest.raises(SizeBoundError):
@@ -251,22 +259,22 @@ def test_node_budget_refuses_dense_graphs_at_every_entry_point(monkeypatch, tmp_
             assert main(["forests", str(path), "--kind", kind, "--list"]) == 1
 
 
-def test_node_budget_counts_nodes_not_subsets(monkeypatch):
-    # C11 has one spanning 1-forest, itself, found in 12 nodes.
-    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 1000)
+def test_state_cap_refuses_a_listing_by_its_count(monkeypatch):
+    # K5 here has 222 spanning 1-forests and peaks at 40 live states: a
+    # cap of 221 admits its census but refuses to list it.
+    k5 = generate("complete", 5, 0.5, seed=1)
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 222)
+    assert len(enumerate_spanning_1forests(k5)) == 222
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 221)
+    assert forest_census(k5) == (222, 0)
+    with pytest.raises(SizeBoundError, match="has 222 forests, more than 221"):
+        enumerate_spanning_1forests(k5)
+    # C11 has one spanning 1-forest, itself, and peaks at 4 states like
+    # the triangle: the cap counts states, not subsets or path length
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 4)
     c11 = generate("cycle", 11, "allneg")
-    assert forest_det(c11) == 4
     (forest,) = enumerate_spanning_1forests(c11)
     assert forest.contrabalanced and forest.components[0].cycle == tuple(range(11))
-    # The negative triangle: take, take, close, leaf. Skip branches with
-    # too few edges left are not visited.
-    triangle = generate("cycle", 3, "allneg")
-    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 4)
-    assert forest_det(triangle) == 4
-    assert len(enumerate_spanning_1forests(triangle, contrabalanced_only=True)) == 1
-    monkeypatch.setattr(sdlap.balance, "ENUMERATION_MAX_NODES", 3)
-    with pytest.raises(SizeBoundError):
-        enumerate_spanning_1forests(triangle, contrabalanced_only=True)
 
 
 def test_state_cap_counts_live_states_after_each_edge(monkeypatch):
@@ -292,6 +300,10 @@ def test_large_1forests_need_no_recursion(shape, capsys, tmp_path):
         g = SignedGraph(n, tuple(edges))
     expected = 0 if is_balanced_switching(g).balanced else 4
     assert closed_form_det(g) == forest_det(g) == expected
+    # g is its own only spanning 1-forest, listed by one walk of n links
+    (forest,) = enumerate_spanning_1forests(g)
+    assert forest.edges == tuple(range(n))
+    assert len(enumerate_spanning_1forests(g, contrabalanced_only=True)) == (expected == 4)
     path = tmp_path / "big.sg"
     path.write_text(serialize(g))
     assert main(["info", str(path)]) == 0

@@ -110,6 +110,20 @@ def test_gen_rejects_bad_sign_probabilities(capsys, token, message):
     assert (code, out) == (2, "") and message in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("cycle:5:allneg:q=0.3", "gives signs more than once"),
+    ("cycle:5:allneg:allpos", "gives signs more than once"),
+    ("cycle:4:+++-:allneg", "gives signs more than once"),
+    ("random:5:q=0.2:q=0.3", "gives signs more than once"),
+    ("random:5:seed=1:seed=2", "gives seed more than once"),
+    ("random:5:p=0.4:p=0.5", "gives p more than once"),
+    ("cycle:5:p=0.3", "p= is for random graphs only"),
+])
+def test_gen_rejects_repeated_and_misplaced_tokens(capsys, spec, message):
+    code, out, err = run(capsys, "gen", spec)
+    assert (code, out) == (2, "") and message in err
+
+
 def test_gen_connectivity_failure_is_computation_error(capsys):
     code, _, err = run(capsys, "gen", "random:3:p=0:seed=1")
     assert code == 1
@@ -292,6 +306,9 @@ def test_benchmark_tracer_finds_every_entry_point(capsys, monkeypatch, c3_all_ne
     assert traced == untraced and untraced[0] == 0
     # the determinant spans find det_exact where the benchmark looks for it
     assert tracer.calls["balance.det"] == det_calls
+    if "--list" in args:
+        # the forest counter reads the lister
+        assert tracer.counts["forests_found"] == len(json.loads(traced[1])["forests"]) == 1
 
 
 # ---------------------------------------------------------------- balance

@@ -428,21 +428,3 @@ def test_signed_forest_cycle_signs_match_path_sign():
             assert sign == path_sign(g, tree_path(tree, x, root)), (g, x)
         assert sorted(forest.classes().values()) == bfs_components(g)
     assert closed > 400
-
-
-def test_signed_forest_cut_undoes_links_latest_first():
-    rng = random.Random(37)
-    for _ in range(50):
-        g = random_signed_graph(rng, 10)
-        forest = SignedForest(g.n)
-        history = []
-        for u, v, s in g.edges:
-            (ru, su), (rv, sv) = forest.find(u), forest.find(v)
-            if ru != rv:
-                before = [forest.find(x) for x in range(g.n)], list(forest.size)
-                history.append((forest.link(ru, rv, su * s * sv), before))
-        assert len(history) == g.n - len(bfs_components(g))
-        while history:
-            child, before = history.pop()
-            forest.cut(child)
-            assert ([forest.find(x) for x in range(g.n)], forest.size) == before
