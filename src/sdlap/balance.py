@@ -259,25 +259,23 @@ def _take(states: dict, i: int, j: int, sign: int, factors: tuple, negative_only
     return out
 
 
-def _drop(states: dict, k: int) -> dict:
-    """States after frontier position k leaves; a state dies when k was
-    the last frontier vertex of a component without a cycle."""
+def _drop(states: dict, k: int, front: list[int]) -> dict:
+    """States after frontier position k leaves, where front holds the
+    labels of the frontier vertices; a state dies when k was the last
+    frontier vertex of a component without a cycle. Labels are placement
+    ranks, so only the slot of k goes, unless k was its component's root."""
     out: dict = {}
-    root = k + 1
+    root = front[k]
     for t, (count, total) in states.items():
-        c, rest = t[k], t[k + 1:]
-        x = abs(c)
-        if x == root:
+        rest = t[k + 1:]
+        if t[k] == root:
             # k was its component's root: the next member becomes it
-            q = next((q for q, d in enumerate(rest) if d == x or d == -x), None)
+            q = next((q for q, d in enumerate(rest) if d == root or d == -root), None)
             if q is None:
                 continue
-            new = k + q + 2 if rest[q] > 0 else -(k + q + 2)  # its label before the shift
-            rest = [new if d == x else -new if d == -x else d for d in rest]
-        elif c and t.count(c) + t.count(-c) == 1:
-            continue
-        _merge(out, t[:k] + tuple([d - 1 if d > root else d + 1 if d < -root else d
-                                   for d in rest]), count, total)
+            new = front[k + q + 1] if rest[q] > 0 else -front[k + q + 1]
+            rest = tuple([new if d == root else -new if d == -root else d for d in rest])
+        _merge(out, t[:k] + rest, count, total)
     return out
 
 
@@ -316,10 +314,12 @@ def _frontier(g: SignedGraph, start, factors: list[tuple], negative_only: bool) 
     vertex order of _frontier_order, after pendant vertices are stripped.
 
     A state maps each frontier vertex to 0 when its component holds a
-    cycle; otherwise to +-(r + 1), where r is the frontier position of the
-    component's first vertex and the sign is that of the path between
-    them. Components with a cycle need neither label nor sign: no further
-    edge may join two of them or close a cycle in one. A state carries the
+    cycle; otherwise to +-(r + 1), where r is the placement rank of the
+    component's root, its first frontier vertex, and the sign is that of
+    the path between them. Ranks never change, so a component is
+    relabelled only when its root leaves the frontier (see _drop).
+    Components with a cycle need neither label nor sign: no further edge
+    may join two of them or close a cycle in one. A state carries the
     count of the partial forests that reach it and their value: start
     times one of factors[e] per edge e taken (see _take; a pendant edge
     joins), summed where states meet. A state dies when a component leaves
@@ -333,19 +333,17 @@ def _frontier(g: SignedGraph, start, factors: list[tuple], negative_only: bool) 
     adj, pendant = stripped
     for e in pendant:
         start = start * factors[e][0]
-    order = _frontier_order(adj)
-    position = {v: p for p, v in enumerate(order)}
+    label = {v: p + 1 for p, v in enumerate(_frontier_order(adj))}
     unseen = [len(a) for a in adj]  # edges not yet processed
     states = {(): (1, start)}
-    front: list[int] = []
-    for v in order:
-        front.append(v)
-        states = {t + (len(front),): value for t, value in states.items()}
+    front: list[int] = []  # labels of the frontier vertices, ascending
+    for v, lv in label.items():
+        front.append(lv)
+        states = {t + (lv,): value for t, value in states.items()}
         # earlier neighbours that leave the frontier sooner go first
-        for u in sorted((u for u in adj[v] if position[u] < position[v]),
-                        key=unseen.__getitem__):
+        for u in sorted((u for u in adj[v] if label[u] < lv), key=unseen.__getitem__):
             e = adj[v][u]
-            states = _take(states, front.index(u), front.index(v), g.edges[e][2],
+            states = _take(states, front.index(label[u]), front.index(lv), g.edges[e][2],
                            factors[e], negative_only)
             if len(states) > FOREST_MAX_STATES:
                 raise SizeBoundError(
@@ -353,8 +351,9 @@ def _frontier(g: SignedGraph, start, factors: list[tuple], negative_only: bool) 
             for x in (u, v):
                 unseen[x] -= 1
                 if not unseen[x]:
-                    states = _drop(states, front.index(x))
-                    front.remove(x)
+                    k = front.index(label[x])
+                    states = _drop(states, k, front)
+                    del front[k]
     return states.get((), (0, 0))
 
 
@@ -380,16 +379,17 @@ def forest_census(g: SignedGraph, contrabalanced_only: bool = False) -> tuple[in
         raise ValueError("1-forest sum overflows a 64-bit float") from None
 
 
-def _scan_1forests(g: SignedGraph, negative_only: bool = False) -> Iterator[tuple]:
-    """One leaf per spanning 1-forest of g, in lexicographic order of edge
-    index tuples; with negative_only, only the contrabalanced ones. A leaf
-    is the forest's edge indices, ascending, and one (closing edge, cycle
-    sign) pair per component, in closing order. The census runs in listing
-    mode: a state's value is a node of the forest diagram (Kawahara, Inoue,
-    Iwashita & Minato, IEICE Trans. Fundamentals, 2017), whose paths to the
-    root take the edges of one forest each. Raises SizeBoundError, before
-    any forest is built, when there are more than FOREST_MAX_STATES forests
-    or the census exceeds its cap.
+def _scan_1forests(g: SignedGraph, negative_only: bool = False) -> Iterator[OneForest]:
+    """Each spanning 1-forest of g, in lexicographic order of edge index
+    tuples; with negative_only, only the contrabalanced ones. The census
+    runs in listing mode: a state's value is a node of the forest diagram
+    (Kawahara, Inoue, Iwashita & Minato, IEICE Trans. Fundamentals, 2017),
+    whose paths to the root take the edges of one forest each. One union
+    pass over a forest's edges, ascending, finds the closing edge and
+    cycle sign of each component, in closing order, and its tree edges,
+    which give the cycle and the vertices. Raises SizeBoundError, before
+    any forest is built, when there are more than FOREST_MAX_STATES
+    forests or the census exceeds its cap.
     """
     count, node = _frontier(g, _Node(), [(e, e, e) for e in range(g.m)], negative_only)
     if count > FOREST_MAX_STATES:
@@ -399,25 +399,20 @@ def _scan_1forests(g: SignedGraph, negative_only: bool = False) -> Iterator[tupl
         return
     for forest_edges in sorted(tuple(sorted(core)) for core in _root_paths(node)):
         union = SignedForest(g.n).union
-        yield forest_edges, tuple([(ei, sign) for ei in forest_edges
-                                   if (sign := union(*g.edges[ei]))])
-
-
-def _as_one_forest(g: SignedGraph, leaf: tuple) -> OneForest:
-    """A listing leaf as a OneForest, by one BFS per component over its tree edges."""
-    forest_edges, cycles = leaf
-    closing = {ei for ei, _ in cycles}
-    tree: list[list[int]] = [[] for _ in range(g.n)]
-    for ei in forest_edges:
-        if ei not in closing:
-            u, v, _ = g.edges[ei]
-            tree[u].append(v)
-            tree[v].append(u)
-    comps = []
-    for ei, sign in cycles:
-        cycle, visited = _tree_path(tree, g.edges[ei][0], g.edges[ei][1])
-        comps.append(ForestComponent(tuple(sorted(visited)), cycle, sign))
-    return OneForest(forest_edges, tuple(comps))
+        tree: list[list[int]] = [[] for _ in range(g.n)]
+        closing = []
+        for ei in forest_edges:
+            u, v, s = g.edges[ei]
+            if sign := union(u, v, s):
+                closing.append((u, v, sign))
+            else:
+                tree[u].append(v)
+                tree[v].append(u)
+        comps = []
+        for u, v, sign in closing:
+            cycle, visited = _tree_path(tree, u, v)
+            comps.append(ForestComponent(tuple(sorted(visited)), cycle, sign))
+        yield OneForest(forest_edges, tuple(comps))
 
 
 def enumerate_spanning_1forests(g: SignedGraph,
@@ -430,7 +425,7 @@ def enumerate_spanning_1forests(g: SignedGraph,
     matrix-forest determinant sum. Raises SizeBoundError when there are
     more than FOREST_MAX_STATES of them or the census exceeds its cap.
     """
-    return [_as_one_forest(g, leaf) for leaf in _scan_1forests(g, contrabalanced_only)]
+    return list(_scan_1forests(g, contrabalanced_only))
 
 
 def forest_det(g: SignedGraph):

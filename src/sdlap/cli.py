@@ -142,11 +142,13 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_balance(args) -> int:
+    if args.kind is not None and args.method != "det":
+        raise _UsageError(f"--kind is for --method det only, not {args.method}")
     g = _load(args.file)
     if args.method == "switching":
         _emit(_json_dump(is_balanced_switching(g).to_json_obj()), args.out)
     elif args.method == "det":
-        _emit(_json_dump(is_balanced_det(g, args.kind).to_json_obj()), args.out)
+        _emit(_json_dump(is_balanced_det(g, args.kind or "max").to_json_obj()), args.out)
     elif args.method == "forest":
         _emit(_json_dump(is_balanced_forest(g).to_json_obj()), args.out)
     else:
@@ -227,8 +229,7 @@ def _parse_gen_spec(spec: str):
         n = int(parts[1])
     except ValueError:
         raise _UsageError(f"generator spec {spec!r}: bad vertex count {parts[1]!r}")
-    signs = seed = None
-    p = 0.5
+    signs = seed = p = None
     given = set()
     for token in parts[2:]:
         field = token.split("=")[0] if token.startswith(("seed=", "p=")) else "signs"
@@ -241,8 +242,6 @@ def _parse_gen_spec(spec: str):
             except ValueError:
                 raise _UsageError(f"bad seed in {spec!r}")
         elif field == "p":
-            if kind != "random":
-                raise _UsageError(f"generator spec {spec!r}: p= is for random graphs only")
             try:
                 p = float(token[2:])
             except ValueError:
@@ -296,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("switching", "det", "forest", "both"), default="both"
     )
     p_balance.add_argument(
-        "--kind", choices=DISTANCE_KINDS, default="max",
-        help="which determinant to use with --method det",
+        "--kind", choices=DISTANCE_KINDS,
+        help="which determinant to use with --method det (default max)",
     )
     add_common(p_balance)
     p_balance.set_defaults(func=_cmd_balance)

@@ -328,15 +328,16 @@ def _resolve_signs(m: int, signs: SignSpec, rng: random.Random) -> tuple[int, ..
 
 
 def generate(kind: str, n: int, signs: SignSpec = None,
-             seed: int | None = None, p: float = 0.5) -> SignedGraph:
+             seed: int | None = None, p: float | None = None) -> SignedGraph:
     """Build a cycle, path, complete, or random connected signed graph.
 
     signs selects the signature: "allpos"/"allneg", a +/- string with one
     character per edge, or a float q giving each edge sign -1 with
     probability q. Defaults to all-positive, except kind="random" which
-    defaults to q=0.5. For kind="random", p is the edge probability;
-    sampling retries until the graph is connected and is deterministic for
-    a fixed seed.
+    defaults to q=0.5. p is the edge probability of kind="random" (default
+    0.5), and any other kind raises ValueError when given one; sampling
+    retries until the graph is connected and is deterministic for a fixed
+    seed.
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -345,7 +346,11 @@ def generate(kind: str, n: int, signs: SignSpec = None,
             raise ValueError(f"cycle needs n >= 3, got {n}")
     elif n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if not 0.0 <= p <= 1.0:
+    if p is None:
+        p = 0.5
+    elif kind != "random":
+        raise ValueError(f"p= is for random graphs only, not {kind}")
+    elif not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
 

@@ -6,10 +6,10 @@ instead of the all-sources bit-packed one, determinants come from the
 Leibniz permutation sum, Laplacians are rebuilt with plain loops,
 eigenvalues come from a cyclic Jacobi iteration instead of LAPACK,
 spanning 1-forests come from testing every edge subset instead of the
-library's depth-first search, signed union-find and frontier dynamic
-programming, forest sums are added as fractions, and matrix exports
-come from a per-entry number formatter and json.dumps over a whole
-document instead of the streaming row writer.
+library's signed union-find and frontier dynamic programming, forest
+sums are added as fractions, and matrix exports come from a per-entry
+number formatter and json.dumps over a whole document instead of the
+streaming row writer.
 """
 
 from __future__ import annotations

@@ -277,15 +277,25 @@ def test_state_cap_refuses_a_listing_by_its_count(monkeypatch):
     assert forest.contrabalanced and forest.components[0].cycle == tuple(range(11))
 
 
-def test_state_cap_counts_live_states_after_each_edge(monkeypatch):
+@pytest.mark.parametrize("g, contrabalanced_only, peak, expected", [
     # The negative triangle peaks at 4 states, after its second edge: each
     # of the first two edges is taken or skipped.
-    triangle = generate("cycle", 3, "allneg")
-    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 4)
-    assert forest_census(triangle) == (1, 4)
-    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", 3)
-    with pytest.raises(SizeBoundError, match="more than 3 states"):
-        forest_census(triangle)
+    (generate("cycle", 3, "allneg"), False, 4, (1, 4)),
+    # The peaks of denser graphs pin how many states the labels merge.
+    (generate("complete", 8, 0.5, seed=1), False, 7630, (1456875, 2858240)),
+    (generate("complete", 8, 0.5, seed=1), True, 6688, (702596, 2858240)),
+    (generate("random", 20, 0.5, seed=0, p=0.3), False, 5804,
+     (472426107831, 1053768785300)),
+    (generate("random", 20, 0.5, seed=0, p=0.3), True, 4912,
+     (229965951896, 1053768785300)),
+], ids=["triangle", "k8-all", "k8-contrabalanced", "random20-all", "random20-contrabalanced"])
+def test_state_cap_counts_live_states_after_each_edge(monkeypatch, g, contrabalanced_only,
+                                                      peak, expected):
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", peak)
+    assert forest_census(g, contrabalanced_only) == expected
+    monkeypatch.setattr(sdlap.balance, "FOREST_MAX_STATES", peak - 1)
+    with pytest.raises(SizeBoundError, match=f"more than {peak - 1} states"):
+        forest_census(g, contrabalanced_only)
 
 
 @pytest.mark.parametrize("shape", ["cycle", "unicyclic"])
@@ -460,8 +470,10 @@ def test_closed_form_agrees_with_det_exact_on_matching_shapes():
         kind = rng.choice(("path", "cycle", "complete", "random"))
         if kind == "cycle" and n < 3:
             continue
-        g = generate(kind, n, rng.choice((0.0, 0.3, 0.6, 1.0)),
-                     seed=rng.getrandbits(32), p=rng.uniform(0.3, 0.9))
+        signs, seed = rng.choice((0.0, 0.3, 0.6, 1.0)), rng.getrandbits(32)
+        p = rng.uniform(0.3, 0.9)
+        # p is drawn for every kind, which keeps the random stream fixed
+        g = generate(kind, n, signs, seed=seed, p=p if kind == "random" else None)
         wg = SignedGraph(g.n, g.edges, tuple(float(rng.randint(1, 5)) for _ in range(g.m)))
         value = closed_form_det(wg)
         if value is None:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from sdlap import DisconnectedGraphError, IncompatibleGraphError, generate, parse_edge_list
+from sdlap import (DisconnectedGraphError, IncompatibleGraphError, generate,
+                   is_balanced_switching, parse_edge_list)
 from sdlap.cli import MATRIX_KINDS, _build_matrix, main
 
 from conftest import (
@@ -118,6 +119,8 @@ def test_gen_rejects_bad_sign_probabilities(capsys, token, message):
     ("random:5:seed=1:seed=2", "gives seed more than once"),
     ("random:5:p=0.4:p=0.5", "gives p more than once"),
     ("cycle:5:p=0.3", "p= is for random graphs only"),
+    ("random:5:seed=x", "bad seed"),
+    ("random:5:p=x", "bad probability"),
 ])
 def test_gen_rejects_repeated_and_misplaced_tokens(capsys, spec, message):
     code, out, err = run(capsys, "gen", spec)
@@ -464,6 +467,13 @@ def test_balance_switching_report(capsys, tmp_path):
     assert code == 0
     assert obj["balanced"] is True
     assert obj["certificate"]["type"] == "switching"
+
+
+@pytest.mark.parametrize("method", ["switching", "forest", "both"])
+def test_balance_rejects_kind_without_method_det(capsys, c3_all_negative, method):
+    code, out, err = run(capsys, "balance", c3_all_negative, "--method", method, "--kind", "pm")
+    assert (code, out) == (2, "") and "--kind is for --method det only" in err
+    assert run(capsys, "balance", c3_all_negative, "--method", method)[0] == 0
 
 
 def test_balance_forest_report(capsys, c3_all_negative):
@@ -965,6 +975,10 @@ def test_disconnected_input_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "matrix", str(path), "--kind", "lmax")
     assert code == 1
     assert "disconnected" in err
+    code, out, err = run(capsys, "balance", str(path), "--method", "switching")
+    assert (code, out) == (1, "") and "disconnected" in err
+    with pytest.raises(DisconnectedGraphError):
+        is_balanced_switching(parse_edge_list(path.read_text()))
 
 
 def test_help_exits_0(capsys):

@@ -91,6 +91,8 @@ def test_parse_accepts_comments_and_numeric_signs():
         ("3\n1 2 - 3\n2 3 - 9007199254740993", 3, "integer weight 9007199254740993 is not"),
         ("2\n1 2 + 1e23", 2, "integer weight 1e23 is not a float64 value"),
         ("2\n1 2 + -Infinity", 2, "non-finite weight"),
+        ("2\n1 x +", 2, "non-integer vertex"),
+        ("2\n1 2 + abc", 2, "bad weight 'abc'"),
         ("2\n1 2 +\n2 1 -", 3, "duplicate"),
         ("2\n1 3 +", 2, "vertex outside"),
         ("x\n1 2 +", 1, "vertex count"),
@@ -311,6 +313,8 @@ def test_generate_sign_string_and_negative_sets():
 def test_generate_rejects_bad_parameters():
     with pytest.raises(ValueError, match="cycle needs"):
         generate("cycle", 2)
+    with pytest.raises(ValueError, match="n must be positive"):
+        generate("path", 0)
     with pytest.raises(ValueError, match="unknown generator"):
         generate("wheel", 4)
     with pytest.raises(ValueError, match="sign string"):
@@ -319,6 +323,12 @@ def test_generate_rejects_bad_parameters():
         generate("random", 4, p=1.5)
     with pytest.raises(GenerationError):
         generate("random", 3, seed=1, p=0.0)
+
+
+@pytest.mark.parametrize("kind", ["cycle", "path", "complete"])
+def test_generate_rejects_p_for_kinds_other_than_random(kind):
+    with pytest.raises(ValueError, match="p= is for random graphs only"):
+        generate(kind, 5, p=0.3)
 
 
 def test_generate_random_resamples_as_before():
