@@ -361,10 +361,9 @@ def generate(kind: str, n: int, signs: SignSpec = None,
     elif kind == "complete":
         pairs = list(itertools.combinations(range(n), 2))
     else:
-        all_pairs = list(itertools.combinations(range(n), 2))
         pairs = []
         for _ in range(_MAX_RANDOM_ATTEMPTS):
-            pairs = [pair for pair in all_pairs if rng.random() < p]
+            pairs = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
             if _is_connected(n, pairs):
                 break
         else:

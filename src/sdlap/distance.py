@@ -171,8 +171,7 @@ def is_compatible(table: DistanceTable) -> tuple[bool, tuple[int, int] | None]:
     np.fill_diagonal(bad, False)
     if not bad.any():
         return True, None
-    u, v = np.argwhere(bad)[0]
-    return False, (int(u), int(v))
+    return False, divmod(int(bad.argmax()), table.n)
 
 
 def distance_matrix(table: DistanceTable, kind: str) -> SquareMatrix:

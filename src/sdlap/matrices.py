@@ -106,9 +106,6 @@ class IncidenceMatrix:
         return _write_matrix(out, fmt, {"n": self.n, "m": self.m, "kind": "incidence"},
                              {"rows": self.entries, "orientation": pairs})
 
-    def to_csv(self) -> str:
-        return self.write(io.StringIO(), "csv").getvalue()
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,

@@ -105,23 +105,24 @@ def cycle_spectrum(n: int, sign: int) -> Spectrum:
     A shortest path of length d on such a cycle has sign sign^d, so
     L^max = L^min = L^pm, and the distance matrix is circulant with first
     row sign^δ(d)·δ(d), where δ(d) = min(d, n - d). Its eigenvalues are
-    the cosine transform of that row (Davis, Circulant Matrices, 1979),
-    and every transmission is t = Σ δ(d), which is k(k+1) for n = 2k+1
-    and k² for n = 2k:
+    the discrete Fourier transform of that row (Davis, Circulant Matrices,
+    1979), which is real because the row is symmetric, and every
+    transmission is t = Σ δ(d), which is k(k+1) for n = 2k+1 and k² for
+    n = 2k:
 
         λ_j = t - Σ_{d=1..n-1} sign^δ(d)·δ(d)·cos(2πjd/n),  j = 0..n-1.
+
+    The sum is taken as the real part of numpy's FFT of the first row, in
+    O(n log n) time and O(n) memory.
 
     Switching conjugates the Laplacian by diag(ζ), so this is also the
     spectrum of every odd cycle whose edge signs multiply to sign.
     """
     if n < 3 or sign not in (1, -1):
         raise ValueError(f"need n >= 3 and sign +1 or -1, got n={n}, sign={sign}")
-    d = np.arange(1, n)
+    d = np.arange(n)
     delta = np.minimum(d, n - d)
-    row = sign ** delta * delta
-    # jd is reduced modulo n before it is scaled, so every angle is below 2π.
-    angles = (2 * math.pi / n) * (np.outer(np.arange(n), d) % n)
-    return Spectrum.from_values(int(delta.sum()) - np.cos(angles) @ row)
+    return Spectrum.from_values(int(delta.sum()) - np.fft.fft(sign ** delta * delta).real)
 
 
 def odd_cycle_formula_spectrum(k: int) -> Spectrum:

@@ -5,6 +5,7 @@ paths are enumerated by depth-limited DFS or found by a per-source BFS
 instead of the all-sources bit-packed one, determinants come from the
 Leibniz permutation sum, Laplacians are rebuilt with plain loops,
 eigenvalues come from a cyclic Jacobi iteration instead of LAPACK,
+cycle spectra from the explicit cosine sum instead of numpy's FFT,
 spanning 1-forests come from testing every edge subset instead of the
 library's signed union-find and frontier dynamic programming, forest
 sums are added as fractions, and matrix exports come from a per-entry
@@ -309,6 +310,25 @@ def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     else:
         raise ArithmeticError("Jacobi iteration did not converge")
     return np.sort(np.diagonal(a).copy())
+
+
+def cycle_cosine_spectrum(n: int, sign: int) -> np.ndarray:
+    """Distance Laplacian eigenvalues of the uniformly signed cycle C_n,
+    unsorted, by the explicit cosine sum
+
+        λ_j = t - Σ_{d=1..n-1} sign^δ(d)·δ(d)·cos(2πjd/n),  δ(d) = min(d, n - d),
+
+    one d at a time, instead of the library's FFT.
+    """
+    j = np.arange(n)
+    values = np.zeros(n)
+    t = 0
+    for d in range(1, n):
+        delta = min(d, n - d)
+        t += delta
+        # jd is reduced modulo n before it is scaled, so every angle is below 2π.
+        values += sign ** delta * delta * np.cos((2 * math.pi / n) * (j * d % n))
+    return t - values
 
 
 def _oracle_number(x) -> str:

@@ -720,6 +720,19 @@ def test_claimed_balance_on_unbalanced_graph_still_raises(zeta):
             is_balanced_det(g, kind, switching=claim)
 
 
+def test_claimed_balance_on_incompatible_graph_raises():
+    g = generate("cycle", 4, "+++-")
+    claim = BalanceReport(True, "switching", (1,) * g.n)
+    with pytest.raises(ArithmeticError, match="balanced graph found incompatible"):
+        is_balanced_det(g, "pm", switching=claim)
+
+
+def test_forest_sum_that_contradicts_switching_raises(monkeypatch):
+    monkeypatch.setattr(sdlap.balance, "forest_det", lambda g: 0)
+    with pytest.raises(ArithmeticError, match="forest sum 0 contradicts the switching verdict"):
+        is_balanced_forest(generate("cycle", 3, "allneg"))
+
+
 def test_claimed_imbalance_on_balanced_graph_still_raises():
     g = balanced_graph(_PADIC_MIN_ORDER + 2, 5)
     claim = BalanceReport(False, "switching", (0, 1, 2))

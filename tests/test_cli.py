@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from sdlap import (DisconnectedGraphError, IncompatibleGraphError, generate,
-                   is_balanced_switching, parse_edge_list)
+from sdlap import (DisconnectedGraphError, IncidenceMatrix, IncompatibleGraphError,
+                   forest_det, generate, incidence_matrix, is_balanced_switching,
+                   parse_edge_list, transmission)
 from sdlap.cli import MATRIX_KINDS, _build_matrix, main
 
 from conftest import (
@@ -857,6 +858,46 @@ def test_spectral_suites_fail_on_a_negative_eigenvalue(monkeypatch, suite):
     report = sdlap.verify.run_suite(suite)
     assert not report.passed and report.details["min_eigenvalue"] < -0.9
     assert any("negative eigenvalue" in failure for failure in report.failures)
+
+
+@pytest.mark.parametrize("suite, target, replacement, first, also", [
+    ("forest-theorem", "sdlap.verify.forest_det", lambda g: forest_det(g) + 1,
+     "instance 0: det 0 != forest sum 1", None),
+    ("balance-equivalence", "sdlap.balance.BalanceReport.verify", lambda report, g: False,
+     "instance 0: certificate failed to verify", None),
+    ("balance-equivalence", "sdlap.verify.det_exact", lambda m: 1,
+     "instance 0: verdicts (True, False, False, False) disagree "
+     "(det_max=1, det_min=1, compatible=True)", None),
+    ("balance-equivalence", "sdlap.verify.det_exact", lambda m: -1,
+     "instance 0: verdicts (True, False, False, False) disagree "
+     "(det_max=-1, det_min=-1, compatible=True)", "instance 0: negative determinant"),
+    ("transmission-shift", "sdlap.verify.transmission", lambda table: transmission(table) + 1,
+     "C3 allpos: transmissions [3] != 2", None),
+    ("incidence-factorization", "sdlap.verify.incidence_matrix",
+     lambda g, orientation: IncidenceMatrix(2 * incidence_matrix(g, orientation).entries,
+                                            orientation),
+     "instance 0: factorization deviation 15", None),
+], ids=["forest-sum-off-by-one", "certificate-rejected", "det-always-1", "det-always-minus-1",
+        "transmission-off-by-one", "incidence-doubled"])
+def test_suites_report_each_kind_of_failure(monkeypatch, suite, target, replacement,
+                                            first, also):
+    from sdlap.verify import run_suite
+
+    monkeypatch.setattr(target, replacement)
+    report = run_suite(suite)
+    assert report.passed is False
+    assert report.failures[0] == first
+    assert also is None or also in report.failures
+    # ten failures are kept, so the summary names the first and counts the rest
+    assert report.summary().startswith(f"FAIL {suite}: ")
+    assert report.summary().endswith(f"({first} and 9 more)")
+
+
+def test_run_suite_rejects_an_unknown_name():
+    from sdlap.verify import run_suite
+
+    with pytest.raises(ValueError, match="unknown suite 'no-such-suite'"):
+        run_suite("no-such-suite")
 
 
 def test_benchmark_runs_every_verify_suite_in_order():

@@ -247,8 +247,8 @@ def test_dmin_at_most_dmax_with_equality_iff_compatible():
         compatible, witness = is_compatible(table)
         assert compatible == np.array_equal(dmin, dmax)
         if not compatible:
-            u, v = witness
-            assert dmin[u, v] < dmax[u, v]
+            # the witness is the least pair, in row-major order, where they differ
+            assert witness == tuple(int(i) for i in np.argwhere(dmin < dmax)[0])
 
 
 # ---------------------------------------------------------------- compatibility
@@ -266,6 +266,12 @@ def test_signed_trees_are_compatible():
 def test_all_negative_c5_is_compatible():
     ok, _ = is_compatible(distance_table(generate("cycle", 5, "allneg")))
     assert ok
+
+
+def test_empty_table_is_compatible():
+    empty = np.zeros((0, 0), dtype=bool)
+    table = DistanceTable(np.zeros((0, 0), dtype=np.int64), empty, empty)
+    assert is_compatible(table) == (True, None)
 
 
 def test_incompatibility_witness_is_least_pair():

@@ -177,6 +177,11 @@ def test_modular_route_falls_back_when_primes_run_out(monkeypatch):
     assert modular(rows, lift=False)[0] == _det_bareiss(rows)
 
 
+def test_det_exact_rejects_non_square_input():
+    with pytest.raises(ValueError, match=r"square matrix required, got shape \(2, 3\)"):
+        det_exact(np.zeros((2, 3)))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
 def test_det_exact_rejects_bad_entries_above_the_threshold(bad):
     n = _PADIC_MIN_ORDER + 4
@@ -338,6 +343,8 @@ def test_padic_route_on_a_matrix_whose_column_norms_exceed_its_row_norms():
     ("_rational", lambda real: lambda *args: None if (e := real(*args)) is None else 2 * e),
     # a wrong last coordinate of x breaks A y = d b
     ("_lift", lambda real: lambda *args: (x := real(*args))[:-1] + [x[-1] + 1]),
+    # a failed reconstruction leaves no denominator to certify
+    pytest.param("_rational", lambda real: lambda *args: None, id="_rational-none"),
 ])
 def test_failed_certificate_falls_back(monkeypatch, name, corrupt):
     monkeypatch.setattr(sdlap.exact, name, corrupt(getattr(sdlap.exact, name)))

@@ -18,7 +18,7 @@ from sdlap import (
 )
 from sdlap.verify import transmission_shift_suite
 
-from conftest import jacobi_eigenvalues, random_connected_graph
+from conftest import cycle_cosine_spectrum, jacobi_eigenvalues, random_connected_graph
 
 
 # ---------------------------------------------------------------- eigensolver
@@ -106,6 +106,18 @@ def test_sym_eig_accepts_a_zero_grouping_tolerance():
 def test_sym_eig_rejects_asymmetric_input():
     with pytest.raises(ValueError, match="symmetric"):
         sym_eig(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def test_sym_eig_rejects_non_square_input():
+    with pytest.raises(ValueError, match=r"square matrix required, got shape \(2, 3\)"):
+        sym_eig(np.zeros((2, 3)))
+
+
+def test_sym_eig_rejects_eigenvalues_that_drift_from_the_trace(monkeypatch):
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1)
+    with pytest.raises(ArithmeticError, match="eigenvalue sum drifted from the trace by 3"):
+        sym_eig(np.eye(3))
 
 
 def test_sym_eig_trace_and_determinant_identities():
@@ -203,6 +215,17 @@ def test_cycle_spectrum_matches_the_jacobi_oracle(sign):
         lap = distance_laplacian(distance_table(generate("cycle", n, "allpos" if sign > 0 else "allneg")), "max")
         oracle = jacobi_eigenvalues(lap.entries.astype(float))
         assert np.abs(np.array(cycle_spectrum(n, sign).eigenvalues) - oracle).max() < 1e-9
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cycle_spectrum_matches_the_cosine_sum(sign):
+    for n in [*range(3, 401), 1000, 2000, 3000]:
+        spectrum = cycle_spectrum(n, sign)
+        oracle = Spectrum.from_values(cycle_cosine_spectrum(n, sign))
+        values = np.array(spectrum.eigenvalues)
+        scale = max(1.0, float(np.abs(values).max()))
+        assert np.abs(values - oracle.eigenvalues).max() <= 1e-12 * scale, n
+        assert [k for _, k in spectrum.groups] == [k for _, k in oracle.groups], n
 
 
 def test_cycle_spectrum_matches_switched_odd_cycles():
