@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .balance import (
-    SizeBoundError,
     closed_form_det,
     enumerate_spanning_1forests,
     forest_census,
@@ -35,8 +34,6 @@ from .core import (
 )
 from .distance import (
     DISTANCE_KINDS,
-    DisconnectedGraphError,
-    IncompatibleGraphError,
     distance_laplacian,
     distance_matrix,
     distance_table,
@@ -356,8 +353,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, _UsageError) as exc:
         print(f"sdlap: {exc}", file=sys.stderr)
         return 2
-    except (DisconnectedGraphError, IncompatibleGraphError, SizeBoundError,
-            GenerationError, ValueError, ArithmeticError) as exc:
+    except (GenerationError, ValueError, ArithmeticError) as exc:
         print(f"sdlap: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,12 +108,18 @@ class SignedGraph:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        n = operator.index(self.n) if isinstance(self.n, numbers.Integral) else 0
+        if n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         normalized = []
         seen: set[tuple[int, int]] = set()
         for edge in self.edges:
             u, v, s = edge
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"edge {edge!r} has a non-integer vertex index") from None
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {edge!r} has a vertex index outside 0..{self.n - 1}")
             if u == v:

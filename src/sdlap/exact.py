@@ -57,9 +57,10 @@ _PADIC_MIN_ORDER = 26
 #   exact while n * amax**2 < 2**63; beyond it they are Python integers.
 _PRIME_LIMIT = 1 << 23
 _BLOCK = 16
-# Primes eliminated together in one float64 array. Sixteen at once saved
-# about 15 % of the time but raised the peak memory of `balance` at
-# n = 140 by 10 % (CHANGES.md).
+# Primes eliminated together in one float64 array of 8 * n**2 values,
+# 41 MB at n = 800. Only singular matrices without the L·ζ check, entries
+# beyond the lifting bound and cofactors det / d that need primes (cycles
+# take up to 13) still reach this prime loop.
 _PRIME_CHUNK = 8
 # Lifting prime of the p-adic divisor, the largest prime below 2**20.
 _LIFT_PRIME = 1048573
@@ -76,31 +77,31 @@ def determinant(m) -> int:
     details. Every route is exact at any order. Raises ValueError on a
     non-integer, NaN or infinite entry.
     """
-    a = _int_rows(m)
+    a = _int_array(m)
     if len(a) < _PADIC_MIN_ORDER:
-        return _det_bareiss(a)
+        return _det_bareiss(a.tolist())
     return _det_modular(a)
 
 
-def _int_rows(m) -> list[list[int]]:
-    arr = np.asarray(m)  # a SquareMatrix converts through its __array__
+def _int_array(m) -> np.ndarray:
+    """m as a square int64 array, or object where an entry exceeds int64."""
+    arr = np.asarray(m)  # a SquareMatrix hands over its entries without a copy
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"square matrix required, got shape {arr.shape}")
+    if arr.dtype == np.int64:
+        return arr
     rows = arr.tolist()
-    if arr.dtype.kind in "iu":
-        return rows
-    out: list[list[int]] = []
-    for i, row in enumerate(rows):
-        converted = []
-        for j, x in enumerate(row):
-            if isinstance(x, int):
-                converted.append(x)
-            elif isinstance(x, float) and x.is_integer():
-                converted.append(int(x))
-            else:
-                raise ValueError(f"non-integer entry {x!r} at ({i}, {j})")
-        out.append(converted)
-    return out
+    if arr.dtype.kind not in "iu":
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if isinstance(x, float) and x.is_integer():
+                    row[j] = int(x)
+                elif not isinstance(x, int):
+                    raise ValueError(f"non-integer entry {x!r} at ({i}, {j})")
+    try:
+        return np.array(rows, dtype=np.int64).reshape(arr.shape)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(arr.shape)
 
 def _det_bareiss(a: list[list[int]]) -> int:
     """Fraction-free (Bareiss) elimination of the rows a, in place.
@@ -159,7 +160,7 @@ def _primes():
             yield q
 
 
-def _det_modular(a: list[list[int]]) -> int:
+def _det_modular(entries: np.ndarray) -> int:
     """Exact determinant as d * (det / d), with d from _padic_divisor, or 1
     where it declines.
 
@@ -168,21 +169,16 @@ def _det_modular(a: list[list[int]]) -> int:
     product M satisfies (M d)**2 > 4 H**2, so det / d is the symmetric
     residue of its Chinese-remainder reconstruction modulo M. A bound
     beyond the product of all primes below _PRIME_LIMIT (about 1.2e7 bits)
-    goes to Bareiss.
+    goes to Bareiss. entries is an integer array as _int_array returns it.
     """
-    n = len(a)
-    try:
-        entries = np.array(a, dtype=np.int64).reshape(n, n)
-    except OverflowError:
-        entries = np.array(a, dtype=object).reshape(n, n)
     amax = max(-int(entries.min(initial=0)), int(entries.max(initial=0)))
-    if n * amax * amax < 2**63:  # the int64 bound stated at the constants
+    if len(entries) * amax * amax < 2**63:  # the int64 bound stated at the constants
         col_sq = np.einsum("ij,ij->j", entries, entries).tolist()
     else:
         col_sq = (entries.astype(object) ** 2).sum(axis=0).tolist()
     bound_sq = math.prod(col_sq)
     d, moduli, residues = 1, [], []
-    divisor = _padic_divisor(a, entries, amax, bound_sq)
+    divisor = _padic_divisor(entries, amax, bound_sq)
     if divisor is not None:
         d, det_p = divisor
         moduli, residues = [_LIFT_PRIME], [det_p]
@@ -196,7 +192,7 @@ def _det_modular(a: list[list[int]]) -> int:
     while (product * d) ** 2 <= 4 * bound_sq:
         q = next(primes, None)
         if q is None:
-            return _det_bareiss(a)
+            return _det_bareiss(entries.tolist())
         if d % q:
             moduli.append(q)
             product *= q
@@ -308,21 +304,21 @@ def _lift_is_exact(n: int, amax: int, bmax: int) -> bool:
     return n * (p - 1) ** 2 + 2 * p < 2**53 and n * amax * p + bmax < 2**53
 
 
-def _padic_divisor(a: list[list[int]], entries: np.ndarray, amax: int,
+def _padic_divisor(entries: np.ndarray, amax: int,
                    bound_sq: int) -> tuple[int, int] | None:
     """(d, det A mod _LIFT_PRIME) for a certified divisor d of det A, the
     denominator of A^-1 b (module docstring), or None when the lifting does
     not apply: A is singular modulo _LIFT_PRIME, its entries break the float
     invariant, or the certificate fails.
 
-    a holds the rows of A and entries the same matrix as an array; amax is
-    the largest entry magnitude and bound_sq = prod ||col_i||**2 the squared
-    Hadamard bound. x = A^-1 b is lifted to p**k > 2 N**2, where N bounds
-    |det A| and every Cramer numerator |det A_j(b)| <= ||b|| prod_{i != j}
-    ||col_i||. Rational reconstruction gives x = y / d; A y = d b with
-    gcd(d, y) = 1, checked in Python integers, proves that d divides det A.
+    entries holds A, amax is its largest entry magnitude and bound_sq =
+    prod ||col_i||**2 the squared Hadamard bound. x = A^-1 b is lifted to
+    p**k > 2 N**2, where N bounds |det A| and every Cramer numerator
+    |det A_j(b)| <= ||b|| prod_{i != j} ||col_i||. Rational reconstruction
+    gives x = y / d; A y = d b with gcd(d, y) = 1, checked in Python
+    integers, proves that d divides det A.
     """
-    n = len(a)
+    n = len(entries)
     p = _LIFT_PRIME
     b = np.array(random.Random(n).choices(range(1, 10), k=n))
     if not _lift_is_exact(n, amax, int(b.max(initial=0))):
@@ -350,8 +346,8 @@ def _padic_divisor(a: list[list[int]], entries: np.ndarray, amax: int,
             y = [yi * e for yi in y]
             t = _symmetric(d * xj % modulus, modulus)
         y.append(t)
-    if math.gcd(d, *y) != 1 or any(
-            sum(map(operator.mul, row, y)) != d * bi for row, bi in zip(a, b.tolist())):
+    if math.gcd(d, *y) != 1 or any(sum(map(operator.mul, row, y)) != d * bi
+                                   for row, bi in zip(entries.tolist(), b.tolist())):
         return None
     return d, det_p
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -48,10 +49,9 @@ class SquareMatrix:
     kind: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.entries)
+        arr = np.array(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"square matrix required, got shape {arr.shape}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -64,7 +64,10 @@ class SquareMatrix:
         return np.issubdtype(self.entries.dtype, np.integer)
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype)
+        # numpy 1.x passes no copy, and copy=None is spelled only in numpy 2
+        if copy is None:
+            return np.asarray(self.entries, dtype=dtype)
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
     def write(self, out: TextIO, fmt: str = "json") -> TextIO:
         return _write_matrix(out, fmt, {"n": self.n, "kind": self.kind}, {"rows": self.entries})
@@ -88,7 +91,7 @@ class IncidenceMatrix:
     orientation: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float).copy()
+        arr = np.array(self.entries, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "orientation", tuple(map(tuple, self.orientation)))
@@ -177,7 +180,10 @@ def incidence_matrix(g: SignedGraph,
     """
     if orientation is None:
         orientation = canonical_orientation(g)
-    orientation = tuple((int(t), int(h)) for t, h in orientation)
+    try:
+        orientation = tuple((operator.index(t), operator.index(h)) for t, h in orientation)
+    except TypeError as exc:
+        raise ValueError(f"orientation pair with a non-integer vertex index: {exc}") from None
     if len(orientation) != g.m:
         raise ValueError(f"{len(orientation)} orientation pairs for {g.m} edges")
     h = np.zeros((g.n, g.m), dtype=float)

@@ -53,48 +53,42 @@ class Spectrum:
         return ",".join(format(v, ".12g") for v in self.eigenvalues) + "\n"
 
 
-def _as_square_array(m) -> np.ndarray:
-    arr = np.array(m, dtype=float)  # a SquareMatrix converts through its __array__
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"square matrix required, got shape {arr.shape}")
-    return arr
-
-
 def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:
     """Full real spectrum of a symmetric matrix, ascending.
 
-    Every entry must be finite, and the input symmetric within 1e-12
-    relative to its largest entry; otherwise ValueError. The eigenvalues
-    come from LAPACK's symmetric solver (numpy.linalg.eigvalsh) applied to
-    m + (m.T - m) / 2, which cannot overflow where (m + m.T) / 2 can. They
-    must be finite, and their sum must match the trace within
-    1e-8 * n * max|entry|, else ArithmeticError. grouping_tol only affects
-    how eigenvalues are grouped into multiplicities, not their values; it
-    must be finite and nonnegative, else ValueError.
+    The input must have a real dtype and finite entries and be symmetric
+    within 1e-12 relative to its largest entry; otherwise ValueError. The
+    eigenvalues come from LAPACK's symmetric solver (numpy.linalg.eigvalsh)
+    applied to m + (m.T - m) / 2, which cannot overflow where (m + m.T) / 2
+    can. They must be finite, and their sum must match the trace within
+    1e-8 * n * max|entry|, else ArithmeticError. grouping_tol only affects how
+    eigenvalues are grouped into multiplicities, not their values; it must
+    be finite and nonnegative, else ValueError.
     """
     if not 0 <= grouping_tol < math.inf:
         raise ValueError(
             f"grouping tolerance must be finite and nonnegative, got {grouping_tol!r}"
         )
-    a = _as_square_array(m)
+    a = np.asarray(m)  # a SquareMatrix hands over its entries without a copy
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"square matrix required, got shape {a.shape}")
+    if a.dtype.kind == "c":
+        raise ValueError(f"matrix has complex dtype {a.dtype}, expected real entries")
+    a = a.astype(float, copy=False)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     with np.errstate(over="ignore"):  # an infinite skew is not symmetric
         skew = a.T - a
-    if a.size and float(np.abs(skew).max()) > 1e-12 * scale:
+    if float(np.abs(skew).max(initial=0.0)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     values = np.linalg.eigvalsh(a + skew / 2.0)
     if not np.isfinite(values).all():
         raise ArithmeticError("an eigenvalue overflows a 64-bit float")
-    n = a.shape[0]
-    if n:
-        # Both sums are taken in units of scale, where neither can overflow.
-        drift = abs(float((values / scale).sum() - (np.diagonal(a) / scale).sum()))
-        if drift > 1e-8 * n:
-            raise ArithmeticError(
-                f"eigenvalue sum drifted from the trace by {drift * scale:g}"
-            )
+    # Both sums are taken in units of scale, where neither can overflow.
+    drift = abs(float((values / scale).sum() - (np.diagonal(a) / scale).sum()))
+    if drift > 1e-8 * len(a):
+        raise ArithmeticError(f"eigenvalue sum drifted from the trace by {drift * scale:g}")
     return Spectrum.from_values(values, tol=grouping_tol)
 
 

@@ -140,6 +140,15 @@ def test_graph_normalizes_endpoint_order_and_rejects_bad_input():
         SignedGraph(2, ((0, 5, 1),))
     with pytest.raises(ValueError, match="positive integer"):
         SignedGraph(0, ())
+    for count in (3.0, 1.5, "3"):
+        with pytest.raises(ValueError, match="positive integer"):
+            SignedGraph(count, ())
+    for edges in (((0, 1.5, 1), (1, 2, 1), (0, 2, -1)), ((0.0, 1, 1),)):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edges[0]!r} has a non-integer")):
+            SignedGraph(3, edges)
+    g = SignedGraph(np.int64(3), ((np.int64(2), np.int64(0), 1),))
+    assert g == SignedGraph(3, ((0, 2, 1),))
+    assert type(g.n) is int and all(type(x) is int for x in g.edges[0])
 
 
 def test_weighted_graph_validation():

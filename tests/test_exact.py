@@ -38,7 +38,7 @@ def modular(rows, lift=True) -> tuple[int, tuple[int, int] | None]:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sdlap.exact, "_padic_divisor",
                    lambda *args: found.append(real(*args) if lift else None) or found[-1])
-        value = _det_modular([list(r) for r in rows])
+        value = _det_modular(sdlap.exact._int_array(np.reshape(rows, (len(rows),) * 2)))
     return value, found[0]
 
 
@@ -175,6 +175,23 @@ def test_modular_route_falls_back_when_primes_run_out(monkeypatch):
                         lambda: itertools.islice(_primes(), 2))
     rows = random_rows(random.Random(241), _PADIC_MIN_ORDER)
     assert modular(rows, lift=False)[0] == _det_bareiss(rows)
+
+
+def test_det_exact_converts_its_input_to_one_integer_array():
+    a = np.array([[2, -1], [-1, 3]])
+    assert sdlap.exact._int_array(a) is a
+    m = distance_laplacian(distance_table(generate("cycle", 5, "allneg")), "max")
+    assert sdlap.exact._int_array(m) is m.entries
+    for same in (a.astype(np.int32), abs(a).astype(np.uint64), a.astype(float), a.tolist(),
+                 a.astype(object), a.astype(bool)):
+        out = sdlap.exact._int_array(same)
+        assert out.dtype == np.int64 and out.tolist() == np.asarray(same).tolist()
+        assert det_exact(same) == leibniz_det(out.tolist())
+    for big in (np.array([[2**63, 0], [0, 1]], dtype=np.uint64), np.array([[2.0**70]])):
+        out = sdlap.exact._int_array(big)
+        assert out.dtype == object and out.tolist() == [[int(x) for x in r] for r in big.tolist()]
+    with pytest.raises(ValueError, match=r"non-integer entry \(2\+0j\) at \(0, 0\)"):
+        det_exact(np.array([[2 + 0j]]))
 
 
 def test_det_exact_rejects_non_square_input():

@@ -148,6 +148,12 @@ def test_incidence_rejects_mismatched_orientation():
         incidence_matrix(g, ((0, 1), (0, 2)))
     with pytest.raises(ValueError, match="orientation pairs"):
         incidence_matrix(g, ((0, 1),))
+    for bad in (((0, 1), (1, 1.9)), ((0.0, 1), (1, 2))):
+        with pytest.raises(ValueError, match="non-integer vertex index"):
+            incidence_matrix(g, bad)
+    h = incidence_matrix(g, ((np.int64(1), np.int64(0)), (1, 2)))
+    assert h.orientation == ((1, 0), (1, 2))
+    assert all(type(x) is int for pair in h.orientation for x in pair)
 
 
 def test_every_orientation_factorizes_the_laplacian():
@@ -284,3 +290,20 @@ def test_square_matrix_entries_are_read_only():
     m = adjacency_matrix(generate("cycle", 3, "allneg"))
     with pytest.raises(ValueError):
         m.entries[0, 0] = 5
+
+
+def test_square_matrix_follows_the_array_protocol():
+    source = np.array([[2, -1], [-1, 2]])
+    m = SquareMatrix(source, "laplacian")
+    assert not np.shares_memory(m.entries, source)
+    view = np.asarray(m)
+    assert np.shares_memory(view, m.entries) and not view.flags.writeable
+    copy = np.array(m)
+    assert not np.shares_memory(copy, m.entries) and copy.flags.writeable
+    copy[0, 0] = 5
+    assert m.entries[0, 0] == 2
+    floats = np.asarray(m, dtype=float)
+    assert floats.dtype == np.float64 and floats.tolist() == [[2.0, -1.0], [-1.0, 2.0]]
+    assert np.shares_memory(np.array(m, copy=False), m.entries)
+    with pytest.raises(ValueError, match="copy"):
+        np.array(m, dtype=float, copy=False)

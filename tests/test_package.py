@@ -4,8 +4,10 @@ import io
 import json
 import re
 import shlex
+import types
 from pathlib import Path
 
+import sdlap
 from sdlap.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +48,28 @@ def test_package_import_graph_has_no_cycle():
     assert edges["matrices"] == {"core"}
     assert edges["exact"] == set()
     assert edges["spectra"] == set()
+
+
+PUBLIC_NAMES = {
+    "BalanceReport", "DisconnectedGraphError", "DistanceTable", "ForestComponent",
+    "GenerationError", "GraphFormatError", "IncidenceMatrix", "IncompatibleGraphError",
+    "NEGATIVE", "OneForest", "POSITIVE", "SignedGraph", "SizeBoundError", "Spectrum",
+    "SquareMatrix", "adjacency_matrix", "associated_complete", "canonical_orientation",
+    "closed_form_det", "components", "cycle_spectrum", "det_exact", "distance_laplacian",
+    "distance_matrix", "distance_table", "enumerate_spanning_1forests", "forest_census",
+    "forest_det", "generate", "incidence_matrix", "is_balanced_det", "is_balanced_forest",
+    "is_balanced_switching", "is_compatible", "odd_cycle_formula_spectrum",
+    "parse_edge_list", "path_sign", "serialize", "switch", "sym_eig", "transmission",
+    "weighted_degree_matrix", "weighted_laplacian",
+}
+
+
+def test_package_public_names_are_pinned():
+    # dir() rather than vars(), so that a package that loads lazily and
+    # lists its names through __dir__ is held to the same set
+    names = {name for name in dir(sdlap) if not name.startswith("_")
+             and not isinstance(getattr(sdlap, name), types.ModuleType)}
+    assert names == PUBLIC_NAMES
 
 
 def test_readme_library_quick_start_runs_as_written():

@@ -113,6 +113,14 @@ def test_sym_eig_rejects_non_square_input():
         sym_eig(np.zeros((2, 3)))
 
 
+def test_sym_eig_rejects_complex_input():
+    # Cast to float, the Hermitian matrix below would read as 2 I, whose
+    # spectrum (2, 2) is not its spectrum (1, 3).
+    for m in (np.array([[2, 1j], [-1j, 2]]), np.eye(2, dtype=complex)):
+        with pytest.raises(ValueError, match="complex"):
+            sym_eig(m)
+
+
 def test_sym_eig_rejects_eigenvalues_that_drift_from_the_trace(monkeypatch):
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1)
