@@ -126,6 +126,7 @@ class SignedGraph:
                 raise ValueError(f"loop at vertex index {u} is not allowed")
             if s not in (POSITIVE, NEGATIVE):
                 raise ValueError(f"edge {edge!r} has sign {s!r}, expected +1 or -1")
+            s = POSITIVE if s == POSITIVE else NEGATIVE  # a Python int, whatever came in
             if u > v:
                 u, v = v, u
             if (u, v) in seen:

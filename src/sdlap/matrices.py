@@ -16,19 +16,46 @@ import numpy as np
 from .core import SignedGraph, canonical_orientation
 
 
+def _joined_rows(rows: np.ndarray, sep: str, num):
+    """Each row of a block as the text num gives its entries, joined by sep.
+
+    An integer block whose values span no more numbers than it has entries
+    formats each value that occurs once, into a table indexed by value - lo,
+    and builds every row from that table; one row of offsets at a time, so
+    the extra memory is O(span + row length). Wider spans and float blocks
+    format entry by entry.
+    """
+    per_entry = (sep.join(map(num, row.tolist())) for row in rows)
+    if not (rows.size and np.issubdtype(rows.dtype, np.integer)):
+        return per_entry
+    lo, hi = int(rows.min()), int(rows.max())
+    if hi - lo >= rows.size:
+        return per_entry
+    # row - lo lies in 0..hi - lo, so it is exact modulo 2**bits: viewed as
+    # unsigned, it is right even where it wraps in a narrow signed dtype.
+    unsigned = np.dtype(f"u{rows.itemsize}")
+    shift = rows.dtype.type(lo)
+    occurs = np.zeros(hi - lo + 1, dtype=bool)
+    for row in rows:
+        occurs[(row - shift).view(unsigned)] = True
+    table = np.empty(hi - lo + 1, dtype=object)
+    for k in np.flatnonzero(occurs).tolist():
+        table[k] = num(lo + k)
+    return (sep.join(table[(row - shift).view(unsigned)].tolist()) for row in rows)
+
+
 def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
     """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n",
     one row at a time. CSV floats get .12g; JSON gets repr, or json.dumps for NaN/inf."""
     if fmt == "csv":
         num = str if np.issubdtype(blocks["rows"].dtype, np.integer) else "%.12g".__mod__
-        out.writelines(",".join(map(num, row.tolist())) + "\n" for row in blocks["rows"])
+        out.writelines(text + "\n" for text in _joined_rows(blocks["rows"], ",", num))
         return out
     lead = "{\n" + "".join(f'  "{k}": {json.dumps(v)},\n' for k, v in header.items())
     for key, rows in blocks.items():
         out.write(f'{lead}  "{key}": [')
         num = repr if np.isfinite(rows).all() else json.dumps
-        for i, row in enumerate(rows):
-            items = ",\n      ".join(map(num, row.tolist()))
+        for i, items in enumerate(_joined_rows(rows, ",\n      ", num)):
             row_text = f"[\n      {items}\n    ]" if items else "[]"
             out.write(f"{',' if i else ''}\n    {row_text}")
         out.write("\n  ]" if len(rows) else "]")

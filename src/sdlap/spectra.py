@@ -72,6 +72,8 @@ def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:
     a = np.asarray(m)  # a SquareMatrix hands over its entries without a copy
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"square matrix required, got shape {a.shape}")
+    if a.dtype == object:  # let numpy infer the entries' dtype, so complex ones show
+        a = np.array(a.tolist()).reshape(a.shape)
     if a.dtype.kind == "c":
         raise ValueError(f"matrix has complex dtype {a.dtype}, expected real entries")
     a = a.astype(float, copy=False)

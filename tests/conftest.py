@@ -338,9 +338,10 @@ def _oracle_number(x) -> str:
 
 
 def oracle_matrix_csv(entries) -> str:
-    """CSV text of a matrix, formatting each entry by its own Python type."""
+    """CSV text of a matrix, formatting each entry by its own Python type;
+    each row ends in a newline, so a matrix without rows is empty text."""
     rows = np.asarray(entries).tolist()
-    return "\n".join(",".join(_oracle_number(x) for x in row) for row in rows) + "\n"
+    return "".join(",".join(_oracle_number(x) for x in row) + "\n" for row in rows)
 
 
 def oracle_matrix_json(matrix) -> str:

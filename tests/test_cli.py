@@ -217,6 +217,9 @@ GOLDEN_GRAPHS = {
     "single-vertex": "1\n",
     "disconnected": "6\n1 2 +\n2 3 - 4\n4 5 - 2.5\n",
     "compatible": "4\n1 2 +\n2 3 -\n3 4 +\n",
+    # integer entries near 1e12 span far more values than a matrix has entries
+    "wide-integer-weights": _random_graph_text(
+        random.Random(6), 20, 0.3, lambda rng: rng.randint(1, 9) * 10**12 + rng.randint(0, 999)),
 }
 
 

@@ -151,6 +151,13 @@ def test_graph_normalizes_endpoint_order_and_rejects_bad_input():
     assert type(g.n) is int and all(type(x) is int for x in g.edges[0])
 
 
+def test_graph_stores_edge_signs_as_python_ints():
+    g = SignedGraph(3, ((0, 1, 1.0), (1, 2, True), (0, 2, np.int64(-1))))
+    assert g.edges == ((0, 1, 1), (1, 2, 1), (0, 2, -1))
+    assert all(type(x) is int for edge in g.edges for x in edge)
+    assert serialize(g) == "3\n1 2 +\n2 3 +\n1 3 -\n"
+
+
 def test_weighted_graph_validation():
     edges = ((0, 1, 1),)
     with pytest.raises(ValueError, match="^2 weights for 1 edges$"):

@@ -273,6 +273,28 @@ def test_square_matrix_exports_nan_and_infinities_like_json_dumps():
     assert m.to_csv().splitlines()[0] == "nan,inf,1.5"
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("entries", [
+    np.zeros((0, 0), dtype=np.int64),
+    np.array([[7]]),
+    np.array([[-3, -1, -7], [-1, -2, -1], [-7, -1, -3]]),
+    # the span overflows int64, so every entry is formatted on its own
+    np.array([[_INT64.min, 0], [0, _INT64.max]]),
+    np.array([[5, -70000, 5], [-70000, 12, 0], [5, 0, 5]], dtype=np.int32),
+    np.array([[0, 255, 3], [255, 3, 3], [3, 3, 0]], dtype=np.uint8),
+    # every int8 value once: value - min wraps in int8
+    np.arange(-128, 128, dtype=np.int8).reshape(16, 16),
+    np.array([[2**64 - 1, 2**64 - 2], [2**64 - 2, 2**64 - 1]], dtype=np.uint64),
+], ids=["0x0", "1x1", "negative", "int64-min-and-max", "int32", "uint8", "int8-all",
+        "uint64-top"])
+def test_square_matrix_writes_integer_blocks_like_the_oracle(entries):
+    m = SquareMatrix(entries, "custom")
+    assert m.write(io.StringIO(), "json").getvalue() == oracle_matrix_json(m)
+    assert m.write(io.StringIO(), "csv").getvalue() == oracle_matrix_csv(m.entries)
+
+
 def test_incidence_export_includes_orientation():
     h = incidence_matrix(generate("path", 3, "+-"))
     obj = h.to_json_obj()

@@ -116,7 +116,8 @@ def test_sym_eig_rejects_non_square_input():
 def test_sym_eig_rejects_complex_input():
     # Cast to float, the Hermitian matrix below would read as 2 I, whose
     # spectrum (2, 2) is not its spectrum (1, 3).
-    for m in (np.array([[2, 1j], [-1j, 2]]), np.eye(2, dtype=complex)):
+    for m in (np.array([[2, 1j], [-1j, 2]]), np.eye(2, dtype=complex),
+              np.array([[1, 1j], [-1j, 1]], dtype=object)):
         with pytest.raises(ValueError, match="complex"):
             sym_eig(m)
 
