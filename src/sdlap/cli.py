@@ -10,20 +10,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import math
 import sys
 from pathlib import Path
 
-from .balance import (
-    closed_form_det,
-    enumerate_spanning_1forests,
-    forest_census,
-    is_balanced_det,
-    is_balanced_forest,
-    is_balanced_switching,
-)
 from .core import (
+    DISTANCE_KINDS,
+    MIN_VERIFY_N,
+    SUITE_NAMES,
     GenerationError,
     GraphFormatError,
     SignedGraph,
@@ -32,22 +28,32 @@ from .core import (
     parse_edge_list,
     serialize,
 )
-from .distance import (
-    DISTANCE_KINDS,
-    distance_laplacian,
-    distance_matrix,
-    distance_table,
-    is_compatible,
-    transmission,
-)
-from .matrices import (
-    adjacency_matrix,
-    incidence_matrix,
-    weighted_degree_matrix,
-    weighted_laplacian,
-)
-from .spectra import MULTIPLICITY_TOL, sym_eig
-from .verify import MIN_VERIFY_N, SUITES, run_all, run_suite
+
+
+def _stub(*names: str) -> None:
+    """Register each sdlap.<name> that is not loaded yet as a stub that runs
+    the module on its first attribute access, so that a verb loads only the
+    modules it uses (gen and --help load no numpy). The stubs sit in
+    sys.modules, where perfbench/spans.py finds every layer.
+
+    They are made here, not in the package: a stub runs its module without
+    the import lock, so code that imports sdlap but not the CLI keeps the
+    import system's thread-safe loading."""
+    package = sys.modules[__package__]
+    for name in names:
+        fullname = f"{__package__}.{name}"
+        if fullname in sys.modules:
+            continue
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(package, name, module)
+
+
+_stub("balance", "distance", "matrices", "spectra", "verify")
+from . import balance, distance, matrices, spectra, verify  # noqa: E402
 
 MATRIX_KINDS = (
     "dmax", "dmin", "dpm", "lmax", "lmin", "lpm",
@@ -93,16 +99,16 @@ def _json_dump(obj) -> str:
 
 def _build_matrix(g: SignedGraph, kind: str):
     if kind in ("dmax", "dmin", "dpm"):
-        return distance_matrix(distance_table(g), kind[1:])
+        return distance.distance_matrix(distance.distance_table(g), kind[1:])
     if kind in ("lmax", "lmin", "lpm"):
-        return distance_laplacian(distance_table(g), kind[1:])
+        return distance.distance_laplacian(distance.distance_table(g), kind[1:])
     if kind == "adjacency":
-        return adjacency_matrix(g)
+        return matrices.adjacency_matrix(g)
     if kind == "degree":
-        return weighted_degree_matrix(g)
+        return matrices.weighted_degree_matrix(g)
     if kind == "laplacian":
-        return weighted_laplacian(g)
-    return incidence_matrix(g)
+        return matrices.weighted_laplacian(g)
+    return matrices.incidence_matrix(g)
 
 
 def _cmd_info(args) -> int:
@@ -118,14 +124,14 @@ def _cmd_info(args) -> int:
         "connected": len(comps) == 1,
     }
     if info["connected"]:
-        table = distance_table(g)
-        compatible, witness = is_compatible(table)
+        table = distance.distance_table(g)
+        compatible, witness = distance.is_compatible(table)
         info["compatible"] = compatible
         if witness is not None:
             info["incompatible_pair"] = [witness[0] + 1, witness[1] + 1]
-        info["transmissions"] = [int(t) for t in transmission(table)]
-        info["balanced"] = is_balanced_switching(g).balanced
-    cf = closed_form_det(g)
+        info["transmissions"] = [int(t) for t in distance.transmission(table)]
+        info["balanced"] = balance.is_balanced_switching(g).balanced
+    cf = balance.closed_form_det(g)
     info["closed_form_det"] = cf if cf is None or isinstance(cf, float) else str(cf)
     _emit(_json_dump(info), args.out)
     return 0
@@ -143,16 +149,17 @@ def _cmd_balance(args) -> int:
         raise _UsageError(f"--kind is for --method det only, not {args.method}")
     g = _load(args.file)
     if args.method == "switching":
-        _emit(_json_dump(is_balanced_switching(g).to_json_obj()), args.out)
+        _emit(_json_dump(balance.is_balanced_switching(g).to_json_obj()), args.out)
     elif args.method == "det":
-        _emit(_json_dump(is_balanced_det(g, args.kind or "max").to_json_obj()), args.out)
+        _emit(_json_dump(balance.is_balanced_det(g, args.kind or "max").to_json_obj()),
+              args.out)
     elif args.method == "forest":
-        _emit(_json_dump(is_balanced_forest(g).to_json_obj()), args.out)
+        _emit(_json_dump(balance.is_balanced_forest(g).to_json_obj()), args.out)
     else:
-        sw = is_balanced_switching(g)
-        table = distance_table(g)
-        det_max = is_balanced_det(g, "max", table=table, switching=sw)
-        det_min = is_balanced_det(g, "min", table=table, switching=sw)
+        sw = balance.is_balanced_switching(g)
+        table = distance.distance_table(g)
+        det_max = balance.is_balanced_det(g, "max", table=table, switching=sw)
+        det_min = balance.is_balanced_det(g, "min", table=table, switching=sw)
         result = {
             "balanced": sw.balanced,
             "det_lmax": str(det_max.determinant),
@@ -164,11 +171,13 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if not 0 <= args.tolerance < math.inf:
-        raise _UsageError(
-            f"--tolerance must be finite and nonnegative, got {args.tolerance}"
-        )
-    spectrum = sym_eig(_build_matrix(_load(args.file), args.kind), grouping_tol=args.tolerance)
+    tolerance = args.tolerance
+    if tolerance is None:
+        tolerance = spectra.MULTIPLICITY_TOL
+    elif not 0 <= tolerance < math.inf:
+        raise _UsageError(f"--tolerance must be finite and nonnegative, got {tolerance}")
+    spectrum = spectra.sym_eig(_build_matrix(_load(args.file), args.kind),
+                               grouping_tol=tolerance)
     if args.format == "csv":
         _emit(spectrum.to_csv(), args.out)
     else:
@@ -179,7 +188,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_forests(args) -> int:
     g = _load(args.file)
     contrabalanced = args.kind == "contrabalanced"
-    count, total = forest_census(g, contrabalanced)
+    count, total = balance.forest_census(g, contrabalanced)
     result = {
         "count": count,
         "forest_sum": str(total) if isinstance(total, int) else total,
@@ -197,7 +206,7 @@ def _cmd_forests(args) -> int:
                     for c in f.components
                 ],
             }
-            for f in enumerate_spanning_1forests(g, contrabalanced)
+            for f in balance.enumerate_spanning_1forests(g, contrabalanced)
         ]
     _emit(_json_dump(result), args.out)
     return 0
@@ -207,9 +216,9 @@ def _cmd_verify(args) -> int:
     if args.n is not None and args.n < MIN_VERIFY_N:
         raise _UsageError(f"--n must be at least {MIN_VERIFY_N}, got {args.n}")
     if args.suite == "all":
-        reports = run_all(n_max=args.n, seed=args.seed)
+        reports = verify.run_all(n_max=args.n, seed=args.seed)
     else:
-        reports = [run_suite(args.suite, n_max=args.n, seed=args.seed)]
+        reports = [verify.run_suite(args.suite, n_max=args.n, seed=args.seed)]
     if args.format == "json":
         _emit(_json_dump([r.to_json_obj() for r in reports]), args.out)
     else:
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum.add_argument("--kind", choices=SPECTRUM_KINDS, default="lpm")
     p_spectrum.add_argument("--format", choices=("json", "csv"), default="json")
     p_spectrum.add_argument(
-        "--tolerance", type=float, default=MULTIPLICITY_TOL,
+        "--tolerance", type=float, default=None,
         help="multiplicity grouping tolerance",
     )
     add_common(p_spectrum)
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_forests.set_defaults(func=_cmd_forests)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=(*SUITES, "all"))
+    p_verify.add_argument("suite", choices=(*SUITE_NAMES, "all"))
     p_verify.add_argument("--n", type=int, default=None,
                           help=f"vertex count bound, at least {MIN_VERIFY_N}")
     p_verify.add_argument("--seed", type=int, default=1)

@@ -22,6 +22,19 @@ NEGATIVE = -1
 
 GENERATOR_KINDS = ("cycle", "path", "complete", "random")
 
+# Kinds of signed distance: D^max, D^min and their average D^pm.
+DISTANCE_KINDS = ("max", "min", "pm")
+
+# Names of the verification suites, in the order they run.
+SUITE_NAMES = ("forest-theorem", "balance-equivalence", "cospectrality",
+               "transmission-shift", "incidence-factorization")
+
+# Smallest vertex-count bound a suite accepts, and the smallest cycle
+# transmission-shift checks. Random graphs have 2 to n_max vertices and
+# the cycles 3 to n_max, so a lower bound, like a count below 1, either
+# crashes or passes without testing anything.
+MIN_VERIFY_N = 3
+
 _SIGN_TOKENS = {"+": POSITIVE, "1": POSITIVE, "-": NEGATIVE, "-1": NEGATIVE}
 _MAX_RANDOM_ATTEMPTS = 500
 

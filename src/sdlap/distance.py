@@ -21,10 +21,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core import SignedGraph
+from .core import DISTANCE_KINDS, SignedGraph
 from .matrices import SquareMatrix
-
-DISTANCE_KINDS = ("max", "min", "pm")
 
 # Frontier words hold 64 sources each. They are little-endian so that
 # their bytes unpack in source order on any host.

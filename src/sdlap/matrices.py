@@ -46,7 +46,8 @@ def _joined_rows(rows: np.ndarray, sep: str, num):
 
 def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
     """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n",
-    one row at a time. CSV floats get .12g; JSON gets repr, or json.dumps for NaN/inf."""
+    one row at a time. CSV floats get .12g. JSON gets repr for finite numbers,
+    and json.dumps for NaN/inf and for bools, whose repr is not JSON."""
     if fmt == "csv":
         num = str if np.issubdtype(blocks["rows"].dtype, np.integer) else "%.12g".__mod__
         out.writelines(text + "\n" for text in _joined_rows(blocks["rows"], ",", num))
@@ -54,7 +55,8 @@ def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
     lead = "{\n" + "".join(f'  "{k}": {json.dumps(v)},\n' for k, v in header.items())
     for key, rows in blocks.items():
         out.write(f'{lead}  "{key}": [')
-        num = repr if np.isfinite(rows).all() else json.dumps
+        finite = np.issubdtype(rows.dtype, np.number) and np.isfinite(rows).all()
+        num = repr if finite else json.dumps
         for i, items in enumerate(_joined_rows(rows, ",\n      ", num)):
             row_text = f"[\n      {items}\n    ]" if items else "[]"
             out.write(f"{',' if i else ''}\n    {row_text}")

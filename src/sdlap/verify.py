@@ -16,16 +16,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
-from .core import SignedGraph, generate, switch
+from .core import MIN_VERIFY_N, SUITE_NAMES, SignedGraph, generate, switch
 from .distance import distance_laplacian, distance_table, is_compatible, transmission
 from .matrices import incidence_matrix, weighted_laplacian
 from .spectra import cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
-
-# Smallest vertex-count bound a suite accepts, and the smallest cycle
-# transmission-shift checks. Random graphs have 2 to n_max vertices and
-# the cycles 3 to n_max, so a lower bound, like a count below 1, either
-# crashes or passes without testing anything.
-MIN_VERIFY_N = 3
 
 # Largest deviation of an eigensolver spectrum from cycle_spectrum.
 _SPECTRUM_TOL = 1e-8
@@ -270,13 +264,13 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
     return report
 
 
-SUITES = {
-    "forest-theorem": forest_theorem_suite,
-    "balance-equivalence": balance_equivalence_suite,
-    "cospectrality": cospectrality_suite,
-    "transmission-shift": transmission_shift_suite,
-    "incidence-factorization": incidence_factorization_suite,
-}
+SUITES = dict(zip(SUITE_NAMES, (
+    forest_theorem_suite,
+    balance_equivalence_suite,
+    cospectrality_suite,
+    transmission_shift_suite,
+    incidence_factorization_suite,
+), strict=True))
 
 
 def run_suite(name: str, n_max: int | None = None, seed: int = 1) -> SuiteReport:

@@ -340,7 +340,7 @@ def test_balance_both_matches_documented_output(capsys, c4_one_negative):
 def test_balance_both_builds_one_table_and_one_switching_run(
         capsys, monkeypatch, c4_one_negative, args):
     import sdlap.balance
-    import sdlap.cli
+    import sdlap.distance
 
     calls = {"table": 0, "switching": 0}
 
@@ -350,11 +350,12 @@ def test_balance_both_builds_one_table_and_one_switching_run(
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (sdlap.cli, sdlap.balance):
+    # the CLI calls both through their modules; balance binds distance_table
+    for module in (sdlap.distance, sdlap.balance):
         monkeypatch.setattr(module, "distance_table",
                             counted("table", module.distance_table))
-        monkeypatch.setattr(module, "is_balanced_switching",
-                            counted("switching", module.is_balanced_switching))
+    monkeypatch.setattr(sdlap.balance, "is_balanced_switching",
+                        counted("switching", sdlap.balance.is_balanced_switching))
     code, out, _ = run(capsys, "balance", c4_one_negative, *args)
     assert code == 0
     assert json.loads(out)["balanced"] is False
@@ -613,7 +614,7 @@ def test_forests_contrabalanced_census(capsys, tmp_path, c4_one_negative):
 
 @pytest.mark.parametrize("kind", ["all", "contrabalanced"])
 def test_forests_scans_once_and_sums_like_forest_det(capsys, tmp_path, monkeypatch, kind):
-    import sdlap.cli
+    import sdlap.balance
     from sdlap import SignedGraph, forest_det, generate, serialize
 
     g = generate("complete", 5, 0.5, seed=3)
@@ -621,7 +622,8 @@ def test_forests_scans_once_and_sums_like_forest_det(capsys, tmp_path, monkeypat
     path = tmp_path / "k5.sg"
     path.write_text(serialize(wg))
     expected = forest_det(wg)
-    census, enumerate_forests = sdlap.cli.forest_census, sdlap.cli.enumerate_spanning_1forests
+    census = sdlap.balance.forest_census
+    enumerate_forests = sdlap.balance.enumerate_spanning_1forests
     for listed in (False, True):
         censuses, scans, built = [], [], []
 
@@ -635,8 +637,8 @@ def test_forests_scans_once_and_sums_like_forest_det(capsys, tmp_path, monkeypat
             built.extend(forests)
             return forests
 
-        monkeypatch.setattr(sdlap.cli, "forest_census", counted_census)
-        monkeypatch.setattr(sdlap.cli, "enumerate_spanning_1forests", counted_scan)
+        monkeypatch.setattr(sdlap.balance, "forest_census", counted_census)
+        monkeypatch.setattr(sdlap.balance, "enumerate_spanning_1forests", counted_scan)
         code, out, _ = run(capsys, "forests", str(path), "--kind", kind,
                            *(["--list"] if listed else []))
         # one census, and one search for --list only, of the kind asked for

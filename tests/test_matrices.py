@@ -273,6 +273,14 @@ def test_square_matrix_exports_nan_and_infinities_like_json_dumps():
     assert m.to_csv().splitlines()[0] == "nan,inf,1.5"
 
 
+def test_square_matrix_writes_bools_as_json_literals():
+    m = SquareMatrix(np.array([[True, False], [False, True]]), "custom")
+    text = m.write(io.StringIO(), "json").getvalue()
+    assert json.loads(text)["rows"] == [[True, False], [False, True]]
+    assert text == oracle_matrix_json(m)
+    assert m.write(io.StringIO(), "csv").getvalue() == "1,0\n0,1\n"
+
+
 _INT64 = np.iinfo(np.int64)
 
 

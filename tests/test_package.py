@@ -2,15 +2,29 @@ import ast
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import sdlap
 from sdlap.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+# A fresh interpreter that finds sdlap and perfbench; pytest's own process
+# has loaded every sdlap module through conftest, so it cannot show what a
+# command loads by itself.
+FRESH_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+
+
+def _fresh(*args, cwd=ROOT) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=FRESH_ENV, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -24,12 +38,26 @@ def test_package_imports_only_at_module_level():
     assert nested == []
 
 
+def _edges(tree: ast.Module, siblings) -> set[str]:
+    """The siblings a module imports: `from .x import` and `from . import x`,
+    function bodies included. A module that imports importlib loads siblings
+    by name, as the package's __getattr__ and the CLI's stubs do, so every
+    string constant in it that names a sibling counts as an edge too."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+    if any(isinstance(node, ast.Import) and any(a.name.startswith("importlib")
+                                                for a in node.names)
+           for node in ast.walk(tree)):
+        names |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return names & siblings
+
+
 def test_package_import_graph_has_no_cycle():
     modules = _modules()
-    # `from .x import`, function bodies included
-    edges = {name: {node.module for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom) and node.level == 1} & modules.keys()
-             for name, tree in modules.items()}
+    edges = {name: _edges(tree, modules.keys()) for name, tree in modules.items()}
     done, stack = set(), []
 
     def visit(name):
@@ -45,9 +73,13 @@ def test_package_import_graph_has_no_cycle():
 
     for name in sorted(edges):
         visit(name)
+    assert edges["core"] == set()
     assert edges["matrices"] == {"core"}
     assert edges["exact"] == set()
     assert edges["spectra"] == set()
+    # the lazily loaded edges are seen
+    assert edges["__init__"] == modules.keys() - {"__init__"}
+    assert edges["cli"] == {"core", "balance", "distance", "matrices", "spectra", "verify"}
 
 
 PUBLIC_NAMES = {
@@ -108,3 +140,46 @@ def test_readme_cli_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
     assert json.loads(balance_out) == json.loads(balance_json)
     spectrum_out, spectrum_csv = runs["spectrum"]
     assert spectrum_out.strip() == spectrum_csv == "1,1,4"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("gen", "cycle:5:allneg"),
+    ("gen", "random:60:seed=1"),
+], ids=["help", "gen-cycle", "gen-random"])
+def test_help_and_gen_start_without_numpy(argv):
+    # -X importtime lists on stderr every module the process imports
+    proc = _fresh("-X", "importtime", "-m", "sdlap.cli", *argv)
+    assert proc.returncode == 0 and proc.stdout
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "sdlap.core" in imported
+    assert "numpy" not in imported
+
+
+_TRACED_BALANCE = """
+import sys
+
+import sdlap.cli
+
+loaded = {name for name in sys.modules if name.startswith("sdlap")}
+assert "numpy" not in sys.modules
+from perfbench import spans
+
+missing = [layer for layer in spans.LAYERS if f"sdlap.{layer}" not in loaded]
+assert missing == [], missing
+assert sdlap.cli.main(["gen", "cycle:4:+++-", "--out", "c4.sg"]) == 0
+with spans.Tracer() as tracer:
+    code = sdlap.cli.main(["balance", "c4.sg"])
+assert code == 0, code
+print(tracer.calls["balance.det"], tracer.calls["balance.switching"])
+"""
+
+
+def test_benchmark_tracer_finds_every_layer_in_a_fresh_process(tmp_path):
+    # perfbench/spans.py reads sys.modules["sdlap.<layer>"] right after
+    # `import sdlap.cli` and wraps the functions it finds there
+    proc = _fresh("-c", _TRACED_BALANCE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    det_calls, switching_calls = map(int, proc.stdout.splitlines()[-1].split())
+    assert det_calls == 2 and switching_calls == 1
