@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 # Every public name, by the submodule that defines it.
 _PUBLIC = {
     "core": (
-        "NEGATIVE", "POSITIVE", "GenerationError", "GraphFormatError", "SignedGraph",
-        "canonical_orientation", "components", "generate", "parse_edge_list", "path_sign",
-        "serialize", "switch",
+        "NEGATIVE", "POSITIVE", "DisconnectedGraphError", "GenerationError",
+        "GraphFormatError", "SignedGraph", "canonical_orientation", "components",
+        "generate", "parse_edge_list", "path_sign", "serialize", "switch",
     ),
     "balance": (
         "BalanceReport", "ForestComponent", "OneForest", "SizeBoundError",
@@ -29,9 +29,9 @@ _PUBLIC = {
         "forest_det", "is_balanced_det", "is_balanced_forest", "is_balanced_switching",
     ),
     "distance": (
-        "DisconnectedGraphError", "DistanceTable", "IncompatibleGraphError",
-        "associated_complete", "distance_laplacian", "distance_matrix", "distance_table",
-        "is_compatible", "transmission",
+        "DistanceTable", "IncompatibleGraphError", "associated_complete",
+        "distance_laplacian", "distance_matrix", "distance_table", "is_compatible",
+        "transmission",
     ),
     "matrices": (
         "IncidenceMatrix", "SquareMatrix", "adjacency_matrix", "incidence_matrix",

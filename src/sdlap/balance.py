@@ -9,6 +9,12 @@ switching function zeta, L zeta = 0 is checked exactly in int64 (entries
 are below n**2). zeta is a nonzero +-1 vector, so this proves det L = 0
 in O(n^2) without elimination; if the check fails, or the graph is
 unbalanced, det L is computed exactly by sdlap.exact.
+
+The numpy-backed siblings distance and exact are bound as modules and
+reached only through their attributes, so that the switching oracle and
+the 1-forest census run without them. Under the CLI's lazy stubs,
+`sdlap forests` and `sdlap balance --method switching|forest` then never
+load numpy; the determinant decider loads it on its first call.
 """
 
 from __future__ import annotations
@@ -17,20 +23,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
+from . import distance, exact
 from .core import (
     NEGATIVE,
     POSITIVE,
+    DisconnectedGraphError,
     SignedForest,
     SignedGraph,
     path_sign,
     switch,
 )
-from .distance import (DisconnectedGraphError, DistanceTable, IncompatibleGraphError,
-                       distance_laplacian, distance_table)
-from .exact import determinant
-from .matrices import SquareMatrix
 
 # Live states of the 1-forest census after any edge, and forests of a
 # listing: K10 peaks at 402,610 states (about 200 MB), K8 has 1,456,875 forests.
@@ -105,7 +107,7 @@ def det_exact(m) -> int:
     Defined here because the benchmark's spans time only functions defined
     in their layer modules; this one counts every determinant as balance.det.
     """
-    return determinant(m)
+    return exact.determinant(m)
 
 
 def is_balanced_switching(g: SignedGraph) -> BalanceReport:
@@ -452,15 +454,14 @@ def closed_form_det(g: SignedGraph):
     return forest_det(g) if g.m <= g.n else None
 
 
-def _in_kernel(lap: SquareMatrix, zeta) -> bool:
-    """True when zeta is a +-1 vector with lap @ zeta == 0 exactly."""
-    z = np.asarray(zeta, dtype=np.int64)
-    return (z.shape == (lap.n,) and bool(np.all(np.abs(z) == 1))
-            and not (lap.entries @ z).any())
+def _in_kernel(lap, zeta) -> bool:
+    """True when zeta is a +-1 vector with lap.entries @ zeta == 0 exactly."""
+    return (len(zeta) == lap.n and all(z == 1 or z == -1 for z in zeta)
+            and not lap.entries.dot(zeta).any())
 
 
 def is_balanced_det(g: SignedGraph, kind: str = "max", *,
-                    table: DistanceTable | None = None,
+                    table: distance.DistanceTable | None = None,
                     switching: BalanceReport | None = None) -> BalanceReport:
     """Decide balance from det L^kind, checked against the switching verdict.
 
@@ -477,12 +478,12 @@ def is_balanced_det(g: SignedGraph, kind: str = "max", *,
     several reports on one graph build each only once.
     """
     if table is None:
-        table = distance_table(g)
+        table = distance.distance_table(g)
     if switching is None:
         switching = is_balanced_switching(g)
     try:
-        lap = distance_laplacian(table, kind)
-    except IncompatibleGraphError:
+        lap = distance.distance_laplacian(table, kind)
+    except distance.IncompatibleGraphError:
         if switching.balanced:
             raise ArithmeticError("balanced graph found incompatible; this is a bug")
         return BalanceReport(False, "det-pm", switching.certificate)

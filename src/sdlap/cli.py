@@ -52,7 +52,7 @@ def _stub(*names: str) -> None:
         setattr(package, name, module)
 
 
-_stub("balance", "distance", "matrices", "spectra", "verify")
+_stub("balance", "distance", "exact", "matrices", "spectra", "verify")
 from . import balance, distance, matrices, spectra, verify  # noqa: E402
 
 MATRIX_KINDS = (

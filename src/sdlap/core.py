@@ -53,6 +53,18 @@ class GenerationError(RuntimeError):
     """Random generation could not satisfy a structural requirement."""
 
 
+class DisconnectedGraphError(ValueError):
+    """Distance operations require a connected graph."""
+
+    def __init__(self, vertex: int, source: int):
+        self.vertex = vertex
+        self.source = source
+        super().__init__(
+            f"graph is disconnected: vertex index {vertex} is unreachable "
+            f"from vertex index {source}"
+        )
+
+
 class SignedForest:
     """Union-find over signed edges that reports the sign of each cycle.
 
@@ -147,11 +159,12 @@ class SignedGraph:
             seen.add((u, v))
             normalized.append((u, v, s))
         object.__setattr__(self, "edges", tuple(normalized))
-        if self.weights is None:
-            weights = (1.0,) * len(normalized)
-        else:
-            weights = []
-            for i, w in enumerate(self.weights):
+        if self.weights is None:  # unit weights need no checks
+            object.__setattr__(self, "weights", (1.0,) * len(normalized))
+            return
+        weights = []
+        for i, w in enumerate(self.weights):
+            if type(w) is not float:
                 try:
                     x = float(w)
                 except OverflowError:  # a number beyond float64, such as 10**400
@@ -159,7 +172,8 @@ class SignedGraph:
                 # int(w) compares exactly; np.int64 == float64 would round w
                 if isinstance(w, numbers.Integral) and int(w) != x:
                     raise ValueError(f"integer weight {w!r} at edge {i} is not a float64 value")
-                weights.append(x)
+                w = x
+            weights.append(w)
         if len(weights) != len(normalized):
             raise ValueError(f"{len(weights)} weights for {len(normalized)} edges")
         for i, w in enumerate(weights):
@@ -323,9 +337,14 @@ def path_sign(g: SignedGraph, walk: Sequence[int]) -> int:
 
 
 def _is_connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    forest = SignedForest(n)
-    joins = sum(forest.union(u, v, POSITIVE) == 0 for u, v in pairs)
-    return joins == n - 1
+    union = SignedForest(n).union
+    parts = n
+    for u, v in pairs:
+        if parts == 1:  # no later pair can matter
+            break
+        if not union(u, v, POSITIVE):
+            parts -= 1
+    return parts == 1
 
 
 def _resolve_signs(m: int, signs: SignSpec, rng: random.Random) -> tuple[int, ...]:

@@ -11,7 +11,10 @@ current level by a positive (or negative) shortest path. One level is
     Q'[v] = OR over neighbours u of (Q[u] if uv is positive else P[u])
     new   = (P' | Q') & unseen;  P' &= new;  Q' &= new
 
-which is exact: no path is enumerated and no count can overflow.
+which is exact: no path is enumerated and no count can overflow. Up to
+order _SMALL_ORDER the same recurrence runs on Python ints, one per row,
+because a level there costs less in Python than the numpy calls it takes
+on bit matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import DISTANCE_KINDS, SignedGraph
+from .core import DISTANCE_KINDS, DisconnectedGraphError, SignedGraph
 from .matrices import SquareMatrix
 
 # Frontier words hold 64 sources each. They are little-endian so that
@@ -30,18 +33,10 @@ _WORD = np.dtype("<u8")
 _ONE = np.uint64(1)
 _BIT = np.left_shift(np.ones(64, _WORD), np.arange(64, dtype=_WORD))
 _SIDES = np.array([[[0]], [[1]]])  # feeds of P' (0) and of Q' (1)
-
-
-class DisconnectedGraphError(ValueError):
-    """Distance operations require a connected graph."""
-
-    def __init__(self, vertex: int, source: int):
-        self.vertex = vertex
-        self.source = source
-        super().__init__(
-            f"graph is disconnected: vertex index {vertex} is unreachable "
-            f"from vertex index {source}"
-        )
+# Largest order whose levels run on Python ints. A table took 35 us that
+# way against 58-70 us on bit matrices at n = 7-8, and the two met near
+# n = 20 on random graphs (in-process, best of 7).
+_SMALL_ORDER = 16
 
 
 class IncompatibleGraphError(ValueError):
@@ -117,6 +112,23 @@ def distance_table(g: SignedGraph) -> DistanceTable:
     and the least vertex it cannot reach.
     """
     n = g.n
+    found, level = (_small_levels if n <= _SMALL_ORDER else _levels)(g)
+    used = 2 + max(1, level.bit_length())
+    bits = np.unpackbits(found[:used].view(np.uint8), axis=2, count=n, bitorder="little")
+    dist = bits[2].astype(np.int64)
+    for b in range(1, used - 2):
+        dist |= np.left_shift(bits[2 + b], b, dtype=np.int64)
+    pos, neg = bits[0].view(bool).copy(), bits[1].view(bool).copy()
+    for arr in (dist, pos, neg):
+        arr.setflags(write=False)
+    return DistanceTable(dist, pos, neg)
+
+
+def _levels(g: SignedGraph) -> tuple[np.ndarray, int]:
+    """The signed BFS on bit matrices: (found, levels run), where found[0]
+    and found[1] hold the pos and neg flags and found[2 + b] bit b of the
+    hop distance, each an n x words array of frontier words."""
+    n = g.n
     words = (n + 63) >> 6
     gather, starts = _level_plan(g)
     # frontier[0] is P and frontier[1] is Q; bit s of row v is source s.
@@ -149,15 +161,54 @@ def distance_table(g: SignedGraph) -> DistanceTable:
         for b in range(level.bit_length()):
             if level >> b & 1:
                 planes[b] |= new
-    used = 2 + max(1, level.bit_length())
-    bits = np.unpackbits(found[:used].view(np.uint8), axis=2, count=n, bitorder="little")
-    dist = bits[2].astype(np.int64)
-    for b in range(1, used - 2):
-        dist |= np.left_shift(bits[2 + b], b, dtype=np.int64)
-    pos, neg = bits[0].view(bool).copy(), bits[1].view(bool).copy()
-    for arr in (dist, pos, neg):
-        arr.setflags(write=False)
-    return DistanceTable(dist, pos, neg)
+    return found, level
+
+
+def _small_levels(g: SignedGraph) -> tuple[np.ndarray, int]:
+    """_levels for n <= 64, one frontier word, with each row a Python int;
+    only the vertices that some source has not reached yet are updated."""
+    n = g.n
+    same: list[list[int]] = [[] for _ in range(n)]  # neighbours across a positive edge
+    cross: list[list[int]] = [[] for _ in range(n)]  # across a negative one
+    for u, v, s in g.edges:
+        side = same if s > 0 else cross
+        side[u].append(v)
+        side[v].append(u)
+    p = [1 << v for v in range(n)]
+    q = [0] * n
+    unseen = [((1 << n) - 1) ^ x for x in p]
+    pos, neg = p[:], [0] * n
+    found = [pos, neg, [0] * n]
+    level = 0
+    todo = [v for v in range(n) if unseen[v]]
+    while todo:
+        level += 1
+        if level.bit_length() > len(found) - 2:
+            found.append([0] * n)
+        marks = [found[2 + b] for b in range(level.bit_length()) if level >> b & 1]
+        next_p, next_q = [0] * n, [0] * n
+        for v in todo:
+            a = b = 0
+            for u in same[v]:
+                a |= p[u]
+                b |= q[u]
+            for u in cross[v]:
+                a |= q[u]
+                b |= p[u]
+            a &= unseen[v]
+            b &= unseen[v]
+            if a or b:
+                next_p[v], next_q[v] = a, b
+                unseen[v] ^= a | b
+                pos[v] |= a
+                neg[v] |= b
+                for plane in marks:
+                    plane[v] |= a | b
+        if not any(next_p) and not any(next_q):
+            raise DisconnectedGraphError(next(v for v in range(n) if unseen[v] & 1), 0)
+        p, q = next_p, next_q
+        todo = [v for v in todo if unseen[v]]
+    return np.array(found, _WORD).reshape(len(found), n, 1), level
 
 
 def is_compatible(table: DistanceTable) -> tuple[bool, tuple[int, int] | None]:
@@ -190,7 +241,9 @@ def distance_matrix(table: DistanceTable, kind: str) -> SquareMatrix:
         sig = np.where(table.neg, -1, 1)
     else:
         sig = np.where(table.pos, 1, -1)
-    return SquareMatrix(sig * table.dist, f"d{kind}")
+    entries = sig * table.dist
+    entries.setflags(write=False)
+    return SquareMatrix(entries, f"d{kind}")
 
 
 def transmission(table: DistanceTable) -> np.ndarray:
@@ -201,8 +254,10 @@ def transmission(table: DistanceTable) -> np.ndarray:
 def distance_laplacian(table: DistanceTable, kind: str) -> SquareMatrix:
     """Transmission diagonal minus distance_matrix(table, kind), labelled
     "l" + kind; "pm" raises IncompatibleGraphError as distance_matrix does."""
-    d = distance_matrix(table, kind)
-    return SquareMatrix(np.diag(transmission(table)) - d.entries, f"l{kind}")
+    lap = -distance_matrix(table, kind).entries
+    lap.flat[::table.n + 1] = transmission(table)  # -D has a zero diagonal
+    lap.setflags(write=False)
+    return SquareMatrix(lap, f"l{kind}")
 
 
 def associated_complete(table: DistanceTable, kind: str) -> SignedGraph:

@@ -66,6 +66,21 @@ def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
     return out
 
 
+def _frozen(entries, dtype=None) -> np.ndarray:
+    """entries as a read-only array of its own, of dtype when given.
+
+    An array that owns its data and is read-only cannot change under the
+    matrix, so a builder freezes the array it has just made and hands it
+    over without a copy; anything else, a view included, is copied first.
+    """
+    arr = entries
+    if not (type(arr) is np.ndarray and arr.flags.owndata and not arr.flags.writeable
+            and (dtype is None or arr.dtype == dtype)):
+        arr = np.array(entries, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SquareMatrix:
     """Dense square matrix with a label for exports.
@@ -78,10 +93,9 @@ class SquareMatrix:
     kind: str = ""
 
     def __post_init__(self):
-        arr = np.array(self.entries)
+        arr = _frozen(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"square matrix required, got shape {arr.shape}")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -120,9 +134,7 @@ class IncidenceMatrix:
     orientation: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _frozen(self.entries, float))
         object.__setattr__(self, "orientation", tuple(map(tuple, self.orientation)))
 
     @property
@@ -186,18 +198,26 @@ def _signed_adjacency(g: SignedGraph, values, dtype) -> np.ndarray:
 def adjacency_matrix(g: SignedGraph) -> SquareMatrix:
     """Symmetric matrix with sign*weight on edges and zero elsewhere."""
     values, sums = _weight_values(g)
-    return SquareMatrix(_signed_adjacency(g, values, sums.dtype), "adjacency")
+    adjacency = _signed_adjacency(g, values, sums.dtype)
+    adjacency.setflags(write=False)
+    return SquareMatrix(adjacency, "adjacency")
 
 
 def weighted_degree_matrix(g: SignedGraph) -> SquareMatrix:
     """Diagonal of per-vertex weight sums; signs are ignored."""
-    return SquareMatrix(np.diag(_weight_values(g)[1]), "degree")
+    degree = np.diag(_weight_values(g)[1])
+    degree.setflags(write=False)
+    return SquareMatrix(degree, "degree")
 
 
 def weighted_laplacian(g: SignedGraph) -> SquareMatrix:
     """Weighted degree matrix minus signed weighted adjacency matrix."""
     values, sums = _weight_values(g)
-    return SquareMatrix(np.diag(sums) - _signed_adjacency(g, values, sums.dtype), "laplacian")
+    # -(s * w) off the diagonal is exactly 0 - s * w
+    lap = _signed_adjacency(g, [-w for w in values], sums.dtype)
+    lap.flat[::g.n + 1] = sums
+    lap.setflags(write=False)
+    return SquareMatrix(lap, "laplacian")
 
 
 def incidence_matrix(g: SignedGraph,
@@ -219,11 +239,12 @@ def incidence_matrix(g: SignedGraph,
     for j, ((u, v, s), (tail, head), w) in enumerate(
         zip(g.edges, orientation, g.weights)
     ):
-        if {tail, head} != {u, v}:
+        if not (tail == u and head == v or tail == v and head == u):
             raise ValueError(
                 f"orientation {orientation[j]} does not match edge {j} endpoints ({u}, {v})"
             )
         root = math.sqrt(w)
         h[tail, j] = s * root
         h[head, j] = -root
+    h.setflags(write=False)
     return IncidenceMatrix(h, orientation)

@@ -28,7 +28,7 @@ class Spectrum:
     @classmethod
     def from_values(cls, values: Iterable[float],
                     tol: float = MULTIPLICITY_TOL) -> "Spectrum":
-        ordered = sorted(float(v) for v in values)
+        ordered = sorted(map(float, values))
         groups: list[tuple[float, int]] = []
         i = 0
         while i < len(ordered):
@@ -77,21 +77,29 @@ def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:
     if a.dtype.kind == "c":
         raise ValueError(f"matrix has complex dtype {a.dtype}, expected real entries")
     a = a.astype(float, copy=False)
-    if not np.isfinite(a).all():
+    # the maximum is NaN or infinite exactly when some entry is
+    peak = float(np.abs(a).max(initial=0.0))
+    if not peak < math.inf:
         raise ValueError("matrix has a non-finite entry")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    with np.errstate(over="ignore"):  # an infinite skew is not symmetric
-        skew = a.T - a
-    if float(np.abs(skew).max(initial=0.0)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    values = np.linalg.eigvalsh(a + skew / 2.0)
-    if not np.isfinite(values).all():
+    scale = max(1.0, peak)
+    if (a == a.T).all():
+        # the skew below is all zeros, and adding it only turns -0.0 into 0.0
+        values = np.linalg.eigvalsh(a + 0.0)
+    else:
+        with np.errstate(over="ignore"):  # an infinite skew is not symmetric
+            skew = a.T - a
+        if float(np.abs(skew).max(initial=0.0)) > 1e-12 * scale:
+            raise ValueError("matrix is not symmetric")
+        values = np.linalg.eigvalsh(a + skew / 2.0)
+    ordered = values.tolist()
+    if not all(map(math.isfinite, ordered)):
         raise ArithmeticError("an eigenvalue overflows a 64-bit float")
     # Both sums are taken in units of scale, where neither can overflow.
-    drift = abs(float((values / scale).sum() - (np.diagonal(a) / scale).sum()))
+    drift = abs(math.fsum([v / scale for v in ordered])
+                - math.fsum([d / scale for d in np.diagonal(a).tolist()]))
     if drift > 1e-8 * len(a):
         raise ArithmeticError(f"eigenvalue sum drifted from the trace by {drift * scale:g}")
-    return Spectrum.from_values(values, tol=grouping_tol)
+    return Spectrum.from_values(ordered, tol=grouping_tol)
 
 
 def cycle_spectrum(n: int, sign: int) -> Spectrum:

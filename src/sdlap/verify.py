@@ -258,7 +258,8 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
             product = h @ h.T
             dev = float(np.abs(product - lap).max()) if lap.size else 0.0
             max_dev = max(max_dev, dev)
-            if dev >= 1e-9 or not np.array_equal(np.rint(product).astype(np.int64), lap):
+            # product and lap are both n x n
+            if dev >= 1e-9 or (np.rint(product).astype(np.int64) != lap).any():
                 report.record_failure(f"instance {i}: factorization deviation {dev:g}")
     report.details["max_deviation"] = max_dev
     return report

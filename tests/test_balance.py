@@ -30,6 +30,7 @@ from sdlap import (
 from sdlap.cli import main
 
 import sdlap.balance
+import sdlap.distance
 from sdlap import BalanceReport, ForestComponent
 from sdlap.exact import _PADIC_MIN_ORDER
 
@@ -671,13 +672,14 @@ def test_balanced_verdicts_are_proved_by_the_switching_function(monkeypatch):
 
 def test_all_kinds_build_each_laplacian_once(monkeypatch, capsys, tmp_path):
     built = []
-    real = sdlap.balance.distance_laplacian
+    real = sdlap.distance.distance_laplacian
 
     def counted(table, kind):
         built.append(kind)
         return real(table, kind)
 
-    monkeypatch.setattr(sdlap.balance, "distance_laplacian", counted)
+    # balance calls it through the distance module
+    monkeypatch.setattr(sdlap.distance, "distance_laplacian", counted)
     g = balanced_graph(10, 7)
     for kind in ("max", "min", "pm"):
         built.clear()
@@ -709,6 +711,29 @@ def test_certificate_that_misses_the_kernel_falls_back_to_the_determinant(monkey
     report = is_balanced_det(g, "max", switching=BalanceReport(True, "switching", bogus))
     assert report.balanced and report.determinant == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda zeta: zeta[:-1],
+    lambda zeta: (0,) * len(zeta),
+    lambda zeta: tuple(2 * z for z in zeta),
+    lambda zeta: (1,) * len(zeta),
+    lambda zeta: (1.5 * zeta[0],) + zeta[1:],
+], ids=["short", "zero-entries", "two-entries", "outside-kernel", "fractional-entry"])
+def test_only_a_unit_kernel_vector_certifies_det_zero(monkeypatch, spoil):
+    # _in_kernel checks the length and the +-1 entries in Python before the
+    # product. The zero and doubled vectors lie in the kernel, and an int64
+    # cast would truncate 1.5 to 1, so only that check keeps them from
+    # certifying; every case must leave det = 0 to det_exact
+    g = balanced_graph(9, 3)
+    zeta = is_balanced_switching(g).certificate
+    bogus = spoil(zeta)
+    assert bogus != zeta and not all(z == 1 for z in zeta)
+    calls = counted_det_exact(monkeypatch)
+    for kind in ("max", "min", "pm"):
+        report = is_balanced_det(g, kind, switching=BalanceReport(True, "switching", bogus))
+        assert report.balanced and report.determinant == 0
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("zeta", [(1, 1, 1, 1), (0, 0, 0, 0), (1, -1, 1)])

@@ -350,10 +350,9 @@ def test_balance_both_builds_one_table_and_one_switching_run(
             return fn(*args, **kwargs)
         return wrapper
 
-    # the CLI calls both through their modules; balance binds distance_table
-    for module in (sdlap.distance, sdlap.balance):
-        monkeypatch.setattr(module, "distance_table",
-                            counted("table", module.distance_table))
+    # the CLI and balance both call distance_table through its module
+    monkeypatch.setattr(sdlap.distance, "distance_table",
+                        counted("table", sdlap.distance.distance_table))
     monkeypatch.setattr(sdlap.balance, "is_balanced_switching",
                         counted("switching", sdlap.balance.is_balanced_switching))
     code, out, _ = run(capsys, "balance", c4_one_negative, *args)
@@ -763,6 +762,37 @@ def test_verify_json_format(capsys):
     assert code == 0
     assert reports[0]["suite"] == "transmission-shift"
     assert reports[0]["passed"] is True
+
+
+# verify all --format json at the benchmark's small-exact verify seed:
+# suite -> (instances, exact details, float details)
+_VERIFY_ALL_AT_1530816428 = {
+    "forest-theorem": (200, {"max_abs_difference": 0}, {}),
+    "balance-equivalence": (500, {"balanced": 266, "unbalanced": 234},
+                            {"min_eigenvalue": -7.985365840790237e-15}),
+    "cospectrality": (100, {"max_deviation": 0}, {"min_eigenvalue": -5.923884158817033e-15}),
+    "transmission-shift": (40, {}, {"max_deviation": 4.263256414560601e-14,
+                                    "min_eigenvalue": -9.020562075079397e-15,
+                                    "printed_formula_max_deviation": 42.34747589537596}),
+    "incidence-factorization": (500, {}, {"max_deviation": 3.552713678800501e-15}),
+}
+
+
+def test_verify_all_json_is_pinned_at_one_seed(capsys):
+    # a suite that drops a check or draws its random graphs differently
+    # changes these counts or figures
+    code, out, err = run(capsys, "verify", "all", "--seed", "1530816428", "--format", "json")
+    assert code == 0 and err == ""
+    reports = json.loads(out)
+    assert [r["suite"] for r in reports] == list(_VERIFY_ALL_AT_1530816428)
+    for report in reports:
+        instances, exact, floats = _VERIFY_ALL_AT_1530816428[report["suite"]]
+        assert report["passed"] is True and report["failures"] == []
+        assert report["instances"] == instances
+        assert report["details"].keys() == exact.keys() | floats.keys()  # no "skipped"
+        assert {k: report["details"][k] for k in exact} == exact
+        for key, value in floats.items():
+            assert report["details"][key] == pytest.approx(value, rel=0, abs=1e-9), key
 
 
 @pytest.mark.parametrize("bound", ["-1", "0", "1", "2"])

@@ -79,7 +79,8 @@ def test_package_import_graph_has_no_cycle():
     assert edges["spectra"] == set()
     # the lazily loaded edges are seen
     assert edges["__init__"] == modules.keys() - {"__init__"}
-    assert edges["cli"] == {"core", "balance", "distance", "matrices", "spectra", "verify"}
+    assert edges["cli"] == {"core", "balance", "distance", "exact", "matrices", "spectra",
+                            "verify"}
 
 
 PUBLIC_NAMES = {
@@ -142,19 +143,54 @@ def test_readme_cli_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
     assert spectrum_out.strip() == spectrum_csv == "1,1,4"
 
 
+def _imported(stderr: str) -> set[str]:
+    # -X importtime lists on stderr every module the process imports
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv", [
     ("--help",),
     ("gen", "cycle:5:allneg"),
     ("gen", "random:60:seed=1"),
-], ids=["help", "gen-cycle", "gen-random"])
-def test_help_and_gen_start_without_numpy(argv):
-    # -X importtime lists on stderr every module the process imports
-    proc = _fresh("-X", "importtime", "-m", "sdlap.cli", *argv)
+    ("forests", "F"),
+    ("forests", "F", "--list"),
+    ("balance", "F", "--method", "switching"),
+    ("balance", "F", "--method", "forest"),
+], ids=["help", "gen-cycle", "gen-random", "forests", "forests-list", "balance-switching",
+        "balance-forest"])
+def test_help_and_gen_start_without_numpy(argv, tmp_path):
+    # F: an unbalanced graph on 6 vertices with 8 edges
+    (tmp_path / "F").write_text("6\n1 2 +\n2 3 -\n3 4 +\n4 5 +\n5 6 -\n1 6 +\n1 4 -\n2 5 +\n")
+    proc = _fresh("-X", "importtime", "-m", "sdlap.cli", *argv, cwd=tmp_path)
     assert proc.returncode == 0 and proc.stdout
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = _imported(proc.stderr)
     assert "sdlap.core" in imported
     assert "numpy" not in imported
+
+
+def test_switching_refuses_a_disconnected_graph_without_numpy(tmp_path):
+    # DisconnectedGraphError lives in core, so the oracle raises it without distance
+    (tmp_path / "D").write_text("4\n1 2 +\n3 4 -\n")
+    proc = _fresh("-X", "importtime", "-m", "sdlap.cli", "balance", "D", "--method",
+                  "switching", cwd=tmp_path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "sdlap: graph is disconnected: vertex index 2 is unreachable from vertex index 0")
+    assert "numpy" not in _imported(proc.stderr)
+
+
+def test_balance_binds_real_sibling_modules_without_the_cli():
+    # the CLI's lazy stubs are made by the CLI alone; a plain import of
+    # sdlap.balance loads distance and exact through the import system
+    proc = _fresh("-c", "import sys, types; import sdlap.balance as b; "
+                  "print(type(b.distance) is types.ModuleType, "
+                  "type(b.exact) is types.ModuleType, "
+                  "b.distance is sys.modules['sdlap.distance'], "
+                  "b.exact is sys.modules['sdlap.exact'], "
+                  "'sdlap.cli' in sys.modules, 'numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 4 + ["False", "True"]
 
 
 _TRACED_BALANCE = """
