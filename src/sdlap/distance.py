@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .core import DISTANCE_KINDS, DisconnectedGraphError, SignedGraph
-from .matrices import SquareMatrix
+from .matrices import SquareMatrix, _frozen
 
 # Frontier words hold 64 sources each. They are little-endian so that
 # their bytes unpack in source order on any host.
@@ -64,14 +64,8 @@ class DistanceTable:
     neg: np.ndarray
 
     def __post_init__(self):
-        # An array that owns its data and is read-only cannot change under
-        # the table; anything else, a view included, is copied first.
         for name in ("dist", "pos", "neg"):
-            arr = getattr(self, name)
-            if arr.flags.writeable or not arr.flags.owndata:
-                arr = arr.copy()
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -118,10 +112,8 @@ def distance_table(g: SignedGraph) -> DistanceTable:
     dist = bits[2].astype(np.int64)
     for b in range(1, used - 2):
         dist |= np.left_shift(bits[2 + b], b, dtype=np.int64)
-    pos, neg = bits[0].view(bool).copy(), bits[1].view(bool).copy()
-    for arr in (dist, pos, neg):
-        arr.setflags(write=False)
-    return DistanceTable(dist, pos, neg)
+    dist.setflags(write=False)
+    return DistanceTable(dist, bits[0].view(bool), bits[1].view(bool))
 
 
 def _levels(g: SignedGraph) -> tuple[np.ndarray, int]:
@@ -165,8 +157,10 @@ def _levels(g: SignedGraph) -> tuple[np.ndarray, int]:
 
 
 def _small_levels(g: SignedGraph) -> tuple[np.ndarray, int]:
-    """_levels for n <= 64, one frontier word, with each row a Python int;
-    only the vertices that some source has not reached yet are updated."""
+    """_levels on one frontier word, with each row a Python int; only the
+    vertices that some source has not reached yet are updated. One word
+    holds n <= 64 sources, but distance_table calls it only up to
+    _SMALL_ORDER = 16, the measured crossover with _levels."""
     n = g.n
     same: list[list[int]] = [[] for _ in range(n)]  # neighbours across a positive edge
     cross: list[list[int]] = [[] for _ in range(n)]  # across a negative one

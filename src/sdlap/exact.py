@@ -9,9 +9,10 @@ determinant takes one of two exact routes, by order:
   and Dixon's p-adic lifting (Numer. Math. 1982) solves A x = b for a
   fixed small-integer b to a precision that rational reconstruction turns
   into x = y / d. A y = d b with gcd(d, y) = 1 is checked in Python
-  integers; by Cramer's rule it proves that d divides det A. On distance
-  Laplacians d is nearly all of det A (Abbott, Bronstein & Mulders, ISSAC
-  1999). Where the lifting does not apply (A is singular modulo
+  integers; by Cramer's rule it proves that d divides det A (Abbott,
+  Bronstein & Mulders, ISSAC 1999). On random distance Laplacians d is all
+  or nearly all of det A, on unbalanced odd cycles only about half of its
+  bits. Where the lifting does not apply (A is singular modulo
   _LIFT_PRIME, which includes det A = 0, its entries break the float
   invariant of the lifting, or the certificate fails), d = 1. The cofactor
   det / d comes from det A modulo primes below 2**23 (and _LIFT_PRIME
@@ -59,8 +60,9 @@ _PRIME_LIMIT = 1 << 23
 _BLOCK = 16
 # Primes eliminated together in one float64 array of 8 * n**2 values,
 # 41 MB at n = 800. Only singular matrices without the L·ζ check, entries
-# beyond the lifting bound and cofactors det / d that need primes (cycles
-# take up to 13) still reach this prime loop.
+# beyond the lifting bound and cofactors det / d that need primes (13 on
+# C300 with one negative edge, 94 on an unbalanced C301) still reach this
+# prime loop.
 _PRIME_CHUNK = 8
 # Lifting prime of the p-adic divisor, the largest prime below 2**20.
 _LIFT_PRIME = 1048573

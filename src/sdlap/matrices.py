@@ -69,9 +69,11 @@ def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
 def _frozen(entries, dtype=None) -> np.ndarray:
     """entries as a read-only array of its own, of dtype when given.
 
-    An array that owns its data and is read-only cannot change under the
-    matrix, so a builder freezes the array it has just made and hands it
-    over without a copy; anything else, a view included, is copied first.
+    numpy lets an array's owner make it writeable again, so no flag can
+    promise that an array never changes. sdlap treats a read-only array
+    that owns its data as a frozen value and shares it: a builder freezes
+    the array it has just made and hands it over without a copy. Anything
+    else, a view included, is copied once.
     """
     arr = entries
     if not (type(arr) is np.ndarray and arr.flags.owndata and not arr.flags.writeable
@@ -150,15 +152,6 @@ class IncidenceMatrix:
         return _write_matrix(out, fmt, {"n": self.n, "m": self.m, "kind": "incidence"},
                              {"rows": self.entries, "orientation": pairs})
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "kind": "incidence",
-            "rows": self.entries.tolist(),
-            "orientation": [[t + 1, h + 1] for t, h in self.orientation],
-        }
-
 
 def _weight_values(g: SignedGraph):
     """Edge weights and the per-vertex weight sums, in the dtype to store
@@ -224,8 +217,10 @@ def incidence_matrix(g: SignedGraph,
                      orientation: Sequence[tuple[int, int]] | None = None) -> IncidenceMatrix:
     """Oriented incidence matrix; defaults to the tail-is-lower orientation.
 
-    For any orientation the product H @ H.T equals the weighted Laplacian:
-    flipping an edge flips its whole column, which cancels in the product.
+    For any orientation the product H @ H.T equals the weighted Laplacian.
+    Flipping a positive edge negates its column (sqrt(w), -sqrt(w)), which
+    cancels in the product; a negative edge's column is (-sqrt(w), -sqrt(w))
+    under either orientation.
     """
     if orientation is None:
         orientation = canonical_orientation(g)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
 from .core import MIN_VERIFY_N, SUITE_NAMES, SignedGraph, generate, switch
-from .distance import distance_laplacian, distance_table, is_compatible, transmission
+from .distance import (IncompatibleGraphError, distance_laplacian, distance_table,
+                       transmission)
 from .matrices import incidence_matrix, weighted_laplacian
 from .spectra import cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
 
@@ -144,8 +145,12 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
         lmin = distance_laplacian(table, "min")
         det_max = det_exact(lmax)
         det_min = det_exact(lmin)
-        compatible, _ = is_compatible(table)
-        pm_verdict = compatible and det_exact(distance_laplacian(table, "pm")) == 0
+        try:
+            lpm = distance_laplacian(table, "pm")
+        except IncompatibleGraphError:
+            lpm = None
+        compatible = lpm is not None
+        pm_verdict = compatible and det_exact(lpm) == 0
         verdicts = (sw.balanced, det_max == 0, det_min == 0, pm_verdict)
         if len(set(verdicts)) != 1:
             report.record_failure(

@@ -345,5 +345,12 @@ def oracle_matrix_csv(entries) -> str:
 
 
 def oracle_matrix_json(matrix) -> str:
-    """JSON text of a matrix export, encoded as one document by json.dumps."""
-    return json.dumps(matrix.to_json_obj(), indent=2) + "\n"
+    """JSON text of a matrix export, encoded as one document by json.dumps
+    from the matrix's public fields, in the keys and order of the export."""
+    if hasattr(matrix, "orientation"):
+        doc = {"n": matrix.n, "m": matrix.m, "kind": "incidence",
+               "rows": matrix.entries.tolist(),
+               "orientation": [[t + 1, h + 1] for t, h in matrix.orientation]}
+    else:
+        doc = {"n": matrix.n, "kind": matrix.kind, "rows": matrix.entries.tolist()}
+    return json.dumps(doc, indent=2) + "\n"

@@ -844,6 +844,28 @@ def test_transmission_shift_suite_builds_one_table_per_cycle(monkeypatch):
     assert calls == {"distance_table": 20, "sym_eig": 40}
 
 
+def test_balance_equivalence_suite_checks_compatibility_once_per_instance(monkeypatch):
+    import sys
+
+    import sdlap.distance
+    import sdlap.verify
+
+    real = sdlap.distance.is_compatible
+    verdicts = []
+
+    def counted(table):
+        result = real(table)
+        verdicts.append(result[0])
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdlap") and vars(module).get("is_compatible") is real:
+            monkeypatch.setattr(module, "is_compatible", counted)
+    report = sdlap.verify.balance_equivalence_suite(count=60)
+    assert report.passed
+    assert len(verdicts) == 60 and True in verdicts and False in verdicts
+
+
 def _drop_the_sign_rule(monkeypatch):
     """Make every module that binds distance_matrix get unsigned distances."""
     import sys

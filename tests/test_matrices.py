@@ -136,6 +136,18 @@ def test_incidence_columns():
     assert incidence_matrix(neg).entries[:, 0].tolist() == [-1.0, -1.0]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_flipping_an_edge_negates_its_column_only_when_positive(sign):
+    # the flipped edge (1, 2) has weight 9, so its column holds +-3
+    g = SignedGraph(3, ((0, 1, -1), (1, 2, sign), (0, 2, 1)), (4.0, 9.0, 1.0))
+    h = incidence_matrix(g, ((0, 1), (1, 2), (0, 2))).entries
+    flipped = incidence_matrix(g, ((0, 1), (2, 1), (0, 2))).entries
+    assert h[:, 1].tolist() == [0.0, 3.0 * sign, -3.0]
+    assert flipped[:, 1].tolist() == (-h[:, 1] if sign > 0 else h[:, 1]).tolist()
+    assert np.array_equal(flipped[:, [0, 2]], h[:, [0, 2]])
+    assert np.array_equal(flipped @ flipped.T, h @ h.T)
+
+
 def test_incidence_determinant_of_all_negative_triangle():
     h = incidence_matrix(generate("cycle", 3, "allneg"))
     assert h.orientation == ((0, 1), (1, 2), (0, 2))
@@ -305,10 +317,11 @@ def test_square_matrix_writes_integer_blocks_like_the_oracle(entries):
 
 def test_incidence_export_includes_orientation():
     h = incidence_matrix(generate("path", 3, "+-"))
-    obj = h.to_json_obj()
+    text = h.write(io.StringIO(), "json").getvalue()
+    obj = json.loads(text)
     assert obj["orientation"] == [[1, 2], [2, 3]]
-    assert obj["n"] == 3 and obj["m"] == 2
-    json.dumps(obj)
+    assert obj["n"] == 3 and obj["m"] == 2 and obj["kind"] == "incidence"
+    assert text == oracle_matrix_json(h)
 
 
 def test_square_matrix_requires_square_input():

@@ -55,6 +55,28 @@ def _edges(tree: ast.Module, siblings) -> set[str]:
     return names & siblings
 
 
+# What the oracles of tests/conftest.py may take from sdlap: the graph
+# model and the result types they build, never an algorithm or encoder.
+_ORACLE_IMPORTS = {"POSITIVE", "DisconnectedGraphError", "SignedGraph", "generate", "switch",
+                   "ForestComponent", "OneForest"}
+
+
+def test_oracles_borrow_no_encoder_or_algorithm_from_sdlap():
+    tree = ast.parse((ROOT / "tests" / "conftest.py").read_text())
+    borrowed = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("to_json_obj", "to_csv", "write")):
+            borrowed.append(f"conftest.py:{node.lineno} calls {node.func.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sdlap"):
+            borrowed += [f"conftest.py:{node.lineno} imports {a.name}"
+                         for a in node.names if a.name not in _ORACLE_IMPORTS]
+        elif isinstance(node, ast.Import):
+            borrowed += [f"conftest.py:{node.lineno} imports {a.name}"
+                         for a in node.names if a.name.split(".")[0] == "sdlap"]
+    assert borrowed == []
+
+
 def test_package_import_graph_has_no_cycle():
     modules = _modules()
     edges = {name: _edges(tree, modules.keys()) for name, tree in modules.items()}
