@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 computation error (disconnected input,
 incompatible pair for a pm matrix, a 1-forest size bound, an int64 or
 float64 vertex weight sum or a float 1-forest sum that overflows,
-verification failure), 2 usage or input-format error.
+verification failure, a stdout that its reader closed early, which
+stops the command without a message), 2 usage or input-format error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import contextlib
 import importlib.util
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -358,12 +360,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (GraphFormatError, _UsageError) as exc:
         print(f"sdlap: {exc}", file=sys.stderr)
         return 2
     except (GenerationError, ValueError, ArithmeticError) as exc:
         print(f"sdlap: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does. Point fd 1 at
+        # devnull so that the interpreter's last flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

@@ -161,13 +161,7 @@ def _small_levels(g: SignedGraph) -> tuple[np.ndarray, int]:
     vertices that some source has not reached yet are updated. One word
     holds n <= 64 sources, but distance_table calls it only up to
     _SMALL_ORDER = 16, the measured crossover with _levels."""
-    n = g.n
-    same: list[list[int]] = [[] for _ in range(n)]  # neighbours across a positive edge
-    cross: list[list[int]] = [[] for _ in range(n)]  # across a negative one
-    for u, v, s in g.edges:
-        side = same if s > 0 else cross
-        side[u].append(v)
-        side[v].append(u)
+    n, adjacency = g.n, g.adjacency
     p = [1 << v for v in range(n)]
     q = [0] * n
     unseen = [((1 << n) - 1) ^ x for x in p]
@@ -183,12 +177,13 @@ def _small_levels(g: SignedGraph) -> tuple[np.ndarray, int]:
         next_p, next_q = [0] * n, [0] * n
         for v in todo:
             a = b = 0
-            for u in same[v]:
-                a |= p[u]
-                b |= q[u]
-            for u in cross[v]:
-                a |= q[u]
-                b |= p[u]
+            for u, s in adjacency[v]:
+                if s > 0:
+                    a |= p[u]
+                    b |= q[u]
+                else:
+                    a |= q[u]
+                    b |= p[u]
             a &= unseen[v]
             b &= unseen[v]
             if a or b:

@@ -10,8 +10,11 @@ determinant takes one of two exact routes, by order:
   fixed small-integer b to a precision that rational reconstruction turns
   into x = y / d. A y = d b with gcd(d, y) = 1 is checked in Python
   integers; by Cramer's rule it proves that d divides det A (Abbott,
-  Bronstein & Mulders, ISSAC 1999). On random distance Laplacians d is all
-  or nearly all of det A, on unbalanced odd cycles only about half of its
+  Bronstein & Mulders, ISSAC 1999). Let s_1 | ... | s_n be the invariant
+  factors of A (its Smith normal form). s_n A^-1 is integral, so d divides
+  s_n whatever b is, and |det A| / d >= s_1 ... s_{n-1}. On random distance
+  Laplacians d is all or nearly all of det A. On unbalanced odd cycles
+  s_{n-1} is nearly as large as s_n, so d carries only about half of its
   bits. Where the lifting does not apply (A is singular modulo
   _LIFT_PRIME, which includes det A = 0, its entries break the float
   invariant of the lifting, or the certificate fails), d = 1. The cofactor

@@ -44,12 +44,27 @@ def _joined_rows(rows: np.ndarray, sep: str, num):
     return (sep.join(table[(row - shift).view(unsigned)].tolist()) for row in rows)
 
 
+def _csv_entry(x) -> str:
+    """An entry of a block that is neither integer nor float, such as an
+    object block of Python ints: every digit of an integer (bools give 0
+    and 1), .12g for anything else."""
+    return str(int(x)) if isinstance(x, (int, np.integer)) else "%.12g" % x
+
+
 def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
     """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n",
-    one row at a time. CSV floats get .12g. JSON gets repr for finite numbers,
-    and json.dumps for NaN/inf and for bools, whose repr is not JSON."""
+    one row at a time. CSV floats get .12g, and a block of another dtype
+    goes entry by entry through _csv_entry. JSON gets repr for finite
+    numbers, and json.dumps for NaN/inf and for bools, whose repr is not
+    JSON."""
     if fmt == "csv":
-        num = str if np.issubdtype(blocks["rows"].dtype, np.integer) else "%.12g".__mod__
+        dtype = blocks["rows"].dtype
+        if np.issubdtype(dtype, np.integer):
+            num = str
+        elif np.issubdtype(dtype, np.floating):
+            num = "%.12g".__mod__
+        else:
+            num = _csv_entry
         out.writelines(text + "\n" for text in _joined_rows(blocks["rows"], ",", num))
         return out
     lead = "{\n" + "".join(f'  "{k}": {json.dumps(v)},\n' for k, v in header.items())

@@ -9,6 +9,7 @@ from sdlap import (
     IncompatibleGraphError,
     SignedGraph,
     associated_complete,
+    distance,
     distance_matrix,
     distance_table,
     generate,
@@ -18,6 +19,15 @@ from sdlap import (
 )
 
 from conftest import all_signed_graphs, brute_table, random_connected_graph, sssp_signs
+
+
+@pytest.fixture(params=[None, 0, 64], ids=["default", "0", "64"])
+def small_order(request, monkeypatch):
+    """distance_table with _SMALL_ORDER as shipped, at 0, which sends every
+    order to the bit matrices, and at 64, which keeps Python ints up to a
+    whole frontier word."""
+    if request.param is not None:
+        monkeypatch.setattr(distance, "_SMALL_ORDER", request.param)
 
 
 def c4_one_negative():
@@ -90,7 +100,7 @@ def test_table_of_single_positive_edge():
     assert entries(table)[0][1] == (1, True, False)
 
 
-def test_tables_match_brute_force_enumeration_exhaustively():
+def test_tables_match_brute_force_enumeration_exhaustively(small_order):
     for n in range(1, 5):
         for g in all_signed_graphs(n):
             assert entries(distance_table(g)) == brute_table(g), g
@@ -126,7 +136,7 @@ def assert_rows_match_sssp(g):
         assert row == sssp_signs(g, s), (g, s)
 
 
-def test_table_rows_match_single_source_bfs():
+def test_table_rows_match_single_source_bfs(small_order):
     rng = random.Random(77)
     graphs = [
         SignedGraph(1, ()),
@@ -155,7 +165,7 @@ def test_table_rows_match_single_source_bfs():
         assert_rows_match_sssp(g)
 
 
-def test_table_reports_the_same_unreachable_pair_as_single_source_bfs():
+def test_table_reports_the_same_unreachable_pair_as_single_source_bfs(small_order):
     graphs = [
         SignedGraph(2, ()),
         SignedGraph(4, ((1, 2, 1), (2, 3, -1))),

@@ -307,8 +307,11 @@ _INT64 = np.iinfo(np.int64)
     # every int8 value once: value - min wraps in int8
     np.arange(-128, 128, dtype=np.int8).reshape(16, 16),
     np.array([[2**64 - 1, 2**64 - 2], [2**64 - 2, 2**64 - 1]], dtype=np.uint64),
+    # Python ints that fit neither int64 nor uint64, of both signs
+    np.array([[2**70, 1], [1, 3]], dtype=object),
+    np.array([[-2**64 - 1, 2**64], [-(3**50), 0]], dtype=object),
 ], ids=["0x0", "1x1", "negative", "int64-min-and-max", "int32", "uint8", "int8-all",
-        "uint64-top"])
+        "uint64-top", "object-past-uint64", "object-both-signs"])
 def test_square_matrix_writes_integer_blocks_like_the_oracle(entries):
     m = SquareMatrix(entries, "custom")
     assert m.write(io.StringIO(), "json").getvalue() == oracle_matrix_json(m)

@@ -171,6 +171,10 @@ def _imported(stderr: str) -> set[str]:
             if line.startswith("import time:")}
 
 
+# an unbalanced graph on 6 vertices with 8 edges
+_UNBALANCED = "6\n1 2 +\n2 3 -\n3 4 +\n4 5 +\n5 6 -\n1 6 +\n1 4 -\n2 5 +\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--help",),
     ("gen", "cycle:5:allneg"),
@@ -182,8 +186,7 @@ def _imported(stderr: str) -> set[str]:
 ], ids=["help", "gen-cycle", "gen-random", "forests", "forests-list", "balance-switching",
         "balance-forest"])
 def test_help_and_gen_start_without_numpy(argv, tmp_path):
-    # F: an unbalanced graph on 6 vertices with 8 edges
-    (tmp_path / "F").write_text("6\n1 2 +\n2 3 -\n3 4 +\n4 5 +\n5 6 -\n1 6 +\n1 4 -\n2 5 +\n")
+    (tmp_path / "F").write_text(_UNBALANCED)
     proc = _fresh("-X", "importtime", "-m", "sdlap.cli", *argv, cwd=tmp_path)
     assert proc.returncode == 0 and proc.stdout
     imported = _imported(proc.stderr)
@@ -241,3 +244,50 @@ def test_benchmark_tracer_finds_every_layer_in_a_fresh_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     det_calls, switching_calls = map(int, proc.stdout.splitlines()[-1].split())
     assert det_calls == 2 and switching_calls == 1
+
+
+_LOADED_BY_VERB = """
+import sys
+import types
+
+import sdlap.cli
+
+code = sdlap.cli.main(sys.argv[1:])
+# a lazy stub stays an importlib.util._LazyModule until its first use
+print(code, *sorted(name[6:] for name, module in sys.modules.items()
+                    if name.startswith("sdlap.") and type(module) is types.ModuleType))
+"""
+
+
+@pytest.mark.parametrize("argv, executed", [
+    (("matrix", "F", "--kind", "lmin"), {"distance", "matrices"}),
+    (("matrix", "F", "--kind", "laplacian"), {"matrices"}),
+    (("spectrum", "F", "--kind", "lmax"), {"distance", "matrices", "spectra"}),
+    (("info", "F"), {"balance", "distance", "matrices"}),
+    (("balance", "F"), {"balance", "distance", "exact", "matrices"}),
+    (("forests", "F"), {"balance"}),
+    (("verify", "transmission-shift", "--n", "3"),
+     {"balance", "distance", "matrices", "spectra", "verify"}),
+], ids=["matrix-lmin", "matrix-laplacian", "spectrum-lmax", "info", "balance", "forests",
+        "verify"])
+def test_each_verb_executes_only_the_modules_it_uses(argv, executed, tmp_path):
+    (tmp_path / "F").write_text(_UNBALANCED)
+    proc = _fresh("-c", _LOADED_BY_VERB, *argv, "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    assert code == "0" and (tmp_path / "out").read_text()
+    assert set(modules) == executed | {"cli", "core"}
+
+
+def test_a_stdout_closed_early_ends_the_command_quietly(tmp_path):
+    # matrix streams its rows; a reader that stops after 100 bytes, as
+    # `| head -c 100` does, leaves it writing to a closed pipe
+    assert main(["gen", "cycle:300:allneg", "--out", str(tmp_path / "C")]) == 0
+    proc = subprocess.Popen([sys.executable, "-m", "sdlap.cli", "matrix", "C", "--kind", "dmax"],
+                            env=FRESH_ENV, cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b'{\n  "n": 300,') and len(head) == 100
+    assert proc.returncode == 1 and err == b""
