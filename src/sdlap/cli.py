@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 computation error (disconnected input,
 incompatible pair for a pm matrix, a 1-forest size bound, an int64 or
 float64 vertex weight sum or a float 1-forest sum that overflows,
-verification failure, a stdout that its reader closed early, which
-stops the command without a message), 2 usage or input-format error.
+verification failure, memory that runs out, a stdout that its reader
+closed early, which stops the command without a message), 2 usage or
+input-format error.
 """
 
 from __future__ import annotations
@@ -368,6 +369,10 @@ def main(argv=None) -> int:
         return 2
     except (GenerationError, ValueError, ArithmeticError) as exc:
         print(f"sdlap: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed; Python's is empty
+        print(f"sdlap: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader closed stdout early, as `| head` does. Point fd 1 at

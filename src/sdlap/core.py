@@ -183,6 +183,19 @@ class SignedGraph:
                 )
         object.__setattr__(self, "weights", tuple(weights))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int, int], ...],
+                 weights: tuple[float, ...] | None = None) -> "SignedGraph":
+        """The graph of fields that are valid by construction, without the
+        checks of __post_init__: n a positive int, edges distinct
+        (u, v, s) triples of ints with 0 <= u < v < n and s +1 or -1, and
+        weights None or the weights of a graph."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "weights", (1.0,) * len(edges) if weights is None else weights)
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -321,8 +334,10 @@ def switch(g: SignedGraph, zeta: Sequence[int]) -> SignedGraph:
     for z in zeta:
         if z not in (POSITIVE, NEGATIVE):
             raise ValueError(f"switching value {z!r} is not +1 or -1")
-    return SignedGraph(
-        g.n, tuple((u, v, zeta[u] * s * zeta[v]) for u, v, s in g.edges), g.weights
+    # Python ints, whatever came in, so the new signs are too
+    z = [POSITIVE if x == POSITIVE else NEGATIVE for x in zeta]
+    return SignedGraph._trusted(
+        g.n, tuple([(u, v, z[u] * s * z[v]) for u, v, s in g.edges]), g.weights
     )
 
 
@@ -381,6 +396,7 @@ def generate(kind: str, n: int, signs: SignSpec = None,
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
+    n = operator.index(n)
     if kind == "cycle":
         if n < 3:
             raise ValueError(f"cycle needs n >= 3, got {n}")
@@ -415,7 +431,8 @@ def generate(kind: str, n: int, signs: SignSpec = None,
     if signs is None:
         signs = 0.5 if kind == "random" else "allpos"
     resolved = _resolve_signs(len(pairs), signs, rng)
-    return SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(pairs, resolved)))
+    # every pair is (u, v) with u < v, each once, so the edges need no checks
+    return SignedGraph._trusted(n, tuple([(u, v, s) for (u, v), s in zip(pairs, resolved)]))
 
 
 def components(g: SignedGraph) -> list[list[int]]:

@@ -51,12 +51,20 @@ def _csv_entry(x) -> str:
     return str(int(x)) if isinstance(x, (int, np.integer)) else "%.12g" % x
 
 
+def _json_entry(x) -> str:
+    """An entry of a block that is not all finite numbers, as json.dumps
+    writes it: bools as JSON literals, NaN and inf as json spells them,
+    every digit of an integer. A numpy scalar in an object block is written
+    as the Python number it holds."""
+    return json.dumps(x.item() if isinstance(x, np.generic) else x)
+
+
 def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
     """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n",
     one row at a time. CSV floats get .12g, and a block of another dtype
     goes entry by entry through _csv_entry. JSON gets repr for finite
-    numbers, and json.dumps for NaN/inf and for bools, whose repr is not
-    JSON."""
+    numbers, and _json_entry for any other block: NaN/inf, bools, whose
+    repr is not JSON, and object blocks."""
     if fmt == "csv":
         dtype = blocks["rows"].dtype
         if np.issubdtype(dtype, np.integer):
@@ -71,7 +79,7 @@ def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
     for key, rows in blocks.items():
         out.write(f'{lead}  "{key}": [')
         finite = np.issubdtype(rows.dtype, np.number) and np.isfinite(rows).all()
-        num = repr if finite else json.dumps
+        num = repr if finite else _json_entry
         for i, items in enumerate(_joined_rows(rows, ",\n      ", num)):
             row_text = f"[\n      {items}\n    ]" if items else "[]"
             out.write(f"{',' if i else ''}\n    {row_text}")

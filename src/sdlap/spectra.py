@@ -1,10 +1,12 @@
 """Symmetric eigensolving and closed-form cycle spectra.
 
-Eigenvalues come from LAPACK through numpy.linalg.eigvalsh. sym_eig wraps
-it with the checks the rest of the package relies on: the input must be
-finite and symmetric, the eigenvalues finite, and their sum must match
-the trace. cycle_spectrum gives the distance Laplacian spectrum of a
-uniformly signed cycle without an eigensolver, so it can check one.
+Eigenvalues come from LAPACK through numpy.linalg.eigvalsh. _eigenvalues
+wraps it with the checks the rest of the package relies on, for a stack
+of matrices of one order at once: each matrix must be finite and
+symmetric, its eigenvalues finite, and their sum must match its trace.
+sym_eig is its one-matrix case. cycle_spectrum gives the distance
+Laplacian spectrum of a uniformly signed cycle without an eigensolver,
+so it can check one.
 """
 
 from __future__ import annotations
@@ -64,42 +66,63 @@ def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:
     1e-8 * n * max|entry|, else ArithmeticError. grouping_tol only affects how
     eigenvalues are grouped into multiplicities, not their values; it must
     be finite and nonnegative, else ValueError.
+
+    This is the one-matrix case of _eigenvalues, which makes every check.
     """
     if not 0 <= grouping_tol < math.inf:
         raise ValueError(
             f"grouping tolerance must be finite and nonnegative, got {grouping_tol!r}"
         )
-    a = np.asarray(m)  # a SquareMatrix hands over its entries without a copy
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required, got shape {a.shape}")
+    # a SquareMatrix hands over its entries without a copy
+    (values,) = _eigenvalues(np.asarray(m)[None])
+    return Spectrum.from_values(values.tolist(), tol=grouping_tol)
+
+
+def _eigenvalues(stack) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a (k, n, n) stack, as a
+    k x n float array, from one LAPACK call for the whole stack.
+
+    Each matrix gets every check that sym_eig documents, with sym_eig's
+    error and message; a stack raises the error of its first failing
+    check. A matrix's values do not depend on the stack it is solved in:
+    LAPACK solves each matrix on its own, and a symmetric matrix gets the
+    same a + 0.0 on either branch below.
+    """
+    a = np.asarray(stack)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"square matrix required, got shape {a.shape[1:]}")
     if a.dtype == object:  # let numpy infer the entries' dtype, so complex ones show
         a = np.array(a.tolist()).reshape(a.shape)
     if a.dtype.kind == "c":
         raise ValueError(f"matrix has complex dtype {a.dtype}, expected real entries")
     a = a.astype(float, copy=False)
-    # the maximum is NaN or infinite exactly when some entry is
-    peak = float(np.abs(a).max(initial=0.0))
-    if not peak < math.inf:
+    n = a.shape[1]
+    # a maximum is NaN or infinite exactly when some entry is
+    peak = np.abs(a).max(axis=(1, 2), initial=0.0)
+    if not (peak < math.inf).all():
         raise ValueError("matrix has a non-finite entry")
-    scale = max(1.0, peak)
-    if (a == a.T).all():
+    scale = np.maximum(peak, 1.0)[:, None]
+    if (a == a.swapaxes(1, 2)).all():
         # the skew below is all zeros, and adding it only turns -0.0 into 0.0
         values = np.linalg.eigvalsh(a + 0.0)
     else:
         with np.errstate(over="ignore"):  # an infinite skew is not symmetric
-            skew = a.T - a
-        if float(np.abs(skew).max(initial=0.0)) > 1e-12 * scale:
+            skew = a.swapaxes(1, 2) - a
+        if (np.abs(skew).max(axis=(1, 2)) > 1e-12 * scale[:, 0]).any():
             raise ValueError("matrix is not symmetric")
         values = np.linalg.eigvalsh(a + skew / 2.0)
-    ordered = values.tolist()
-    if not all(map(math.isfinite, ordered)):
+    if not np.isfinite(values).all():
         raise ArithmeticError("an eigenvalue overflows a 64-bit float")
     # Both sums are taken in units of scale, where neither can overflow.
-    drift = abs(math.fsum([v / scale for v in ordered])
-                - math.fsum([d / scale for d in np.diagonal(a).tolist()]))
-    if drift > 1e-8 * len(a):
-        raise ArithmeticError(f"eigenvalue sum drifted from the trace by {drift * scale:g}")
-    return Spectrum.from_values(ordered, tol=grouping_tol)
+    units = (values / scale).tolist()
+    trace = (np.diagonal(a, axis1=1, axis2=2) / scale).tolist()
+    for i, (row, diagonal) in enumerate(zip(units, trace)):
+        drift = abs(math.fsum(row) - math.fsum(diagonal))
+        if drift > 1e-8 * n:
+            raise ArithmeticError(
+                f"eigenvalue sum drifted from the trace by {drift * scale[i, 0]:g}"
+            )
+    return values
 
 
 def cycle_spectrum(n: int, sign: int) -> Spectrum:

@@ -6,6 +6,10 @@ both thin wrappers over these functions. Every suite is deterministic for
 a fixed seed, its signature holds its default sizes, and it raises
 ValueError at sizes that would test nothing. The spectral suites also
 fail on a distance Laplacian that is not positive semidefinite.
+balance-equivalence and cospectrality solve their Laplacians in stacks,
+one eigensolve per matrix order for a run of instances (_PsdBatch), and
+balance-equivalence gives Laplacians with equal entries one determinant
+and one spectrum.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .core import MIN_VERIFY_N, SUITE_NAMES, SignedGraph, generate, switch
 from .distance import (IncompatibleGraphError, distance_laplacian, distance_table,
                        transmission)
 from .matrices import incidence_matrix, weighted_laplacian
-from .spectra import cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
+from .spectra import _eigenvalues, cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
 
 # Largest deviation of an eigensolver spectrum from cycle_spectrum.
 _SPECTRUM_TOL = 1e-8
@@ -29,6 +33,10 @@ _PSD_TOL = 1e-8
 _ORIENTATIONS_PER_GRAPH = 3
 _WEIGHT_RANGE = (1, 5)
 _MAX_FAILURES_KEPT = 10
+# A run of instances whose PSD checks share stacked eigensolves ends once
+# its queued Laplacians hold this many entries (512 KiB as float64): at the
+# default n_max = 8 one run holds every instance, at n_max = 200 one or two.
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -83,14 +91,64 @@ def _random_connected(rng: random.Random, n_max: int) -> SignedGraph:
 
 
 def _random_integer_weights(rng: random.Random, m: int) -> tuple[float, ...]:
+    """m integral float weights, valid weights for the m edges of a graph,
+    so the suites build the weighted graph with SignedGraph._trusted."""
     return tuple(float(rng.randint(*_WEIGHT_RANGE)) for _ in range(m))
 
 
-def _psd_minimum(report: SuiteReport, values, label: str) -> float:
-    """Smallest of a distance Laplacian's ascending eigenvalues; fails if negative."""
+def _psd_minimum(record, values, label: str) -> float:
+    """Smallest of a distance Laplacian's ascending eigenvalues (the first
+    and last suffice); passes a message to record if it is negative."""
     if values[0] < -_PSD_TOL * max(1.0, values[-1]):
-        report.record_failure(f"{label}: negative eigenvalue {values[0]:g}")
+        record(f"{label}: negative eigenvalue {values[0]:g}")
     return values[0]
+
+
+class _PsdBatch:
+    """The positive semidefiniteness checks of a run of instances, solved
+    in one stacked eigensolve per matrix order.
+
+    A suite collects each instance's failures in a list and hands it to
+    add() with the instance's Laplacians, after every other check, so
+    their messages go last. Each Laplacian comes with the labels it is
+    checked under: equal matrices are solved once. Once the queue holds
+    _CHUNK_ENTRIES entries, and at the end of the suite, flush() solves it
+    and records every failure in instance order, so the report is the one
+    that checking an instance at a time gives.
+    """
+
+    def __init__(self, report: SuiteReport):
+        self.report = report
+        self.min_eig = float("inf")
+        self._instances: list[list[str]] = []
+        self._queue: list[tuple[np.ndarray, tuple[str, ...], list[str]]] = []
+        self._entries = 0
+
+    def add(self, failures: list[str], *checks: tuple[np.ndarray, tuple[str, ...]]) -> None:
+        self._instances.append(failures)
+        for entries, labels in checks:
+            self._queue.append((entries, labels, failures))
+            self._entries += entries.size
+        if self._entries >= _CHUNK_ENTRIES:
+            self.flush()
+
+    def flush(self) -> None:
+        by_order: dict[int, list[int]] = {}
+        for j, (entries, _, _) in enumerate(self._queue):
+            by_order.setdefault(len(entries), []).append(j)
+        # the smallest and largest eigenvalue of each queued matrix
+        extremes = [None] * len(self._queue)
+        for members in by_order.values():
+            values = _eigenvalues(np.stack([self._queue[j][0] for j in members]))
+            for j, pair in zip(members, values[:, [0, -1]].tolist()):
+                extremes[j] = pair
+        for (_, labels, failures), pair in zip(self._queue, extremes):
+            for label in labels:
+                self.min_eig = min(self.min_eig, _psd_minimum(failures.append, pair, label))
+        for failures in self._instances:
+            for message in failures:
+                self.report.record_failure(message)
+        self._instances, self._queue, self._entries = [], [], 0
 
 
 def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> SuiteReport:
@@ -103,7 +161,7 @@ def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> Sui
     skipped = 0
     for i in range(count):
         g = _random_connected(rng, n_max)
-        wg = SignedGraph(g.n, g.edges, _random_integer_weights(rng, g.m))
+        wg = SignedGraph._trusted(g.n, g.edges, _random_integer_weights(rng, g.m))
         try:
             rhs = forest_det(wg)
         except SizeBoundError:
@@ -126,46 +184,64 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
     """The four balance verdicts agree on every instance: switching,
     det L^max == 0, det L^min == 0, and (compatible and det L^pm == 0).
 
-    Also verifies every certificate, and checks that both distance
-    Laplacians are positive semidefinite, reporting the smallest
-    eigenvalue seen.
+    Also verifies every certificate, checks that D^max - D^min is
+    nonnegative and zero exactly on the compatible pairs, that
+    L^pm == L^max on a compatible graph, and that both
+    distance Laplacians are positive semidefinite, reporting the smallest
+    eigenvalue seen. Laplacians with equal entries share one determinant
+    and one spectrum, and the spectra are solved in stacks (_PsdBatch).
     """
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("balance-equivalence", True, count)
+    psd = _PsdBatch(report)
     balanced_count = 0
-    min_eig = float("inf")
     for i in range(count):
         g = _random_connected(rng, n_max)
+        failures = []
         sw = is_balanced_switching(g)
         if not sw.verify(g):
-            report.record_failure(f"instance {i}: certificate failed to verify")
+            failures.append(f"instance {i}: certificate failed to verify")
         table = distance_table(g)
         lmax = distance_laplacian(table, "max")
         lmin = distance_laplacian(table, "min")
-        det_max = det_exact(lmax)
-        det_min = det_exact(lmin)
         try:
             lpm = distance_laplacian(table, "pm")
         except IncompatibleGraphError:
             lpm = None
         compatible = lpm is not None
-        pm_verdict = compatible and det_exact(lpm) == 0
+        # L^min - L^max is D^max - D^min, which is 2d on a pair with
+        # shortest paths of both signs and 0 on any other: nonnegative, and
+        # zero exactly on the compatible pairs.
+        gap = lmin.entries - lmax.entries
+        if (gap != 2 * table.dist * (table.pos & table.neg)).any():
+            failures.append(f"instance {i}: D^max - D^min is not 2d on the pairs with "
+                            f"shortest paths of both signs and 0 elsewhere")
+        pm_same = compatible and np.array_equal(lpm.entries, lmax.entries)
+        if compatible and not pm_same:
+            failures.append(f"instance {i}: L^pm != L^max on a compatible graph")
+        same = not gap.any()
+        det_max = det_exact(lmax)
+        det_min = det_max if same else det_exact(lmin)
+        pm_verdict = compatible and (det_max if pm_same else det_exact(lpm)) == 0
         verdicts = (sw.balanced, det_max == 0, det_min == 0, pm_verdict)
         if len(set(verdicts)) != 1:
-            report.record_failure(
+            failures.append(
                 f"instance {i}: verdicts {verdicts} disagree "
                 f"(det_max={det_max}, det_min={det_min}, compatible={compatible})"
             )
         if det_max < 0 or det_min < 0:
-            report.record_failure(f"instance {i}: negative determinant")
+            failures.append(f"instance {i}: negative determinant")
         balanced_count += sw.balanced
-        for lap in (lmax, lmin):
-            values = sym_eig(lap).eigenvalues
-            min_eig = min(min_eig, _psd_minimum(report, values, f"instance {i} {lap.kind}"))
+        labels = (f"instance {i} {lmax.kind}", f"instance {i} {lmin.kind}")
+        if same:
+            psd.add(failures, (lmax.entries, labels))
+        else:
+            psd.add(failures, (lmax.entries, labels[:1]), (lmin.entries, labels[1:]))
+    psd.flush()
     report.details["balanced"] = balanced_count
     report.details["unbalanced"] = count - balanced_count
-    report.details["min_eigenvalue"] = min_eig
+    report.details["min_eigenvalue"] = psd.min_eig
     return report
 
 
@@ -178,8 +254,8 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("cospectrality", True, count)
+    psd = _PsdBatch(report)
     max_dev = 0
-    min_eig = float("inf")
     for i in range(count):
         n = rng.randint(2, n_max)
         p = 1.0 if n <= 2 else rng.uniform(0.3, 0.95)
@@ -190,12 +266,11 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
         z = np.array(zeta, dtype=np.int64)
         dev = int(np.abs(lap.entries - z[:, None] * lap_pos.entries * z).max())
         max_dev = max(max_dev, dev)
-        if dev:
-            report.record_failure(f"instance {i}: L differs from Z·L·Z by {dev}")
-        values = sym_eig(lap).eigenvalues
-        min_eig = min(min_eig, _psd_minimum(report, values, f"instance {i}"))
+        failures = [f"instance {i}: L differs from Z·L·Z by {dev}"] if dev else []
+        psd.add(failures, (lap.entries, (f"instance {i}",)))
+    psd.flush()
     report.details["max_deviation"] = max_dev
-    report.details["min_eigenvalue"] = min_eig
+    report.details["min_eigenvalue"] = psd.min_eig
     return report
 
 
@@ -232,7 +307,8 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
                         f"C{n} {signs} {kind}: deviation {dev:g} from cycle_spectrum"
                     )
                 max_dev = max(max_dev, dev)
-                min_eig = min(min_eig, _psd_minimum(report, values, f"C{n} {signs} {kind}"))
+                min_eig = min(min_eig, _psd_minimum(report.record_failure, values,
+                                                    f"C{n} {signs} {kind}"))
             if sign < 0 and n % 2:
                 printed = odd_cycle_formula_spectrum(n // 2).eigenvalues
                 printed_dev = max(printed_dev,
@@ -253,18 +329,19 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
     max_dev = 0.0
     for i in range(count):
         g = _random_connected(rng, n_max)
-        wg = SignedGraph(g.n, g.edges, _random_integer_weights(rng, g.m))
+        wg = SignedGraph._trusted(g.n, g.edges, _random_integer_weights(rng, g.m))
         lap = weighted_laplacian(wg).entries
-        for _ in range(_ORIENTATIONS_PER_GRAPH):
-            orientation = tuple(
-                (u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in wg.edges
-            )
-            h = incidence_matrix(wg, orientation).entries
-            product = h @ h.T
-            dev = float(np.abs(product - lap).max()) if lap.size else 0.0
+        orientations = [
+            tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in wg.edges)
+            for _ in range(_ORIENTATIONS_PER_GRAPH)
+        ]
+        h = np.stack([incidence_matrix(wg, o).entries for o in orientations])
+        product = h @ h.swapaxes(1, 2)  # one n x n product per orientation
+        devs = np.abs(product - lap).max(axis=(1, 2), initial=0.0).tolist()
+        wrong = (np.rint(product).astype(np.int64) != lap).any(axis=(1, 2)).tolist()
+        for dev, bad in zip(devs, wrong):
             max_dev = max(max_dev, dev)
-            # product and lap are both n x n
-            if dev >= 1e-9 or (np.rint(product).astype(np.int64) != lap).any():
+            if dev >= 1e-9 or bad:
                 report.record_failure(f"instance {i}: factorization deviation {dev:g}")
     report.details["max_deviation"] = max_dev
     return report

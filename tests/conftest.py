@@ -344,6 +344,19 @@ def oracle_matrix_csv(entries) -> str:
     return "".join(",".join(_oracle_number(x) for x in row) + "\n" for row in rows)
 
 
+def _oracle_json_scalar(x):
+    """The Python number of a numpy scalar that json.dumps cannot encode,
+    such as an int64 in an object block: every digit of an integer, and a
+    float as json writes it."""
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, np.floating):
+        return float(x)
+    raise TypeError(f"{type(x).__name__} is not a number")
+
+
 def oracle_matrix_json(matrix) -> str:
     """JSON text of a matrix export, encoded as one document by json.dumps
     from the matrix's public fields, in the keys and order of the export."""
@@ -353,4 +366,4 @@ def oracle_matrix_json(matrix) -> str:
                "orientation": [[t + 1, h + 1] for t, h in matrix.orientation]}
     else:
         doc = {"n": matrix.n, "kind": matrix.kind, "rows": matrix.entries.tolist()}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=_oracle_json_scalar) + "\n"

@@ -909,12 +909,126 @@ def test_spectral_suites_fail_on_a_negative_eigenvalue(monkeypatch, suite):
     import sdlap.verify
     from sdlap.spectra import Spectrum
 
-    real = sdlap.verify.sym_eig
-    monkeypatch.setattr(sdlap.verify, "sym_eig", lambda m: Spectrum.from_values(
-        v - 1 for v in real(m).eigenvalues))
+    if suite == "transmission-shift":
+        real = sdlap.verify.sym_eig
+        monkeypatch.setattr(sdlap.verify, "sym_eig", lambda m: Spectrum.from_values(
+            v - 1 for v in real(m).eigenvalues))
+    else:  # these suites solve their Laplacians in stacks
+        real = sdlap.verify._eigenvalues
+        monkeypatch.setattr(sdlap.verify, "_eigenvalues", lambda stack: real(stack) - 1)
     report = sdlap.verify.run_suite(suite)
     assert not report.passed and report.details["min_eigenvalue"] < -0.9
     assert any("negative eigenvalue" in failure for failure in report.failures)
+
+
+def _rebind_distance_matrix(monkeypatch, replace):
+    """Make every module that binds distance_matrix call replace(real,
+    table, kind) instead."""
+    import sys
+
+    from sdlap.distance import distance_matrix
+
+    def replaced(table, kind):
+        return replace(distance_matrix, table, kind)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdlap") and hasattr(module, "distance_matrix"):
+            monkeypatch.setattr(module, "distance_matrix", replaced)
+
+
+def test_balance_equivalence_fails_with_sigma_max_and_min_swapped(monkeypatch):
+    # Balance and the spectra are symmetric in max and min, so only the
+    # D^max >= D^min check sees D^max built by the sigma_min rule and D^min
+    # by the sigma_max rule.
+    from sdlap.verify import balance_equivalence_suite
+
+    assert balance_equivalence_suite().passed
+    _rebind_distance_matrix(monkeypatch, lambda real, table, kind: real(
+        table, {"max": "min", "min": "max"}.get(kind, kind)))
+    report = balance_equivalence_suite()
+    assert not report.passed
+    assert report.failures[0] == ("instance 13: D^max - D^min is not 2d on the pairs "
+                                  "with shortest paths of both signs and 0 elsewhere")
+    assert all("D^max - D^min" in failure for failure in report.failures)
+
+
+def test_balance_equivalence_fails_when_lpm_is_not_lmax(monkeypatch):
+    import numpy as np
+
+    from sdlap.matrices import SquareMatrix
+    from sdlap.verify import balance_equivalence_suite
+
+    def unsigned_pm(real, table, kind):
+        d = real(table, kind)
+        return SquareMatrix(np.abs(d.entries), d.kind) if kind == "pm" else d
+
+    _rebind_distance_matrix(monkeypatch, unsigned_pm)
+    report = balance_equivalence_suite(count=60)
+    assert not report.passed
+    assert any(failure.endswith(": L^pm != L^max on a compatible graph")
+               for failure in report.failures)
+
+
+def test_verify_all_solves_each_distinct_laplacian_once(monkeypatch):
+    # At the benchmark's verify seed: forest-theorem takes 200 determinants;
+    # balance-equivalence 500 for L^max and 127 for the L^min that differ
+    # from it, L^pm being L^max on every compatible instance. Those 627
+    # Laplacians and cospectrality's 100 are solved in 14 stacked calls, one
+    # per order and suite; transmission-shift solves its 40 one at a time.
+    import sdlap.verify
+
+    calls = {"det_exact": 0, "_eigenvalues": 0, "sym_eig": 0}
+    stacked = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            if fn.__name__ == "_eigenvalues":
+                stacked.append(len(args[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sdlap.verify, name, counted(getattr(sdlap.verify, name)))
+    assert all(r.passed for r in sdlap.verify.run_all(seed=1530816428))
+    assert calls == {"det_exact": 827, "_eigenvalues": 14, "sym_eig": 40}
+    assert sum(stacked) == 727
+
+
+def test_out_of_memory_ends_in_one_line_without_a_traceback(tmp_path):
+    # The child may use at most 3 GB of address space, so the 9.31 GiB
+    # frontier of this cycle's distance table cannot be allocated. One
+    # BLAS thread keeps numpy's own start-up far below that limit.
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    from sdlap import serialize
+
+    path = tmp_path / "c200000.sg"
+    path.write_text(serialize(generate("cycle", 200_000, "allneg")))
+    limit = 3 * 2**30
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdlap.cli", "info", str(path)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("sdlap: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_a_memory_error_without_a_message_is_named(capsys, monkeypatch):
+    import sdlap.cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(sdlap.cli, "_cmd_info", exhausted)
+    code, out, err = run(capsys, "info", "nowhere.sg")
+    assert (code, out, err) == (1, "", "sdlap: out of memory\n")
 
 
 @pytest.mark.parametrize("suite, target, replacement, first, also", [

@@ -243,6 +243,48 @@ def test_switch_rejects_bad_zeta():
         switch(g, (1, 0, 1))
 
 
+def _field_types(g):
+    return (type(g.n), {type(x) for edge in g.edges for x in edge},
+            {type(w) for w in g.weights}, type(g.edges), type(g.weights))
+
+
+def _revalidated(g):
+    """The graph the validating constructor builds from g's fields."""
+    return SignedGraph(g.n, g.edges, g.weights)
+
+
+@pytest.mark.parametrize("kind", ["cycle", "path", "complete", "random"])
+def test_generated_graphs_equal_their_validated_copies(kind):
+    # generate builds its graphs without re-checking edges that are valid
+    # by construction; the checks must have nothing to change
+    for seed in range(51):
+        n = 3 + seed % 9
+        for signs in (None, "allneg", 0.3):
+            g = generate(kind, np.int64(n) if seed % 2 else n, signs, seed=seed,
+                         p=0.6 if kind == "random" else None)
+            copy = _revalidated(g)
+            assert g == copy and _field_types(g) == _field_types(copy)
+            assert _field_types(g) == (int, {int}, {float}, tuple, tuple)
+            assert g.n == n and g.edges == copy.edges and g.adjacency == copy.adjacency
+
+
+@pytest.mark.parametrize("plus, minus", [(np.int64(1), np.int64(-1)), (True, -1),
+                                         (1.0, -1.0), (np.float64(1.0), np.int8(-1))])
+def test_switched_graphs_equal_their_validated_copies(plus, minus):
+    rng = random.Random(5)
+    for _ in range(30):
+        g = random_connected_graph(rng, 2, 8)
+        if rng.random() < 0.5:
+            g = SignedGraph(g.n, g.edges, tuple(float(rng.randint(1, 9)) for _ in g.edges))
+        zeta = [rng.choice((plus, minus)) for _ in range(g.n)]
+        switched = switch(g, zeta)
+        copy = _revalidated(switched)
+        assert switched == copy and _field_types(switched) == _field_types(copy)
+        assert _field_types(switched) == (int, {int}, {float}, tuple, tuple)
+        assert switched.weights == g.weights
+        assert switch(switched, zeta) == g
+
+
 def test_switch_preserves_cycle_signs_on_complete_graphs():
     rng = random.Random(7)
     for _ in range(20):

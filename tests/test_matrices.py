@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -310,12 +311,27 @@ _INT64 = np.iinfo(np.int64)
     # Python ints that fit neither int64 nor uint64, of both signs
     np.array([[2**70, 1], [1, 3]], dtype=object),
     np.array([[-2**64 - 1, 2**64], [-(3**50), 0]], dtype=object),
+    # numpy scalars, which json.dumps cannot encode, among Python ints
+    np.array([[np.int64(2), 1], [1, 3]], dtype=object),
+    np.array([[np.uint64(2**64 - 1), np.int8(-7)], [np.int8(-7), 2**70]], dtype=object),
 ], ids=["0x0", "1x1", "negative", "int64-min-and-max", "int32", "uint8", "int8-all",
-        "uint64-top", "object-past-uint64", "object-both-signs"])
+        "uint64-top", "object-past-uint64", "object-both-signs", "object-numpy-int64",
+        "object-numpy-mixed"])
 def test_square_matrix_writes_integer_blocks_like_the_oracle(entries):
     m = SquareMatrix(entries, "custom")
     assert m.write(io.StringIO(), "json").getvalue() == oracle_matrix_json(m)
     assert m.write(io.StringIO(), "csv").getvalue() == oracle_matrix_csv(m.entries)
+
+
+def test_object_block_of_numpy_scalars_writes_like_python_numbers():
+    m = SquareMatrix(np.array([[np.int64(2), 1], [1, 3]], dtype=object), "custom")
+    assert json.loads(m.write(io.StringIO(), "json").getvalue())["rows"] == [[2, 1], [1, 3]]
+    assert m.write(io.StringIO(), "csv").getvalue() == "2,1\n1,3\n"
+    floats = SquareMatrix(np.array([[np.float64(0.1), np.float32(1.5)],
+                                    [np.float16(np.inf), 2]], dtype=object), "custom")
+    text = floats.write(io.StringIO(), "json").getvalue()
+    assert text == oracle_matrix_json(floats)
+    assert json.loads(text)["rows"] == [[0.1, 1.5], [math.inf, 2]]
 
 
 def test_incidence_export_includes_orientation():

@@ -16,6 +16,7 @@ from sdlap import (
     switch,
     sym_eig,
 )
+from sdlap.spectra import _eigenvalues
 from sdlap.verify import transmission_shift_suite
 
 from conftest import cycle_cosine_spectrum, jacobi_eigenvalues, random_connected_graph
@@ -154,6 +155,107 @@ def test_sym_eig_invariant_under_signature_conjugation():
         left = sym_eig(a).eigenvalues
         right = sym_eig(s @ a @ s).eigenvalues
         assert max(abs(x - y) for x, y in zip(left, right)) < 1e-10
+
+
+def _seeded_stack(rng, n, k):
+    """k symmetric n x n matrices of small integers or normal floats, some
+    with -0.0 entries and some with an asymmetry within 1e-12 of their
+    largest entry."""
+    stack = []
+    for _ in range(k):
+        if rng.random() < 0.5:
+            a = rng.integers(-6, 7, size=(n, n)).astype(float)
+        else:
+            a = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, n))
+        a = np.triu(a) + np.triu(a, 1).T
+        a[rng.random((n, n)) < 0.2] = -0.0
+        a = np.minimum(a, a.T)  # symmetric again, each -0.0 paired with itself or 0.0
+        if rng.random() < 0.3 and n > 1:
+            i, j = rng.choice(n, size=2, replace=False)
+            a[i, j] += 1e-13 * max(1.0, np.abs(a).max())
+        stack.append(a)
+    return np.array(stack)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_stacked_eigenvalues_equal_sym_eig_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for n in range(1, 13):
+        for k in (1, 2, 7, 25):
+            stack = _seeded_stack(rng, n, k)
+            values = _eigenvalues(stack)
+            assert values.shape == (k, n)
+            for member, row in zip(stack, values):
+                assert _bits(row) == _bits(sym_eig(member).eigenvalues)
+            # a member's values do not depend on the stack it is solved in
+            assert _bits(_eigenvalues(stack[::-1])) == _bits(values[::-1])
+
+
+def test_stacked_eigenvalues_of_integer_and_object_stacks():
+    laplacians = [distance_laplacian(distance_table(generate("cycle", 5, signs)), "max")
+                  for signs in ("allpos", "allneg", "+-+-+")]
+    values = _eigenvalues(np.stack([lap.entries for lap in laplacians]))
+    assert [row.tolist() for row in values] == [list(sym_eig(lap).eigenvalues)
+                                                for lap in laplacians]
+    objects = np.array([[[2, 1], [1, 2]], [[np.int64(3), 0], [0, 1]]], dtype=object)
+    assert _eigenvalues(objects).tolist() == [[1.0, 3.0], [1.0, 3.0]]
+    assert _eigenvalues(np.zeros((0, 3, 3))).shape == (0, 3)
+
+
+def _error_of(solve, a):
+    try:
+        solve(a)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error")
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), ()])
+def test_stacked_eigenvalues_reject_non_square_members_as_sym_eig_does(shape):
+    member = np.zeros(shape)
+    assert (_error_of(_eigenvalues, np.stack([member, member]))
+            == _error_of(sym_eig, member)
+            == (ValueError, f"square matrix required, got shape {shape}"))
+
+
+@pytest.mark.parametrize("bad", ["complex", "complex-object", "nan", "inf", "asymmetric"])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_stacked_eigenvalues_reject_one_bad_member_as_sym_eig_does(bad, position):
+    good = [np.eye(3), np.diag([1.0, -2.0, 5.0]), np.full((3, 3), 2.0), 7 * np.eye(3),
+            np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])]
+    member = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    dtype = None
+    if bad == "complex":
+        member = member + np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]])
+    elif bad == "complex-object":
+        member = member.astype(object)
+        member[0, 1], member[1, 0] = 1j, -1j
+        dtype = object
+    elif bad == "asymmetric":
+        member[0, 2] = 1e-9
+    else:
+        member[1, 0] = member[0, 1] = getattr(math, bad)
+    stack = np.array(good[:position] + [member] + good[position + 1:], dtype=dtype)
+    expected = _error_of(sym_eig, member)
+    assert _error_of(_eigenvalues, stack) == expected
+    assert expected[1] in ("matrix has complex dtype complex128, expected real entries",
+                           "matrix has a non-finite entry", "matrix is not symmetric")
+
+
+@pytest.mark.parametrize("position", [0, 3])
+def test_stacked_eigenvalues_reject_one_drifting_member_as_sym_eig_does(monkeypatch,
+                                                                      position):
+    # the solver's values for one member, and for sym_eig's only one, are 1 too large
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + (
+        np.arange(len(a)) == (position if len(a) > 1 else 0))[:, None])
+    stack = np.stack([np.eye(3) * (j + 1) for j in range(4)])
+    expected = (ArithmeticError, "eigenvalue sum drifted from the trace by 3")
+    assert _error_of(sym_eig, stack[position]) == expected
+    assert _error_of(_eigenvalues, stack) == expected
 
 
 def test_spectrum_grouping_and_exports():
