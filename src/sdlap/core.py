@@ -7,13 +7,13 @@ in the README.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import numbers
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -286,7 +286,10 @@ def parse_edge_list(text: str) -> SignedGraph:
                 raise GraphFormatError(f"non-finite weight {tokens[3]}", lineno)
             if not weight > 0:
                 raise GraphFormatError(f"nonpositive weight {tokens[3]}", lineno)
-            if inexact is None and weight.is_integer() and Fraction(tokens[3]) != weight:
+            # fractions (and the decimal module it loads) is imported on the
+            # first integral weight, so that other commands do not pay for it
+            if inexact is None and weight.is_integer() and (
+                    importlib.import_module("fractions").Fraction(tokens[3]) != weight):
                 inexact = (lineno, tokens[3])
         key = (min(u, v) - 1, max(u, v) - 1)
         if key in seen:

@@ -240,11 +240,20 @@ def transmission(table: DistanceTable) -> np.ndarray:
     return table.dist.sum(axis=1)
 
 
+def _laplacian(dist: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """diag(t) - d as a new array, where d is a signed distance matrix and
+    t the transmission, the row sums of the hop distances dist. Works on
+    stacks as well: dist and d of shape (..., n, n)."""
+    lap = -d  # d has a zero diagonal
+    i = np.arange(d.shape[-1])
+    lap[..., i, i] = dist.sum(axis=-1)
+    return lap
+
+
 def distance_laplacian(table: DistanceTable, kind: str) -> SquareMatrix:
     """Transmission diagonal minus distance_matrix(table, kind), labelled
     "l" + kind; "pm" raises IncompatibleGraphError as distance_matrix does."""
-    lap = -distance_matrix(table, kind).entries
-    lap.flat[::table.n + 1] = transmission(table)  # -D has a zero diagonal
+    lap = _laplacian(table.dist, distance_matrix(table, kind).entries)
     lap.setflags(write=False)
     return SquareMatrix(lap, f"l{kind}")
 

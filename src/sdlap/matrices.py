@@ -253,16 +253,28 @@ def incidence_matrix(g: SignedGraph,
         raise ValueError(f"orientation pair with a non-integer vertex index: {exc}") from None
     if len(orientation) != g.m:
         raise ValueError(f"{len(orientation)} orientation pairs for {g.m} edges")
-    h = np.zeros((g.n, g.m), dtype=float)
-    for j, ((u, v, s), (tail, head), w) in enumerate(
-        zip(g.edges, orientation, g.weights)
-    ):
+    for j, ((u, v, _), (tail, head)) in enumerate(zip(g.edges, orientation)):
         if not (tail == u and head == v or tail == v and head == u):
             raise ValueError(
                 f"orientation {orientation[j]} does not match edge {j} endpoints ({u}, {v})"
             )
-        root = math.sqrt(w)
-        h[tail, j] = s * root
-        h[head, j] = -root
+    h = _incidence_stack(g, np.array(orientation, dtype=np.intp).reshape(g.m, 2))
     h.setflags(write=False)
     return IncidenceMatrix(h, orientation)
+
+
+def _incidence_stack(g: SignedGraph, ends: np.ndarray) -> np.ndarray:
+    """The incidence matrices of g under a stack of orientations, as one
+    float array of shape (..., n, m): ends, of shape (..., m, 2), holds
+    each orientation's (tail, head) pair per edge, which must be the
+    edge's endpoints in either order (incidence_matrix checks that)."""
+    k = math.prod(ends.shape[:-2])
+    h = np.zeros(ends.shape[:-2] + (g.n, g.m))
+    layers = h.reshape(k, g.n, g.m)  # a view: h is new and contiguous
+    ends = ends.reshape(k, g.m, 2)
+    root = np.sqrt(g.weights)
+    signs = np.fromiter((s for _, _, s in g.edges), float, g.m)
+    layer, edge = np.arange(k)[:, None], np.arange(g.m)
+    layers[layer, ends[..., 0], edge] = signs * root
+    layers[layer, ends[..., 1], edge] = -root
+    return h

@@ -6,10 +6,15 @@ both thin wrappers over these functions. Every suite is deterministic for
 a fixed seed, its signature holds its default sizes, and it raises
 ValueError at sizes that would test nothing. The spectral suites also
 fail on a distance Laplacian that is not positive semidefinite.
-balance-equivalence and cospectrality solve their Laplacians in stacks,
-one eigensolve per matrix order for a run of instances (_PsdBatch), and
+
+balance-equivalence and cospectrality reach the signs through
+distance_matrix, once per instance and kind. They form the Laplacians
+and check them in stacks, one per matrix order for a run of instances
+(_Batch): the entrywise identities on whole stacks, then the
+determinants one instance at a time, then one eigensolve per stack.
 balance-equivalence gives Laplacians with equal entries one determinant
-and one spectrum.
+and one spectrum. incidence-factorization builds the orientations of a
+graph as one stack of incidence matrices.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ import numpy as np
 
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
 from .core import MIN_VERIFY_N, SUITE_NAMES, SignedGraph, generate, switch
-from .distance import (IncompatibleGraphError, distance_laplacian, distance_table,
+from .distance import (IncompatibleGraphError, _laplacian, distance_matrix, distance_table,
                        transmission)
-from .matrices import incidence_matrix, weighted_laplacian
+from .matrices import _incidence_stack, weighted_laplacian
 from .spectra import _eigenvalues, cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
 
 # Largest deviation of an eigensolver spectrum from cycle_spectrum.
@@ -33,9 +38,9 @@ _PSD_TOL = 1e-8
 _ORIENTATIONS_PER_GRAPH = 3
 _WEIGHT_RANGE = (1, 5)
 _MAX_FAILURES_KEPT = 10
-# A run of instances whose PSD checks share stacked eigensolves ends once
-# its queued Laplacians hold this many entries (512 KiB as float64): at the
-# default n_max = 8 one run holds every instance, at n_max = 200 one or two.
+# A run of instances checked in stacks (_Batch) ends once the Laplacians
+# it may test for positive semidefiniteness hold this many entries (512 KiB
+# as float64): at the default n_max = 8 one run holds every instance.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -104,51 +109,54 @@ def _psd_minimum(record, values, label: str) -> float:
     return values[0]
 
 
-class _PsdBatch:
-    """The positive semidefiniteness checks of a run of instances, solved
-    in one stacked eigensolve per matrix order.
+class _Batch:
+    """A run of a suite's instances, checked in one stack per matrix order.
 
-    A suite collects each instance's failures in a list and hands it to
-    add() with the instance's Laplacians, after every other check, so
-    their messages go last. Each Laplacian comes with the labels it is
-    checked under: equal matrices are solved once. Once the queue holds
-    _CHUNK_ENTRIES entries, and at the end of the suite, flush() solves it
-    and records every failure in instance order, so the report is the one
-    that checking an instance at a time gives.
+    After the checks it makes one instance at a time, a suite hands add()
+    the instance's failure list and the values its other checks need, the
+    first an n x n matrix. Once the run may test Laplacians of
+    _CHUNK_ENTRIES entries, and at the end of the suite, flush() groups
+    the instances by order, stacks each array value (other values stay
+    lists) and calls check(failure lists, *values). check returns a stack
+    of Laplacians to test for positive semidefiniteness and, for each, the
+    failure list and labels it is checked under; flush solves the stack in
+    one eigensolve and records every failure in instance order, so the
+    report is the one that checking one instance at a time gives.
     """
 
-    def __init__(self, report: SuiteReport):
+    def __init__(self, report: SuiteReport, check, laplacians: int):
         self.report = report
+        self.check = check
+        self.laplacians = laplacians  # the most one instance tests
         self.min_eig = float("inf")
         self._instances: list[list[str]] = []
-        self._queue: list[tuple[np.ndarray, tuple[str, ...], list[str]]] = []
+        self._by_order: dict[int, tuple[list, list[list]]] = {}
         self._entries = 0
 
-    def add(self, failures: list[str], *checks: tuple[np.ndarray, tuple[str, ...]]) -> None:
+    def add(self, failures: list[str], *values) -> None:
+        n = len(values[0])
         self._instances.append(failures)
-        for entries, labels in checks:
-            self._queue.append((entries, labels, failures))
-            self._entries += entries.size
+        members, columns = self._by_order.setdefault(n, ([], [[] for _ in values]))
+        members.append(failures)
+        for column, value in zip(columns, values):
+            column.append(value)
+        self._entries += self.laplacians * n * n
         if self._entries >= _CHUNK_ENTRIES:
             self.flush()
 
     def flush(self) -> None:
-        by_order: dict[int, list[int]] = {}
-        for j, (entries, _, _) in enumerate(self._queue):
-            by_order.setdefault(len(entries), []).append(j)
-        # the smallest and largest eigenvalue of each queued matrix
-        extremes = [None] * len(self._queue)
-        for members in by_order.values():
-            values = _eigenvalues(np.stack([self._queue[j][0] for j in members]))
-            for j, pair in zip(members, values[:, [0, -1]].tolist()):
-                extremes[j] = pair
-        for (_, labels, failures), pair in zip(self._queue, extremes):
-            for label in labels:
-                self.min_eig = min(self.min_eig, _psd_minimum(failures.append, pair, label))
+        for members, columns in self._by_order.values():
+            stacks = [np.stack(c) if isinstance(c[0], np.ndarray) else c for c in columns]
+            laplacians, owners = self.check(members, *stacks)
+            # the smallest and largest eigenvalue of each Laplacian
+            extremes = _eigenvalues(laplacians)[:, [0, -1]].tolist()
+            for (failures, labels), pair in zip(owners, extremes):
+                for label in labels:
+                    self.min_eig = min(self.min_eig, _psd_minimum(failures.append, pair, label))
         for failures in self._instances:
             for message in failures:
                 self.report.record_failure(message)
-        self._instances, self._queue, self._entries = [], [], 0
+        self._instances, self._by_order, self._entries = [], {}, 0
 
 
 def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> SuiteReport:
@@ -188,13 +196,52 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
     nonnegative and zero exactly on the compatible pairs, that
     L^pm == L^max on a compatible graph, and that both
     distance Laplacians are positive semidefinite, reporting the smallest
-    eigenvalue seen. Laplacians with equal entries share one determinant
-    and one spectrum, and the spectra are solved in stacks (_PsdBatch).
+    eigenvalue seen. Each instance reaches the signs through
+    distance_matrix, once per kind; the Laplacians and the checks on
+    them are formed in stacks (_Batch). Laplacians with equal entries
+    share one determinant and one spectrum.
     """
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("balance-equivalence", True, count)
-    psd = _PsdBatch(report)
+
+    def check(failures, dmax, dmin, dpm, dist, both, index, balanced, compatible):
+        lmax, lmin = _laplacian(dist, dmax), _laplacian(dist, dmin)
+        # D^max - D^min is 2d on a pair with shortest paths of both signs
+        # and 0 on any other: nonnegative, and zero exactly on the
+        # compatible pairs. It is also L^min - L^max.
+        gap = dmax - dmin
+        wrong_gap = (gap != 2 * dist * both).any(axis=(1, 2)).tolist()
+        differs = gap.any(axis=(1, 2))
+        # an incompatible instance has no D^pm: D^max stands in, unused
+        pm_same = (dpm == dmax).all(axis=(1, 2)).tolist()
+        max_owners, min_owners = [], []
+        for k, (i, distinct) in enumerate(zip(index, differs.tolist())):
+            if wrong_gap[k]:
+                failures[k].append(f"instance {i}: D^max - D^min is not 2d on the pairs "
+                                   f"with shortest paths of both signs and 0 elsewhere")
+            if compatible[k] and not pm_same[k]:
+                failures[k].append(f"instance {i}: L^pm != L^max on a compatible graph")
+            det_max = det_exact(lmax[k])
+            det_min = det_exact(lmin[k]) if distinct else det_max
+            pm_verdict = compatible[k] and (
+                det_max if pm_same[k] else det_exact(_laplacian(dist[k], dpm[k]))) == 0
+            verdicts = (balanced[k], det_max == 0, det_min == 0, pm_verdict)
+            if len(set(verdicts)) != 1:
+                failures[k].append(
+                    f"instance {i}: verdicts {verdicts} disagree "
+                    f"(det_max={det_max}, det_min={det_min}, compatible={compatible[k]})"
+                )
+            if det_max < 0 or det_min < 0:
+                failures[k].append(f"instance {i}: negative determinant")
+            labels = (f"instance {i} lmax", f"instance {i} lmin")
+            if distinct:
+                min_owners.append((failures[k], labels[1:]))
+                labels = labels[:1]
+            max_owners.append((failures[k], labels))
+        return np.concatenate((lmax, lmin[differs])), max_owners + min_owners
+
+    batch = _Batch(report, check, 2)
     balanced_count = 0
     for i in range(count):
         g = _random_connected(rng, n_max)
@@ -202,46 +249,20 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
         sw = is_balanced_switching(g)
         if not sw.verify(g):
             failures.append(f"instance {i}: certificate failed to verify")
-        table = distance_table(g)
-        lmax = distance_laplacian(table, "max")
-        lmin = distance_laplacian(table, "min")
-        try:
-            lpm = distance_laplacian(table, "pm")
-        except IncompatibleGraphError:
-            lpm = None
-        compatible = lpm is not None
-        # L^min - L^max is D^max - D^min, which is 2d on a pair with
-        # shortest paths of both signs and 0 on any other: nonnegative, and
-        # zero exactly on the compatible pairs.
-        gap = lmin.entries - lmax.entries
-        if (gap != 2 * table.dist * (table.pos & table.neg)).any():
-            failures.append(f"instance {i}: D^max - D^min is not 2d on the pairs with "
-                            f"shortest paths of both signs and 0 elsewhere")
-        pm_same = compatible and np.array_equal(lpm.entries, lmax.entries)
-        if compatible and not pm_same:
-            failures.append(f"instance {i}: L^pm != L^max on a compatible graph")
-        same = not gap.any()
-        det_max = det_exact(lmax)
-        det_min = det_max if same else det_exact(lmin)
-        pm_verdict = compatible and (det_max if pm_same else det_exact(lpm)) == 0
-        verdicts = (sw.balanced, det_max == 0, det_min == 0, pm_verdict)
-        if len(set(verdicts)) != 1:
-            failures.append(
-                f"instance {i}: verdicts {verdicts} disagree "
-                f"(det_max={det_max}, det_min={det_min}, compatible={compatible})"
-            )
-        if det_max < 0 or det_min < 0:
-            failures.append(f"instance {i}: negative determinant")
         balanced_count += sw.balanced
-        labels = (f"instance {i} {lmax.kind}", f"instance {i} {lmin.kind}")
-        if same:
-            psd.add(failures, (lmax.entries, labels))
-        else:
-            psd.add(failures, (lmax.entries, labels[:1]), (lmin.entries, labels[1:]))
-    psd.flush()
+        table = distance_table(g)
+        dmax = distance_matrix(table, "max").entries
+        dmin = distance_matrix(table, "min").entries
+        try:
+            dpm = distance_matrix(table, "pm").entries
+        except IncompatibleGraphError:
+            dpm = None
+        batch.add(failures, dmax, dmin, dmax if dpm is None else dpm, table.dist,
+                  table.pos & table.neg, i, sw.balanced, dpm is not None)
+    batch.flush()
     report.details["balanced"] = balanced_count
     report.details["unbalanced"] = count - balanced_count
-    report.details["min_eigenvalue"] = psd.min_eig
+    report.details["min_eigenvalue"] = batch.min_eig
     return report
 
 
@@ -250,27 +271,38 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
     L(switch(g, ζ)) = Z·L(g)·Z with Z = diag(ζ), and the two are
     cospectral. Checks that identity on L^pm entrywise in int64, reporting
     the largest entry difference, and that L(switch(g, ζ)) is positive
-    semidefinite."""
+    semidefinite. Each instance reaches the signs through distance_matrix;
+    the Laplacians and the checks on them are formed in stacks (_Batch)."""
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("cospectrality", True, count)
-    psd = _PsdBatch(report)
     max_dev = 0
+
+    def check(failures, d, dist, d_pos, dist_pos, z, index):
+        nonlocal max_dev
+        lap = _laplacian(dist, d)
+        zlz = z[:, :, None] * _laplacian(dist_pos, d_pos) * z[:, None, :]
+        devs = np.abs(lap - zlz).max(axis=(1, 2)).tolist()
+        for k, i in enumerate(index):
+            max_dev = max(max_dev, devs[k])
+            if devs[k]:
+                failures[k].append(f"instance {i}: L differs from Z·L·Z by {devs[k]}")
+        return lap, [(f, (f"instance {i}",)) for f, i in zip(failures, index)]
+
+    batch = _Batch(report, check, 1)
     for i in range(count):
         n = rng.randint(2, n_max)
         p = 1.0 if n <= 2 else rng.uniform(0.3, 0.95)
         g_pos = generate("random", n, signs="allpos", seed=rng.getrandbits(32), p=p)
         zeta = [rng.choice((1, -1)) for _ in range(n)]
-        lap = distance_laplacian(distance_table(switch(g_pos, zeta)), "pm")
-        lap_pos = distance_laplacian(distance_table(g_pos), "pm")
-        z = np.array(zeta, dtype=np.int64)
-        dev = int(np.abs(lap.entries - z[:, None] * lap_pos.entries * z).max())
-        max_dev = max(max_dev, dev)
-        failures = [f"instance {i}: L differs from Z·L·Z by {dev}"] if dev else []
-        psd.add(failures, (lap.entries, (f"instance {i}",)))
-    psd.flush()
+        table = distance_table(switch(g_pos, zeta))
+        table_pos = distance_table(g_pos)
+        batch.add([], distance_matrix(table, "pm").entries, table.dist,
+                  distance_matrix(table_pos, "pm").entries, table_pos.dist,
+                  np.array(zeta, dtype=np.int64), i)
+    batch.flush()
     report.details["max_deviation"] = max_dev
-    report.details["min_eigenvalue"] = psd.min_eig
+    report.details["min_eigenvalue"] = batch.min_eig
     return report
 
 
@@ -300,7 +332,8 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
             expected = cycle_spectrum(n, sign).eigenvalues
             for kind in ("max", "min"):
                 report.instances += 1
-                values = sym_eig(distance_laplacian(table, kind)).eigenvalues
+                lap = _laplacian(table.dist, distance_matrix(table, kind).entries)
+                values = sym_eig(lap).eigenvalues
                 dev = max(abs(x - y) for x, y in zip(values, expected))
                 if dev > _SPECTRUM_TOL:
                     report.record_failure(
@@ -331,11 +364,10 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
         g = _random_connected(rng, n_max)
         wg = SignedGraph._trusted(g.n, g.edges, _random_integer_weights(rng, g.m))
         lap = weighted_laplacian(wg).entries
-        orientations = [
-            tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in wg.edges)
-            for _ in range(_ORIENTATIONS_PER_GRAPH)
-        ]
-        h = np.stack([incidence_matrix(wg, o).entries for o in orientations])
+        # each orientation's (tail, head) pairs, edge by edge
+        ends = [end for _ in range(_ORIENTATIONS_PER_GRAPH) for u, v, _ in wg.edges
+                for end in ((u, v) if rng.random() < 0.5 else (v, u))]
+        h = _incidence_stack(wg, np.array(ends).reshape(_ORIENTATIONS_PER_GRAPH, wg.m, 2))
         product = h @ h.swapaxes(1, 2)  # one n x n product per orientation
         devs = np.abs(product - lap).max(axis=(1, 2), initial=0.0).tolist()
         wrong = (np.rint(product).astype(np.int64) != lap).any(axis=(1, 2)).tolist()

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from sdlap import (DisconnectedGraphError, IncidenceMatrix, IncompatibleGraphError,
-                   forest_det, generate, incidence_matrix, is_balanced_switching,
-                   parse_edge_list, transmission)
+from sdlap import (DisconnectedGraphError, IncompatibleGraphError, forest_det, generate,
+                   is_balanced_switching, parse_edge_list, transmission)
 from sdlap.cli import MATRIX_KINDS, _build_matrix, main
+from sdlap.matrices import _incidence_stack
 
 from conftest import (
     oracle_1forests,
@@ -995,6 +995,35 @@ def test_verify_all_solves_each_distinct_laplacian_once(monkeypatch):
     assert sum(stacked) == 727
 
 
+@pytest.mark.parametrize("injection", [None, "det-always-1", "eigenvalues-minus-1"])
+def test_stacked_checks_report_the_same_wherever_runs_end(monkeypatch, injection):
+    # A run of stacked checks ends once its instances may test _CHUNK_ENTRIES
+    # Laplacian entries; at the default sizes one run holds every instance.
+    # Smaller bounds end runs amid instances of mixed orders, and a bound of
+    # 1 makes every instance a run of its own.
+    import sdlap.verify
+
+    real = sdlap.verify._eigenvalues
+    shift = 1 if injection == "eigenvalues-minus-1" else 0
+    solves = []
+
+    def counted(stack):
+        solves.append(len(stack))
+        return real(stack) - shift
+
+    monkeypatch.setattr(sdlap.verify, "_eigenvalues", counted)
+    if injection == "det-always-1":
+        monkeypatch.setattr(sdlap.verify, "det_exact", lambda m: 1)
+    suites = ("balance-equivalence", "cospectrality")
+    expected = [sdlap.verify.run_suite(s).to_json_obj() for s in suites]
+    assert len(solves) == 14 and expected[0]["passed"] == (injection is None)
+    for bound in (1, 97, 2000):
+        monkeypatch.setattr(sdlap.verify, "_CHUNK_ENTRIES", bound)
+        solves.clear()
+        assert [sdlap.verify.run_suite(s).to_json_obj() for s in suites] == expected
+        assert len(solves) > 14 and (bound > 1 or len(solves) == 600)
+
+
 def test_out_of_memory_ends_in_one_line_without_a_traceback(tmp_path):
     # The child may use at most 3 GB of address space, so the 9.31 GiB
     # frontier of this cycle's distance table cannot be allocated. One
@@ -1044,9 +1073,8 @@ def test_a_memory_error_without_a_message_is_named(capsys, monkeypatch):
      "(det_max=-1, det_min=-1, compatible=True)", "instance 0: negative determinant"),
     ("transmission-shift", "sdlap.verify.transmission", lambda table: transmission(table) + 1,
      "C3 allpos: transmissions [3] != 2", None),
-    ("incidence-factorization", "sdlap.verify.incidence_matrix",
-     lambda g, orientation: IncidenceMatrix(2 * incidence_matrix(g, orientation).entries,
-                                            orientation),
+    ("incidence-factorization", "sdlap.verify._incidence_stack",
+     lambda g, ends: 2 * _incidence_stack(g, ends),
      "instance 0: factorization deviation 15", None),
 ], ids=["forest-sum-off-by-one", "certificate-rejected", "det-always-1", "det-always-minus-1",
         "transmission-off-by-one", "incidence-doubled"])
