@@ -81,12 +81,19 @@ class BalanceReport:
     determinant: int | None = None
 
     def verify(self, g: SignedGraph) -> bool:
-        """Check the certificate against the graph it was issued for."""
-        if self.balanced:
-            switched = switch(g, self.certificate)
-            return all(s == POSITIVE for _, _, s in switched.edges)
+        """Check the certificate against the graph it was issued for.
+
+        Never raises: a certificate that is not a switching function of g,
+        or not a closed walk of g, fails. Any closed negative walk passes,
+        since it proves unbalance as well as a cycle does.
+        """
         cycle = self.certificate
-        return path_sign(g, tuple(cycle) + (cycle[0],)) == NEGATIVE
+        try:
+            if self.balanced:
+                return all(s == POSITIVE for _, _, s in switch(g, cycle).edges)
+            return path_sign(g, tuple(cycle) + tuple(cycle[:1])) == NEGATIVE
+        except ValueError:  # a wrong length or value, or a step that is no edge
+            return False
 
     def to_json_obj(self) -> dict:
         if self.balanced:

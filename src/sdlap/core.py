@@ -295,7 +295,7 @@ def parse_edge_list(text: str) -> SignedGraph:
         if key in seen:
             raise GraphFormatError(f"duplicate edge between {u} and {v}", lineno)
         seen.add(key)
-        edges.append((u - 1, v - 1, sign))
+        edges.append(key + (sign,))
         weights.append(weight)
     if n is None:
         raise GraphFormatError("missing vertex count line")
@@ -303,7 +303,8 @@ def parse_edge_list(text: str) -> SignedGraph:
     if inexact and all(w.is_integer() for w in weights):
         lineno, token = inexact
         raise GraphFormatError(f"integer weight {token} is not a float64 value", lineno)
-    return SignedGraph(n, tuple(edges), tuple(weights))
+    # every field was checked above, line by line
+    return SignedGraph._trusted(n, tuple(edges), tuple(weights))
 
 
 def _format_weight(w: float) -> str:

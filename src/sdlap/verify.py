@@ -8,13 +8,15 @@ ValueError at sizes that would test nothing. The spectral suites also
 fail on a distance Laplacian that is not positive semidefinite.
 
 balance-equivalence and cospectrality reach the signs through
-distance_matrix, once per instance and kind. They form the Laplacians
-and check them in stacks, one per matrix order for a run of instances
-(_Batch): the entrywise identities on whole stacks, then the
-determinants one instance at a time, then one eigensolve per stack.
-balance-equivalence gives Laplacians with equal entries one determinant
-and one spectrum. incidence-factorization builds the orientations of a
-graph as one stack of incidence matrices.
+distance_matrix, once per instance and kind. They cut their stream of
+instances into runs (_runs) and stack each run's matrices by order
+(_by_order): the Laplacians and the entrywise identities are formed on
+whole stacks, with one eigensolve per stack, and then each instance is
+checked in turn, its determinants included, so that failures are
+recorded in instance order wherever a run ends. balance-equivalence
+gives Laplacians with equal entries one determinant and one spectrum.
+incidence-factorization builds the orientations of a graph as one stack
+of incidence matrices.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _PSD_TOL = 1e-8
 _ORIENTATIONS_PER_GRAPH = 3
 _WEIGHT_RANGE = (1, 5)
 _MAX_FAILURES_KEPT = 10
-# A run of instances checked in stacks (_Batch) ends once the Laplacians
+# A run of instances checked in stacks (_runs) ends once the Laplacians
 # it may test for positive semidefiniteness hold this many entries (512 KiB
 # as float64): at the default n_max = 8 one run holds every instance.
 _CHUNK_ENTRIES = 1 << 16
@@ -101,62 +103,37 @@ def _random_integer_weights(rng: random.Random, m: int) -> tuple[float, ...]:
     return tuple(float(rng.randint(*_WEIGHT_RANGE)) for _ in range(m))
 
 
-def _psd_minimum(record, values, label: str) -> float:
+def _psd_minimum(report: SuiteReport, values, label: str) -> float:
     """Smallest of a distance Laplacian's ascending eigenvalues (the first
-    and last suffice); passes a message to record if it is negative."""
+    and last suffice); records a failure in report if it is negative."""
     if values[0] < -_PSD_TOL * max(1.0, values[-1]):
-        record(f"{label}: negative eigenvalue {values[0]:g}")
+        report.record_failure(f"{label}: negative eigenvalue {values[0]:g}")
     return values[0]
 
 
-class _Batch:
-    """A run of a suite's instances, checked in one stack per matrix order.
+def _runs(instances, laplacians: int):
+    """Cut a stream of instances, each a tuple whose first value is an
+    n x n matrix, into runs: a run ends once its instances may test
+    Laplacians of _CHUNK_ENTRIES entries, laplacians of order n each."""
+    run, entries = [], 0
+    for instance in instances:
+        run.append(instance)
+        entries += laplacians * len(instance[0]) ** 2
+        if entries >= _CHUNK_ENTRIES:
+            yield run
+            run, entries = [], 0
+    if run:
+        yield run
 
-    After the checks it makes one instance at a time, a suite hands add()
-    the instance's failure list and the values its other checks need, the
-    first an n x n matrix. Once the run may test Laplacians of
-    _CHUNK_ENTRIES entries, and at the end of the suite, flush() groups
-    the instances by order, stacks each array value (other values stay
-    lists) and calls check(failure lists, *values). check returns a stack
-    of Laplacians to test for positive semidefiniteness and, for each, the
-    failure list and labels it is checked under; flush solves the stack in
-    one eigensolve and records every failure in instance order, so the
-    report is the one that checking one instance at a time gives.
-    """
 
-    def __init__(self, report: SuiteReport, check, laplacians: int):
-        self.report = report
-        self.check = check
-        self.laplacians = laplacians  # the most one instance tests
-        self.min_eig = float("inf")
-        self._instances: list[list[str]] = []
-        self._by_order: dict[int, tuple[list, list[list]]] = {}
-        self._entries = 0
-
-    def add(self, failures: list[str], *values) -> None:
-        n = len(values[0])
-        self._instances.append(failures)
-        members, columns = self._by_order.setdefault(n, ([], [[] for _ in values]))
-        members.append(failures)
-        for column, value in zip(columns, values):
-            column.append(value)
-        self._entries += self.laplacians * n * n
-        if self._entries >= _CHUNK_ENTRIES:
-            self.flush()
-
-    def flush(self) -> None:
-        for members, columns in self._by_order.values():
-            stacks = [np.stack(c) if isinstance(c[0], np.ndarray) else c for c in columns]
-            laplacians, owners = self.check(members, *stacks)
-            # the smallest and largest eigenvalue of each Laplacian
-            extremes = _eigenvalues(laplacians)[:, [0, -1]].tolist()
-            for (failures, labels), pair in zip(owners, extremes):
-                for label in labels:
-                    self.min_eig = min(self.min_eig, _psd_minimum(failures.append, pair, label))
-        for failures in self._instances:
-            for message in failures:
-                self.report.record_failure(message)
-        self._instances, self._by_order, self._entries = [], {}, 0
+def _by_order(run) -> dict:
+    """A run's instances grouped by matrix order: for each order, one column
+    per value in instance order, its array values stacked."""
+    groups: dict[int, list] = {}
+    for instance in run:
+        groups.setdefault(len(instance[0]), []).append(instance)
+    return {n: [np.stack(c) if isinstance(c[0], np.ndarray) else c for c in zip(*members)]
+            for n, members in groups.items()}
 
 
 def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> SuiteReport:
@@ -197,72 +174,75 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
     L^pm == L^max on a compatible graph, and that both
     distance Laplacians are positive semidefinite, reporting the smallest
     eigenvalue seen. Each instance reaches the signs through
-    distance_matrix, once per kind; the Laplacians and the checks on
-    them are formed in stacks (_Batch). Laplacians with equal entries
-    share one determinant and one spectrum.
+    distance_matrix, once per kind; the Laplacians and the entrywise
+    checks on them are formed in stacks, one per order in a run.
+    Laplacians with equal entries share one determinant and one spectrum.
     """
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("balance-equivalence", True, count)
 
-    def check(failures, dmax, dmin, dpm, dist, both, index, balanced, compatible):
-        lmax, lmin = _laplacian(dist, dmax), _laplacian(dist, dmin)
-        # D^max - D^min is 2d on a pair with shortest paths of both signs
-        # and 0 on any other: nonnegative, and zero exactly on the
-        # compatible pairs. It is also L^min - L^max.
-        gap = dmax - dmin
-        wrong_gap = (gap != 2 * dist * both).any(axis=(1, 2)).tolist()
-        differs = gap.any(axis=(1, 2))
-        # an incompatible instance has no D^pm: D^max stands in, unused
-        pm_same = (dpm == dmax).all(axis=(1, 2)).tolist()
-        max_owners, min_owners = [], []
-        for k, (i, distinct) in enumerate(zip(index, differs.tolist())):
-            if wrong_gap[k]:
-                failures[k].append(f"instance {i}: D^max - D^min is not 2d on the pairs "
-                                   f"with shortest paths of both signs and 0 elsewhere")
-            if compatible[k] and not pm_same[k]:
-                failures[k].append(f"instance {i}: L^pm != L^max on a compatible graph")
-            det_max = det_exact(lmax[k])
-            det_min = det_exact(lmin[k]) if distinct else det_max
-            pm_verdict = compatible[k] and (
-                det_max if pm_same[k] else det_exact(_laplacian(dist[k], dpm[k]))) == 0
-            verdicts = (balanced[k], det_max == 0, det_min == 0, pm_verdict)
+    def instances():
+        for i in range(count):
+            g = _random_connected(rng, n_max)
+            table = distance_table(g)
+            dmax = distance_matrix(table, "max").entries
+            dmin = distance_matrix(table, "min").entries
+            try:
+                dpm = distance_matrix(table, "pm").entries
+            except IncompatibleGraphError:
+                dpm = None
+            # an incompatible instance has no D^pm: D^max stands in, unused
+            yield (dmax, dmin, dmax if dpm is None else dpm, table.dist, table.pos & table.neg,
+                   i, g, dpm is not None)
+
+    balanced_count = 0
+    min_eig = float("inf")
+    for run in _runs(instances(), 2):
+        stacked = {}
+        for n, (dmax, dmin, dpm, dist, both, *_) in _by_order(run).items():
+            lmax, lmin = _laplacian(dist, dmax), _laplacian(dist, dmin)
+            # D^max - D^min is 2d on a pair with shortest paths of both signs
+            # and 0 on any other: nonnegative, and zero exactly on the
+            # compatible pairs. It is also L^min - L^max.
+            gap = dmax - dmin
+            differs = gap.any(axis=(1, 2))
+            # the smallest and largest eigenvalue of each L^max, then of each
+            # L^min that differs from it; an equal L^min shares its spectrum
+            extremes = _eigenvalues(np.concatenate((lmax, lmin[differs])))[:, [0, -1]].tolist()
+            rest = iter(extremes[len(lmax):])
+            stacked[n] = iter(zip(
+                lmax, lmin, differs.tolist(), (gap != 2 * dist * both).any(axis=(1, 2)).tolist(),
+                (dpm == dmax).all(axis=(1, 2)).tolist(), extremes,
+                [next(rest) if d else e for d, e in zip(differs, extremes)]))
+        for _, _, dpm, dist, _, i, g, compatible in run:
+            lmax, lmin, distinct, wrong_gap, pm_same, max_pair, min_pair = next(stacked[g.n])
+            sw = is_balanced_switching(g)
+            balanced_count += sw.balanced
+            if not sw.verify(g):
+                report.record_failure(f"instance {i}: certificate failed to verify")
+            if wrong_gap:
+                report.record_failure(f"instance {i}: D^max - D^min is not 2d on the pairs "
+                                      f"with shortest paths of both signs and 0 elsewhere")
+            if compatible and not pm_same:
+                report.record_failure(f"instance {i}: L^pm != L^max on a compatible graph")
+            det_max = det_exact(lmax)
+            det_min = det_exact(lmin) if distinct else det_max
+            pm_verdict = compatible and (
+                det_max if pm_same else det_exact(_laplacian(dist, dpm))) == 0
+            verdicts = (sw.balanced, det_max == 0, det_min == 0, pm_verdict)
             if len(set(verdicts)) != 1:
-                failures[k].append(
+                report.record_failure(
                     f"instance {i}: verdicts {verdicts} disagree "
-                    f"(det_max={det_max}, det_min={det_min}, compatible={compatible[k]})"
+                    f"(det_max={det_max}, det_min={det_min}, compatible={compatible})"
                 )
             if det_max < 0 or det_min < 0:
-                failures[k].append(f"instance {i}: negative determinant")
-            labels = (f"instance {i} lmax", f"instance {i} lmin")
-            if distinct:
-                min_owners.append((failures[k], labels[1:]))
-                labels = labels[:1]
-            max_owners.append((failures[k], labels))
-        return np.concatenate((lmax, lmin[differs])), max_owners + min_owners
-
-    batch = _Batch(report, check, 2)
-    balanced_count = 0
-    for i in range(count):
-        g = _random_connected(rng, n_max)
-        failures = []
-        sw = is_balanced_switching(g)
-        if not sw.verify(g):
-            failures.append(f"instance {i}: certificate failed to verify")
-        balanced_count += sw.balanced
-        table = distance_table(g)
-        dmax = distance_matrix(table, "max").entries
-        dmin = distance_matrix(table, "min").entries
-        try:
-            dpm = distance_matrix(table, "pm").entries
-        except IncompatibleGraphError:
-            dpm = None
-        batch.add(failures, dmax, dmin, dmax if dpm is None else dpm, table.dist,
-                  table.pos & table.neg, i, sw.balanced, dpm is not None)
-    batch.flush()
+                report.record_failure(f"instance {i}: negative determinant")
+            min_eig = min(min_eig, _psd_minimum(report, max_pair, f"instance {i} lmax"),
+                          _psd_minimum(report, min_pair, f"instance {i} lmin"))
     report.details["balanced"] = balanced_count
     report.details["unbalanced"] = count - balanced_count
-    report.details["min_eigenvalue"] = batch.min_eig
+    report.details["min_eigenvalue"] = min_eig
     return report
 
 
@@ -272,37 +252,41 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
     cospectral. Checks that identity on L^pm entrywise in int64, reporting
     the largest entry difference, and that L(switch(g, ζ)) is positive
     semidefinite. Each instance reaches the signs through distance_matrix;
-    the Laplacians and the checks on them are formed in stacks (_Batch)."""
+    the Laplacians and the checks on them are formed in stacks, one per
+    order in a run."""
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("cospectrality", True, count)
+
+    def instances():
+        for i in range(count):
+            n = rng.randint(2, n_max)
+            p = 1.0 if n <= 2 else rng.uniform(0.3, 0.95)
+            g_pos = generate("random", n, signs="allpos", seed=rng.getrandbits(32), p=p)
+            zeta = [rng.choice((1, -1)) for _ in range(n)]
+            table = distance_table(switch(g_pos, zeta))
+            table_pos = distance_table(g_pos)
+            yield (distance_matrix(table, "pm").entries, table.dist,
+                   distance_matrix(table_pos, "pm").entries, table_pos.dist,
+                   np.array(zeta, dtype=np.int64), i)
+
     max_dev = 0
-
-    def check(failures, d, dist, d_pos, dist_pos, z, index):
-        nonlocal max_dev
-        lap = _laplacian(dist, d)
-        zlz = z[:, :, None] * _laplacian(dist_pos, d_pos) * z[:, None, :]
-        devs = np.abs(lap - zlz).max(axis=(1, 2)).tolist()
-        for k, i in enumerate(index):
-            max_dev = max(max_dev, devs[k])
-            if devs[k]:
-                failures[k].append(f"instance {i}: L differs from Z·L·Z by {devs[k]}")
-        return lap, [(f, (f"instance {i}",)) for f, i in zip(failures, index)]
-
-    batch = _Batch(report, check, 1)
-    for i in range(count):
-        n = rng.randint(2, n_max)
-        p = 1.0 if n <= 2 else rng.uniform(0.3, 0.95)
-        g_pos = generate("random", n, signs="allpos", seed=rng.getrandbits(32), p=p)
-        zeta = [rng.choice((1, -1)) for _ in range(n)]
-        table = distance_table(switch(g_pos, zeta))
-        table_pos = distance_table(g_pos)
-        batch.add([], distance_matrix(table, "pm").entries, table.dist,
-                  distance_matrix(table_pos, "pm").entries, table_pos.dist,
-                  np.array(zeta, dtype=np.int64), i)
-    batch.flush()
+    min_eig = float("inf")
+    for run in _runs(instances(), 1):
+        stacked = {}
+        for n, (d, dist, d_pos, dist_pos, z, _) in _by_order(run).items():
+            lap = _laplacian(dist, d)
+            zlz = z[:, :, None] * _laplacian(dist_pos, d_pos) * z[:, None, :]
+            stacked[n] = iter(zip(np.abs(lap - zlz).max(axis=(1, 2)).tolist(),
+                                  _eigenvalues(lap)[:, [0, -1]].tolist()))
+        for d, *_, i in run:
+            dev, extremes = next(stacked[len(d)])
+            max_dev = max(max_dev, dev)
+            if dev:
+                report.record_failure(f"instance {i}: L differs from Z·L·Z by {dev}")
+            min_eig = min(min_eig, _psd_minimum(report, extremes, f"instance {i}"))
     report.details["max_deviation"] = max_dev
-    report.details["min_eigenvalue"] = batch.min_eig
+    report.details["min_eigenvalue"] = min_eig
     return report
 
 
@@ -340,8 +324,7 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
                         f"C{n} {signs} {kind}: deviation {dev:g} from cycle_spectrum"
                     )
                 max_dev = max(max_dev, dev)
-                min_eig = min(min_eig, _psd_minimum(report.record_failure, values,
-                                                    f"C{n} {signs} {kind}"))
+                min_eig = min(min_eig, _psd_minimum(report, values, f"C{n} {signs} {kind}"))
             if sign < 0 and n % 2:
                 printed = odd_cycle_formula_spectrum(n // 2).eigenvalues
                 printed_dev = max(printed_dev,

@@ -66,6 +66,20 @@ def test_switching_oracle_on_all_negative_triangle():
     assert report.verify(g)
 
 
+@pytest.mark.parametrize("balanced, certificate, valid", [
+    (False, (), False),  # no cycle at all
+    (False, (0, 2), False),  # not adjacent
+    (False, (0, 9), False),  # no such vertex
+    (True, (1, 1), False),  # a switching function of the wrong length
+    (True, (1, 0, 1, 1), False),  # a switching value that is not +-1
+    (False, (0, 1, 2, 3), True),
+    (False, (0, 1, 0, 1, 2, 3), True),  # a closed negative walk proves unbalance too
+])
+def test_malformed_certificates_fail_without_raising(balanced, certificate, valid):
+    g = generate("cycle", 4, "+++-")
+    assert BalanceReport(balanced, "switching", certificate).verify(g) is valid
+
+
 def test_trees_are_always_balanced():
     rng = random.Random(3)
     for _ in range(20):

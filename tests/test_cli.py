@@ -995,16 +995,19 @@ def test_verify_all_solves_each_distinct_laplacian_once(monkeypatch):
     assert sum(stacked) == 727
 
 
-@pytest.mark.parametrize("injection", [None, "det-always-1", "eigenvalues-minus-1"])
+@pytest.mark.parametrize("injection", [None, "det-always-1", "eigenvalues-minus-1",
+                                       "certificate-and-eigenvalues-minus-1"])
 def test_stacked_checks_report_the_same_wherever_runs_end(monkeypatch, injection):
     # A run of stacked checks ends once its instances may test _CHUNK_ENTRIES
     # Laplacian entries; at the default sizes one run holds every instance.
     # Smaller bounds end runs amid instances of mixed orders, and a bound of
-    # 1 makes every instance a run of its own.
+    # 1 makes every instance a run of its own. The last injection fails a
+    # check of one instance at a time and a stacked check on each instance,
+    # so it pins the order of the failures within an instance too.
     import sdlap.verify
 
     real = sdlap.verify._eigenvalues
-    shift = 1 if injection == "eigenvalues-minus-1" else 0
+    shift = 1 if injection in ("eigenvalues-minus-1", "certificate-and-eigenvalues-minus-1") else 0
     solves = []
 
     def counted(stack):
@@ -1014,6 +1017,8 @@ def test_stacked_checks_report_the_same_wherever_runs_end(monkeypatch, injection
     monkeypatch.setattr(sdlap.verify, "_eigenvalues", counted)
     if injection == "det-always-1":
         monkeypatch.setattr(sdlap.verify, "det_exact", lambda m: 1)
+    if injection == "certificate-and-eigenvalues-minus-1":
+        monkeypatch.setattr("sdlap.balance.BalanceReport.verify", lambda report, g: False)
     suites = ("balance-equivalence", "cospectrality")
     expected = [sdlap.verify.run_suite(s).to_json_obj() for s in suites]
     assert len(solves) == 14 and expected[0]["passed"] == (injection is None)

@@ -78,6 +78,17 @@ def test_parse_accepts_comments_and_numeric_signs():
     assert wg.integer_weights
 
 
+@pytest.mark.parametrize("text", [
+    "3\n2 1 -\n3 2 +\n1 3 -",  # reversed endpoints
+    "3\n1 2 + 2.5\n3 1 - 4",  # weights
+    "# header\n3\n# edges\n1 2 +\n# done",  # comment lines
+    "4",  # no edges
+])
+def test_parsed_graph_equals_the_validated_graph(text):
+    g = parse_edge_list(text)
+    assert g == SignedGraph(g.n, g.edges, g.weights)
+
+
 @pytest.mark.parametrize(
     "text, line, fragment",
     [

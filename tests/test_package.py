@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,34 @@ def test_package_imports_only_at_module_level():
               for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
     assert nested == []
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each identifier is named in a subtree: as a variable, an
+    attribute, an imported name or a string (the CLI loads some by name)."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found[n.value] += 1
+    return found
+
+
+def test_every_private_function_and_class_is_used():
+    # A private helper that nothing names outside its own definition is dead.
+    modules = _modules()
+    everywhere = sum((_names(tree) for tree in modules.values()), Counter())
+    private = [(name, node) for name, tree in modules.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and re.fullmatch(r"_[^_].*", node.name)]
+    assert len(private) > 50
+    assert [f"{name}.py:{node.lineno} {node.name}" for name, node in private
+            if everywhere[node.name] == _names(node)[node.name]] == []
 
 
 def _edges(tree: ast.Module, siblings) -> set[str]:
