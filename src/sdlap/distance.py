@@ -109,9 +109,13 @@ def distance_table(g: SignedGraph) -> DistanceTable:
     found, level = (_small_levels if n <= _SMALL_ORDER else _levels)(g)
     used = 2 + max(1, level.bit_length())
     bits = np.unpackbits(found[:used].view(np.uint8), axis=2, count=n, bitorder="little")
-    dist = bits[2].astype(np.int64)
+    # OR the planes in the narrowest dtype that holds every distance, a
+    # byte up to 255 levels, and widen to int64 once
+    narrow = np.min_scalar_type(level)
+    dist = bits[2].astype(narrow)
     for b in range(1, used - 2):
-        dist |= np.left_shift(bits[2 + b], b, dtype=np.int64)
+        dist |= np.left_shift(bits[2 + b], b, dtype=narrow)
+    dist = dist.astype(np.int64)
     dist.setflags(write=False)
     return DistanceTable(dist, bits[0].view(bool), bits[1].view(bool))
 

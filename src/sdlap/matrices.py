@@ -16,32 +16,64 @@ import numpy as np
 from .core import SignedGraph, canonical_orientation
 
 
-def _joined_rows(rows: np.ndarray, sep: str, num):
-    """Each row of a block as the text num gives its entries, joined by sep.
+# Most entries that _write_tokens joins into one write
+_CHUNK_ENTRIES = 1 << 16
 
-    An integer block whose values span no more numbers than it has entries
-    formats each value that occurs once, into a table indexed by value - lo,
-    and builds every row from that table; one row of offsets at a time, so
-    the extra memory is O(span + row length). Wider spans and float blocks
-    format entry by entry.
+
+def _joined_rows(rows: np.ndarray, sep: str, num):
+    """Each row of a block as the text num gives its entries, joined by
+    sep; one entry at a time, for the blocks that _write_tokens leaves."""
+    return (sep.join(map(num, row.tolist())) for row in rows)
+
+
+def _write_tokens(out: TextIO, rows: np.ndarray, num, marks: tuple[str, ...]) -> bool:
+    """Write a non-empty integer block whose values span no more numbers
+    than it has entries, and return True; return False, writing nothing,
+    for any other block.
+
+    marks are the text before the block, then the texts that end an
+    entry, a row's last entry and the block's last entry: the three
+    classes of one token table indexed by (class, value - lo). The block
+    is read in chunks of whole rows, at most _CHUNK_ENTRIES entries each
+    unless one row is longer: a first pass marks the tokens it uses and
+    each is formatted once, then a second writes the joined tokens of a
+    chunk at a time. Time is O(size + span), extra memory O(chunk + span).
     """
-    per_entry = (sep.join(map(num, row.tolist())) for row in rows)
     if not (rows.size and np.issubdtype(rows.dtype, np.integer)):
-        return per_entry
+        return False
     lo, hi = int(rows.min()), int(rows.max())
-    if hi - lo >= rows.size:
-        return per_entry
+    span = hi - lo + 1
+    if span > rows.size:
+        return False
     # row - lo lies in 0..hi - lo, so it is exact modulo 2**bits: viewed as
     # unsigned, it is right even where it wraps in a narrow signed dtype.
     unsigned = np.dtype(f"u{rows.itemsize}")
     shift = rows.dtype.type(lo)
-    occurs = np.zeros(hi - lo + 1, dtype=bool)
-    for row in rows:
-        occurs[(row - shift).view(unsigned)] = True
-    table = np.empty(hi - lo + 1, dtype=object)
-    for k in np.flatnonzero(occurs).tolist():
-        table[k] = num(lo + k)
-    return (sep.join(table[(row - shift).view(unsigned)].tolist()) for row in rows)
+    step = max(1, _CHUNK_ENTRIES // rows.shape[1])
+
+    def chunks():
+        # each chunk's token ids: value - lo, plus span on a row's last
+        # entry and another span on the block's last entry
+        for start in range(0, len(rows), step):
+            ids = (rows[start:start + step] - shift).view(unsigned).astype(np.intp)
+            ids[:, -1] += span
+            if start + step >= len(rows):
+                ids[-1, -1] += span
+            yield ids.ravel()
+
+    used = np.zeros(3 * span, dtype=bool)
+    for ids in chunks():
+        used[ids] = True
+    before, *ends = marks
+    table = np.empty((3, span), dtype=object)
+    for tokens, end, hit in zip(table, ends, used.reshape(3, span)):
+        found = np.flatnonzero(hit)
+        tokens[found] = [num(lo + k) + end for k in found.tolist()]
+    table = table.ravel()
+    out.write(before)
+    for ids in chunks():
+        out.write("".join(table.take(ids).tolist()))
+    return True
 
 
 def _csv_entry(x) -> str:
@@ -59,31 +91,43 @@ def _json_entry(x) -> str:
     return json.dumps(x.item() if isinstance(x, np.generic) else x)
 
 
+# The text before a block, after an entry, after a row's last entry and
+# after the block's last entry, in each format.
+_CSV_MARKS = ("", ",", "\n", "\n")
+_JSON_MARKS = ("\n    [\n      ", ",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]")
+
+
 def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
-    """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n",
-    one row at a time. CSV floats get .12g, and a block of another dtype
-    goes entry by entry through _csv_entry. JSON gets repr for finite
-    numbers, and _json_entry for any other block: NaN/inf, bools, whose
-    repr is not JSON, and object blocks."""
+    """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n".
+
+    An integer block whose values span no more numbers than it has entries
+    goes out through _write_tokens, in chunks of whole rows; any other
+    block one row at a time, entry by entry. CSV floats get .12g, and a
+    block that is neither integer nor float goes through _csv_entry. JSON
+    gets repr for finite numbers, and _json_entry for any other block:
+    NaN/inf, bools, whose repr is not JSON, and object blocks."""
     if fmt == "csv":
-        dtype = blocks["rows"].dtype
-        if np.issubdtype(dtype, np.integer):
+        rows = blocks["rows"]
+        if np.issubdtype(rows.dtype, np.integer):
             num = str
-        elif np.issubdtype(dtype, np.floating):
+        elif np.issubdtype(rows.dtype, np.floating):
             num = "%.12g".__mod__
         else:
             num = _csv_entry
-        out.writelines(text + "\n" for text in _joined_rows(blocks["rows"], ",", num))
+        if not _write_tokens(out, rows, num, _CSV_MARKS):
+            out.writelines(text + "\n" for text in _joined_rows(rows, ",", num))
         return out
     lead = "{\n" + "".join(f'  "{k}": {json.dumps(v)},\n' for k, v in header.items())
     for key, rows in blocks.items():
         out.write(f'{lead}  "{key}": [')
-        finite = np.issubdtype(rows.dtype, np.number) and np.isfinite(rows).all()
+        finite = np.issubdtype(rows.dtype, np.integer) or (
+            np.issubdtype(rows.dtype, np.number) and np.isfinite(rows).all())
         num = repr if finite else _json_entry
-        for i, items in enumerate(_joined_rows(rows, ",\n      ", num)):
-            row_text = f"[\n      {items}\n    ]" if items else "[]"
-            out.write(f"{',' if i else ''}\n    {row_text}")
-        out.write("\n  ]" if len(rows) else "]")
+        if not _write_tokens(out, rows, num, _JSON_MARKS):
+            for i, items in enumerate(_joined_rows(rows, ",\n      ", num)):
+                row_text = f"[\n      {items}\n    ]" if items else "[]"
+                out.write(f"{',' if i else ''}\n    {row_text}")
+            out.write("\n  ]" if len(rows) else "]")
         lead = ",\n"
     out.write("\n}\n")
     return out

@@ -13,6 +13,7 @@ from sdlap import (
     adjacency_matrix,
     associated_complete,
     distance_laplacian,
+    distance_matrix,
     distance_table,
     generate,
     incidence_matrix,
@@ -294,6 +295,17 @@ def test_square_matrix_writes_bools_as_json_literals():
     assert m.write(io.StringIO(), "csv").getvalue() == "1,0\n0,1\n"
 
 
+# Entry bounds for the chunks of the writer's table route: None keeps the
+# default. A bound of 1 writes one row per chunk; at 7 a 3 x 3 block goes
+# out as two rows and then one, and an m x 2 block three rows at a time.
+CHUNK_BOUNDS = (None, 1, 7)
+
+
+def _both_formats(matrix):
+    return (matrix.write(io.StringIO(), "json").getvalue(),
+            matrix.write(io.StringIO(), "csv").getvalue())
+
+
 _INT64 = np.iinfo(np.int64)
 
 
@@ -314,13 +326,76 @@ _INT64 = np.iinfo(np.int64)
     # numpy scalars, which json.dumps cannot encode, among Python ints
     np.array([[np.int64(2), 1], [1, 3]], dtype=object),
     np.array([[np.uint64(2**64 - 1), np.int8(-7)], [np.int8(-7), 2**70]], dtype=object),
+    # each of 3600 values once, shuffled: the span is the size, and every
+    # chunk holds values no earlier chunk held
+    (np.random.default_rng(5).permutation(3600) - 1000).astype(np.int16).reshape(60, 60),
 ], ids=["0x0", "1x1", "negative", "int64-min-and-max", "int32", "uint8", "int8-all",
         "uint64-top", "object-past-uint64", "object-both-signs", "object-numpy-int64",
-        "object-numpy-mixed"])
-def test_square_matrix_writes_integer_blocks_like_the_oracle(entries):
+        "object-numpy-mixed", "span-equals-size"])
+def test_square_matrix_writes_integer_blocks_like_the_oracle(monkeypatch, entries):
     m = SquareMatrix(entries, "custom")
-    assert m.write(io.StringIO(), "json").getvalue() == oracle_matrix_json(m)
-    assert m.write(io.StringIO(), "csv").getvalue() == oracle_matrix_csv(m.entries)
+    expected = oracle_matrix_json(m), oracle_matrix_csv(m.entries)
+    for bound in CHUNK_BOUNDS:
+        if bound is not None:
+            monkeypatch.setattr("sdlap.matrices._CHUNK_ENTRIES", bound)
+        assert _both_formats(m) == expected, bound
+
+
+def test_large_distance_matrices_write_like_the_oracle_at_every_chunk_bound(monkeypatch):
+    # 3000 entries are three rows of 1000, so the last chunk holds row 999 alone
+    table = distance_table(generate("random", 1000, 0.5, seed=11, p=0.008))
+    for m in (distance_laplacian(table, "min"), distance_matrix(table, "max")):
+        expected = oracle_matrix_json(m), oracle_matrix_csv(m.entries)
+        for bound in CHUNK_BOUNDS + (3000,):
+            if bound is not None:
+                monkeypatch.setattr("sdlap.matrices._CHUNK_ENTRIES", bound)
+            assert _both_formats(m) == expected, (m.kind, bound)
+
+
+@pytest.mark.parametrize("m", [4, 6], ids=["last-chunk-one-row", "whole-chunks"])
+def test_incidence_orientation_block_writes_like_the_oracle_at_every_chunk_bound(
+        monkeypatch, m):
+    # the path's orientation block has m rows of two values in 1..m + 1,
+    # so it takes the table route; its float rows go entry by entry
+    h = incidence_matrix(generate("path", m + 1, ("+-" * m)[:m]))
+    for bound in CHUNK_BOUNDS:
+        if bound is not None:
+            monkeypatch.setattr("sdlap.matrices._CHUNK_ENTRIES", bound)
+        assert h.write(io.StringIO(), "json").getvalue() == oracle_matrix_json(h), bound
+
+
+class _Pieces(io.StringIO):
+    """A text file that keeps each piece it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+# Each entry's text ends in exactly one of these marks, which no header
+# or trailer holds: a CSV entry in a comma or a row end, a JSON entry in
+# its separator or in a closing bracket on a line of its own.
+ENTRY_ENDS = {"csv": (",", "\n"), "json": (",\n      ", "\n    ]")}
+
+
+@pytest.mark.parametrize("fmt", sorted(ENTRY_ENDS))
+@pytest.mark.parametrize("bound, rows_per_chunk", [(1, 1), (7, 1), (20, 2), (64, 6)])
+def test_no_write_holds_more_than_one_chunk(monkeypatch, fmt, bound, rows_per_chunk):
+    # 10 x 10 entries in 0..99: the table route, at most bound // 10 rows a chunk
+    monkeypatch.setattr("sdlap.matrices._CHUNK_ENTRIES", bound)
+    m = SquareMatrix(np.arange(100).reshape(10, 10), "custom")
+    out = _Pieces()
+    m.write(out, fmt)
+    assert out.getvalue() == (oracle_matrix_json(m) if fmt == "json"
+                              else oracle_matrix_csv(m.entries))
+    entries = [sum(map(piece.count, ENTRY_ENDS[fmt])) for piece in out.pieces]
+    chunks = [count for count in entries if count]
+    assert max(chunks) <= 10 * rows_per_chunk
+    assert len(chunks) == -(-10 // rows_per_chunk) and sum(chunks) == 100
 
 
 def test_object_block_of_numpy_scalars_writes_like_python_numbers():
