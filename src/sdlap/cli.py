@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib.util
 import json
 import math
@@ -382,5 +383,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry: run main() on sys.argv, then freeze the heap and
+    exit with its code.
+
+    gc.freeze() moves every object tracked so far, numpy's included, to
+    the permanent generation, which the collections at interpreter
+    shutdown skip; atexit handlers, stream flushes and module teardown
+    still run. main() itself never freezes, so tests and library callers
+    that call it keep a normal collector."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

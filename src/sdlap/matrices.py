@@ -28,8 +28,8 @@ def _joined_rows(rows: np.ndarray, sep: str, num):
 
 def _write_tokens(out: TextIO, rows: np.ndarray, num, marks: tuple[str, ...]) -> bool:
     """Write a non-empty integer block whose values span no more numbers
-    than it has entries, and return True; return False, writing nothing,
-    for any other block.
+    than it has entries, and that uses at most one token per four entries,
+    and return True; return False, writing nothing, for any other block.
 
     marks are the text before the block, then the texts that end an
     entry, a row's last entry and the block's last entry: the three
@@ -38,6 +38,13 @@ def _write_tokens(out: TextIO, rows: np.ndarray, num, marks: tuple[str, ...]) ->
     unless one row is longer: a first pass marks the tokens it uses and
     each is formatted once, then a second writes the joined tokens of a
     chunk at a time. Time is O(size + span), extra memory O(chunk + span).
+
+    A block that uses more than one token per four entries is left to the
+    entry-by-entry route, which formats each entry in one C-level call:
+    a token costs about twice that. On shuffled 700 x 700 int64 blocks
+    the table route breaks even at about one token per 2.5 entries in
+    CSV and per 3.7 in JSON, and with every value distinct it takes 95 ms
+    against 47 ms (CSV) and 34 ms (JSON) entry by entry.
     """
     if not (rows.size and np.issubdtype(rows.dtype, np.integer)):
         return False
@@ -64,6 +71,8 @@ def _write_tokens(out: TextIO, rows: np.ndarray, num, marks: tuple[str, ...]) ->
     used = np.zeros(3 * span, dtype=bool)
     for ids in chunks():
         used[ids] = True
+    if np.count_nonzero(used) > rows.size // 4:
+        return False
     before, *ends = marks
     table = np.empty((3, span), dtype=object)
     for tokens, end, hit in zip(table, ends, used.reshape(3, span)):
@@ -100,9 +109,9 @@ _JSON_MARKS = ("\n    [\n      ", ",\n      ", "\n    ],\n    [\n      ", "\n   
 def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
     """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n".
 
-    An integer block whose values span no more numbers than it has entries
-    goes out through _write_tokens, in chunks of whole rows; any other
-    block one row at a time, entry by entry. CSV floats get .12g, and a
+    An integer block whose values span no more numbers than it has entries,
+    and whose tokens repeat, goes out through _write_tokens, in chunks of
+    whole rows; any other block one row at a time, entry by entry. CSV floats get .12g, and a
     block that is neither integer nor float goes through _csv_entry. JSON
     gets repr for finite numbers, and _json_entry for any other block:
     NaN/inf, bools, whose repr is not JSON, and object blocks."""

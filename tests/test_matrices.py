@@ -20,7 +20,7 @@ from sdlap import (
     weighted_degree_matrix,
     weighted_laplacian,
 )
-from sdlap.matrices import SquareMatrix
+from sdlap.matrices import SquareMatrix, _write_tokens
 
 from conftest import (
     classic_laplacian,
@@ -329,9 +329,15 @@ _INT64 = np.iinfo(np.int64)
     # each of 3600 values once, shuffled: the span is the size, and every
     # chunk holds values no earlier chunk held
     (np.random.default_rng(5).permutation(3600) - 1000).astype(np.int16).reshape(60, 60),
+    # blocks whose tokens repeat, so that they take the table route: every
+    # int8 value 16 times, where value - min wraps in int8, and the top two
+    # uint64 values
+    np.random.default_rng(6).permutation(np.arange(-128, 128).repeat(16)).astype(
+        np.int8).reshape(64, 64),
+    np.where(np.eye(8, dtype=bool), 2**64 - 2, 2**64 - 1).astype(np.uint64),
 ], ids=["0x0", "1x1", "negative", "int64-min-and-max", "int32", "uint8", "int8-all",
         "uint64-top", "object-past-uint64", "object-both-signs", "object-numpy-int64",
-        "object-numpy-mixed", "span-equals-size"])
+        "object-numpy-mixed", "span-equals-size", "int8-repeated", "uint64-top-repeated"])
 def test_square_matrix_writes_integer_blocks_like_the_oracle(monkeypatch, entries):
     m = SquareMatrix(entries, "custom")
     expected = oracle_matrix_json(m), oracle_matrix_csv(m.entries)
@@ -352,16 +358,35 @@ def test_large_distance_matrices_write_like_the_oracle_at_every_chunk_bound(monk
             assert _both_formats(m) == expected, (m.kind, bound)
 
 
-@pytest.mark.parametrize("m", [4, 6], ids=["last-chunk-one-row", "whole-chunks"])
+@pytest.mark.parametrize("n", [14, 13], ids=["last-chunk-one-row", "whole-chunks"])
 def test_incidence_orientation_block_writes_like_the_oracle_at_every_chunk_bound(
-        monkeypatch, m):
-    # the path's orientation block has m rows of two values in 1..m + 1,
-    # so it takes the table route; its float rows go entry by entry
-    h = incidence_matrix(generate("path", m + 1, ("+-" * m)[:m]))
+        monkeypatch, n):
+    # K_n's orientation block has n(n - 1)/2 rows of two values in 1..n,
+    # 91 or 78 rows, so it takes the table route, three rows a chunk at a
+    # bound of 7; its float rows go entry by entry
+    h = incidence_matrix(generate("complete", n, 0.5, seed=n))
     for bound in CHUNK_BOUNDS:
         if bound is not None:
             monkeypatch.setattr("sdlap.matrices._CHUNK_ENTRIES", bound)
         assert h.write(io.StringIO(), "json").getvalue() == oracle_matrix_json(h), bound
+
+
+def test_table_route_is_taken_only_where_tokens_repeat(monkeypatch):
+    routes = []
+    monkeypatch.setattr("sdlap.matrices._write_tokens",
+                        lambda *args: routes.append(_write_tokens(*args)) or routes[-1])
+    # 490,000 distinct values, shuffled: the span is the size, but each
+    # entry has a token of its own, so every entry is formatted on its own
+    distinct = SquareMatrix(np.random.default_rng(7).permutation(700 * 700).reshape(700, 700),
+                            "custom")
+    assert _both_formats(distinct) == (oracle_matrix_json(distinct),
+                                       oracle_matrix_csv(distinct.entries))
+    assert routes == [False, False]
+    # the L^min of a 1000-vertex graph holds a few hundred distinct values
+    routes.clear()
+    table = distance_table(generate("random", 1000, 0.5, seed=11, p=0.008))
+    _both_formats(distance_laplacian(table, "min"))
+    assert routes == [True, True]
 
 
 class _Pieces(io.StringIO):
@@ -385,9 +410,9 @@ ENTRY_ENDS = {"csv": (",", "\n"), "json": (",\n      ", "\n    ]")}
 @pytest.mark.parametrize("fmt", sorted(ENTRY_ENDS))
 @pytest.mark.parametrize("bound, rows_per_chunk", [(1, 1), (7, 1), (20, 2), (64, 6)])
 def test_no_write_holds_more_than_one_chunk(monkeypatch, fmt, bound, rows_per_chunk):
-    # 10 x 10 entries in 0..99: the table route, at most bound // 10 rows a chunk
+    # 10 x 10 entries in 0..6: the table route, at most bound // 10 rows a chunk
     monkeypatch.setattr("sdlap.matrices._CHUNK_ENTRIES", bound)
-    m = SquareMatrix(np.arange(100).reshape(10, 10), "custom")
+    m = SquareMatrix(np.arange(100).reshape(10, 10) % 7, "custom")
     out = _Pieces()
     m.write(out, fmt)
     assert out.getvalue() == (oracle_matrix_json(m) if fmt == "json"

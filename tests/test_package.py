@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -321,3 +322,70 @@ def test_a_stdout_closed_early_ends_the_command_quietly(tmp_path):
     _, err = proc.communicate(timeout=120)
     assert head.startswith(b'{\n  "n": 300,') and len(head) == 100
     assert proc.returncode == 1 and err == b""
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
+    # only the process entry freezes the heap; tests and library callers
+    # that call main() keep a normal collector
+    frozen = gc.get_freeze_count()
+    (tmp_path / "F").write_text(_UNBALANCED)
+    for argv in (["spectrum", str(tmp_path / "F"), "--kind", "lmax"], ["gen", "cycle:x"],
+                 ["--help"]):
+        main(argv)
+        assert gc.get_freeze_count() == frozen, argv
+    capsys.readouterr()
+
+
+_FREEZE_PROBE = """
+import atexit, gc, os, runpy
+atexit.register(lambda: os.write(2, b"frozen %d" % gc.get_freeze_count()))
+runpy.run_module("sdlap.cli", run_name="__main__")
+"""
+
+
+def test_a_command_process_freezes_its_heap_before_exit(tmp_path):
+    # an atexit handler runs after sys.exit, so it sees what the
+    # interpreter's shutdown collections would otherwise walk
+    (tmp_path / "F").write_text(_UNBALANCED)
+    proc = _fresh("-c", _FREEZE_PROBE, "spectrum", "F", "--kind", "lmax", cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stdout.startswith("{")
+    assert int(proc.stderr.removeprefix("frozen ")) > 1000
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--help",), 0),
+    (("gen", "random:12:p=0.4:seed=3", "--out", "OUT"), 0),
+    (("gen", "cycle:x"), 2),
+    (("info", "F"), 0),
+    (("balance", "D"), 1),
+    (("matrix", "F", "--kind", "lmin", "--format", "csv", "--out", "OUT"), 0),
+    (("matrix", "F", "--kind", "incidence"), 0),
+    (("balance", "F"), 0),
+    (("spectrum", "F", "--kind", "lmax"), 0),
+    (("forests", "F", "--list"), 0),
+    (("verify", "all", "--n", "4", "--format", "json"), 0),
+], ids=["help", "gen-out", "gen-bad-spec", "info", "balance-disconnected", "matrix-csv-out",
+        "matrix-incidence", "balance", "spectrum", "forests-list", "verify-all"])
+def test_a_command_process_prints_what_main_prints(argv, code, tmp_path, monkeypatch, capsys):
+    # the process entry adds nothing to main's output; a stdout closed
+    # early is covered by the test above, which runs the process entry too
+    (tmp_path / "F").write_text(_UNBALANCED)
+    (tmp_path / "D").write_text("4\n1 2 +\n3 4 -\n")
+    proc = _fresh("-m", "sdlap.cli", *argv, cwd=tmp_path)
+    out_file = tmp_path / "OUT"
+    child = proc.returncode, proc.stdout, proc.stderr, out_file.exists() and out_file.read_text()
+    out_file.unlink(missing_ok=True)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert child == (code, captured.out, captured.err,
+                     out_file.exists() and out_file.read_text())
+
+
+def test_the_console_script_runs_what_the_module_runs():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    entry = next(node for node in _modules()["cli"].body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    [call] = [node.value for node in entry.body if isinstance(node, ast.Expr)]
+    assert scripts == {"sdlap": f"sdlap.cli:{call.func.id}"}
