@@ -30,6 +30,7 @@ from .core import (
     DisconnectedGraphError,
     SignedForest,
     SignedGraph,
+    _int_text,
     path_sign,
     switch,
 )
@@ -103,7 +104,7 @@ class BalanceReport:
         return {
             "balanced": self.balanced,
             "method": self.method,
-            "determinant": None if self.determinant is None else str(self.determinant),
+            "determinant": None if self.determinant is None else _int_text(self.determinant),
             "certificate": cert,
         }
 

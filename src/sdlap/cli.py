@@ -27,6 +27,7 @@ from .core import (
     GenerationError,
     GraphFormatError,
     SignedGraph,
+    _int_text,
     components,
     generate,
     parse_edge_list,
@@ -136,7 +137,7 @@ def _cmd_info(args) -> int:
         info["transmissions"] = [int(t) for t in distance.transmission(table)]
         info["balanced"] = balance.is_balanced_switching(g).balanced
     cf = balance.closed_form_det(g)
-    info["closed_form_det"] = cf if cf is None or isinstance(cf, float) else str(cf)
+    info["closed_form_det"] = cf if cf is None or isinstance(cf, float) else _int_text(cf)
     _emit(_json_dump(info), args.out)
     return 0
 
@@ -166,8 +167,8 @@ def _cmd_balance(args) -> int:
         det_min = balance.is_balanced_det(g, "min", table=table, switching=sw)
         result = {
             "balanced": sw.balanced,
-            "det_lmax": str(det_max.determinant),
-            "det_lmin": str(det_min.determinant),
+            "det_lmax": _int_text(det_max.determinant),
+            "det_lmin": _int_text(det_min.determinant),
             "switching": "balanced" if sw.balanced else "unbalanced",
         }
         _emit(_json_dump(result), args.out)
@@ -195,7 +196,7 @@ def _cmd_forests(args) -> int:
     count, total = balance.forest_census(g, contrabalanced)
     result = {
         "count": count,
-        "forest_sum": str(total) if isinstance(total, int) else total,
+        "forest_sum": _int_text(total) if isinstance(total, int) else total,
     }
     if args.list:
         result["forests"] = [

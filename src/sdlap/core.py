@@ -307,6 +307,16 @@ def parse_edge_list(text: str) -> SignedGraph:
     return SignedGraph._trusted(n, tuple(edges), tuple(weights))
 
 
+def _int_text(x: int) -> str:
+    """Every digit of the integer x: from Python 3.11 on str refuses more
+    than 4300 digits unless told otherwise; decimal, imported only then,
+    does not."""
+    try:
+        return str(x)
+    except ValueError:
+        return str(importlib.import_module("decimal").Decimal(x))
+
+
 def _format_weight(w: float) -> str:
     return str(int(w)) if w.is_integer() else repr(w)
 

@@ -11,10 +11,10 @@ current level by a positive (or negative) shortest path. One level is
     Q'[v] = OR over neighbours u of (Q[u] if uv is positive else P[u])
     new   = (P' | Q') & unseen;  P' &= new;  Q' &= new
 
-which is exact: no path is enumerated and no count can overflow. Up to
-order _SMALL_ORDER the same recurrence runs on Python ints, one per row,
-because a level there costs less in Python than the numpy calls it takes
-on bit matrices.
+which is exact: no path is enumerated and no count can overflow. It runs
+on a stack of graphs as one search over their disjoint union, each row
+holding the source bits of its own graph in that graph's numbering, so a
+row has ceil(max order / 64) words; verify builds the tables of a run so.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ _WORD = np.dtype("<u8")
 _ONE = np.uint64(1)
 _BIT = np.left_shift(np.ones(64, _WORD), np.arange(64, dtype=_WORD))
 _SIDES = np.array([[[0]], [[1]]])  # feeds of P' (0) and of Q' (1)
-# Largest order whose levels run on Python ints. A table took 35 us that
-# way against 58-70 us on bit matrices at n = 7-8, and the two met near
-# n = 20 on random graphs (in-process, best of 7).
-_SMALL_ORDER = 16
 
 
 class IncompatibleGraphError(ValueError):
@@ -72,8 +68,9 @@ class DistanceTable:
         return self.dist.shape[0]
 
 
-def _level_plan(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Gather rows and segment starts for one level of the signed BFS.
+def _level_plan(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gather rows and segment starts for one level of the signed BFS on n
+    vertices, whose edges are the columns (tail, head, sign) of edges.
 
     Returns (gather, starts). Frontier rows are P[0..n) followed by
     Q[0..n). gather[0] lists, arc by arc, the row that feeds P'[head]:
@@ -82,10 +79,9 @@ def _level_plan(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     starts[v] is where the group of v begins. A vertex without neighbours
     gets a self arc, which only carries sources that already reached it.
     """
-    n, m = g.n, g.m
-    e = np.fromiter(chain.from_iterable(g.edges), np.intp, 3 * m).reshape(m, 3).T
-    heads = e[1::-1].ravel()
-    rows = (e[:2] + n * ((e[2] < 0) ^ _SIDES)).reshape(2, 2 * m)
+    m = edges.shape[1]
+    heads = edges[1::-1].ravel()
+    rows = (edges[:2] + n * ((edges[2] < 0) ^ _SIDES)).reshape(2, 2 * m)
     degree = np.bincount(heads, minlength=n)
     if np.count_nonzero(degree) < n:
         lonely = np.flatnonzero(degree == 0)
@@ -105,10 +101,24 @@ def distance_table(g: SignedGraph) -> DistanceTable:
     Raises DisconnectedGraphError on disconnected input, naming source 0
     and the least vertex it cannot reach.
     """
-    n = g.n
-    found, level = (_small_levels if n <= _SMALL_ORDER else _levels)(g)
+    return _tables([g])[0]
+
+
+def _tables(graphs) -> list[DistanceTable]:
+    """distance_table of each of graphs, by one BFS over their disjoint
+    union. A disconnected graph raises DisconnectedGraphError as
+    distance_table does on it alone, in its own numbering; the first
+    disconnected graph of the stack is the one named."""
+    orders, sizes = np.array([[g.n, g.m] for g in graphs]).T
+    offsets, n, m = orders.cumsum() - orders, int(orders.sum()), int(sizes.sum())
+    # (tail, head, sign) columns, contiguous: the shift is slow on a transpose
+    edges = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+                        np.intp, 3 * m).reshape(m, 3).T.copy()
+    edges[:2] += np.repeat(offsets, sizes)
+    found, level = _levels(n, edges, np.arange(n) - np.repeat(offsets, orders), orders)
     used = 2 + max(1, level.bit_length())
-    bits = np.unpackbits(found[:used].view(np.uint8), axis=2, count=n, bitorder="little")
+    bits = np.unpackbits(found[:used].view(np.uint8), axis=2, count=int(orders.max()),
+                         bitorder="little")
     # OR the planes in the narrowest dtype that holds every distance, a
     # byte up to 255 levels, and widen to int64 once
     narrow = np.min_scalar_type(level)
@@ -117,29 +127,40 @@ def distance_table(g: SignedGraph) -> DistanceTable:
         dist |= np.left_shift(bits[2 + b], b, dtype=narrow)
     dist = dist.astype(np.int64)
     dist.setflags(write=False)
-    return DistanceTable(dist, bits[0].view(bool), bits[1].view(bool))
+    pos, neg = bits[0].view(bool), bits[1].view(bool)
+    if len(graphs) == 1:  # the arrays are the table's own: no slice, no copy
+        return [DistanceTable(dist, pos, neg)]
+    return [DistanceTable(dist[a:a + k, :k], pos[a:a + k, :k], neg[a:a + k, :k])
+            for a, k in zip(offsets.tolist(), orders.tolist())]
 
 
-def _levels(g: SignedGraph) -> tuple[np.ndarray, int]:
-    """The signed BFS on bit matrices: (found, levels run), where found[0]
-    and found[1] hold the pos and neg flags and found[2 + b] bit b of the
-    hop distance, each an n x words array of frontier words."""
-    n = g.n
-    words = (n + 63) >> 6
-    gather, starts = _level_plan(g)
-    # frontier[0] is P and frontier[1] is Q; bit s of row v is source s.
-    # Level 0: every source reaches itself by the empty, positive path.
+def _levels(n: int, edges: np.ndarray, local: np.ndarray,
+            orders: np.ndarray) -> tuple[np.ndarray, int]:
+    """The signed BFS on bit matrices over a stack of graphs: n is the
+    vertex count of their union, edges its edge columns (tail, head, sign),
+    local[v] the number of vertex v in its own graph, which is the source
+    bit v stands for, and orders the graphs' vertex counts in stack order.
+
+    Returns (found, levels run), where found[0] and found[1] hold the pos
+    and neg flags and found[2 + b] bit b of the hop distance, each an
+    n x words array of frontier words, words = ceil(max(orders) / 64).
+    """
+    top = int(orders.max())
+    words = (top + 63) >> 6
+    gather, starts = _level_plan(n, edges)
+    # frontier[0] is P and frontier[1] is Q; bit s of row v is source s of
+    # v's graph. Level 0: each source reaches itself by the empty path.
     frontier = np.zeros((2, n, words), _WORD)
-    v = np.arange(n)
-    frontier[0, v, v >> 6] = _BIT[v & 63]
+    frontier[0, np.arange(n), local >> 6] = _BIT[local & 63]
     # found[0] and found[1] collect the pos and neg flags; planes[b]
-    # collects bit b of the hop distance. Distances are below n.
-    found = np.zeros((2 + max(1, (n - 1).bit_length()), n, words), _WORD)
+    # collects bit b of the hop distance. Distances are below max(orders).
+    found = np.zeros((2 + max(1, (top - 1).bit_length()), n, words), _WORD)
     flags, planes = found[:2], found[2:]
     flags[0] = frontier[0]
-    unseen = np.invert(frontier[0])
-    # the last word has no sources past n - 1
-    unseen[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(64 * words - n)
+    # a row's sources are the vertices of its own graph
+    sources = np.packbits(np.arange(64 * words) < orders[:, None], axis=1, bitorder="little")
+    unseen = np.repeat(sources.view(_WORD), orders, axis=0)
+    unseen ^= frontier[0]
     frontier_rows = frontier.reshape(2 * n, words)
     gathered = np.empty(gather.shape + (words,), _WORD)
     new = np.empty((n, words), _WORD)
@@ -151,57 +172,14 @@ def _levels(g: SignedGraph) -> tuple[np.ndarray, int]:
         frontier &= unseen
         np.bitwise_or(frontier[0], frontier[1], out=new)
         if not np.count_nonzero(new):
-            raise DisconnectedGraphError(int(np.flatnonzero(unseen[:, 0] & _ONE)[0]), 0)
+            lost = np.flatnonzero(unseen[:, 0] & _ONE)[0]
+            raise DisconnectedGraphError(int(local[lost]), 0)
         unseen ^= new
         flags |= frontier
         for b in range(level.bit_length()):
             if level >> b & 1:
                 planes[b] |= new
     return found, level
-
-
-def _small_levels(g: SignedGraph) -> tuple[np.ndarray, int]:
-    """_levels on one frontier word, with each row a Python int; only the
-    vertices that some source has not reached yet are updated. One word
-    holds n <= 64 sources, but distance_table calls it only up to
-    _SMALL_ORDER = 16, the measured crossover with _levels."""
-    n, adjacency = g.n, g.adjacency
-    p = [1 << v for v in range(n)]
-    q = [0] * n
-    unseen = [((1 << n) - 1) ^ x for x in p]
-    pos, neg = p[:], [0] * n
-    found = [pos, neg, [0] * n]
-    level = 0
-    todo = [v for v in range(n) if unseen[v]]
-    while todo:
-        level += 1
-        if level.bit_length() > len(found) - 2:
-            found.append([0] * n)
-        marks = [found[2 + b] for b in range(level.bit_length()) if level >> b & 1]
-        next_p, next_q = [0] * n, [0] * n
-        for v in todo:
-            a = b = 0
-            for u, s in adjacency[v]:
-                if s > 0:
-                    a |= p[u]
-                    b |= q[u]
-                else:
-                    a |= q[u]
-                    b |= p[u]
-            a &= unseen[v]
-            b &= unseen[v]
-            if a or b:
-                next_p[v], next_q[v] = a, b
-                unseen[v] ^= a | b
-                pos[v] |= a
-                neg[v] |= b
-                for plane in marks:
-                    plane[v] |= a | b
-        if not any(next_p) and not any(next_q):
-            raise DisconnectedGraphError(next(v for v in range(n) if unseen[v] & 1), 0)
-        p, q = next_p, next_q
-        todo = [v for v in todo if unseen[v]]
-    return np.array(found, _WORD).reshape(len(found), n, 1), level
 
 
 def is_compatible(table: DistanceTable) -> tuple[bool, tuple[int, int] | None]:

@@ -13,7 +13,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import SignedGraph, canonical_orientation
+from .core import SignedGraph, _int_text, canonical_orientation
 
 
 # Most entries that _write_tokens joins into one write
@@ -89,7 +89,7 @@ def _csv_entry(x) -> str:
     """An entry of a block that is neither integer nor float, such as an
     object block of Python ints: every digit of an integer (bools give 0
     and 1), .12g for anything else."""
-    return str(int(x)) if isinstance(x, (int, np.integer)) else "%.12g" % x
+    return _int_text(int(x)) if isinstance(x, (int, np.integer)) else "%.12g" % x
 
 
 def _json_entry(x) -> str:
@@ -97,7 +97,8 @@ def _json_entry(x) -> str:
     writes it: bools as JSON literals, NaN and inf as json spells them,
     every digit of an integer. A numpy scalar in an object block is written
     as the Python number it holds."""
-    return json.dumps(x.item() if isinstance(x, np.generic) else x)
+    x = x.item() if isinstance(x, np.generic) else x
+    return _int_text(x) if type(x) is int else json.dumps(x)
 
 
 # The text before a block, after an entry, after a row's last entry and

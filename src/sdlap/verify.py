@@ -9,14 +9,15 @@ fail on a distance Laplacian that is not positive semidefinite.
 
 balance-equivalence and cospectrality reach the signs through
 distance_matrix, once per instance and kind. They cut their stream of
-instances into runs (_runs) and stack each run's matrices by order
-(_by_order): the Laplacians and the entrywise identities are formed on
-whole stacks, with one eigensolve per stack, and then each instance is
-checked in turn, its determinants included, so that failures are
-recorded in instance order wherever a run ends. balance-equivalence
-gives Laplacians with equal entries one determinant and one spectrum.
-incidence-factorization builds the orientations of a graph as one stack
-of incidence matrices.
+instances into runs (_runs), build the distance tables of a run by one
+signed BFS over all its graphs (distance._tables), and stack the run's
+matrices by order (_by_order): the Laplacians and the entrywise
+identities are formed on whole stacks, with one eigensolve per stack, and
+then each instance is checked in turn, its determinants included, so
+that failures are recorded in instance order wherever a run ends.
+balance-equivalence gives Laplacians with equal entries one determinant
+and one spectrum. incidence-factorization builds the orientations of a
+graph as one stack of incidence matrices.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
 from .core import MIN_VERIFY_N, SUITE_NAMES, SignedGraph, generate, switch
-from .distance import (IncompatibleGraphError, _laplacian, distance_matrix, distance_table,
-                       transmission)
+from .distance import (IncompatibleGraphError, _laplacian, _tables, distance_matrix,
+                       distance_table, transmission)
 from .matrices import _incidence_stack, weighted_laplacian
 from .spectra import _eigenvalues, cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
 
@@ -112,13 +113,13 @@ def _psd_minimum(report: SuiteReport, values, label: str) -> float:
 
 
 def _runs(instances, laplacians: int):
-    """Cut a stream of instances, each a tuple whose first value is an
-    n x n matrix, into runs: a run ends once its instances may test
+    """Cut a stream of instances, each a tuple whose first value is a graph
+    of order n, into runs: a run ends once its instances may test
     Laplacians of _CHUNK_ENTRIES entries, laplacians of order n each."""
     run, entries = [], 0
     for instance in instances:
         run.append(instance)
-        entries += laplacians * len(instance[0]) ** 2
+        entries += laplacians * instance[0].n ** 2
         if entries >= _CHUNK_ENTRIES:
             yield run
             run, entries = [], 0
@@ -174,18 +175,17 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
     L^pm == L^max on a compatible graph, and that both
     distance Laplacians are positive semidefinite, reporting the smallest
     eigenvalue seen. Each instance reaches the signs through
-    distance_matrix, once per kind; the Laplacians and the entrywise
-    checks on them are formed in stacks, one per order in a run.
+    distance_matrix, once per kind, from a table built with the others of
+    its run; the Laplacians and the entrywise checks on them are formed in
+    stacks, one per order in a run.
     Laplacians with equal entries share one determinant and one spectrum.
     """
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("balance-equivalence", True, count)
 
-    def instances():
-        for i in range(count):
-            g = _random_connected(rng, n_max)
-            table = distance_table(g)
+    def matrices(run):
+        for (g, i), table in zip(run, _tables([g for g, _ in run])):
             dmax = distance_matrix(table, "max").entries
             dmin = distance_matrix(table, "min").entries
             try:
@@ -198,7 +198,8 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
 
     balanced_count = 0
     min_eig = float("inf")
-    for run in _runs(instances(), 2):
+    for run in _runs(((_random_connected(rng, n_max), i) for i in range(count)), 2):
+        run = list(matrices(run))
         stacked = {}
         for n, (dmax, dmin, dpm, dist, both, *_) in _by_order(run).items():
             lmax, lmin = _laplacian(dist, dmax), _laplacian(dist, dmin)
@@ -251,9 +252,9 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
     L(switch(g, ζ)) = Z·L(g)·Z with Z = diag(ζ), and the two are
     cospectral. Checks that identity on L^pm entrywise in int64, reporting
     the largest entry difference, and that L(switch(g, ζ)) is positive
-    semidefinite. Each instance reaches the signs through distance_matrix;
-    the Laplacians and the checks on them are formed in stacks, one per
-    order in a run."""
+    semidefinite. Each instance reaches the signs through distance_matrix,
+    from tables built with the others of its run; the Laplacians and the
+    checks on them are formed in stacks, one per order in a run."""
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("cospectrality", True, count)
@@ -264,8 +265,12 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
             p = 1.0 if n <= 2 else rng.uniform(0.3, 0.95)
             g_pos = generate("random", n, signs="allpos", seed=rng.getrandbits(32), p=p)
             zeta = [rng.choice((1, -1)) for _ in range(n)]
-            table = distance_table(switch(g_pos, zeta))
-            table_pos = distance_table(g_pos)
+            yield switch(g_pos, zeta), g_pos, zeta, i
+
+    def matrices(run):
+        # the tables of the switched graphs, then those of the originals
+        tables = _tables([g for g, *_ in run] + [g_pos for _, g_pos, *_ in run])
+        for (_, _, zeta, i), table, table_pos in zip(run, tables, tables[len(run):]):
             yield (distance_matrix(table, "pm").entries, table.dist,
                    distance_matrix(table_pos, "pm").entries, table_pos.dist,
                    np.array(zeta, dtype=np.int64), i)
@@ -273,6 +278,7 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
     max_dev = 0
     min_eig = float("inf")
     for run in _runs(instances(), 1):
+        run = list(matrices(run))
         stacked = {}
         for n, (d, dist, d_pos, dist_pos, z, _) in _by_order(run).items():
             lap = _laplacian(dist, d)

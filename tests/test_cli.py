@@ -505,6 +505,48 @@ def test_balance_forest_sums_at_unit_weights(capsys, tmp_path, text, total):
     assert report.determinant == total and type(report.determinant) is int
 
 
+# 6000 digits, past the 4300 that str() and json.dumps() write by default
+# from Python 3.11 on; int() reads at most as many, so the halves are read
+_DIGITS = "1234567890" * 600
+_HUGE = int(_DIGITS[:3000]) * 10 ** 3000 + int(_DIGITS[3000:])
+
+
+def test_exact_integers_print_every_digit_however_long(monkeypatch, capsys, c3_all_negative):
+    import io
+
+    import numpy as np
+
+    import sdlap.balance
+    from sdlap.balance import BalanceReport
+    from sdlap.matrices import SquareMatrix
+
+    # C3 all negative is unbalanced and compatible, so each kind takes a
+    # determinant, and it has m = n, so info gives the closed form
+    monkeypatch.setattr(sdlap.balance, "det_exact", lambda m: _HUGE)
+    monkeypatch.setattr(sdlap.balance, "forest_det", lambda g: _HUGE)
+    monkeypatch.setattr(sdlap.balance, "forest_census", lambda g, contrabalanced: (3, _HUGE))
+    commands = [(["balance"], ("det_lmax", "det_lmin")),
+                (["balance", "--method", "det"], ("determinant",)),
+                (["balance", "--method", "forest"], ("determinant",)),
+                (["info"], ("closed_form_det",)),
+                (["forests", "--kind", "all"], ("forest_sum",)),
+                (["forests", "--kind", "contrabalanced"], ("forest_sum",))]
+    commands += [(["balance", "--method", "det", "--kind", kind], ("determinant",))
+                 for kind in ("max", "min", "pm")]
+    for (verb, *options), keys in commands:
+        code, out, err = run(capsys, verb, c3_all_negative, *options)
+        assert (code, err) == (0, ""), (verb, options, err)
+        assert [json.loads(out)[key] for key in keys] == [_DIGITS] * len(keys), (verb, options)
+    report = BalanceReport(False, "det-max", (0, 1, 2), -_HUGE)
+    assert report.to_json_obj()["determinant"] == "-" + _DIGITS
+    # an object block writes as the same block with a short integer would
+    marker = 987654321
+    for fmt in ("csv", "json"):
+        texts = [SquareMatrix(np.array([[x, 1], [1, -x]], dtype=object), "custom").write(
+            io.StringIO(), fmt).getvalue() for x in (_HUGE, marker)]
+        assert texts[0] == texts[1].replace(str(marker), _DIGITS), fmt
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -842,6 +884,43 @@ def test_transmission_shift_suite_builds_one_table_per_cycle(monkeypatch):
     report = sdlap.verify.transmission_shift_suite(n_max=12)
     assert report.passed and report.instances == 40
     assert calls == {"distance_table": 20, "sym_eig": 40}
+
+
+@pytest.mark.parametrize("suite, graphs_per_instance",
+                         [("balance_equivalence_suite", 1), ("cospectrality_suite", 2)])
+def test_stacked_suites_build_each_runs_tables_in_one_call(monkeypatch, suite,
+                                                           graphs_per_instance):
+    import sdlap.distance
+    import sdlap.verify
+    from sdlap.distance import _tables, distance_table
+
+    def run():
+        return getattr(sdlap.verify, suite)(count=60, n_max=70, seed=2).to_json_obj()
+
+    # the same report with one distance_table call per graph
+    monkeypatch.setattr(sdlap.verify, "_tables", lambda gs: [distance_table(g) for g in gs])
+    one_by_one = run()
+    orders, runs = [], []
+    real_runs = sdlap.verify._runs
+
+    def counted_runs(*args):
+        for instances in real_runs(*args):
+            runs.append(len(instances))
+            yield instances
+
+    def refused(g):
+        raise AssertionError("distance_table called")
+
+    monkeypatch.setattr(sdlap.verify, "_tables",
+                        lambda gs: orders.append([g.n for g in gs]) or _tables(gs))
+    monkeypatch.setattr(sdlap.verify, "_runs", counted_runs)
+    monkeypatch.setattr(sdlap.verify, "distance_table", refused)
+    monkeypatch.setattr(sdlap.distance, "distance_table", refused)
+    report = run()
+    assert report == one_by_one and report["passed"]
+    assert len(runs) > 1 and [len(o) for o in orders] == [graphs_per_instance * k for k in runs]
+    # a run mixes one-word and two-word frontier rows
+    assert any(min(o) <= 64 < max(o) for o in orders)
 
 
 def test_balance_equivalence_suite_checks_compatibility_once_per_instance(monkeypatch):

@@ -22,12 +22,17 @@ from conftest import all_signed_graphs, brute_table, random_connected_graph, sss
 
 
 @pytest.fixture(params=[None, 0, 64], ids=["default", "0", "64"])
-def small_order(request, monkeypatch):
-    """distance_table with _SMALL_ORDER as shipped, at 0, which sends every
-    order to the bit matrices, and at 64, which keeps Python ints up to a
-    whole frontier word."""
-    if request.param is not None:
-        monkeypatch.setattr(distance, "_SMALL_ORDER", request.param)
+def table_of(request):
+    """distance_table, or the graph's table from a stack (distance._tables)
+    in which its rows start at offset 0 or 64: first, or behind a member of
+    order 64; a member of order 65 follows, which widens every row to two
+    frontier words."""
+    offset = request.param
+    if offset is None:
+        return distance_table
+    lead = [generate("cycle", 64, "allneg")] if offset else []
+    trail = [generate("path", 65, 0.5, seed=1)]
+    return lambda g: distance._tables(lead + [g] + trail)[len(lead)]
 
 
 def c4_one_negative():
@@ -100,10 +105,10 @@ def test_table_of_single_positive_edge():
     assert entries(table)[0][1] == (1, True, False)
 
 
-def test_tables_match_brute_force_enumeration_exhaustively(small_order):
+def test_tables_match_brute_force_enumeration_exhaustively(table_of):
     for n in range(1, 5):
         for g in all_signed_graphs(n):
-            assert entries(distance_table(g)) == brute_table(g), g
+            assert entries(table_of(g)) == brute_table(g), g
 
 
 def test_tables_match_brute_force_enumeration_on_random_graphs():
@@ -128,15 +133,15 @@ def test_table_symmetry_and_triangle_inequality():
                     assert d[u, v] <= d[u, w] + d[w, v]
 
 
-def assert_rows_match_sssp(g):
-    table = distance_table(g)
+def assert_rows_match_sssp(g, table_of=distance_table):
+    table = table_of(g)
     assert table.dist.shape == (g.n, g.n) and table.dist.dtype == np.int64
     assert table.pos.dtype == bool and table.neg.dtype == bool
     for s, row in enumerate(entries(table)):
         assert row == sssp_signs(g, s), (g, s)
 
 
-def test_table_rows_match_single_source_bfs(small_order):
+def test_table_rows_match_single_source_bfs(table_of):
     rng = random.Random(77)
     graphs = [
         SignedGraph(1, ()),
@@ -162,10 +167,10 @@ def test_table_rows_match_single_source_bfs(small_order):
     graphs.append(generate("random", 200, 0.5, seed=11, p=0.04))
     graphs.append(generate("path", 300, 0.5, seed=12))
     for g in graphs:
-        assert_rows_match_sssp(g)
+        assert_rows_match_sssp(g, table_of)
 
 
-def test_table_reports_the_same_unreachable_pair_as_single_source_bfs(small_order):
+def test_table_reports_the_same_unreachable_pair_as_single_source_bfs(table_of):
     graphs = [
         SignedGraph(2, ()),
         SignedGraph(4, ((1, 2, 1), (2, 3, -1))),
@@ -178,9 +183,43 @@ def test_table_reports_the_same_unreachable_pair_as_single_source_bfs(small_orde
         with pytest.raises(DisconnectedGraphError) as expected:
             sssp_signs(g, 0)
         with pytest.raises(DisconnectedGraphError) as err:
-            distance_table(g)
+            table_of(g)
         assert (err.value.vertex, err.value.source) == (
             expected.value.vertex, expected.value.source), g
+
+
+def test_stacked_tables_match_the_single_source_oracles():
+    rng = random.Random(36)
+    exhaustive = [g for n in range(1, 5) for g in all_signed_graphs(n)]
+    graphs = [generate("random", n, rng.choice((0.5, 1.0)), seed=rng.getrandbits(32),
+                       p=rng.uniform(min(1.0, 2.5 / n), 0.6)) for n in range(1, 71)]
+    graphs += [generate("cycle", 64, "allneg"), generate("path", 65, 0.5, seed=2),
+               generate("path", 300, 0.5, seed=12)]  # distances of 9 bits
+    oracle = {id(g): [sssp_signs(g, s) for s in range(g.n)] for g in exhaustive + graphs}
+    # one frontier word filled to its last bit, two words, and five words
+    for top in (64, 65, 300):
+        stack = [g for g in graphs if g.n <= top] + rng.sample(exhaustive, 100)
+        rng.shuffle(stack)
+        assert max(g.n for g in stack) == top
+        for g, table in zip(stack, distance._tables(stack), strict=True):
+            assert entries(table) == oracle[id(g)], g
+            if g.n <= 4:
+                assert entries(table) == brute_table(g), g
+    for g, table in zip(exhaustive, distance._tables(exhaustive), strict=True):
+        assert entries(table) == brute_table(g), g
+    # a disconnected member is named in its own numbering; the first one wins
+    lost = [SignedGraph(4, ((1, 2, 1), (2, 3, -1))),
+            SignedGraph(70, tuple((v, v + 1, 1) for v in range(68))),
+            SignedGraph(6, ((0, 1, 1), (2, 3, -1), (4, 5, 1)))]
+    for g in lost:
+        with pytest.raises(DisconnectedGraphError) as expected:
+            sssp_signs(g, 0)
+        for at in (0, 5, 72):
+            stack = graphs[:at] + [g] + graphs[at:72] + [SignedGraph(3, ())]
+            with pytest.raises(DisconnectedGraphError) as err:
+                distance._tables(stack)
+            assert (err.value.vertex, err.value.source) == (
+                expected.value.vertex, expected.value.source), (g, at)
 
 
 def test_table_never_aliases_caller_arrays():
