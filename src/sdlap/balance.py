@@ -517,7 +517,7 @@ def is_balanced_forest(g: SignedGraph) -> BalanceReport:
     """
     # the sum-to-balance step needs connectivity; switching checks it
     switching = is_balanced_switching(g)
-    total = forest_det(SignedGraph(g.n, g.edges))
+    total = forest_det(SignedGraph._trusted(g.n, g.edges))
     if (total == 0) != switching.balanced:
         raise ArithmeticError(
             f"forest sum {total} contradicts the switching verdict; "

@@ -128,7 +128,7 @@ def _tables(graphs) -> list[DistanceTable]:
     dist = dist.astype(np.int64)
     dist.setflags(write=False)
     pos, neg = bits[0].view(bool), bits[1].view(bool)
-    if len(graphs) == 1:  # the arrays are the table's own: no slice, no copy
+    if len(graphs) == 1:  # dist is the table's own; pos and neg, views, are copied once
         return [DistanceTable(dist, pos, neg)]
     return [DistanceTable(dist[a:a + k, :k], pos[a:a + k, :k], neg[a:a + k, :k])
             for a, k in zip(offsets.tolist(), orders.tolist())]
@@ -255,4 +255,4 @@ def associated_complete(table: DistanceTable, kind: str) -> SignedGraph:
     u, v = np.triu_indices(table.n, 1)
     d = distance_matrix(table, kind).entries[u, v]
     edges = zip(u.tolist(), v.tolist(), np.sign(d).tolist())
-    return SignedGraph(table.n, tuple(edges), tuple(np.abs(d).tolist()))
+    return SignedGraph._trusted(table.n, tuple(edges), tuple(np.abs(d).astype(float).tolist()))

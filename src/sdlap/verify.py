@@ -7,17 +7,19 @@ a fixed seed, its signature holds its default sizes, and it raises
 ValueError at sizes that would test nothing. The spectral suites also
 fail on a distance Laplacian that is not positive semidefinite.
 
-balance-equivalence and cospectrality reach the signs through
-distance_matrix, once per instance and kind. They cut their stream of
-instances into runs (_runs), build the distance tables of a run by one
-signed BFS over all its graphs (distance._tables), and stack the run's
-matrices by order (_by_order): the Laplacians and the entrywise
+The spectral suites reach the signs through distance_matrix, once per
+instance and kind. They cut their stream of instances into runs (_runs)
+and build the distance tables of a run by one signed BFS over all its
+graphs (distance._tables). balance-equivalence and cospectrality stack
+the run's matrices by order (_by_order): the Laplacians and the entrywise
 identities are formed on whole stacks, with one eigensolve per stack, and
 then each instance is checked in turn, its determinants included, so
 that failures are recorded in instance order wherever a run ends.
 balance-equivalence gives Laplacians with equal entries one determinant
-and one spectrum. incidence-factorization builds the orientations of a
-graph as one stack of incidence matrices.
+and one spectrum. transmission-shift, whose instances are the cycles,
+solves each cycle's L^max and L^min in one stacked call, and
+incidence-factorization builds the orientations of a graph as one stack
+of incidence matrices.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ import numpy as np
 
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
 from .core import MIN_VERIFY_N, SUITE_NAMES, SignedGraph, generate, switch
-from .distance import (IncompatibleGraphError, _laplacian, _tables, distance_matrix,
-                       distance_table, transmission)
+from .distance import IncompatibleGraphError, _laplacian, _tables, distance_matrix, transmission
 from .matrices import _incidence_stack, weighted_laplacian
-from .spectra import _eigenvalues, cycle_spectrum, odd_cycle_formula_spectrum, sym_eig
+from .spectra import _eigenvalues, cycle_spectrum, odd_cycle_formula_spectrum
 
 # Largest deviation of an eigensolver spectrum from cycle_spectrum.
 _SPECTRUM_TOL = 1e-8
@@ -98,10 +99,11 @@ def _random_connected(rng: random.Random, n_max: int) -> SignedGraph:
     return generate("random", n, signs=sign_p, seed=seed, p=p)
 
 
-def _random_integer_weights(rng: random.Random, m: int) -> tuple[float, ...]:
-    """m integral float weights, valid weights for the m edges of a graph,
-    so the suites build the weighted graph with SignedGraph._trusted."""
-    return tuple(float(rng.randint(*_WEIGHT_RANGE)) for _ in range(m))
+def _random_weighted(rng: random.Random, n_max: int) -> SignedGraph:
+    """_random_connected with integral float weights, valid by construction."""
+    g = _random_connected(rng, n_max)
+    return SignedGraph._trusted(g.n, g.edges, tuple(
+        float(rng.randint(*_WEIGHT_RANGE)) for _ in range(g.m)))
 
 
 def _psd_minimum(report: SuiteReport, values, label: str) -> float:
@@ -146,8 +148,7 @@ def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> Sui
     max_diff = 0
     skipped = 0
     for i in range(count):
-        g = _random_connected(rng, n_max)
-        wg = SignedGraph._trusted(g.n, g.edges, _random_integer_weights(rng, g.m))
+        wg = _random_weighted(rng, n_max)
         try:
             rhs = forest_det(wg)
         except SizeBoundError:
@@ -301,7 +302,8 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
     transmission is k(k+1) for odd n = 2k+1 and k^2 for even n = 2k, and
     the distance Laplacian spectrum is positive semidefinite and within
     _SPECTRUM_TOL of cycle_spectrum, the closed form that needs no
-    eigensolver. The cycles are fixed, so seed is unused.
+    eigensolver. The cycles are fixed, so seed is unused. A run's tables
+    come from one BFS and each cycle's two spectra from one stacked call.
 
     Also reports, without requiring agreement, how far the printed
     odd-cycle formula (odd_cycle_formula_spectrum) is from the spectrum
@@ -312,29 +314,28 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
     max_dev = 0.0
     min_eig = float("inf")
     printed_dev = 0.0
-    for n in range(MIN_VERIFY_N, n_max + 1):
-        expected_t = (n // 2) * (n // 2 + 1) if n % 2 else (n // 2) ** 2
-        for sign, signs in ((1, "allpos"), (-1, "allneg")):
-            table = distance_table(generate("cycle", n, signs))
+    cycles = ((generate("cycle", n, signs), n, sign, signs) for n in range(MIN_VERIFY_N, n_max + 1)
+              for sign, signs in ((1, "allpos"), (-1, "allneg")))
+    for run in _runs(cycles, 2):
+        for (_, n, sign, signs), table in zip(run, _tables([g for g, *_ in run])):
+            expected_t = (n // 2) * (n // 2 + 1) if n % 2 else (n // 2) ** 2
             found_t = sorted(set(transmission(table).tolist()))
             if found_t != [expected_t]:
                 report.record_failure(f"C{n} {signs}: transmissions {found_t} != {expected_t}")
+            laplacians = [_laplacian(table.dist, distance_matrix(table, kind).entries)
+                          for kind in ("max", "min")]
             expected = cycle_spectrum(n, sign).eigenvalues
-            for kind in ("max", "min"):
+            for kind, values in zip(("max", "min"), _eigenvalues(np.stack(laplacians)).tolist()):
                 report.instances += 1
-                lap = _laplacian(table.dist, distance_matrix(table, kind).entries)
-                values = sym_eig(lap).eigenvalues
+                label = f"C{n} {signs} {kind}"
                 dev = max(abs(x - y) for x, y in zip(values, expected))
                 if dev > _SPECTRUM_TOL:
-                    report.record_failure(
-                        f"C{n} {signs} {kind}: deviation {dev:g} from cycle_spectrum"
-                    )
+                    report.record_failure(f"{label}: deviation {dev:g} from cycle_spectrum")
                 max_dev = max(max_dev, dev)
-                min_eig = min(min_eig, _psd_minimum(report, values, f"C{n} {signs} {kind}"))
+                min_eig = min(min_eig, _psd_minimum(report, values, label))
             if sign < 0 and n % 2:
                 printed = odd_cycle_formula_spectrum(n // 2).eigenvalues
-                printed_dev = max(printed_dev,
-                                  max(abs(x - y) for x, y in zip(expected, printed)))
+                printed_dev = max(printed_dev, *(abs(x - y) for x, y in zip(expected, printed)))
     report.details["max_deviation"] = max_dev
     report.details["min_eigenvalue"] = min_eig
     report.details["printed_formula_max_deviation"] = printed_dev
@@ -350,8 +351,7 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
     report = SuiteReport("incidence-factorization", True, count)
     max_dev = 0.0
     for i in range(count):
-        g = _random_connected(rng, n_max)
-        wg = SignedGraph._trusted(g.n, g.edges, _random_integer_weights(rng, g.m))
+        wg = _random_weighted(rng, n_max)
         lap = weighted_laplacian(wg).entries
         # each orientation's (tail, head) pairs, edge by edge
         ends = [end for _ in range(_ORIENTATIONS_PER_GRAPH) for u, v, _ in wg.edges

@@ -869,33 +869,46 @@ def test_suites_refuse_sizes_that_test_nothing(suite, sizes, message):
 
 
 def test_transmission_shift_suite_builds_one_table_per_cycle(monkeypatch):
+    # the 20 cycles' tables come from one stacked BFS, and each cycle's two
+    # Laplacians from one stacked eigensolve; the one-graph routes are refused
+    import sdlap.distance
+    import sdlap.spectra
     import sdlap.verify
 
-    calls = {"distance_table": 0, "sym_eig": 0}
+    tables, solves = [], []
+    real_tables, real_eigenvalues = sdlap.verify._tables, sdlap.verify._eigenvalues
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def refused(*args, **kwargs):
+        raise AssertionError("one-graph route called")
 
-    for name in calls:
-        monkeypatch.setattr(sdlap.verify, name, counted(getattr(sdlap.verify, name)))
+    monkeypatch.setattr(sdlap.verify, "_tables",
+                        lambda gs: tables.append([g.n for g in gs]) or real_tables(gs))
+    monkeypatch.setattr(sdlap.verify, "_eigenvalues",
+                        lambda stack: solves.append(stack.shape) or real_eigenvalues(stack))
+    monkeypatch.setattr(sdlap.distance, "distance_table", refused)
+    monkeypatch.setattr(sdlap.spectra, "sym_eig", refused)
     report = sdlap.verify.transmission_shift_suite(n_max=12)
     assert report.passed and report.instances == 40
-    assert calls == {"distance_table": 20, "sym_eig": 40}
+    assert tables == [[n for n in range(3, 13) for _ in range(2)]]
+    assert solves == [(2, n, n) for n in range(3, 13) for _ in range(2)]
 
 
 @pytest.mark.parametrize("suite, graphs_per_instance",
-                         [("balance_equivalence_suite", 1), ("cospectrality_suite", 2)])
+                         [("balance_equivalence_suite", 1), ("cospectrality_suite", 2),
+                          ("transmission_shift_suite", 1)])
 def test_stacked_suites_build_each_runs_tables_in_one_call(monkeypatch, suite,
                                                            graphs_per_instance):
     import sdlap.distance
     import sdlap.verify
     from sdlap.distance import _tables, distance_table
 
+    assert not hasattr(sdlap.verify, "distance_table") and not hasattr(sdlap.verify, "sym_eig")
+    # the cycles of transmission-shift are fixed: a bound of 100 splits them
+    sizes = {"n_max": 100} if suite == "transmission_shift_suite" else {
+        "count": 60, "n_max": 70, "seed": 2}
+
     def run():
-        return getattr(sdlap.verify, suite)(count=60, n_max=70, seed=2).to_json_obj()
+        return getattr(sdlap.verify, suite)(**sizes).to_json_obj()
 
     # the same report with one distance_table call per graph
     monkeypatch.setattr(sdlap.verify, "_tables", lambda gs: [distance_table(g) for g in gs])
@@ -914,7 +927,6 @@ def test_stacked_suites_build_each_runs_tables_in_one_call(monkeypatch, suite,
     monkeypatch.setattr(sdlap.verify, "_tables",
                         lambda gs: orders.append([g.n for g in gs]) or _tables(gs))
     monkeypatch.setattr(sdlap.verify, "_runs", counted_runs)
-    monkeypatch.setattr(sdlap.verify, "distance_table", refused)
     monkeypatch.setattr(sdlap.distance, "distance_table", refused)
     report = run()
     assert report == one_by_one and report["passed"]
@@ -986,15 +998,9 @@ def test_cospectrality_suite_fails_without_the_sign_rule(monkeypatch):
                                    "transmission-shift"])
 def test_spectral_suites_fail_on_a_negative_eigenvalue(monkeypatch, suite):
     import sdlap.verify
-    from sdlap.spectra import Spectrum
 
-    if suite == "transmission-shift":
-        real = sdlap.verify.sym_eig
-        monkeypatch.setattr(sdlap.verify, "sym_eig", lambda m: Spectrum.from_values(
-            v - 1 for v in real(m).eigenvalues))
-    else:  # these suites solve their Laplacians in stacks
-        real = sdlap.verify._eigenvalues
-        monkeypatch.setattr(sdlap.verify, "_eigenvalues", lambda stack: real(stack) - 1)
+    real = sdlap.verify._eigenvalues
+    monkeypatch.setattr(sdlap.verify, "_eigenvalues", lambda stack: real(stack) - 1)
     report = sdlap.verify.run_suite(suite)
     assert not report.passed and report.details["min_eigenvalue"] < -0.9
     assert any("negative eigenvalue" in failure for failure in report.failures)
@@ -1053,10 +1059,11 @@ def test_verify_all_solves_each_distinct_laplacian_once(monkeypatch):
     # balance-equivalence 500 for L^max and 127 for the L^min that differ
     # from it, L^pm being L^max on every compatible instance. Those 627
     # Laplacians and cospectrality's 100 are solved in 14 stacked calls, one
-    # per order and suite; transmission-shift solves its 40 one at a time.
+    # per order and suite; transmission-shift solves its 40 in 20 calls, one
+    # per cycle.
     import sdlap.verify
 
-    calls = {"det_exact": 0, "_eigenvalues": 0, "sym_eig": 0}
+    calls = {"det_exact": 0, "_eigenvalues": 0}
     stacked = []
 
     def counted(fn):
@@ -1070,8 +1077,8 @@ def test_verify_all_solves_each_distinct_laplacian_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(sdlap.verify, name, counted(getattr(sdlap.verify, name)))
     assert all(r.passed for r in sdlap.verify.run_all(seed=1530816428))
-    assert calls == {"det_exact": 827, "_eigenvalues": 14, "sym_eig": 40}
-    assert sum(stacked) == 727
+    assert calls == {"det_exact": 827, "_eigenvalues": 34}
+    assert sum(stacked) == 767
 
 
 @pytest.mark.parametrize("injection", [None, "det-always-1", "eigenvalues-minus-1",
@@ -1098,14 +1105,17 @@ def test_stacked_checks_report_the_same_wherever_runs_end(monkeypatch, injection
         monkeypatch.setattr(sdlap.verify, "det_exact", lambda m: 1)
     if injection == "certificate-and-eigenvalues-minus-1":
         monkeypatch.setattr("sdlap.balance.BalanceReport.verify", lambda report, g: False)
-    suites = ("balance-equivalence", "cospectrality")
-    expected = [sdlap.verify.run_suite(s).to_json_obj() for s in suites]
-    assert len(solves) == 14 and expected[0]["passed"] == (injection is None)
+    # transmission-shift at n_max = 100 splits its cycles into runs at the
+    # default bound too, with one solve per cycle wherever runs end
+    suites = (("balance-equivalence", None), ("cospectrality", None), ("transmission-shift", 100))
+    expected = [sdlap.verify.run_suite(s, n).to_json_obj() for s, n in suites]
+    assert len(solves) == 14 + 196 and expected[0]["passed"] == (injection is None)
+    assert expected[2]["passed"] == (shift == 0)
     for bound in (1, 97, 2000):
         monkeypatch.setattr(sdlap.verify, "_CHUNK_ENTRIES", bound)
         solves.clear()
-        assert [sdlap.verify.run_suite(s).to_json_obj() for s in suites] == expected
-        assert len(solves) > 14 and (bound > 1 or len(solves) == 600)
+        assert [sdlap.verify.run_suite(s, n).to_json_obj() for s, n in suites] == expected
+        assert len(solves) > 14 + 196 and (bound > 1 or len(solves) == 600 + 196)
 
 
 def test_out_of_memory_ends_in_one_line_without_a_traceback(tmp_path):

@@ -16,6 +16,7 @@ from sdlap import (
     is_compatible,
     switch,
     transmission,
+    weighted_laplacian,
 )
 
 from conftest import all_signed_graphs, brute_table, random_connected_graph, sssp_signs
@@ -396,6 +397,24 @@ def test_associated_complete_takes_its_order_from_the_table():
         assert s * w == d[u, v]
     with pytest.raises(TypeError):
         associated_complete(generate("cycle", 3, "allpos"), table, "max")
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_associated_complete_equals_the_validated_graph(kind):
+    # built without the constructor's checks, it must be the graph they
+    # would build, with float weights that integer_weights can read
+    table = distance_table(generate("random", 30, 0.5, seed=3, p=0.15))
+    d = distance_matrix(table, kind).entries.tolist()
+    pairs = [(u, v) for u in range(30) for v in range(u + 1, 30)]
+    validated = SignedGraph(30, tuple((u, v, 1 if d[u][v] > 0 else -1) for u, v in pairs),
+                            tuple(abs(d[u][v]) for u, v in pairs))
+    completion = associated_complete(table, kind)
+    assert completion == validated and completion.m == 30 * 29 // 2
+    assert all(type(w) is float for w in completion.weights)
+    assert all(type(x) is int for edge in completion.edges for x in edge)
+    assert completion.integer_weights
+    lap = weighted_laplacian(completion).entries
+    assert np.diagonal(lap).tolist() == transmission(table).tolist()
 
 
 def test_associated_complete_rejects_pm():
