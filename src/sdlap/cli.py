@@ -231,6 +231,17 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# Each optional field of a gen spec: the prefix that names it, the generate
+# keyword it sets, the reader of its value and the word a bad value is
+# reported by. The empty prefix, last, takes any other token as the signs.
+_GEN_FIELDS = {
+    "seed=": ("seed", int, "seed"),
+    "p=": ("p", float, "probability"),
+    "q=": ("signs", float, "sign probability"),
+    "": ("signs", str, "signs"),
+}
+
+
 def _parse_gen_spec(spec: str):
     parts = spec.split(":")
     if len(parts) < 2:
@@ -240,37 +251,23 @@ def _parse_gen_spec(spec: str):
         n = int(parts[1])
     except ValueError:
         raise _UsageError(f"generator spec {spec!r}: bad vertex count {parts[1]!r}")
-    signs = seed = p = None
-    given = set()
+    fields = {}
     for token in parts[2:]:
-        field = token.split("=")[0] if token.startswith(("seed=", "p=")) else "signs"
-        if field in given:
-            raise _UsageError(f"generator spec {spec!r} gives {field} more than once")
-        given.add(field)
-        if field == "seed":
-            try:
-                seed = int(token[5:])
-            except ValueError:
-                raise _UsageError(f"bad seed in {spec!r}")
-        elif field == "p":
-            try:
-                p = float(token[2:])
-            except ValueError:
-                raise _UsageError(f"bad probability in {spec!r}")
-        elif token.startswith("q="):
-            try:
-                signs = float(token[2:])
-            except ValueError:
-                raise _UsageError(f"bad sign probability in {spec!r}")
-        else:
-            signs = token
-    return kind, n, signs, seed, p
+        prefix = next(prefix for prefix in _GEN_FIELDS if token.startswith(prefix))
+        keyword, read, word = _GEN_FIELDS[prefix]
+        if keyword in fields:
+            raise _UsageError(f"generator spec {spec!r} gives {keyword} more than once")
+        try:
+            fields[keyword] = read(token[len(prefix):])
+        except ValueError:
+            raise _UsageError(f"bad {word} in {spec!r}")
+    return kind, n, fields
 
 
 def _cmd_gen(args) -> int:
-    kind, n, signs, seed, p = _parse_gen_spec(args.spec)
+    kind, n, fields = _parse_gen_spec(args.spec)
     try:
-        g = generate(kind, n, signs, seed=seed, p=p)
+        g = generate(kind, n, **fields)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     _emit(serialize(g), args.out)

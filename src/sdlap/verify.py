@@ -358,11 +358,9 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
                 for end in ((u, v) if rng.random() < 0.5 else (v, u))]
         h = _incidence_stack(wg, np.array(ends).reshape(_ORIENTATIONS_PER_GRAPH, wg.m, 2))
         product = h @ h.swapaxes(1, 2)  # one n x n product per orientation
-        devs = np.abs(product - lap).max(axis=(1, 2), initial=0.0).tolist()
-        wrong = (np.rint(product).astype(np.int64) != lap).any(axis=(1, 2)).tolist()
-        for dev, bad in zip(devs, wrong):
+        for dev in np.abs(product - lap).max(axis=(1, 2), initial=0.0).tolist():
             max_dev = max(max_dev, dev)
-            if dev >= 1e-9 or bad:
+            if not dev < 1e-9:  # a NaN product fails too
                 report.record_failure(f"instance {i}: factorization deviation {dev:g}")
     report.details["max_deviation"] = max_dev
     return report

@@ -4,6 +4,7 @@ import random
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdlap import (DisconnectedGraphError, IncompatibleGraphError, forest_det, generate,
@@ -126,6 +127,18 @@ def test_gen_rejects_bad_sign_probabilities(capsys, token, message):
 def test_gen_rejects_repeated_and_misplaced_tokens(capsys, spec, message):
     code, out, err = run(capsys, "gen", spec)
     assert (code, out) == (2, "") and message in err
+
+
+@pytest.mark.parametrize("kind, n, tokens, fields", [
+    ("random", 7, ("seed=5", "p=0.6", "q=0.3"), {"seed": 5, "p": 0.6, "signs": 0.3}),
+    ("cycle", 5, ("+-+--", "seed=2"), {"signs": "+-+--", "seed": 2}),
+])
+def test_gen_fields_may_come_in_any_order(capsys, kind, n, tokens, fields):
+    from sdlap import serialize
+
+    expected = serialize(generate(kind, n, **fields))
+    for order in itertools.permutations(tokens):
+        assert run(capsys, "gen", ":".join((kind, str(n), *order))) == (0, expected, "")
 
 
 def test_gen_connectivity_failure_is_computation_error(capsys):
@@ -1184,6 +1197,27 @@ def test_suites_report_each_kind_of_failure(monkeypatch, suite, target, replacem
     # ten failures are kept, so the summary names the first and counts the rest
     assert report.summary().startswith(f"FAIL {suite}: ")
     assert report.summary().endswith(f"({first} and 9 more)")
+
+
+def test_incidence_factorization_fails_a_nan_product_without_a_warning(monkeypatch):
+    from sdlap.verify import incidence_factorization_suite
+
+    calls = []
+
+    def one_nan(g, ends):
+        h = _incidence_stack(g, ends)
+        if not calls:
+            h[1, 0, 0] = np.nan  # one orientation of the first instance
+        calls.append(g)
+        return h
+
+    monkeypatch.setattr("sdlap.verify._incidence_stack", one_nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = incidence_factorization_suite(count=20, seed=1)
+    assert report.passed is False
+    assert len(calls) == 20
+    assert report.failures == ["instance 0: factorization deviation nan"]
 
 
 def test_run_suite_rejects_an_unknown_name():
