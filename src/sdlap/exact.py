@@ -8,31 +8,34 @@ determinant takes one of two exact routes, by order:
   divisor d. The matrix is inverted once modulo the prime _LIFT_PRIME,
   and Dixon's p-adic lifting (Numer. Math. 1982) solves A x = b for a
   fixed small-integer b to a precision that rational reconstruction turns
-  into x = y / d. A y = d b with gcd(d, y) = 1 is checked in Python
-  integers; by Cramer's rule it proves that d divides det A (Abbott,
-  Bronstein & Mulders, ISSAC 1999). Let s_1 | ... | s_n be the invariant
-  factors of A (its Smith normal form). s_n A^-1 is integral, so d divides
-  s_n whatever b is, and |det A| / d >= s_1 ... s_{n-1}. On random distance
-  Laplacians d is all or nearly all of det A. On unbalanced odd cycles
-  s_{n-1} is nearly as large as s_n, so d carries only about half of its
-  bits. Where the lifting does not apply (A is singular modulo
-  _LIFT_PRIME, which includes det A = 0, its entries break the float
-  invariant of the lifting, or the certificate fails), d = 1. The cofactor
-  det / d comes from det A modulo primes below 2**23 (and _LIFT_PRIME
-  where d is certified), eliminated a batch at a time by float64 blocked
-  LU whose trailing update is one batched matmul (Dumas, Giorgi & Pernet,
-  ACM TOMS 2008), until their product exceeds twice the Hadamard bound
-  over d; the Chinese remainder theorem then gives it exactly.
+  into x = y / d. Once d is known, each coordinate is reduced only modulo
+  a power of p**3 a little above 2 |y_j|, about half the lifted width; a
+  coordinate whose residue there is not small goes back to its full x_j
+  and grows d. A y = d b with gcd(d, y) = 1 is checked exactly, on 16-bit
+  limbs of y by one float64 matmul and one int64 carry pass; by Cramer's
+  rule it proves that d divides det A (Abbott, Bronstein & Mulders, ISSAC
+  1999). Let s_1 | ... | s_n be the invariant factors of A (its Smith
+  normal form). s_n A^-1 is integral, so d divides s_n whatever b is, and
+  |det A| / d >= s_1 ... s_{n-1}. On random distance Laplacians d is all
+  or nearly all of det A. On unbalanced odd cycles s_{n-1} is nearly as
+  large as s_n, so d carries only about half of its bits. Where the
+  lifting does not apply (A is singular modulo _LIFT_PRIME, which includes
+  det A = 0, its entries break the float invariant of the lifting, or the
+  certificate fails), d = 1. The cofactor det / d comes from det A modulo
+  primes below 2**23 (and _LIFT_PRIME where d is certified), eliminated a
+  batch at a time by float64 blocked LU whose trailing update is one
+  batched matmul (Dumas, Giorgi & Pernet, ACM TOMS 2008), until their
+  product exceeds twice the Hadamard bound over d; the Chinese remainder
+  theorem then gives it exactly.
 
-Both float64 eliminations keep every value an integer below 2**53, so
-their float arithmetic is exact; the invariants are stated once, above
-the constants they bound.
+Both float64 eliminations and the certificate keep every value an integer
+below 2**53, so their float arithmetic is exact; the invariants are stated
+once, above the constants they bound.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 
 import numpy as np
@@ -57,6 +60,13 @@ _PADIC_MIN_ORDER = 26
 #       n * (p - 1)**2 + 2 * p < 2**53    (n <= 8192) and
 #       n * amax * p + bmax < 2**53;
 #   _lift_is_exact checks both, and the lifting declines a matrix that fails.
+# * The certificate (_certifies) multiplies A by the signed limbs of y,
+#   each below 2**_LIMB_BITS <= p, so its float64 sums stay below the
+#   residual bound n * amax * p and its int64 carries below that: the
+#   lifting invariant keeps it exact, with no second bound to check.
+# * Reconstruction reads each y_j modulo the least power of p**3 above
+#   2 * bound * 2**64: a true y_j is its symmetric residue there, and one
+#   that is wrongly small (odds about 2**-64) fails the certificate.
 # * The int64 squared column norms of the Hadamard bound (_det_modular) are
 #   exact while n * amax**2 < 2**63; beyond it they are Python integers.
 _PRIME_LIMIT = 1 << 23
@@ -69,6 +79,8 @@ _BLOCK = 16
 _PRIME_CHUNK = 8
 # Lifting prime of the p-adic divisor, the largest prime below 2**20.
 _LIFT_PRIME = 1048573
+# Bits of a certificate limb, the width of the uint16 that _limbs reads.
+_LIMB_BITS = 16
 
 
 def determinant(m) -> int:
@@ -320,12 +332,12 @@ def _padic_divisor(entries: np.ndarray, amax: int,
     prod ||col_i||**2 the squared Hadamard bound. x = A^-1 b is lifted to
     p**k > 2 N**2, where N bounds |det A| and every Cramer numerator
     |det A_j(b)| <= ||b|| prod_{i != j} ||col_i||. Rational reconstruction
-    gives x = y / d; A y = d b with gcd(d, y) = 1, checked in Python
-    integers, proves that d divides det A.
+    gives x = y / d; A y = d b with gcd(d, y) = 1, checked exactly, proves
+    that d divides det A.
     """
     n = len(entries)
     p = _LIFT_PRIME
-    b = np.array(random.Random(n).choices(range(1, 10), k=n))
+    b = np.array(random.Random(n).choices(range(1, 10), k=n), dtype=np.int64)
     if not _lift_is_exact(n, amax, int(b.max(initial=0))):
         return None
     solved = _inverse_mod(np.remainder(entries, p).astype(np.float64), p)
@@ -333,28 +345,55 @@ def _padic_divisor(entries: np.ndarray, amax: int,
         return None
     inverse, det_p = solved
     bound = math.isqrt(int(b @ b) * bound_sq)
-    steps, modulus = 1, p
+    base = p**3
+    words, modulus = 1, base
     while modulus <= 2 * bound * bound:
-        steps, modulus = steps + 1, modulus * p
-    x = _lift(entries.astype(np.float64), inverse, b, steps)
-    # Vector rational reconstruction: y_j = d x_j once d x_j is small;
-    # otherwise d grows by the denominator of d x_j, whose numerator is
-    # at most bound and denominator at most bound // d.
+        words, modulus = words + 1, modulus * base
+    a = entries.astype(np.float64)
+    digits = _lift(a, inverse, b, words)
+    # Vector rational reconstruction at half width: y_j = d x_j once its
+    # residue modulo low is small; otherwise the full x_j grows d by the
+    # denominator of d x_j (numerator at most bound, denominator bound // d).
+    half, low = 1, base
+    while half < words and low <= 2 * bound << 64:
+        half, low = half + 1, low * base
     d, y = 1, []
-    for xj in x:
-        t = _symmetric(d * xj % modulus, modulus)
+    for j, xj in enumerate(_assemble(digits[:half])):
+        t = _symmetric(d * xj % low, low)
         if abs(t) > bound:
-            e = _rational(t % modulus, modulus, bound, bound // d)
+            xj = _assemble(digits[:, j : j + 1])[0]
+            e = _rational(d * xj % modulus, modulus, bound, bound // d)
             if e is None:
                 return None
             d *= e
             y = [yi * e for yi in y]
-            t = _symmetric(d * xj % modulus, modulus)
+            t = _symmetric(d * xj % low, low)
         y.append(t)
-    if math.gcd(d, *y) != 1 or any(sum(map(operator.mul, row, y)) != d * bi
-                                   for row, bi in zip(entries.tolist(), b.tolist())):
+    if math.gcd(d, *y) != 1 or not _certifies(a, y, d, b):
         return None
     return d, det_p
+
+
+def _limbs(values, count: int) -> np.ndarray:
+    """count uint16 limbs of each nonnegative value, least significant first."""
+    data = b"".join(v.to_bytes(2 * count, "little") for v in values)
+    return np.frombuffer(data, dtype="<u2").reshape(-1, count)
+
+
+def _certifies(a: np.ndarray, y: list[int], d: int, b: np.ndarray) -> bool:
+    """True when A y = d b exactly, for A in float64 and b in 1..9: A times
+    the signed limbs of y in one matmul, then one carry pass that must leave
+    the limbs of d b_r and no final carry (the limb invariant)."""
+    count = -(-max([9 * d, *map(abs, y)]).bit_length() // _LIMB_BITS)
+    limbs = _limbs(map(abs, y), count).astype(np.float64)
+    limbs[np.array([yj < 0 for yj in y], dtype=bool)] *= -1
+    z = (a @ limbs).astype(np.int64).T.copy()
+    carry = 0
+    for row in z:
+        row += carry
+        carry = row >> _LIMB_BITS
+        row &= (1 << _LIMB_BITS) - 1
+    return not np.any(carry) and np.array_equal(z.T, _limbs([d * v for v in range(10)], count)[b])
 
 
 def _rational(x: int, m: int, num_bound: int, den_bound: int) -> int | None:
@@ -425,21 +464,21 @@ def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, int] | None:
     return a, det
 
 
-def _lift(a: np.ndarray, inverse: np.ndarray, b: np.ndarray, steps: int) -> list[int]:
-    """x = A^-1 b modulo p**steps, by Dixon's p-adic lifting.
+def _lift(a: np.ndarray, inverse: np.ndarray, b: np.ndarray, words: int) -> np.ndarray:
+    """x = A^-1 b modulo p**(3 words), by Dixon's p-adic lifting, as an
+    int64 array of shape (words, n) whose row i holds the base-p**3 digit i
+    of every coordinate.
 
     Each step takes the digit x_i = A^-1 r_i mod p and the exact residual
     r_{i+1} = (r_i - A x_i) / p; both products stay exact under the
-    lifting invariant at the constants. Digits are packed three to an
-    int64 and assembled into Python integers (not reduced modulo p**steps).
+    lifting invariant at the constants. Three digits are packed to a word.
     """
     p = _LIFT_PRIME
     pf = float(p)
     p_inv = 1.0 / pf
-    n = len(b)
-    digits = np.zeros((-(-steps // 3) * 3, n))
+    digits = np.zeros((3 * words, len(b)))
     r = b.astype(np.float64)
-    for i in range(steps):
+    for i in range(3 * words):
         x = r.copy()
         _reduce(x, pf, p_inv)
         x = inverse @ x
@@ -448,9 +487,17 @@ def _lift(a: np.ndarray, inverse: np.ndarray, b: np.ndarray, steps: int) -> list
         r -= a @ x
         r /= pf
     d = digits.astype(np.int64)
-    words = (d[0::3] + p * d[1::3] + p * p * d[2::3]).tolist()
-    base = p**3
-    x = [0] * n
-    for w in reversed(words):
-        x = [xj * base + wj for xj, wj in zip(x, w)]
-    return x
+    return d[0::3] + p * d[1::3] + p * p * d[2::3]
+
+
+def _assemble(words: np.ndarray) -> list[int]:
+    """sum_i words[i] p**(3 i) for every column of words, in Python integers,
+    joining neighbouring words pairwise until one remains."""
+    parts, base = words.tolist(), _LIFT_PRIME**3
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts.append([0] * len(parts[0]))
+        parts = [[lo + base * hi for lo, hi in zip(low, high)]
+                 for low, high in zip(parts[0::2], parts[1::2])]
+        base *= base
+    return parts[0]

@@ -24,6 +24,7 @@ of incidence matrices.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass, field
 
@@ -106,10 +107,21 @@ def _random_weighted(rng: random.Random, n_max: int) -> SignedGraph:
         float(rng.randint(*_WEIGHT_RANGE)) for _ in range(g.m)))
 
 
+def _worst(pick, *values):
+    """pick(values) for pick min or max, or NaN where a value is NaN, which
+    min and max can drop."""
+    return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
+def _extremes(eigenvalues: np.ndarray) -> list:
+    """Each row's smallest and largest value, both NaN where it holds a NaN."""
+    return np.stack((eigenvalues.min(axis=1), eigenvalues.max(axis=1)), axis=1).tolist()
+
+
 def _psd_minimum(report: SuiteReport, values, label: str) -> float:
     """Smallest of a distance Laplacian's ascending eigenvalues (the first
-    and last suffice); records a failure in report if it is negative."""
-    if values[0] < -_PSD_TOL * max(1.0, values[-1]):
+    and last suffice); records a failure in report if it is negative or NaN."""
+    if not values[0] >= -_PSD_TOL * _worst(max, 1.0, values[-1]):
         report.record_failure(f"{label}: negative eigenvalue {values[0]:g}")
     return values[0]
 
@@ -211,7 +223,7 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
             differs = gap.any(axis=(1, 2))
             # the smallest and largest eigenvalue of each L^max, then of each
             # L^min that differs from it; an equal L^min shares its spectrum
-            extremes = _eigenvalues(np.concatenate((lmax, lmin[differs])))[:, [0, -1]].tolist()
+            extremes = _extremes(_eigenvalues(np.concatenate((lmax, lmin[differs]))))
             rest = iter(extremes[len(lmax):])
             stacked[n] = iter(zip(
                 lmax, lmin, differs.tolist(), (gap != 2 * dist * both).any(axis=(1, 2)).tolist(),
@@ -240,8 +252,8 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
                 )
             if det_max < 0 or det_min < 0:
                 report.record_failure(f"instance {i}: negative determinant")
-            min_eig = min(min_eig, _psd_minimum(report, max_pair, f"instance {i} lmax"),
-                          _psd_minimum(report, min_pair, f"instance {i} lmin"))
+            min_eig = _worst(min, min_eig, _psd_minimum(report, max_pair, f"instance {i} lmax"),
+                             _psd_minimum(report, min_pair, f"instance {i} lmin"))
     report.details["balanced"] = balanced_count
     report.details["unbalanced"] = count - balanced_count
     report.details["min_eigenvalue"] = min_eig
@@ -285,13 +297,13 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
             lap = _laplacian(dist, d)
             zlz = z[:, :, None] * _laplacian(dist_pos, d_pos) * z[:, None, :]
             stacked[n] = iter(zip(np.abs(lap - zlz).max(axis=(1, 2)).tolist(),
-                                  _eigenvalues(lap)[:, [0, -1]].tolist()))
+                                  _extremes(_eigenvalues(lap))))
         for d, *_, i in run:
             dev, extremes = next(stacked[len(d)])
             max_dev = max(max_dev, dev)
             if dev:
                 report.record_failure(f"instance {i}: L differs from Z·L·Z by {dev}")
-            min_eig = min(min_eig, _psd_minimum(report, extremes, f"instance {i}"))
+            min_eig = _worst(min, min_eig, _psd_minimum(report, extremes, f"instance {i}"))
     report.details["max_deviation"] = max_dev
     report.details["min_eigenvalue"] = min_eig
     return report
@@ -328,11 +340,11 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
             for kind, values in zip(("max", "min"), _eigenvalues(np.stack(laplacians)).tolist()):
                 report.instances += 1
                 label = f"C{n} {signs} {kind}"
-                dev = max(abs(x - y) for x, y in zip(values, expected))
-                if dev > _SPECTRUM_TOL:
+                dev = _worst(max, *(abs(x - y) for x, y in zip(values, expected)))
+                if not dev <= _SPECTRUM_TOL:
                     report.record_failure(f"{label}: deviation {dev:g} from cycle_spectrum")
-                max_dev = max(max_dev, dev)
-                min_eig = min(min_eig, _psd_minimum(report, values, label))
+                max_dev = _worst(max, max_dev, dev)
+                min_eig = _worst(min, min_eig, _psd_minimum(report, values, label))
             if sign < 0 and n % 2:
                 printed = odd_cycle_formula_spectrum(n // 2).eigenvalues
                 printed_dev = max(printed_dev, *(abs(x - y) for x, y in zip(expected, printed)))
@@ -358,8 +370,9 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
                 for end in ((u, v) if rng.random() < 0.5 else (v, u))]
         h = _incidence_stack(wg, np.array(ends).reshape(_ORIENTATIONS_PER_GRAPH, wg.m, 2))
         product = h @ h.swapaxes(1, 2)  # one n x n product per orientation
-        for dev in np.abs(product - lap).max(axis=(1, 2), initial=0.0).tolist():
-            max_dev = max(max_dev, dev)
+        devs = np.abs(product - lap).max(axis=(1, 2), initial=0.0).tolist()
+        max_dev = _worst(max, max_dev, *devs)
+        for dev in devs:
             if not dev < 1e-9:  # a NaN product fails too
                 report.record_failure(f"instance {i}: factorization deviation {dev:g}")
     report.details["max_deviation"] = max_dev

@@ -1019,6 +1019,30 @@ def test_spectral_suites_fail_on_a_negative_eigenvalue(monkeypatch, suite):
     assert any("negative eigenvalue" in failure for failure in report.failures)
 
 
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("suite", ["balance-equivalence", "cospectrality",
+                                   "transmission-shift"])
+def test_spectral_suites_fail_on_a_nan_eigenvalue(monkeypatch, suite, column):
+    # NaN compares false both ways, so a check written as "fail if worse"
+    # passes it, and min or max over a NaN may drop it from the report
+    import sdlap.verify
+
+    real = sdlap.verify._eigenvalues
+
+    def with_nan(stack):
+        values = real(stack).copy()
+        values[:, column] = np.nan
+        return values
+
+    monkeypatch.setattr(sdlap.verify, "_eigenvalues", with_nan)
+    report = sdlap.verify.run_suite(suite)
+    assert not report.passed
+    # transmission-shift sees column 1 through its deviation from the closed
+    # form; the others take each spectrum's extremes, which NaN makes NaN
+    carried = "max_deviation" if suite == "transmission-shift" and column else "min_eigenvalue"
+    assert np.isnan(report.details[carried])
+
+
 def _rebind_distance_matrix(monkeypatch, replace):
     """Make every module that binds distance_matrix call replace(real,
     table, kind) instead."""
@@ -1218,6 +1242,7 @@ def test_incidence_factorization_fails_a_nan_product_without_a_warning(monkeypat
     assert report.passed is False
     assert len(calls) == 20
     assert report.failures == ["instance 0: factorization deviation nan"]
+    assert np.isnan(report.details["max_deviation"])
 
 
 def test_run_suite_rejects_an_unknown_name():

@@ -18,8 +18,10 @@ import sdlap.exact
 from sdlap.exact import (
     _BLOCK,
     _LIFT_PRIME,
+    _LIMB_BITS,
     _PADIC_MIN_ORDER,
     _PRIME_LIMIT,
+    _certifies,
     _det_bareiss,
     _det_modular,
     _lift_is_exact,
@@ -232,6 +234,53 @@ def test_lifting_prime_is_prime_and_keeps_float_arithmetic_below_2_to_the_53():
     assert _lift_is_exact(n, amax, 9) and not _lift_is_exact(n, amax + 1, 9)
 
 
+def test_certificate_limbs_stay_within_the_lifting_invariant():
+    # a limb is below 2**_LIMB_BITS <= p, so where _lift_is_exact holds the
+    # certificate's float64 sums, below n * amax * 2**_LIMB_BITS, and its
+    # int64 carries stay below the residual bound n * amax * p < 2**53
+    assert 2**_LIMB_BITS <= _LIFT_PRIME
+    n = 100
+    amax = (2**53 - 10) // (n * _LIFT_PRIME)
+    assert _lift_is_exact(n, amax, 9) and n * amax * 2**_LIMB_BITS < 2**53
+
+
+def certifies(rows, y, d, b) -> bool:
+    return _certifies(np.array(rows, dtype=np.float64), y, d, np.array(b))
+
+
+def test_certificate_carries_negative_coordinates_across_limbs():
+    # y = d (7, -2) and A y = d (5, 3): the negative limbs of y borrow
+    # across every limb of d
+    d = 2**40 + 2**17 + 1
+    rows = [[1, 1], [1, 2]]
+    assert certifies(rows, [7 * d, -2 * d], d, [5, 3])
+    for y in ([7 * d, -2 * d + 1], [7 * d, 2 * d], [7 * d + 2**32, -2 * d]):
+        assert not certifies(rows, y, d, [5, 3])
+
+
+def test_certificate_on_a_zero_coordinate():
+    d = 3**30
+    rows = [[2, 5], [3, 7]]
+    assert certifies(rows, [d, 0], d, [2, 3])
+    assert not certifies(rows, [d, 1], d, [2, 3])
+    assert not certifies(rows, [0, 0], d, [2, 3])
+
+
+def test_certificate_where_d_b_is_one_limb_longer_than_y():
+    # A = 2**16 I: every y_j fits one limb, every d b_r takes two, and a
+    # wrong y differs from d b in the second limb only
+    d = 2**_LIMB_BITS
+    rows = [[d, 0], [0, d]]
+    assert certifies(rows, [9, 5], d, [9, 5])
+    assert not certifies(rows, [9, 4], d, [9, 5])
+
+
+def test_certificate_rejects_a_sum_that_overflows_into_the_final_carry():
+    # row 0 sums to 2**16 + 1, whose low limb equals d b_0 = 1
+    assert not certifies([[1, 1], [0, 1]], [2**16 - 1, 2], 1, [1, 2])
+    assert certifies([[1, 1], [0, 1]], [1, 2], 1, [3, 2])
+
+
 def test_padic_route_agrees_on_both_sides_of_its_order_threshold():
     rng = random.Random(251)
     for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER, _PADIC_MIN_ORDER + _BLOCK + 3):
@@ -355,11 +404,20 @@ def test_padic_route_on_a_matrix_whose_column_norms_exceed_its_row_norms():
     assert padic_route(rows) != 0
 
 
+def last_coordinate_plus_one(real):
+    """_lift with 1 added to the last coordinate of x, in its lowest word."""
+    def lift(*args):
+        words = real(*args)
+        words[0, -1] += 1
+        return words
+    return lift
+
+
 @pytest.mark.parametrize("name, corrupt", [
     # a doubled denominator breaks gcd(d, y) = 1
     ("_rational", lambda real: lambda *args: None if (e := real(*args)) is None else 2 * e),
     # a wrong last coordinate of x breaks A y = d b
-    ("_lift", lambda real: lambda *args: (x := real(*args))[:-1] + [x[-1] + 1]),
+    ("_lift", last_coordinate_plus_one),
     # a failed reconstruction leaves no denominator to certify
     pytest.param("_rational", lambda real: lambda *args: None, id="_rational-none"),
 ])
