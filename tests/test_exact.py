@@ -404,20 +404,17 @@ def test_padic_route_on_a_matrix_whose_column_norms_exceed_its_row_norms():
     assert padic_route(rows) != 0
 
 
-def last_coordinate_plus_one(real):
-    """_lift with 1 added to the last coordinate of x, in its lowest word."""
-    def lift(*args):
-        words = real(*args)
-        words[0, -1] += 1
-        return words
-    return lift
+def last_coordinate_plus_one(words):
+    """Lifted words with 1 added to the last coordinate of x, in its lowest word."""
+    words[0, -1] += 1
+    return words
 
 
 @pytest.mark.parametrize("name, corrupt", [
     # a doubled denominator breaks gcd(d, y) = 1
     ("_rational", lambda real: lambda *args: None if (e := real(*args)) is None else 2 * e),
     # a wrong last coordinate of x breaks A y = d b
-    ("_lift", last_coordinate_plus_one),
+    ("_lift", lambda real: lambda *args: last_coordinate_plus_one(real(*args))),
     # a failed reconstruction leaves no denominator to certify
     pytest.param("_rational", lambda real: lambda *args: None, id="_rational-none"),
 ])
