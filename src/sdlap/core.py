@@ -159,11 +159,8 @@ class SignedGraph:
             seen.add((u, v))
             normalized.append((u, v, s))
         object.__setattr__(self, "edges", tuple(normalized))
-        if self.weights is None:  # unit weights need no checks
-            object.__setattr__(self, "weights", (1.0,) * len(normalized))
-            return
         weights = []
-        for i, w in enumerate(self.weights):
+        for i, w in enumerate((1.0,) * len(normalized) if self.weights is None else self.weights):
             if type(w) is not float:
                 try:
                     x = float(w)
@@ -173,14 +170,11 @@ class SignedGraph:
                 if isinstance(w, numbers.Integral) and int(w) != x:
                     raise ValueError(f"integer weight {w!r} at edge {i} is not a float64 value")
                 w = x
+            if not 0 < w < math.inf:
+                raise ValueError(f"weight {w!r} at edge {i} is not finite and strictly positive")
             weights.append(w)
         if len(weights) != len(normalized):
             raise ValueError(f"{len(weights)} weights for {len(normalized)} edges")
-        for i, w in enumerate(weights):
-            if not 0 < w < math.inf:
-                raise ValueError(
-                    f"weight {w!r} at edge {i} is not finite and strictly positive"
-                )
         object.__setattr__(self, "weights", tuple(weights))
 
     @classmethod

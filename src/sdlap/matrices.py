@@ -127,6 +127,8 @@ def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
         if not _write_tokens(out, rows, num, _CSV_MARKS):
             out.writelines(text + "\n" for text in _joined_rows(rows, ",", num))
         return out
+    if fmt != "json":
+        raise ValueError(f"unknown matrix format {fmt!r}, expected 'csv' or 'json'")
     lead = "{\n" + "".join(f'  "{k}": {json.dumps(v)},\n' for k, v in header.items())
     for key, rows in blocks.items():
         out.write(f'{lead}  "{key}": [')

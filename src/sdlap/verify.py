@@ -119,11 +119,14 @@ def _extremes(eigenvalues: np.ndarray) -> list:
 
 
 def _psd_minimum(report: SuiteReport, values, label: str) -> float:
-    """Smallest of a distance Laplacian's ascending eigenvalues (the first
-    and last suffice); records a failure in report if it is negative or NaN."""
-    if not values[0] >= -_PSD_TOL * _worst(max, 1.0, values[-1]):
-        report.record_failure(f"{label}: negative eigenvalue {values[0]:g}")
-    return values[0]
+    """Smallest of a distance Laplacian's ascending eigenvalues, or NaN if the
+    first or last is NaN; records a failure in report if it is negative or NaN."""
+    low = math.nan if math.isnan(values[-1]) else values[0]
+    if math.isnan(low):
+        report.record_failure(f"{label}: NaN eigenvalue")
+    elif low < -_PSD_TOL * max(1.0, values[-1]):
+        report.record_failure(f"{label}: negative eigenvalue {low:g}")
+    return low
 
 
 def _runs(instances, laplacians: int):

@@ -1019,12 +1019,13 @@ def test_spectral_suites_fail_on_a_negative_eigenvalue(monkeypatch, suite):
     assert any("negative eigenvalue" in failure for failure in report.failures)
 
 
-@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("column", [0, 1, -1])
 @pytest.mark.parametrize("suite", ["balance-equivalence", "cospectrality",
                                    "transmission-shift"])
 def test_spectral_suites_fail_on_a_nan_eigenvalue(monkeypatch, suite, column):
     # NaN compares false both ways, so a check written as "fail if worse"
-    # passes it, and min or max over a NaN may drop it from the report
+    # passes it, and min or max over a NaN may drop it from the report; a
+    # NaN extreme is reported as a NaN eigenvalue, never as a negative one
     import sdlap.verify
 
     real = sdlap.verify._eigenvalues
@@ -1039,8 +1040,12 @@ def test_spectral_suites_fail_on_a_nan_eigenvalue(monkeypatch, suite, column):
     assert not report.passed
     # transmission-shift sees column 1 through its deviation from the closed
     # form; the others take each spectrum's extremes, which NaN makes NaN
-    carried = "max_deviation" if suite == "transmission-shift" and column else "min_eigenvalue"
+    carried = ("max_deviation" if suite == "transmission-shift" and column == 1
+               else "min_eigenvalue")
     assert np.isnan(report.details[carried])
+    assert not any("negative eigenvalue" in failure for failure in report.failures)
+    if carried == "min_eigenvalue":
+        assert any(failure.endswith(": NaN eigenvalue") for failure in report.failures)
 
 
 def _rebind_distance_matrix(monkeypatch, replace):

@@ -202,11 +202,30 @@ def test_inexact_integer_token_beside_a_float_weight_is_read_as_a_float():
     assert g.weights == (2.0**53, 0.5)
 
 
+def test_each_weight_is_checked_in_one_pass():
+    # the first bad weight is reported, whatever is wrong after it, and
+    # before a count that does not match the edges
+    edges = ((0, 1, 1), (1, 2, 1))
+    for weights, message in [
+        ((0.0, 2**53 + 1), "weight 0.0 at edge 0 is not finite and strictly positive"),
+        ((2**53 + 1, 0.0), f"integer weight {2**53 + 1} at edge 0 is not a float64 value"),
+        ((1.0, math.nan, 2.0), "weight nan at edge 1 is not finite and strictly positive"),
+        ((-1.0,), "weight -1.0 at edge 0 is not finite and strictly positive"),
+        ((1.0, 1.0, 0.0), "weight 0.0 at edge 2 is not finite and strictly positive"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            SignedGraph(3, edges, weights)
+        assert str(err.value) == message
+
+
 def test_omitted_weights_are_unit_weights():
     g = generate("cycle", 4, "+-+-")
     assert g.weights == (1.0,) * 4 and g.integer_weights
     assert SignedGraph(g.n, g.edges) == SignedGraph(g.n, g.edges, (1.0,) * g.m)
+    assert SignedGraph(g.n, g.edges) == SignedGraph(g.n, g.edges, (1,) * g.m)
     assert SignedGraph(g.n, g.edges) == SignedGraph(g.n, g.edges, [1, 1, 1, 1])
+    assert _field_types(SignedGraph(g.n, g.edges)) == _field_types(
+        SignedGraph(g.n, g.edges, (1,) * g.m)) == (int, {int}, {float}, tuple, tuple)
     assert SignedGraph(g.n, g.edges) != SignedGraph(g.n, g.edges, (1.0, 1.0, 2.0, 1.0))
 
 

@@ -443,6 +443,18 @@ def test_incidence_export_includes_orientation():
     assert text == oracle_matrix_json(h)
 
 
+@pytest.mark.parametrize("fmt", ["CSV", "Json", "xml", "", "csv "])
+def test_writers_refuse_a_format_other_than_csv_or_json(fmt):
+    # a misspelt format must fail, not print JSON the caller did not ask for
+    g = generate("path", 3, "+-")
+    for matrix in (weighted_laplacian(g), incidence_matrix(g)):
+        out = io.StringIO()
+        with pytest.raises(ValueError) as err:
+            matrix.write(out, fmt)
+        assert str(err.value) == f"unknown matrix format {fmt!r}, expected 'csv' or 'json'"
+        assert out.getvalue() == ""
+
+
 def test_square_matrix_requires_square_input():
     with pytest.raises(ValueError, match="square"):
         SquareMatrix(np.zeros((2, 3)))

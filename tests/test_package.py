@@ -107,6 +107,40 @@ def test_oracles_borrow_no_encoder_or_algorithm_from_sdlap():
     assert borrowed == []
 
 
+def _imported_roots(tree: ast.Module) -> set[str]:
+    """Top-level names of every absolute import in a module, function bodies
+    included, and of every module it loads by a constant name."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in ("import_module", "__import__", "importorskip")):
+            roots.add(node.args[0].value.split(".")[0])
+    return roots
+
+
+def test_package_needs_only_the_standard_library_and_numpy():
+    # numpy is the one declared dependency; scipy and sympy may be installed
+    # beside it, so an import of either would pass here and fail elsewhere
+    allowed = sys.stdlib_module_names | {"numpy", "sdlap"}
+    found = {name: _imported_roots(tree) - allowed for name, tree in _modules().items()}
+    assert {name: roots for name, roots in found.items() if roots} == {}
+    assert _imported_roots(ast.parse("import a.b\nfrom c.d import e\nfrom . import f\n"
+                                     "def g():\n    importlib.import_module('h.i')")) == {
+        "a", "c", "h"}
+
+
+def test_tests_use_neither_scipy_nor_sympy():
+    found = {p.name: _imported_roots(ast.parse(p.read_text())) & {"scipy", "sympy"}
+             for p in (ROOT / "tests").glob("*.py")}
+    assert {name: roots for name, roots in found.items() if roots} == {}
+
+
 def test_package_import_graph_has_no_cycle():
     modules = _modules()
     edges = {name: _edges(tree, modules.keys()) for name, tree in modules.items()}
