@@ -60,11 +60,19 @@ def _stub(*names: str) -> None:
 _stub("balance", "distance", "exact", "matrices", "spectra", "verify")
 from . import balance, distance, matrices, spectra, verify  # noqa: E402
 
-MATRIX_KINDS = (
-    "dmax", "dmin", "dpm", "lmax", "lmin", "lpm",
-    "adjacency", "degree", "laplacian", "incidence",
-)
-SPECTRUM_KINDS = ("lmax", "lmin", "lpm", "adjacency", "laplacian")
+# Each matrix kind and its builder. A builder reaches distance and matrices
+# only when it is called, so that building the parser loads no numpy.
+MATRIX_KINDS = {
+    **{f"d{k}": lambda g, k=k: distance.distance_matrix(distance.distance_table(g), k)
+       for k in DISTANCE_KINDS},
+    **{f"l{k}": lambda g, k=k: distance.distance_laplacian(distance.distance_table(g), k)
+       for k in DISTANCE_KINDS},
+    "adjacency": lambda g: matrices.adjacency_matrix(g),
+    "degree": lambda g: matrices.weighted_degree_matrix(g),
+    "laplacian": lambda g: matrices.weighted_laplacian(g),
+    "incidence": lambda g: matrices.incidence_matrix(g),
+}
+SPECTRUM_KINDS = (*(f"l{k}" for k in DISTANCE_KINDS), "adjacency", "laplacian")
 
 
 class _UsageError(ValueError):
@@ -102,20 +110,6 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-def _build_matrix(g: SignedGraph, kind: str):
-    if kind in ("dmax", "dmin", "dpm"):
-        return distance.distance_matrix(distance.distance_table(g), kind[1:])
-    if kind in ("lmax", "lmin", "lpm"):
-        return distance.distance_laplacian(distance.distance_table(g), kind[1:])
-    if kind == "adjacency":
-        return matrices.adjacency_matrix(g)
-    if kind == "degree":
-        return matrices.weighted_degree_matrix(g)
-    if kind == "laplacian":
-        return matrices.weighted_laplacian(g)
-    return matrices.incidence_matrix(g)
-
-
 def _cmd_info(args) -> int:
     g = _load(args.file)
     comps = components(g)
@@ -143,7 +137,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    matrix = _build_matrix(_load(args.file), args.kind)
+    matrix = MATRIX_KINDS[args.kind](_load(args.file))
     with _output(args.out) as f:
         matrix.write(f, args.format)
     return 0
@@ -181,7 +175,7 @@ def _cmd_spectrum(args) -> int:
         tolerance = spectra.MULTIPLICITY_TOL
     elif not 0 <= tolerance < math.inf:
         raise _UsageError(f"--tolerance must be finite and nonnegative, got {tolerance}")
-    spectrum = spectra.sym_eig(_build_matrix(_load(args.file), args.kind),
+    spectrum = spectra.sym_eig(MATRIX_KINDS[args.kind](_load(args.file)),
                                grouping_tol=tolerance)
     if args.format == "csv":
         _emit(spectrum.to_csv(), args.out)
@@ -282,74 +276,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
+    def verb(name, summary, func, positional, *options, **positional_kw):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(positional, **positional_kw)
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
         p.add_argument("--out", help="write output to this file instead of stdout")
+        p.set_defaults(func=func)
 
-    p_info = sub.add_parser("info", help="basic facts about a graph file")
-    p_info.add_argument("file")
-    add_common(p_info)
-    p_info.set_defaults(func=_cmd_info)
-
-    p_matrix = sub.add_parser("matrix", help="emit a matrix of the graph")
-    p_matrix.add_argument("file")
-    p_matrix.add_argument("--kind", required=True, choices=MATRIX_KINDS)
-    p_matrix.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p_matrix)
-    p_matrix.set_defaults(func=_cmd_matrix)
-
-    p_balance = sub.add_parser("balance", help="decide balance")
-    p_balance.add_argument("file")
-    p_balance.add_argument(
-        "--method", choices=("switching", "det", "forest", "both"), default="both"
-    )
-    p_balance.add_argument(
-        "--kind", choices=DISTANCE_KINDS,
-        help="which determinant to use with --method det (default max)",
-    )
-    add_common(p_balance)
-    p_balance.set_defaults(func=_cmd_balance)
-
-    p_spectrum = sub.add_parser("spectrum", help="eigenvalues of a matrix")
-    p_spectrum.add_argument("file")
-    p_spectrum.add_argument("--kind", choices=SPECTRUM_KINDS, default="lpm")
-    p_spectrum.add_argument("--format", choices=("json", "csv"), default="json")
-    p_spectrum.add_argument(
-        "--tolerance", type=float, default=None,
-        help="multiplicity grouping tolerance",
-    )
-    add_common(p_spectrum)
-    p_spectrum.set_defaults(func=_cmd_spectrum)
-
-    p_forests = sub.add_parser("forests", help="spanning 1-forest census")
-    p_forests.add_argument("file")
-    p_forests.add_argument(
-        "--kind", choices=("all", "contrabalanced"), default="all",
-        help="which spanning 1-forests to count",
-    )
-    p_forests.add_argument("--list", action="store_true",
-                           help="include each forest in the output")
-    add_common(p_forests)
-    p_forests.set_defaults(func=_cmd_forests)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=(*SUITE_NAMES, "all"))
-    p_verify.add_argument("--n", type=int, default=None,
-                          help=f"vertex count bound, at least {MIN_VERIFY_N}")
-    p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_gen = sub.add_parser("gen", help="write a generated graph file")
-    p_gen.add_argument(
-        "spec",
-        help="kind:n[:signs][:p=F][:seed=N], e.g. cycle:5:allneg or "
-        "random:8:p=0.4:seed=3; signs may be allpos, allneg, a +/- string, "
-        "or q=F, each edge negative with probability F",
-    )
-    add_common(p_gen)
-    p_gen.set_defaults(func=_cmd_gen)
-
+    verb("info", "basic facts about a graph file", _cmd_info, "file")
+    verb("matrix", "emit a matrix of the graph", _cmd_matrix, "file",
+         ("--kind", dict(required=True, choices=MATRIX_KINDS)),
+         ("--format", dict(choices=("json", "csv"), default="json")))
+    verb("balance", "decide balance", _cmd_balance, "file",
+         ("--method", dict(choices=("switching", "det", "forest", "both"), default="both")),
+         ("--kind", dict(choices=DISTANCE_KINDS,
+                         help="which determinant to use with --method det (default max)")))
+    verb("spectrum", "eigenvalues of a matrix", _cmd_spectrum, "file",
+         ("--kind", dict(choices=SPECTRUM_KINDS, default="lpm")),
+         ("--format", dict(choices=("json", "csv"), default="json")),
+         ("--tolerance", dict(type=float, default=None,
+                              help="multiplicity grouping tolerance")))
+    verb("forests", "spanning 1-forest census", _cmd_forests, "file",
+         ("--kind", dict(choices=("all", "contrabalanced"), default="all",
+                         help="which spanning 1-forests to count")),
+         ("--list", dict(action="store_true", help="include each forest in the output")))
+    verb("verify", "run a verification suite", _cmd_verify, "suite",
+         ("--n", dict(type=int, default=None,
+                      help=f"vertex count bound, at least {MIN_VERIFY_N}")),
+         ("--seed", dict(type=int, default=1)),
+         ("--format", dict(choices=("text", "json"), default="text")),
+         choices=(*SUITE_NAMES, "all"))
+    verb("gen", "write a generated graph file", _cmd_gen, "spec",
+         help="kind:n[:signs][:p=F][:seed=N], e.g. cycle:5:allneg or "
+         "random:8:p=0.4:seed=3; signs may be allpos, allneg, a +/- string, "
+         "or q=F, each edge negative with probability F")
     return parser
 
 

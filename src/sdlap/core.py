@@ -280,10 +280,11 @@ def parse_edge_list(text: str) -> SignedGraph:
                 raise GraphFormatError(f"non-finite weight {tokens[3]}", lineno)
             if not weight > 0:
                 raise GraphFormatError(f"nonpositive weight {tokens[3]}", lineno)
-            # fractions (and the decimal module it loads) is imported on the
-            # first integral weight, so that other commands do not pay for it
+            # decimal reads a token as float() does, underscores included;
+            # it is imported on the first integral weight, so that other
+            # commands do not pay for it
             if inexact is None and weight.is_integer() and (
-                    importlib.import_module("fractions").Fraction(tokens[3]) != weight):
+                    importlib.import_module("decimal").Decimal(tokens[3]) != weight):
                 inexact = (lineno, tokens[3])
         key = (min(u, v) - 1, max(u, v) - 1)
         if key in seen:

@@ -153,11 +153,17 @@ def _frozen(entries, dtype=None) -> np.ndarray:
     that owns its data as a frozen value and shares it: a builder freezes
     the array it has just made and hands it over without a copy. Anything
     else, a view included, is copied once.
+
+    Entries must be real numbers: bool, integer, float or object. Any
+    other dtype, complex, string or datetime among them, is refused
+    before the cast, which would drop an imaginary part or parse strings.
     """
-    arr = entries
-    if not (type(arr) is np.ndarray and arr.flags.owndata and not arr.flags.writeable
+    arr = np.asarray(entries)
+    if arr.dtype.kind not in "biufO":
+        raise ValueError(f"matrix entries must be real numbers, got dtype {arr.dtype}")
+    if not (arr is entries and arr.flags.owndata and not arr.flags.writeable
             and (dtype is None or arr.dtype == dtype)):
-        arr = np.array(entries, dtype=dtype)
+        arr = np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 

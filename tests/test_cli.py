@@ -9,7 +9,7 @@ import pytest
 
 from sdlap import (DisconnectedGraphError, IncompatibleGraphError, forest_det, generate,
                    is_balanced_switching, parse_edge_list, transmission)
-from sdlap.cli import MATRIX_KINDS, _build_matrix, main
+from sdlap.cli import MATRIX_KINDS, main
 from sdlap.matrices import _incidence_stack
 
 from conftest import (
@@ -191,7 +191,7 @@ def _random_graph_text(rng, n, p, weight):
 def _expected_matrix(wg, kind, fmt):
     """Exit code and text of `sdlap matrix` by the oracle encoders."""
     try:
-        matrix = _build_matrix(wg, kind)
+        matrix = MATRIX_KINDS[kind](wg)
     except ValueError:
         return 1, ""
     if fmt == "csv":

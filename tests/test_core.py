@@ -78,6 +78,13 @@ def test_parse_accepts_comments_and_numeric_signs():
     assert wg.integer_weights
 
 
+@pytest.mark.parametrize("token, weight", [("1_000", 1000.0), ("2_5", 25.0)])
+def test_parse_reads_integral_weights_with_underscores(token, weight):
+    # float() takes underscores on every supported Python, Fraction only from 3.11 on
+    wg = parse_edge_list(f"2\n1 2 + {token}")
+    assert wg.weights == (weight,) and wg.integer_weights
+
+
 @pytest.mark.parametrize("text", [
     "3\n2 1 -\n3 2 +\n1 3 -",  # reversed endpoints
     "3\n1 2 + 2.5\n3 1 - 4",  # weights

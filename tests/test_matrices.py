@@ -20,7 +20,7 @@ from sdlap import (
     weighted_degree_matrix,
     weighted_laplacian,
 )
-from sdlap.matrices import SquareMatrix, _write_tokens
+from sdlap.matrices import IncidenceMatrix, SquareMatrix, _write_tokens
 
 from conftest import (
     classic_laplacian,
@@ -458,6 +458,22 @@ def test_writers_refuse_a_format_other_than_csv_or_json(fmt):
 def test_square_matrix_requires_square_input():
     with pytest.raises(ValueError, match="square"):
         SquareMatrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("entries", [
+    np.array([[1 + 2j, 0], [0, 1]]),
+    [[1 + 2j, 0], [0, 1]],
+    np.array([["1", "0"], ["0", "1"]]),
+    np.array([["2020-01-01"] * 2] * 2, dtype="datetime64[D]"),
+], ids=["complex", "complex-list", "string", "datetime"])
+def test_matrix_types_refuse_entries_that_are_not_real_numbers(entries):
+    # complex entries printed JSON that json.loads rejects, and the incidence
+    # matrix dropped their imaginary part; strings and dates were kept
+    dtype = np.asarray(entries).dtype
+    for make in (SquareMatrix, lambda e: IncidenceMatrix(e, [(0, 1), (0, 1)])):
+        with pytest.raises(ValueError) as err:
+            make(entries)
+        assert str(err.value) == f"matrix entries must be real numbers, got dtype {dtype}"
 
 
 def test_square_matrix_entries_are_read_only():

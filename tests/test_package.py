@@ -256,7 +256,7 @@ def test_help_and_gen_start_without_numpy(argv, tmp_path):
     imported = _imported(proc.stderr)
     assert "sdlap.core" in imported
     assert "numpy" not in imported
-    assert "fractions" not in imported  # parse_edge_list needs it for integral weights only
+    assert "decimal" not in imported  # parse_edge_list needs it for integral weights only
 
 
 def test_switching_refuses_a_disconnected_graph_without_numpy(tmp_path):
