@@ -81,7 +81,7 @@ class _UsageError(ValueError):
 
 def _load(path: str) -> SignedGraph:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -111,7 +111,7 @@ def _int_array(m) -> np.ndarray:
     if arr.dtype.kind not in "iu":
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
-                if isinstance(x, float) and x.is_integer():
+                if isinstance(x, (float, np.floating)) and x.is_integer():
                     row[j] = int(x)
                 elif not isinstance(x, int):
                     raise ValueError(f"non-integer entry {x!r} at ({i}, {j})")

@@ -20,12 +20,6 @@ from .core import SignedGraph, _int_text, canonical_orientation
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _joined_rows(rows: np.ndarray, sep: str, num):
-    """Each row of a block as the text num gives its entries, joined by
-    sep; one entry at a time, for the blocks that _write_tokens leaves."""
-    return (sep.join(map(num, row.tolist())) for row in rows)
-
-
 def _write_tokens(out: TextIO, rows: np.ndarray, num, marks: tuple[str, ...]) -> bool:
     """Write a non-empty integer block whose values span no more numbers
     than it has entries, and that uses at most one token per four entries,
@@ -103,43 +97,46 @@ def _json_entry(x) -> str:
 
 # The text before a block, after an entry, after a row's last entry and
 # after the block's last entry, in each format.
-_CSV_MARKS = ("", ",", "\n", "\n")
-_JSON_MARKS = ("\n    [\n      ", ",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]")
+_LAYOUTS = {"csv": ("", ",", "\n", "\n"),
+            "json": ("\n    [\n      ", ",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]")}
+
+
+def _write_block(out: TextIO, fmt: str, rows: np.ndarray) -> None:
+    """Write one block in the layout of fmt: through _write_tokens if it
+    takes the block, else entry by entry, one row per write. CSV gets str
+    for integers, .12g for floats and _csv_entry for any other block. JSON
+    gets repr for finite numbers, and _json_entry for any other block:
+    NaN/inf, bools, whose repr is not JSON, and object blocks."""
+    kind = rows.dtype.kind
+    if fmt == "csv":
+        num = {"i": str, "u": str, "f": "%.12g".__mod__}.get(kind, _csv_entry)
+    else:
+        finite = kind in "iu" or kind == "f" and np.isfinite(rows).all()
+        num = repr if finite else _json_entry
+    marks = _LAYOUTS[fmt]
+    if _write_tokens(out, rows, num, marks):
+        return
+    if fmt == "json" and not rows.size:  # [] for the block, or for each row
+        out.write(",".join(["\n    []"] * len(rows)) + ("\n  ]" if len(rows) else "]"))
+        return
+    before, sep, row_end, block_end = marks
+    out.write(before)
+    for i, row in enumerate(rows, 1 - len(rows)):  # i is 0 on the last row
+        out.write(sep.join(map(num, row.tolist())) + (row_end if i else block_end))
 
 
 def _write_matrix(out: TextIO, fmt: str, header: dict, blocks: dict) -> TextIO:
-    """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n".
-
-    An integer block whose values span no more numbers than it has entries,
-    and whose tokens repeat, goes out through _write_tokens, in chunks of
-    whole rows; any other block one row at a time, entry by entry. CSV floats get .12g, and a
-    block that is neither integer nor float goes through _csv_entry. JSON
-    gets repr for finite numbers, and _json_entry for any other block:
-    NaN/inf, bools, whose repr is not JSON, and object blocks."""
-    if fmt == "csv":
-        rows = blocks["rows"]
-        if np.issubdtype(rows.dtype, np.integer):
-            num = str
-        elif np.issubdtype(rows.dtype, np.floating):
-            num = "%.12g".__mod__
-        else:
-            num = _csv_entry
-        if not _write_tokens(out, rows, num, _CSV_MARKS):
-            out.writelines(text + "\n" for text in _joined_rows(rows, ",", num))
-        return out
-    if fmt != "json":
+    """Write blocks["rows"] as CSV, or json.dumps(header | blocks, indent=2) + "\\n",
+    each block by _write_block."""
+    if fmt not in _LAYOUTS:
         raise ValueError(f"unknown matrix format {fmt!r}, expected 'csv' or 'json'")
+    if fmt == "csv":
+        _write_block(out, fmt, blocks["rows"])
+        return out
     lead = "{\n" + "".join(f'  "{k}": {json.dumps(v)},\n' for k, v in header.items())
     for key, rows in blocks.items():
         out.write(f'{lead}  "{key}": [')
-        finite = np.issubdtype(rows.dtype, np.integer) or (
-            np.issubdtype(rows.dtype, np.number) and np.isfinite(rows).all())
-        num = repr if finite else _json_entry
-        if not _write_tokens(out, rows, num, _JSON_MARKS):
-            for i, items in enumerate(_joined_rows(rows, ",\n      ", num)):
-                row_text = f"[\n      {items}\n    ]" if items else "[]"
-                out.write(f"{',' if i else ''}\n    {row_text}")
-            out.write("\n  ]" if len(rows) else "]")
+        _write_block(out, fmt, rows)
         lead = ",\n"
     out.write("\n}\n")
     return out
@@ -154,13 +151,23 @@ def _frozen(entries, dtype=None) -> np.ndarray:
     the array it has just made and hands it over without a copy. Anything
     else, a view included, is copied once.
 
-    Entries must be real numbers: bool, integer, float or object. Any
-    other dtype, complex, string or datetime among them, is refused
-    before the cast, which would drop an imaginary part or parse strings.
+    Entries must be real numbers of at most 64 bits: a bool, integer or
+    float dtype, or an object array of bools, ints and floats, Python or
+    numpy, where Python ints may have any length. Anything else, complex,
+    string, datetime or long double among them, is refused before the
+    cast, which would drop an imaginary part or parse strings, and before
+    a write that would print what json.loads rejects.
     """
     arr = np.asarray(entries)
-    if arr.dtype.kind not in "biufO":
-        raise ValueError(f"matrix entries must be real numbers, got dtype {arr.dtype}")
+    boxed = arr.dtype.kind == "O"
+    # an object array by the dtype numpy gives each type of entry it holds
+    found = {type(x): x for x in arr.flat} if boxed else {arr.dtype: None}
+    for kind, x in found.items():
+        entry = np.dtype(kind)
+        if entry.kind not in "biuf" or entry.itemsize > 8:
+            need = "real numbers" if entry.kind not in "biuf" else "at most 64 bits wide"
+            what = f"{x!r} in an object array" if boxed else f"dtype {entry}"
+            raise ValueError(f"matrix entries must be {need}, got {what}")
     if not (arr is entries and arr.flags.owndata and not arr.flags.writeable
             and (dtype is None or arr.dtype == dtype)):
         arr = np.array(arr, dtype=dtype)

@@ -58,8 +58,9 @@ class Spectrum:
 def sym_eig(m, grouping_tol: float = MULTIPLICITY_TOL) -> Spectrum:
     """Full real spectrum of a symmetric matrix, ascending.
 
-    The input must have a real dtype and finite entries and be symmetric
-    within 1e-12 relative to its largest entry; otherwise ValueError. The
+    The input must have a bool, integer or float dtype, or be an object
+    array of such numbers, with finite entries, and be symmetric within
+    1e-12 relative to its largest entry; otherwise ValueError. The
     eigenvalues come from LAPACK's symmetric solver (numpy.linalg.eigvalsh)
     applied to m + (m.T - m) / 2, which cannot overflow where (m + m.T) / 2
     can. They must be finite, and their sum must match the trace within
@@ -95,6 +96,15 @@ def _eigenvalues(stack) -> np.ndarray:
         a = np.array(a.tolist()).reshape(a.shape)
     if a.dtype.kind == "c":
         raise ValueError(f"matrix has complex dtype {a.dtype}, expected real entries")
+    if a.dtype == object and all(
+            isinstance(x, (int, float, np.bool_, np.integer, np.floating)) for x in a.flat):
+        # only an integer past uint64 keeps numbers in an object array
+        try:
+            a = a.astype(float)
+        except OverflowError:
+            raise ValueError("matrix has a non-finite entry") from None
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"matrix has dtype {a.dtype}, expected real entries")
     a = a.astype(float, copy=False)
     n = a.shape[1]
     # a maximum is NaN or infinite exactly when some entry is

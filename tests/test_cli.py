@@ -1337,6 +1337,18 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     assert "not UTF-8" in err
 
 
+def test_file_with_a_byte_order_mark_reads_like_one_without(tmp_path, capsys):
+    # Windows editors start UTF-8 text with a byte-order mark
+    text = b"3\r\n1 2 +\r\n2 3 -\r\n1 3 +\r\n"
+    plain, marked = tmp_path / "plain.sg", tmp_path / "marked.sg"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    for verb in ("info", "balance"):
+        expected = run(capsys, verb, str(plain))
+        assert expected[0] == 0
+        assert run(capsys, verb, str(marked)) == expected, verb
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys, c3_all_negative):
     target = tmp_path / "missing" / "out.json"
     for argv in (["info"], ["matrix", "--kind", "lmax", "--format", "csv"]):

@@ -185,7 +185,8 @@ def test_det_exact_converts_its_input_to_one_integer_array():
     m = distance_laplacian(distance_table(generate("cycle", 5, "allneg")), "max")
     assert sdlap.exact._int_array(m) is m.entries
     for same in (a.astype(np.int32), abs(a).astype(np.uint64), a.astype(float), a.tolist(),
-                 a.astype(object), a.astype(bool)):
+                 a.astype(object), a.astype(bool), a.astype(np.longdouble),
+                 a.astype(np.float32).astype(object)):
         out = sdlap.exact._int_array(same)
         assert out.dtype == np.int64 and out.tolist() == np.asarray(same).tolist()
         assert det_exact(same) == leibniz_det(out.tolist())

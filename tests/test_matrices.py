@@ -347,6 +347,28 @@ def test_square_matrix_writes_integer_blocks_like_the_oracle(monkeypatch, entrie
         assert _both_formats(m) == expected, bound
 
 
+
+@pytest.mark.parametrize("entries", [
+    np.array([[-0.0, 0.0], [0.0, -0.0]]),
+    np.array([[0.1, -2.5], [1 / 3, 7.0]], dtype=np.float32),
+    np.array([[0.1, -2.5], [65504.0, 6e-8]], dtype=np.float16),
+    # the least subnormal, one of the largest and the least normal
+    np.array([[5e-324, -1e-310], [2.2250738585072014e-308, -5e-324]]),
+    np.array([[1e308, -1e308], [1.7976931348623157e308, 1e-308]]),
+    np.zeros((0, 0)),
+    np.zeros((3, 0)),
+], ids=["negative-zero", "float32", "float16", "subnormal", "1e308", "0x0", "3x0"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float_blocks_write_like_the_oracle_at_every_chunk_bound(monkeypatch, entries, fmt):
+    # an n x 0 block is an incidence matrix without edges
+    m = (SquareMatrix(entries, "custom") if entries.shape[0] == entries.shape[1]
+         else IncidenceMatrix(entries, []))
+    expected = oracle_matrix_json(m) if fmt == "json" else oracle_matrix_csv(m.entries)
+    for bound in CHUNK_BOUNDS:
+        if bound is not None:
+            monkeypatch.setattr("sdlap.matrices._CHUNK_ENTRIES", bound)
+        assert m.write(io.StringIO(), fmt).getvalue() == expected, bound
+
 def test_large_distance_matrices_write_like_the_oracle_at_every_chunk_bound(monkeypatch):
     # 3000 entries are three rows of 1000, so the last chunk holds row 999 alone
     table = distance_table(generate("random", 1000, 0.5, seed=11, p=0.008))
@@ -475,6 +497,26 @@ def test_matrix_types_refuse_entries_that_are_not_real_numbers(entries):
             make(entries)
         assert str(err.value) == f"matrix entries must be real numbers, got dtype {dtype}"
 
+
+
+@pytest.mark.parametrize("entries, message", [
+    (np.array([[None]], dtype=object), "must be real numbers, got None in an object array"),
+    (np.array([[1j, 0], [0, 1]], dtype=object),
+     "must be real numbers, got 1j in an object array"),
+    (np.array([[1, "a"], ["a", 1]], dtype=object),
+     "must be real numbers, got 'a' in an object array"),
+    (np.full((2, 2), 0.1, dtype=np.longdouble),
+     f"must be at most 64 bits wide, got dtype {np.dtype(np.longdouble)}"),
+    (np.array([[2, np.longdouble(2)], [1, 1]], dtype=object),
+     "must be at most 64 bits wide, got np.longdouble('2.0') in an object array"),
+], ids=["none", "complex", "string", "longdouble", "longdouble-object"])
+def test_matrix_types_refuse_entries_that_they_cannot_write(entries, message):
+    # these wrote JSON null, np.longdouble(...) text that json.loads rejects,
+    # or failed only when written
+    for make in (SquareMatrix, lambda e: IncidenceMatrix(e, [(0, 1), (0, 1)])):
+        with pytest.raises(ValueError) as err:
+            make(entries)
+        assert str(err.value) == f"matrix entries {message}"
 
 def test_square_matrix_entries_are_read_only():
     m = adjacency_matrix(generate("cycle", 3, "allneg"))

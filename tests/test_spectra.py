@@ -123,6 +123,32 @@ def test_sym_eig_rejects_complex_input():
             sym_eig(m)
 
 
+
+@pytest.mark.parametrize("entries, message", [
+    (np.array([["1", "0"], ["0", "2"]]), "matrix has dtype <U1, expected real entries"),
+    (np.array([[b"1"]]), "matrix has dtype |S1, expected real entries"),
+    (np.array([[1]], dtype="timedelta64[s]"),
+     "matrix has dtype timedelta64[s], expected real entries"),
+    (np.array([["2020-01-01"]], dtype="datetime64[D]"),
+     "matrix has dtype datetime64[D], expected real entries"),
+    (np.array([[None]], dtype=object), "matrix has dtype object, expected real entries"),
+    (np.array([[10**400]], dtype=object), "matrix has a non-finite entry"),
+    (np.array([[1, -(10**400)], [-(10**400), 1]], dtype=object),
+     "matrix has a non-finite entry"),
+], ids=["string", "bytes", "timedelta", "datetime", "none", "int-past-float64",
+        "ints-past-float64"])
+def test_sym_eig_and_the_stacked_solver_refuse_entries_that_are_not_real(entries, message):
+    # strings, bytes and dates were parsed or cast as numbers, and an
+    # integer past float64 raised OverflowError
+    expected = (ValueError, message)
+    assert _error_of(sym_eig, entries) == expected
+    assert _error_of(_eigenvalues, np.stack([entries, entries])) == expected
+
+
+def test_sym_eig_reads_an_object_array_of_integers_past_uint64_as_floats():
+    m = np.array([[2**70, 1], [1, 2**70]], dtype=object)
+    assert sym_eig(m).eigenvalues == (2.0**70, 2.0**70)
+
 def test_sym_eig_rejects_eigenvalues_that_drift_from_the_trace(monkeypatch):
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1)
