@@ -110,7 +110,7 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args):
     g = _load(args.file)
     comps = components(g)
     info = {
@@ -132,44 +132,36 @@ def _cmd_info(args) -> int:
         info["balanced"] = balance.is_balanced_switching(g).balanced
     cf = balance.closed_form_det(g)
     info["closed_form_det"] = cf if cf is None or isinstance(cf, float) else _int_text(cf)
-    _emit(_json_dump(info), args.out)
-    return 0
+    return 0, info
 
 
-def _cmd_matrix(args) -> int:
-    matrix = MATRIX_KINDS[args.kind](_load(args.file))
-    with _output(args.out) as f:
-        matrix.write(f, args.format)
-    return 0
+def _cmd_matrix(args):
+    return 0, MATRIX_KINDS[args.kind](_load(args.file))
 
 
-def _cmd_balance(args) -> int:
+def _cmd_balance(args):
     if args.kind is not None and args.method != "det":
         raise _UsageError(f"--kind is for --method det only, not {args.method}")
     g = _load(args.file)
     if args.method == "switching":
-        _emit(_json_dump(balance.is_balanced_switching(g).to_json_obj()), args.out)
-    elif args.method == "det":
-        _emit(_json_dump(balance.is_balanced_det(g, args.kind or "max").to_json_obj()),
-              args.out)
-    elif args.method == "forest":
-        _emit(_json_dump(balance.is_balanced_forest(g).to_json_obj()), args.out)
-    else:
-        sw = balance.is_balanced_switching(g)
-        table = distance.distance_table(g)
-        det_max = balance.is_balanced_det(g, "max", table=table, switching=sw)
-        det_min = balance.is_balanced_det(g, "min", table=table, switching=sw)
-        result = {
-            "balanced": sw.balanced,
-            "det_lmax": _int_text(det_max.determinant),
-            "det_lmin": _int_text(det_min.determinant),
-            "switching": "balanced" if sw.balanced else "unbalanced",
-        }
-        _emit(_json_dump(result), args.out)
-    return 0
+        return 0, balance.is_balanced_switching(g).to_json_obj()
+    if args.method == "det":
+        return 0, balance.is_balanced_det(g, args.kind or "max").to_json_obj()
+    if args.method == "forest":
+        return 0, balance.is_balanced_forest(g).to_json_obj()
+    sw = balance.is_balanced_switching(g)
+    table = distance.distance_table(g)
+    det_max = balance.is_balanced_det(g, "max", table=table, switching=sw)
+    det_min = balance.is_balanced_det(g, "min", table=table, switching=sw)
+    return 0, {
+        "balanced": sw.balanced,
+        "det_lmax": _int_text(det_max.determinant),
+        "det_lmin": _int_text(det_min.determinant),
+        "switching": "balanced" if sw.balanced else "unbalanced",
+    }
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = spectra.MULTIPLICITY_TOL
@@ -177,14 +169,10 @@ def _cmd_spectrum(args) -> int:
         raise _UsageError(f"--tolerance must be finite and nonnegative, got {tolerance}")
     spectrum = spectra.sym_eig(MATRIX_KINDS[args.kind](_load(args.file)),
                                grouping_tol=tolerance)
-    if args.format == "csv":
-        _emit(spectrum.to_csv(), args.out)
-    else:
-        _emit(_json_dump(spectrum.to_json_obj()), args.out)
-    return 0
+    return 0, spectrum.to_csv() if args.format == "csv" else spectrum.to_json_obj()
 
 
-def _cmd_forests(args) -> int:
+def _cmd_forests(args):
     g = _load(args.file)
     contrabalanced = args.kind == "contrabalanced"
     count, total = balance.forest_census(g, contrabalanced)
@@ -207,22 +195,20 @@ def _cmd_forests(args) -> int:
             }
             for f in balance.enumerate_spanning_1forests(g, contrabalanced)
         ]
-    _emit(_json_dump(result), args.out)
-    return 0
+    return 0, result
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.n is not None and args.n < MIN_VERIFY_N:
         raise _UsageError(f"--n must be at least {MIN_VERIFY_N}, got {args.n}")
     if args.suite == "all":
         reports = verify.run_all(n_max=args.n, seed=args.seed)
     else:
         reports = [verify.run_suite(args.suite, n_max=args.n, seed=args.seed)]
+    code = 0 if all(r.passed for r in reports) else 1
     if args.format == "json":
-        _emit(_json_dump([r.to_json_obj() for r in reports]), args.out)
-    else:
-        _emit("".join(r.summary() + "\n" for r in reports), args.out)
-    return 0 if all(r.passed for r in reports) else 1
+        return code, [r.to_json_obj() for r in reports]
+    return code, "".join(r.summary() + "\n" for r in reports)
 
 
 # Each optional field of a gen spec: the prefix that names it, the generate
@@ -258,14 +244,13 @@ def _parse_gen_spec(spec: str):
     return kind, n, fields
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     kind, n, fields = _parse_gen_spec(args.spec)
     try:
         g = generate(kind, n, **fields)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    _emit(serialize(g), args.out)
-    return 0
+    return 0, serialize(g)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +306,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        code = args.func(args)
+        code, result = args.func(args)
+        # the result is complete before --out is opened: text is written as
+        # is, a matrix streams itself and anything else is a JSON document
+        if isinstance(result, str):
+            _emit(result, args.out)
+        elif hasattr(result, "write"):
+            with _output(args.out) as f:
+                result.write(f, args.format)
+        else:
+            _emit(_json_dump(result), args.out)
         sys.stdout.flush()
         return code
     except (GraphFormatError, _UsageError) as exc:

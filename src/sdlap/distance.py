@@ -52,7 +52,9 @@ class DistanceTable:
     """Symmetric hop distances plus the two sign-existence flags per pair.
 
     The diagonal is d=0 with exists_pos True and exists_neg False by
-    convention, matching the zero diagonal of the distance matrices.
+    convention, matching the zero diagonal of the distance matrices. The
+    three arrays must be square and of one shape, dist of an integer dtype
+    and pos and neg bool; anything else is a ValueError.
     """
 
     dist: np.ndarray
@@ -62,6 +64,15 @@ class DistanceTable:
     def __post_init__(self):
         for name in ("dist", "pos", "neg"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        shape = self.dist.shape
+        if not (len(shape) == 2 and shape[0] == shape[1]
+                and self.pos.shape == self.neg.shape == shape):
+            raise ValueError(f"distance table needs three square arrays of one shape, got "
+                             f"{shape}, {self.pos.shape} and {self.neg.shape}")
+        if not (np.issubdtype(self.dist.dtype, np.integer)
+                and self.pos.dtype == self.neg.dtype == bool):
+            raise ValueError(f"distance table needs integer distances and bool flags, got "
+                             f"{self.dist.dtype}, {self.pos.dtype} and {self.neg.dtype}")
 
     @property
     def n(self) -> int:

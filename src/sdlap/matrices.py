@@ -221,15 +221,34 @@ class IncidenceMatrix:
     """Oriented weighted incidence matrix, vertices by edges.
 
     The column of edge e holds sign(e)*sqrt(w(e)) in the tail row and
-    -sqrt(w(e)) in the head row.
+    -sqrt(w(e)) in the head row. entries must be 2-D and fit in float64,
+    and orientation must hold one (tail, head) pair of vertex indices per
+    column; anything else is a ValueError.
     """
 
     entries: np.ndarray
     orientation: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries, float))
-        object.__setattr__(self, "orientation", tuple(map(tuple, self.orientation)))
+        try:
+            entries = _frozen(self.entries, float)
+        except OverflowError as exc:  # a Python int past float64
+            raise ValueError(f"matrix entries must fit in a 64-bit float: {exc}") from None
+        if entries.ndim != 2:
+            raise ValueError(f"incidence matrix must be 2-D, got shape {entries.shape}")
+        n, m = entries.shape
+        try:
+            orientation = tuple((operator.index(t), operator.index(h))
+                                for t, h in self.orientation)
+        except (TypeError, ValueError) as exc:  # not a pair, or not integers
+            raise ValueError(f"orientation needs pairs of integer vertex indices: {exc}") from None
+        if len(orientation) != m:
+            raise ValueError(f"{len(orientation)} orientation pairs for {m} columns")
+        for pair in orientation:
+            if not (0 <= pair[0] < n and 0 <= pair[1] < n):
+                raise ValueError(f"orientation pair {pair} is not in vertex indices 0..{n - 1}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "orientation", orientation)
 
     @property
     def n(self) -> int:

@@ -1359,6 +1359,65 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys, c3_all_negative):
         assert "Traceback" not in err and not target.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "{g}"),
+    ("matrix", "{g}", "--kind", "lmax"),
+    ("matrix", "{g}", "--kind", "incidence", "--format", "csv"),
+    *(("balance", "{g}", "--method", method)
+      for method in ("switching", "det", "forest", "both")),
+    ("spectrum", "{g}", "--kind", "lmin"),
+    ("spectrum", "{g}", "--kind", "lmax", "--format", "csv"),
+    ("forests", "{g}", "--list"),
+    ("verify", "forest-theorem", "--n", "4"),
+    ("verify", "transmission-shift", "--n", "6", "--format", "json"),
+    ("gen", "random:8:p=0.4:seed=3"),
+], ids=lambda argv: "-".join(a for a in argv if a != "{g}").replace("--", ""))
+def test_out_gets_exactly_the_bytes_of_stdout(tmp_path, capsys, c4_one_negative, argv):
+    argv = [a.format(g=c4_one_negative) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_failing_suite_still_writes_its_report(tmp_path, capsys, monkeypatch, fmt):
+    import sdlap.verify
+
+    def failing(n_max=12, seed=1):
+        report = sdlap.verify.SuiteReport("transmission-shift", True, 1)
+        report.record_failure("instance 0: rebound to fail")
+        return report
+
+    monkeypatch.setattr(sdlap.verify, "transmission_shift_suite", failing)
+    argv = ["verify", "transmission-shift", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "instance 0: rebound to fail" in out and err == ""
+    target = tmp_path / "report"
+    assert run(capsys, *argv, "--out", str(target)) == (1, "", "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("balance", "{disconnected}"), 1),
+    (("matrix", "{g}", "--kind", "dpm"), 1),
+    (("gen", "wheel:4"), 2),
+], ids=["disconnected-balance", "incompatible-dpm", "bad-gen-spec"])
+def test_a_failed_command_leaves_out_untouched(tmp_path, capsys, c4_one_negative, argv,
+                                              expected):
+    disconnected = tmp_path / "disconnected.sg"
+    disconnected.write_text("4\n1 2 +\n3 4 -\n")
+    argv = [a.format(g=c4_one_negative, disconnected=disconnected) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (expected, "") and err.startswith("sdlap: ")
+    existing, missing = tmp_path / "existing", tmp_path / "missing"
+    existing.write_bytes(b"kept\n")
+    for target in (existing, missing):
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
+    assert existing.read_bytes() == b"kept\n" and not missing.exists()
+
+
 def test_non_finite_weight_exits_2(tmp_path, capsys):
     path = tmp_path / "inf.sg"
     path.write_text("3\n1 2 + inf\n2 3 -\n")

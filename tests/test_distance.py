@@ -247,6 +247,26 @@ def test_table_keeps_the_frozen_arrays_distance_table_builds():
     assert again.dist is table.dist and again.neg is table.neg
 
 
+@pytest.mark.parametrize("dist, pos, neg, message", [
+    (np.zeros((2, 2), int), np.zeros((3, 3), bool), np.zeros((1, 1), bool),
+     "three square arrays of one shape, got (2, 2), (3, 3) and (1, 1)"),
+    (np.zeros((2, 3), int), np.zeros((2, 3), bool), np.zeros((2, 3), bool),
+     "three square arrays of one shape, got (2, 3), (2, 3) and (2, 3)"),
+    (np.zeros(4, int), np.zeros(4, bool), np.zeros(4, bool),
+     "three square arrays of one shape, got (4,), (4,) and (4,)"),
+    (np.array([[0, 1.5], [1.5, 0]]), np.eye(2, dtype=bool), np.zeros((2, 2), bool),
+     "integer distances and bool flags, got float64, bool and bool"),
+    (np.zeros((2, 2), int), np.eye(2, dtype=int), np.zeros((2, 2), bool),
+     "integer distances and bool flags, got int64, int64 and bool"),
+], ids=["three-shapes", "not-square", "1-D", "float-dist", "int-flags"])
+def test_table_refuses_arrays_that_are_not_one_table(dist, pos, neg, message):
+    # each constructed: the first with n == 2, and a float dist gave
+    # distance_matrix entries of 1.5
+    with pytest.raises(ValueError) as err:
+        DistanceTable(dist, pos, neg)
+    assert str(err.value) == f"distance table needs {message}"
+
+
 # ---------------------------------------------------------------- matrices
 
 

@@ -170,6 +170,32 @@ def test_incidence_rejects_mismatched_orientation():
     assert all(type(x) is int for pair in h.orientation for x in pair)
 
 
+@pytest.mark.parametrize("entries, orientation, message", [
+    (np.array([[10 ** 5000], [0]], dtype=object), [(0, 1)],
+     "matrix entries must fit in a 64-bit float: int too large to convert to float"),
+    (np.zeros(3), [], "incidence matrix must be 2-D, got shape (3,)"),
+    (np.zeros((2, 3)), [(0, 1)], "1 orientation pairs for 3 columns"),
+    (np.zeros((2, 1)), [(0, 1, 2)], "orientation needs pairs of integer vertex indices: "
+     "too many values to unpack (expected 2)"),
+    (np.zeros((2, 1)), [(0, 1.0)], "orientation needs pairs of integer vertex indices: "
+     "'float' object cannot be interpreted as an integer"),
+    (np.zeros((2, 1)), [(0, 2)], "orientation pair (0, 2) is not in vertex indices 0..1"),
+    (np.zeros((2, 1)), [(-1, 0)], "orientation pair (-1, 0) is not in vertex indices 0..1"),
+], ids=["huge-int", "1-D", "too-few-pairs", "triple", "float-index", "past-n", "negative"])
+def test_incidence_matrix_refuses_what_it_cannot_describe(entries, orientation, message):
+    # these raised OverflowError, built a matrix whose .m raised IndexError,
+    # wrote "m": 3 beside one orientation pair, or failed only when written
+    with pytest.raises(ValueError) as err:
+        IncidenceMatrix(entries, orientation)
+    assert str(err.value) == message
+
+
+def test_incidence_matrix_stores_orientation_indices_as_python_ints():
+    h = IncidenceMatrix(np.zeros((3, 2)), np.array([[0, 2], [2, 1]]))
+    assert h.orientation == ((0, 2), (2, 1))
+    assert all(type(x) is int for pair in h.orientation for x in pair)
+
+
 def test_every_orientation_factorizes_the_laplacian():
     g = generate("cycle", 4, "+-+-")
     wg = SignedGraph(g.n, g.edges, (1.0, 2.0, 3.0, 4.0))
