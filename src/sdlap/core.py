@@ -361,12 +361,17 @@ def path_sign(g: SignedGraph, walk: Sequence[int]) -> int:
 
 
 def _is_connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    union = SignedForest(n).union
+    parent = list(range(n))  # a union-find; SignedForest would track signs too
     parts = n
     for u, v in pairs:
         if parts == 1:  # no later pair can matter
             break
-        if not union(u, v, POSITIVE):
+        while parent[u] != u:  # path halving: point u at its grandparent, go there
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[v] = u
             parts -= 1
     return parts == 1
 
@@ -426,9 +431,9 @@ def generate(kind: str, n: int, signs: SignSpec = None,
     elif kind == "complete":
         pairs = list(itertools.combinations(range(n), 2))
     else:
-        pairs = []
+        draw = rng.random
         for _ in range(_MAX_RANDOM_ATTEMPTS):
-            pairs = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p]
             if _is_connected(n, pairs):
                 break
         else:

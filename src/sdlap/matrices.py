@@ -5,6 +5,7 @@ matrices and Laplacians are built in distance."""
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import operator
@@ -292,17 +293,23 @@ def _weight_values(g: SignedGraph):
     return values, np.array(sums, dtype=np.int64 if exact else np.float64)
 
 
-def _signed_adjacency(g: SignedGraph, values, dtype) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=dtype)
-    for (u, v, s), w in zip(g.edges, values):
-        a[u, v] = a[v, u] = s * w
+def _signed_adjacency(graphs: Sequence[SignedGraph], values: list, dtype) -> np.ndarray:
+    """sign * weight at each edge of graphs of one order n, as one new (k, n, n)
+    array of dtype; values holds the weights of every graph's edges in turn."""
+    k, n = len(graphs), graphs[0].n
+    a = np.zeros((k, n, n), dtype=dtype)
+    edges = itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs))
+    u, v, s = np.fromiter(edges, np.intp).reshape(-1, 3).T
+    layer = np.repeat(np.arange(k), [g.m for g in graphs])
+    a[layer, u, v] = a[layer, v, u] = s * np.array(values, dtype)
     return a
 
 
 def adjacency_matrix(g: SignedGraph) -> SquareMatrix:
     """Symmetric matrix with sign*weight on edges and zero elsewhere."""
     values, sums = _weight_values(g)
-    adjacency = _signed_adjacency(g, values, sums.dtype)
+    adjacency = _signed_adjacency([g], values, sums.dtype)
+    adjacency.resize(g.n, g.n)  # in place: it still owns its data, so it is not copied
     adjacency.setflags(write=False)
     return SquareMatrix(adjacency, "adjacency")
 
@@ -316,12 +323,23 @@ def weighted_degree_matrix(g: SignedGraph) -> SquareMatrix:
 
 def weighted_laplacian(g: SignedGraph) -> SquareMatrix:
     """Weighted degree matrix minus signed weighted adjacency matrix."""
-    values, sums = _weight_values(g)
-    # -(s * w) off the diagonal is exactly 0 - s * w
-    lap = _signed_adjacency(g, [-w for w in values], sums.dtype)
-    lap.flat[::g.n + 1] = sums
+    lap = _laplacian_stack([g])
+    lap.resize(g.n, g.n)  # in place: it still owns its data, so it is not copied
     lap.setflags(write=False)
     return SquareMatrix(lap, "laplacian")
+
+
+def _laplacian_stack(graphs: Sequence[SignedGraph]) -> np.ndarray:
+    """The weighted Laplacians of graphs of one order n, as one new (k, n, n)
+    array: int64 if every weight of every graph is integral, else float64.
+    _weight_values checks each graph's weight sums."""
+    checked = [_weight_values(g) for g in graphs]
+    # -(s * w) off the diagonal is exactly 0 - s * w; int64 and float64 give float64
+    lap = _signed_adjacency(graphs, [-w for values, _ in checked for w in values],
+                            np.result_type(*{sums.dtype for _, sums in checked}))
+    diagonal = np.arange(graphs[0].n)
+    lap[:, diagonal, diagonal] = [sums for _, sums in checked]
+    return lap
 
 
 def incidence_matrix(g: SignedGraph,
@@ -346,23 +364,27 @@ def incidence_matrix(g: SignedGraph,
             raise ValueError(
                 f"orientation {orientation[j]} does not match edge {j} endpoints ({u}, {v})"
             )
-    h = _incidence_stack(g, np.array(orientation, dtype=np.intp).reshape(g.m, 2))
+    h = _incidence_stack([g], [[orientation]])
+    h.resize(g.n, g.m)  # in place: it still owns its data, so it is not copied
     h.setflags(write=False)
     return IncidenceMatrix(h, orientation)
 
 
-def _incidence_stack(g: SignedGraph, ends: np.ndarray) -> np.ndarray:
-    """The incidence matrices of g under a stack of orientations, as one
-    float array of shape (..., n, m): ends, of shape (..., m, 2), holds
-    each orientation's (tail, head) pair per edge, which must be the
-    edge's endpoints in either order (incidence_matrix checks that)."""
-    k = math.prod(ends.shape[:-2])
-    h = np.zeros(ends.shape[:-2] + (g.n, g.m))
-    layers = h.reshape(k, g.n, g.m)  # a view: h is new and contiguous
-    ends = ends.reshape(k, g.m, 2)
-    root = np.sqrt(g.weights)
-    signs = np.fromiter((s for _, _, s in g.edges), float, g.m)
-    layer, edge = np.arange(k)[:, None], np.arange(g.m)
-    layers[layer, ends[..., 0], edge] = signs * root
-    layers[layer, ends[..., 1], edge] = -root
+def _incidence_stack(graphs: Sequence[SignedGraph], ends: Sequence) -> np.ndarray:
+    """The incidence matrices of graphs of one order n, each under r
+    orientations, as one new float array of shape (k, r, n, max m), zero past
+    each graph's m columns. ends[i] holds graph i's r orientations, each its
+    (tail, head) pairs edge by edge, flat or not, as incidence_matrix checks them."""
+    k, n, r = len(graphs), graphs[0].n, len(ends[0])
+    m = np.array([g.m for g in graphs], dtype=np.intp)
+    h = np.zeros((k, r, n, m.max()))
+    # each pair's graph, orientation and edge in its graph, in the order of ends
+    block, edge = np.nonzero(np.arange(m.max()) < np.repeat(m, r)[:, None])
+    graph, orientation = np.divmod(block, r)
+    at = (np.cumsum(m) - m)[graph] + edge  # the edge among the edges of all graphs
+    root = np.sqrt([w for g in graphs for w in g.weights])[at]
+    signs = np.array([s for g in graphs for _, _, s in g.edges], float)[at]
+    tail, head = np.concatenate([np.array(e, np.intp).reshape(-1, 2) for e in ends]).T
+    h[graph, orientation, tail, edge] = signs * root
+    h[graph, orientation, head, edge] = -root
     return h

@@ -7,19 +7,16 @@ a fixed seed, its signature holds its default sizes, and it raises
 ValueError at sizes that would test nothing. The spectral suites also
 fail on a distance Laplacian that is not positive semidefinite.
 
-The spectral suites reach the signs through distance_matrix, once per
-instance and kind. They cut their stream of instances into runs (_runs)
-and build the distance tables of a run by one signed BFS over all its
-graphs (distance._tables). balance-equivalence and cospectrality stack
-the run's matrices by order (_by_order): the Laplacians and the entrywise
-identities are formed on whole stacks, with one eigensolve per stack, and
-then each instance is checked in turn, its determinants included, so
-that failures are recorded in instance order wherever a run ends.
-balance-equivalence gives Laplacians with equal entries one determinant
-and one spectrum. transmission-shift, whose instances are the cycles,
-solves each cycle's L^max and L^min in one stacked call, and
-incidence-factorization builds the orientations of a graph as one stack
-of incidence matrices.
+Every suite cuts its stream of instances into runs (_runs); the spectral
+suites build a run's distance tables by one signed BFS (distance._tables)
+and reach the signs through distance_matrix, once per instance and kind.
+Except transmission-shift, which solves each cycle's L^max and L^min in
+one stacked call, the suites stack a run's matrices by order (_by_order),
+form the Laplacians, incidence products and entrywise identities on whole
+stacks, with one eigensolve per stack, and then check each instance in
+turn, its determinants included, so that failures are recorded in
+instance order wherever a run ends. balance-equivalence gives Laplacians
+with equal entries one determinant and one spectrum.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import numpy as np
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
 from .core import MIN_VERIFY_N, SUITE_NAMES, SignedGraph, generate, switch
 from .distance import IncompatibleGraphError, _laplacian, _tables, distance_matrix, transmission
-from .matrices import _incidence_stack, weighted_laplacian
+from .matrices import _incidence_stack, _laplacian_stack
 from .spectra import _eigenvalues, cycle_spectrum, odd_cycle_formula_spectrum
 
 # Largest deviation of an eigensolver spectrum from cycle_spectrum.
@@ -43,9 +40,9 @@ _PSD_TOL = 1e-8
 _ORIENTATIONS_PER_GRAPH = 3
 _WEIGHT_RANGE = (1, 5)
 _MAX_FAILURES_KEPT = 10
-# A run of instances checked in stacks (_runs) ends once the Laplacians
-# it may test for positive semidefiniteness hold this many entries (512 KiB
-# as float64): at the default n_max = 8 one run holds every instance.
+# A run of instances checked in stacks (_runs) ends once the n x n matrices
+# it stacks, Laplacians or H @ H.T products, hold this many entries (512 KiB
+# as float64): at the default sizes one run holds every instance.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -131,8 +128,8 @@ def _psd_minimum(report: SuiteReport, values, label: str) -> float:
 
 def _runs(instances, laplacians: int):
     """Cut a stream of instances, each a tuple whose first value is a graph
-    of order n, into runs: a run ends once its instances may test
-    Laplacians of _CHUNK_ENTRIES entries, laplacians of order n each."""
+    of order n, into runs: a run ends once its instances may stack
+    _CHUNK_ENTRIES entries, in laplacians matrices of order n each."""
     run, entries = [], 0
     for instance in instances:
         run.append(instance)
@@ -144,12 +141,12 @@ def _runs(instances, laplacians: int):
         yield run
 
 
-def _by_order(run) -> dict:
-    """A run's instances grouped by matrix order: for each order, one column
-    per value in instance order, its array values stacked."""
+def _by_order(run, order=len) -> dict:
+    """A run's instances grouped by order(first value): for each order, one
+    column per value in instance order, its array values stacked."""
     groups: dict[int, list] = {}
     for instance in run:
-        groups.setdefault(len(instance[0]), []).append(instance)
+        groups.setdefault(order(instance[0]), []).append(instance)
     return {n: [np.stack(c) if isinstance(c[0], np.ndarray) else c for c in zip(*members)]
             for n, members in groups.items()}
 
@@ -160,20 +157,24 @@ def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> Sui
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("forest-theorem", True, count)
-    max_diff = 0
-    skipped = 0
+    kept = []
     for i in range(count):
         wg = _random_weighted(rng, n_max)
         try:
-            rhs = forest_det(wg)
+            kept.append((wg, forest_det(wg), i))
         except SizeBoundError:
-            skipped += 1
-            continue
-        lhs = det_exact(weighted_laplacian(wg))
-        diff = abs(lhs - rhs)
-        max_diff = max(max_diff, diff)
-        if diff != 0:
-            report.record_failure(f"instance {i}: det {lhs} != forest sum {rhs}")
+            pass
+    max_diff = 0
+    for run in _runs(kept, 1):
+        dets = {n: iter([det_exact(lap) for lap in _laplacian_stack(graphs)])
+                for n, (graphs, *_) in _by_order(run, lambda g: g.n).items()}
+        for wg, rhs, i in run:
+            lhs = next(dets[wg.n])
+            diff = abs(lhs - rhs)
+            max_diff = max(max_diff, diff)
+            if diff != 0:
+                report.record_failure(f"instance {i}: det {lhs} != forest sum {rhs}")
+    skipped = count - len(kept)
     report.details["max_abs_difference"] = max_diff
     if skipped:
         report.details["skipped"] = skipped
@@ -364,20 +365,29 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("incidence-factorization", True, count)
+
+    def instances():
+        for i in range(count):
+            wg = _random_weighted(rng, n_max)
+            # each orientation's (tail, head) pairs, edge by edge, flattened
+            ends = [[x for u, v, _ in wg.edges for x in ((u, v) if rng.random() < 0.5 else (v, u))]
+                    for _ in range(_ORIENTATIONS_PER_GRAPH)]
+            yield wg, ends, i
+
     max_dev = 0.0
-    for i in range(count):
-        wg = _random_weighted(rng, n_max)
-        lap = weighted_laplacian(wg).entries
-        # each orientation's (tail, head) pairs, edge by edge
-        ends = [end for _ in range(_ORIENTATIONS_PER_GRAPH) for u, v, _ in wg.edges
-                for end in ((u, v) if rng.random() < 0.5 else (v, u))]
-        h = _incidence_stack(wg, np.array(ends).reshape(_ORIENTATIONS_PER_GRAPH, wg.m, 2))
-        product = h @ h.swapaxes(1, 2)  # one n x n product per orientation
-        devs = np.abs(product - lap).max(axis=(1, 2), initial=0.0).tolist()
-        max_dev = _worst(max, max_dev, *devs)
-        for dev in devs:
-            if not dev < 1e-9:  # a NaN product fails too
-                report.record_failure(f"instance {i}: factorization deviation {dev:g}")
+    for run in _runs(instances(), _ORIENTATIONS_PER_GRAPH):
+        stacked = {}
+        for n, (graphs, ends, _) in _by_order(run, lambda g: g.n).items():
+            h = _incidence_stack(graphs, ends)
+            product = h @ h.swapaxes(2, 3)  # one n x n product per orientation
+            lap = _laplacian_stack(graphs)[:, None]
+            stacked[n] = iter(np.abs(product - lap).max(axis=(2, 3), initial=0.0).tolist())
+        for wg, _, i in run:
+            devs = next(stacked[wg.n])
+            max_dev = _worst(max, max_dev, *devs)
+            for dev in devs:
+                if not dev < 1e-9:  # a NaN product fails too
+                    report.record_failure(f"instance {i}: factorization deviation {dev:g}")
     report.details["max_deviation"] = max_dev
     return report
 

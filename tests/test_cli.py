@@ -1160,6 +1160,36 @@ def test_stacked_checks_report_the_same_wherever_runs_end(monkeypatch, injection
         assert len(solves) > 14 + 196 and (bound > 1 or len(solves) == 600 + 196)
 
 
+@pytest.mark.parametrize("injection", [None, "forest-sum-plus-one", "incidence-doubled"])
+def test_forest_and_incidence_checks_report_the_same_wherever_runs_end(monkeypatch, injection):
+    # forest-theorem and incidence-factorization build the matrices of a run
+    # in stacks, one per order; a bound of 1 makes every instance a run
+    import sdlap.verify
+
+    real = sdlap.verify._laplacian_stack
+    stacked = []
+    monkeypatch.setattr(sdlap.verify, "_laplacian_stack",
+                        lambda graphs: stacked.append(len(graphs)) or real(graphs))
+    if injection == "forest-sum-plus-one":
+        monkeypatch.setattr(sdlap.verify, "forest_det", lambda g: forest_det(g) + 1)
+    if injection == "incidence-doubled":
+        monkeypatch.setattr(sdlap.verify, "_incidence_stack",
+                            lambda graphs, ends: 2 * _incidence_stack(graphs, ends))
+    suites = ("forest-theorem", "incidence-factorization")
+    expected = [sdlap.verify.run_suite(s).to_json_obj() for s in suites]
+    assert [r["passed"] for r in expected] == [injection != "forest-sum-plus-one",
+                                               injection != "incidence-doubled"]
+    checked = sum(stacked)  # the kept forest-theorem instances, then 500
+    assert checked == 200 - expected[0]["details"].get("skipped", 0) + 500
+    default = len(stacked)
+    for bound in (1, 97, 2000):
+        monkeypatch.setattr(sdlap.verify, "_CHUNK_ENTRIES", bound)
+        stacked.clear()
+        assert [sdlap.verify.run_suite(s).to_json_obj() for s in suites] == expected
+        assert sum(stacked) == checked and len(stacked) > default
+        assert bound > 1 or len(stacked) == checked
+
+
 def test_out_of_memory_ends_in_one_line_without_a_traceback(tmp_path):
     # The child may use at most 3 GB of address space, so the 9.31 GiB
     # frontier of this cycle's distance table cannot be allocated. One
@@ -1210,7 +1240,7 @@ def test_a_memory_error_without_a_message_is_named(capsys, monkeypatch):
     ("transmission-shift", "sdlap.verify.transmission", lambda table: transmission(table) + 1,
      "C3 allpos: transmissions [3] != 2", None),
     ("incidence-factorization", "sdlap.verify._incidence_stack",
-     lambda g, ends: 2 * _incidence_stack(g, ends),
+     lambda graphs, ends: 2 * _incidence_stack(graphs, ends),
      "instance 0: factorization deviation 15", None),
 ], ids=["forest-sum-off-by-one", "certificate-rejected", "det-always-1", "det-always-minus-1",
         "transmission-off-by-one", "incidence-doubled"])
@@ -1233,11 +1263,11 @@ def test_incidence_factorization_fails_a_nan_product_without_a_warning(monkeypat
 
     calls = []
 
-    def one_nan(g, ends):
-        h = _incidence_stack(g, ends)
-        if not calls:
-            h[1, 0, 0] = np.nan  # one orientation of the first instance
-        calls.append(g)
+    def one_nan(graphs, ends):
+        h = _incidence_stack(graphs, ends)
+        if not calls:  # the first stack starts with the first instance
+            h[0, 1, 0, 0] = np.nan  # one orientation of the first instance
+        calls.extend(graphs)
         return h
 
     monkeypatch.setattr("sdlap.verify._incidence_stack", one_nan)

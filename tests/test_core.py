@@ -440,6 +440,17 @@ def test_generate_random_resamples_as_before():
     )
 
 
+@pytest.mark.parametrize("n, p, seed, digest", [
+    (1000, 0.008, 3, "f90de0aa1e833a26e553239a16dd22fe3279efe4e6366d63663b9cf68a0769e1"),
+    (3000, 0.0027, 5, "e1fea435944001456533eb812fb26318ce0f654fe4e6d2d829381a70e64e766e"),
+])
+def test_generate_random_pins_large_graphs(n, p, seed, digest):
+    # one draw per vertex pair in lexicographic order, on graphs as large
+    # as the benchmark's; CI checks the first digest on each Python version
+    text = serialize(generate("random", n, p=p, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_generate_random_graphs_are_connected():
     rng = random.Random(11)
     for _ in range(25):

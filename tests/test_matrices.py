@@ -20,7 +20,13 @@ from sdlap import (
     weighted_degree_matrix,
     weighted_laplacian,
 )
-from sdlap.matrices import IncidenceMatrix, SquareMatrix, _write_tokens
+from sdlap.matrices import (
+    IncidenceMatrix,
+    SquareMatrix,
+    _incidence_stack,
+    _laplacian_stack,
+    _write_tokens,
+)
 
 from conftest import (
     classic_laplacian,
@@ -103,6 +109,59 @@ def test_weighted_laplacian_sums_the_weights_once(monkeypatch):
     expected = weighted_degree_matrix(g).entries - adjacency_matrix(g).entries
     assert lap.entries.dtype == expected.dtype
     assert np.array_equal(lap.entries, expected)
+
+
+def graphs_of_order_six(rng, weight):
+    """Graphs of order 6 with from 0 to 15 edges, each weight drawn by weight(rng)."""
+    shapes = [SignedGraph(6, ()), generate("path", 6, "allneg"),
+              generate("complete", 6, 0.5, seed=4)]
+    shapes += [generate("random", 6, seed=rng.getrandbits(32), p=p) for p in (0.3, 0.6, 0.9)]
+    return [SignedGraph(g.n, g.edges, tuple(weight(rng) for _ in range(g.m))) for g in shapes]
+
+
+@pytest.mark.parametrize("weights, dtype", [
+    (lambda rng: float(rng.randint(1, 9)), np.int64),
+    (lambda rng: rng.choice((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 2.5)), np.float64),
+], ids=["integral", "integral-and-not"])
+def test_laplacian_stack_holds_each_graphs_weighted_laplacian(weights, dtype):
+    graphs = graphs_of_order_six(random.Random(31), weights)
+    assert len({g.m for g in graphs}) >= 4  # mixed m, 0 and 15 among them
+    assert any(g.integer_weights for g in graphs[1:])  # with edges, in both stacks
+    stack = _laplacian_stack(graphs)
+    assert stack.shape == (len(graphs), 6, 6) and stack.dtype == dtype
+    for g, lap in zip(graphs, stack):
+        single = weighted_laplacian(g).entries
+        assert np.array_equal(lap, single)
+        assert single.dtype == (np.int64 if g.integer_weights else np.float64)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((5e18, 5e18, 1.0), "weight sum 10000000000000000000 at vertex index 1 does not fit "
+                        "in a 64-bit integer matrix"),
+    ((1e308, 1e308, 0.5), "weight sum at vertex index 1 overflows a 64-bit float"),
+], ids=["int64", "float"])
+def test_laplacian_stack_refuses_a_graph_in_its_middle_as_alone(bad, message):
+    triangle = generate("cycle", 3, "allpos")
+    ok = SignedGraph(3, triangle.edges, (1.0, 2.0, 3.0))
+    wrapping = SignedGraph(3, triangle.edges, bad)
+    for build in (lambda: _laplacian_stack([ok, wrapping, ok]),
+                  lambda: weighted_laplacian(wrapping)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_incidence_stack_holds_each_orientations_incidence_matrix():
+    rng = random.Random(37)
+    graphs = graphs_of_order_six(rng, lambda rng: float(rng.randint(1, 9)))
+    orientations = [[tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in g.edges)
+                     for _ in range(3)] for g in graphs]
+    h = _incidence_stack(graphs, orientations)
+    assert h.shape == (len(graphs), 3, 6, 15)
+    for g, layers, stacked in zip(graphs, orientations, h):
+        for orientation, block in zip(layers, stacked):
+            assert np.array_equal(block[:, :g.m], incidence_matrix(g, orientation).entries)
+            assert not block[:, g.m:].any()
 
 
 def test_laplacian_row_sums_count_negative_weight():

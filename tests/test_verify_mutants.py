@@ -49,6 +49,10 @@ KILLED = {
     "transmission-plus-one": (
         "sdlap.distance", "return table.dist.sum(axis=1)", "return table.dist.sum(axis=1) + 1",
         {"transmission-shift"}),
+    "laplacian-off-diagonal-plus-sw": (
+        "sdlap.matrices", "[-w for values, _ in checked for w in values]",
+        "[w for values, _ in checked for w in values]",
+        {"forest-theorem", "incidence-factorization"}),
     "bareiss-plus-one": (
         "sdlap.exact", "return sign * a[n - 1][n - 1]", "return sign * a[n - 1][n - 1] + 1",
         {"forest-theorem", "balance-equivalence"}),
@@ -79,7 +83,7 @@ SURVIVORS = {
 
 def _sources() -> dict[str, str]:
     return {name: (ROOT / "src" / "sdlap" / f"{name.split('.')[1]}.py").read_text()
-            for name in ("sdlap.distance", "sdlap.balance", "sdlap.exact")}
+            for name in ("sdlap.distance", "sdlap.matrices", "sdlap.balance", "sdlap.exact")}
 
 
 @pytest.mark.parametrize("mutants", [KILLED, SURVIVORS], ids=["killed", "survivors"])
