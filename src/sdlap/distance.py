@@ -14,7 +14,8 @@ current level by a positive (or negative) shortest path. One level is
 which is exact: no path is enumerated and no count can overflow. It runs
 on a stack of graphs as one search over their disjoint union, each row
 holding the source bits of its own graph in that graph's numbering, so a
-row has ceil(max order / 64) words; verify builds the tables of a run so.
+row has ceil(max order / 64) words; verify builds a run's tables so, one
+stacked table per order (_tables), and signs each stack (_signed).
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ class DistanceTable:
 
     The diagonal is d=0 with exists_pos True and exists_neg False by
     convention, matching the zero diagonal of the distance matrices. The
-    three arrays must be square and of one shape, dist of an integer dtype
-    and pos and neg bool; anything else is a ValueError.
+    three arrays must be square, or stacks (k, n, n) of square arrays as
+    _tables builds, and of one shape, dist of an integer dtype and pos and
+    neg bool; anything else is a ValueError.
     """
 
     dist: np.ndarray
@@ -65,7 +67,7 @@ class DistanceTable:
         for name in ("dist", "pos", "neg"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         shape = self.dist.shape
-        if not (len(shape) == 2 and shape[0] == shape[1]
+        if not (len(shape) in (2, 3) and shape[-2] == shape[-1]
                 and self.pos.shape == self.neg.shape == shape):
             raise ValueError(f"distance table needs three square arrays of one shape, got "
                              f"{shape}, {self.pos.shape} and {self.neg.shape}")
@@ -76,7 +78,7 @@ class DistanceTable:
 
     @property
     def n(self) -> int:
-        return self.dist.shape[0]
+        return self.dist.shape[-1]
 
 
 def _level_plan(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,14 +114,29 @@ def distance_table(g: SignedGraph) -> DistanceTable:
     Raises DisconnectedGraphError on disconnected input, naming source 0
     and the least vertex it cannot reach.
     """
-    return _tables([g])[0]
+    return DistanceTable(*_search([g])[:3])  # pos and neg, views, are copied once
 
 
-def _tables(graphs) -> list[DistanceTable]:
-    """distance_table of each of graphs, by one BFS over their disjoint
-    union. A disconnected graph raises DisconnectedGraphError as
-    distance_table does on it alone, in its own numbering; the first
-    disconnected graph of the stack is the one named."""
+def _tables(graphs) -> dict[int, DistanceTable]:
+    """For each order n of graphs, one table of (k, n, n) arrays stacking
+    distance_table of its k graphs of order n in their order, by one BFS
+    over the disjoint union of graphs. The first disconnected graph raises
+    DisconnectedGraphError as distance_table does on it alone."""
+    *union, offsets, orders = _search(graphs)
+    stacks = {}
+    for n in dict.fromkeys(orders.tolist()):
+        rows = offsets[orders == n, None] + np.arange(n)  # row a + v of each member
+        stacks[n] = [x[rows, :n] for x in union]
+    for x in chain.from_iterable(stacks.values()):
+        x.setflags(write=False)  # new arrays, which the tables keep as they are
+    return {n: DistanceTable(*arrays) for n, arrays in stacks.items()}
+
+
+def _search(graphs) -> tuple[np.ndarray, ...]:
+    """(dist, pos, neg, offsets, orders) of the disjoint union of graphs,
+    where row offsets[i] + v is vertex v of graphs[i], of order orders[i],
+    and column s its source s; dist is read-only and its own, pos and neg
+    are views."""
     orders, sizes = np.array([[g.n, g.m] for g in graphs]).T
     offsets, n, m = orders.cumsum() - orders, int(orders.sum()), int(sizes.sum())
     # (tail, head, sign) columns, contiguous: the shift is slow on a transpose
@@ -138,11 +155,7 @@ def _tables(graphs) -> list[DistanceTable]:
         dist |= np.left_shift(bits[2 + b], b, dtype=narrow)
     dist = dist.astype(np.int64)
     dist.setflags(write=False)
-    pos, neg = bits[0].view(bool), bits[1].view(bool)
-    if len(graphs) == 1:  # dist is the table's own; pos and neg, views, are copied once
-        return [DistanceTable(dist, pos, neg)]
-    return [DistanceTable(dist[a:a + k, :k], pos[a:a + k, :k], neg[a:a + k, :k])
-            for a, k in zip(offsets.tolist(), orders.tolist())]
+    return dist, bits[0].view(bool), bits[1].view(bool), offsets, orders
 
 
 def _levels(n: int, edges: np.ndarray, local: np.ndarray,
@@ -198,6 +211,8 @@ def is_compatible(table: DistanceTable) -> tuple[bool, tuple[int, int] | None]:
 
     On failure returns the lexicographically least incompatible pair.
     """
+    if table.dist.ndim != 2:
+        raise ValueError(f"compatibility needs the table of one graph, got {table.dist.shape}")
     bad = table.pos & table.neg
     np.fill_diagonal(bad, False)
     if not bad.any():
@@ -219,18 +234,24 @@ def distance_matrix(table: DistanceTable, kind: str) -> SquareMatrix:
         ok, witness = is_compatible(table)
         if not ok:
             raise IncompatibleGraphError(witness)
-    if kind == "min":
-        sig = np.where(table.neg, -1, 1)
-    else:
-        sig = np.where(table.pos, 1, -1)
-    entries = sig * table.dist
+    entries = _signed(table, kind)
     entries.setflags(write=False)
     return SquareMatrix(entries, f"d{kind}")
 
 
+def _signed(table: DistanceTable, kind: str) -> np.ndarray:
+    """The entries of distance_matrix(table, kind) as a new array, for one
+    table or each member of a stack; checks neither kind nor compatibility."""
+    if kind == "min":
+        sig = np.where(table.neg, -1, 1)
+    else:
+        sig = np.where(table.pos, 1, -1)
+    return sig * table.dist
+
+
 def transmission(table: DistanceTable) -> np.ndarray:
-    """Per-vertex sum of unsigned hop distances to every other vertex."""
-    return table.dist.sum(axis=1)
+    """Per-vertex sum of unsigned hop distances, also per member of a stack."""
+    return table.dist.sum(axis=-1)
 
 
 def _laplacian(dist: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -147,7 +147,6 @@ def _det_bareiss(a: list[list[int]]) -> int:
             factor = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
 

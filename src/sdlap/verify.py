@@ -7,16 +7,16 @@ a fixed seed, its signature holds its default sizes, and it raises
 ValueError at sizes that would test nothing. The spectral suites also
 fail on a distance Laplacian that is not positive semidefinite.
 
-Every suite cuts its stream of instances into runs (_runs); the spectral
-suites build a run's distance tables by one signed BFS (distance._tables)
-and reach the signs through distance_matrix, once per instance and kind.
-Except transmission-shift, which solves each cycle's L^max and L^min in
-one stacked call, the suites stack a run's matrices by order (_by_order),
-form the Laplacians, incidence products and entrywise identities on whole
-stacks, with one eigensolve per stack, and then check each instance in
-turn, its determinants included, so that failures are recorded in
-instance order wherever a run ends. balance-equivalence gives Laplacians
-with equal entries one determinant and one spectrum.
+Every suite cuts its stream of instances into runs (_runs) and checks a
+run in stacks, one per order: the spectral suites build one distance
+table per order of a run by one signed BFS (distance._tables) and sign it
+through distance._signed, once per kind; the others group graphs by order
+(_by_order). The suites form the Laplacians, incidence products and
+entrywise identities on whole stacks, with one eigensolve per stack, and
+then check each instance in turn, its determinants included, so that
+failures are recorded in instance order wherever a run ends.
+balance-equivalence gives Laplacians with equal entries one determinant
+and one spectrum.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .balance import SizeBoundError, det_exact, forest_det, is_balanced_switching
 from .core import MIN_VERIFY_N, SUITE_NAMES, SignedGraph, generate, switch
-from .distance import IncompatibleGraphError, _laplacian, _tables, distance_matrix, transmission
+from .distance import DistanceTable, _laplacian, _signed, _tables, transmission
 from .matrices import _incidence_stack, _laplacian_stack
 from .spectra import _eigenvalues, cycle_spectrum, odd_cycle_formula_spectrum
 
@@ -141,14 +141,13 @@ def _runs(instances, laplacians: int):
         yield run
 
 
-def _by_order(run, order=len) -> dict:
-    """A run's instances grouped by order(first value): for each order, one
-    column per value in instance order, its array values stacked."""
+def _by_order(run) -> dict:
+    """A run's instances grouped by the order of their first value, a
+    graph: for each order, one column per value, in instance order."""
     groups: dict[int, list] = {}
     for instance in run:
-        groups.setdefault(order(instance[0]), []).append(instance)
-    return {n: [np.stack(c) if isinstance(c[0], np.ndarray) else c for c in zip(*members)]
-            for n, members in groups.items()}
+        groups.setdefault(instance[0].n, []).append(instance)
+    return {n: list(zip(*members)) for n, members in groups.items()}
 
 
 def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> SuiteReport:
@@ -167,7 +166,7 @@ def forest_theorem_suite(count: int = 200, n_max: int = 6, seed: int = 1) -> Sui
     max_diff = 0
     for run in _runs(kept, 1):
         dets = {n: iter([det_exact(lap) for lap in _laplacian_stack(graphs)])
-                for n, (graphs, *_) in _by_order(run, lambda g: g.n).items()}
+                for n, (graphs, *_) in _by_order(run).items()}
         for wg, rhs, i in run:
             lhs = next(dets[wg.n])
             diff = abs(lhs - rhs)
@@ -191,34 +190,26 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
     nonnegative and zero exactly on the compatible pairs, that
     L^pm == L^max on a compatible graph, and that both
     distance Laplacians are positive semidefinite, reporting the smallest
-    eigenvalue seen. Each instance reaches the signs through
-    distance_matrix, once per kind, from a table built with the others of
-    its run; the Laplacians and the entrywise checks on them are formed in
-    stacks, one per order in a run.
+    eigenvalue seen. Each run's tables, signs, Laplacians and entrywise
+    checks are formed in stacks, one per order; D^pm is signed on the
+    stack of the order's compatible members only.
     Laplacians with equal entries share one determinant and one spectrum.
     """
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("balance-equivalence", True, count)
-
-    def matrices(run):
-        for (g, i), table in zip(run, _tables([g for g, _ in run])):
-            dmax = distance_matrix(table, "max").entries
-            dmin = distance_matrix(table, "min").entries
-            try:
-                dpm = distance_matrix(table, "pm").entries
-            except IncompatibleGraphError:
-                dpm = None
-            # an incompatible instance has no D^pm: D^max stands in, unused
-            yield (dmax, dmin, dmax if dpm is None else dpm, table.dist, table.pos & table.neg,
-                   i, g, dpm is not None)
-
     balanced_count = 0
     min_eig = float("inf")
     for run in _runs(((_random_connected(rng, n_max), i) for i in range(count)), 2):
-        run = list(matrices(run))
         stacked = {}
-        for n, (dmax, dmin, dpm, dist, both, *_) in _by_order(run).items():
+        for n, table in _tables([g for g, _ in run]).items():
+            dist, both = table.dist, table.pos & table.neg
+            dmax, dmin = _signed(table, "max"), _signed(table, "min")
+            compatible = ~both.any(axis=(1, 2))
+            # an incompatible member has no D^pm: D^max stands in, unused
+            dpm = dmax.copy()
+            dpm[compatible] = _signed(DistanceTable(
+                dist[compatible], table.pos[compatible], table.neg[compatible]), "pm")
             lmax, lmin = _laplacian(dist, dmax), _laplacian(dist, dmin)
             # D^max - D^min is 2d on a pair with shortest paths of both signs
             # and 0 on any other: nonnegative, and zero exactly on the
@@ -231,10 +222,11 @@ def balance_equivalence_suite(count: int = 500, n_max: int = 8, seed: int = 1) -
             rest = iter(extremes[len(lmax):])
             stacked[n] = iter(zip(
                 lmax, lmin, differs.tolist(), (gap != 2 * dist * both).any(axis=(1, 2)).tolist(),
-                (dpm == dmax).all(axis=(1, 2)).tolist(), extremes,
-                [next(rest) if d else e for d, e in zip(differs, extremes)]))
-        for _, _, dpm, dist, _, i, g, compatible in run:
-            lmax, lmin, distinct, wrong_gap, pm_same, max_pair, min_pair = next(stacked[g.n])
+                compatible.tolist(), (dpm == dmax).all(axis=(1, 2)).tolist(), dpm, dist,
+                extremes, [next(rest) if d else e for d, e in zip(differs, extremes)]))
+        for g, i in run:
+            (lmax, lmin, distinct, wrong_gap, compatible, pm_same, dpm, dist,
+             max_pair, min_pair) = next(stacked[g.n])
             sw = is_balanced_switching(g)
             balanced_count += sw.balanced
             if not sw.verify(g):
@@ -269,9 +261,8 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
     L(switch(g, ζ)) = Z·L(g)·Z with Z = diag(ζ), and the two are
     cospectral. Checks that identity on L^pm entrywise in int64, reporting
     the largest entry difference, and that L(switch(g, ζ)) is positive
-    semidefinite. Each instance reaches the signs through distance_matrix,
-    from tables built with the others of its run; the Laplacians and the
-    checks on them are formed in stacks, one per order in a run."""
+    semidefinite. Each run's tables of both graphs, signs, Laplacians and
+    checks are formed in stacks, one per order."""
     _check_sizes(n_max, count)
     rng = random.Random(seed)
     report = SuiteReport("cospectrality", True, count)
@@ -284,26 +275,20 @@ def cospectrality_suite(count: int = 100, n_max: int = 8, seed: int = 1) -> Suit
             zeta = [rng.choice((1, -1)) for _ in range(n)]
             yield switch(g_pos, zeta), g_pos, zeta, i
 
-    def matrices(run):
-        # the tables of the switched graphs, then those of the originals
-        tables = _tables([g for g, *_ in run] + [g_pos for _, g_pos, *_ in run])
-        for (_, _, zeta, i), table, table_pos in zip(run, tables, tables[len(run):]):
-            yield (distance_matrix(table, "pm").entries, table.dist,
-                   distance_matrix(table_pos, "pm").entries, table_pos.dist,
-                   np.array(zeta, dtype=np.int64), i)
-
     max_dev = 0
     min_eig = float("inf")
     for run in _runs(instances(), 1):
-        run = list(matrices(run))
+        zetas = _by_order(run)
         stacked = {}
-        for n, (d, dist, d_pos, dist_pos, z, _) in _by_order(run).items():
-            lap = _laplacian(dist, d)
-            zlz = z[:, :, None] * _laplacian(dist_pos, d_pos) * z[:, None, :]
+        # each order's switched graphs, then their originals
+        for n, table in _tables([g for g, *_ in run] + [g_pos for _, g_pos, *_ in run]).items():
+            lap, lap_pos = np.split(_laplacian(table.dist, _signed(table, "pm")), 2)
+            z = np.array(zetas[n][2], dtype=np.int64)
+            zlz = z[:, :, None] * lap_pos * z[:, None, :]
             stacked[n] = iter(zip(np.abs(lap - zlz).max(axis=(1, 2)).tolist(),
                                   _extremes(_eigenvalues(lap))))
-        for d, *_, i in run:
-            dev, extremes = next(stacked[len(d)])
+        for g, *_, i in run:
+            dev, extremes = next(stacked[g.n])
             max_dev = max(max_dev, dev)
             if dev:
                 report.record_failure(f"instance {i}: L differs from Z·L·Z by {dev}")
@@ -319,7 +304,8 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
     the distance Laplacian spectrum is positive semidefinite and within
     _SPECTRUM_TOL of cycle_spectrum, the closed form that needs no
     eigensolver. The cycles are fixed, so seed is unused. A run's tables
-    come from one BFS and each cycle's two spectra from one stacked call.
+    come from one BFS, one stacked table per order, and the spectra of an
+    order's cycles, both kinds, from one stacked call.
 
     Also reports, without requiring agreement, how far the printed
     odd-cycle formula (odd_cycle_formula_spectrum) is from the spectrum
@@ -333,15 +319,21 @@ def transmission_shift_suite(n_max: int = 12, seed: int = 1) -> SuiteReport:
     cycles = ((generate("cycle", n, signs), n, sign, signs) for n in range(MIN_VERIFY_N, n_max + 1)
               for sign, signs in ((1, "allpos"), (-1, "allneg")))
     for run in _runs(cycles, 2):
-        for (_, n, sign, signs), table in zip(run, _tables([g for g, *_ in run])):
+        stacked = {}
+        for n, table in _tables([g for g, *_ in run]).items():
+            # each cycle's L^max, then each one's L^min
+            values = _eigenvalues(np.concatenate([_laplacian(table.dist, _signed(table, kind))
+                                                  for kind in ("max", "min")])).tolist()
+            k = len(table.dist)
+            stacked[n] = iter(zip(transmission(table).tolist(), values[:k], values[k:]))
+        for _, n, sign, signs in run:
+            transmissions, *spectra = next(stacked[n])
             expected_t = (n // 2) * (n // 2 + 1) if n % 2 else (n // 2) ** 2
-            found_t = sorted(set(transmission(table).tolist()))
+            found_t = sorted(set(transmissions))
             if found_t != [expected_t]:
                 report.record_failure(f"C{n} {signs}: transmissions {found_t} != {expected_t}")
-            laplacians = [_laplacian(table.dist, distance_matrix(table, kind).entries)
-                          for kind in ("max", "min")]
             expected = cycle_spectrum(n, sign).eigenvalues
-            for kind, values in zip(("max", "min"), _eigenvalues(np.stack(laplacians)).tolist()):
+            for kind, values in zip(("max", "min"), spectra):
                 report.instances += 1
                 label = f"C{n} {signs} {kind}"
                 dev = _worst(max, *(abs(x - y) for x, y in zip(values, expected)))
@@ -377,7 +369,7 @@ def incidence_factorization_suite(count: int = 500, n_max: int = 8,
     max_dev = 0.0
     for run in _runs(instances(), _ORIENTATIONS_PER_GRAPH):
         stacked = {}
-        for n, (graphs, ends, _) in _by_order(run, lambda g: g.n).items():
+        for n, (graphs, ends, _) in _by_order(run).items():
             h = _incidence_stack(graphs, ends)
             product = h @ h.swapaxes(2, 3)  # one n x n product per orientation
             lap = _laplacian_stack(graphs)[:, None]

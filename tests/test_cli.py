@@ -882,8 +882,9 @@ def test_suites_refuse_sizes_that_test_nothing(suite, sizes, message):
 
 
 def test_transmission_shift_suite_builds_one_table_per_cycle(monkeypatch):
-    # the 20 cycles' tables come from one stacked BFS, and each cycle's two
-    # Laplacians from one stacked eigensolve; the one-graph routes are refused
+    # the 20 cycles' tables come from one stacked BFS, and the four
+    # Laplacians of each order's two cycles from one stacked eigensolve; the
+    # one-graph routes are refused
     import sdlap.distance
     import sdlap.spectra
     import sdlap.verify
@@ -903,7 +904,7 @@ def test_transmission_shift_suite_builds_one_table_per_cycle(monkeypatch):
     report = sdlap.verify.transmission_shift_suite(n_max=12)
     assert report.passed and report.instances == 40
     assert tables == [[n for n in range(3, 13) for _ in range(2)]]
-    assert solves == [(2, n, n) for n in range(3, 13) for _ in range(2)]
+    assert solves == [(4, n, n) for n in range(3, 13)]
 
 
 @pytest.mark.parametrize("suite, graphs_per_instance",
@@ -913,7 +914,7 @@ def test_stacked_suites_build_each_runs_tables_in_one_call(monkeypatch, suite,
                                                            graphs_per_instance):
     import sdlap.distance
     import sdlap.verify
-    from sdlap.distance import _tables, distance_table
+    from sdlap.distance import DistanceTable, _tables, distance_table
 
     assert not hasattr(sdlap.verify, "distance_table") and not hasattr(sdlap.verify, "sym_eig")
     # the cycles of transmission-shift are fixed: a bound of 100 splits them
@@ -923,8 +924,16 @@ def test_stacked_suites_build_each_runs_tables_in_one_call(monkeypatch, suite,
     def run():
         return getattr(sdlap.verify, suite)(**sizes).to_json_obj()
 
+    def one_by_one_tables(gs):
+        tables = {}
+        for g in gs:
+            tables.setdefault(g.n, []).append(distance_table(g))
+        return {n: DistanceTable(*(np.stack([getattr(t, a) for t in ts])
+                                   for a in ("dist", "pos", "neg")))
+                for n, ts in tables.items()}
+
     # the same report with one distance_table call per graph
-    monkeypatch.setattr(sdlap.verify, "_tables", lambda gs: [distance_table(g) for g in gs])
+    monkeypatch.setattr(sdlap.verify, "_tables", one_by_one_tables)
     one_by_one = run()
     orders, runs = [], []
     real_runs = sdlap.verify._runs
@@ -948,42 +957,58 @@ def test_stacked_suites_build_each_runs_tables_in_one_call(monkeypatch, suite,
     assert any(min(o) <= 64 < max(o) for o in orders)
 
 
-def test_balance_equivalence_suite_checks_compatibility_once_per_instance(monkeypatch):
+def test_balance_equivalence_suite_checks_compatibility_once_per_order(monkeypatch):
+    # each order's members are signed once per kind, and D^pm on the stack
+    # of exactly the order's compatible members; is_compatible, which checks
+    # one graph's table, is never called
     import sys
 
-    import sdlap.distance
     import sdlap.verify
 
-    real = sdlap.distance.is_compatible
-    verdicts = []
-
-    def counted(table):
-        result = real(table)
-        verdicts.append(result[0])
-        return result
+    def refused(table):
+        raise AssertionError("is_compatible called")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("sdlap") and vars(module).get("is_compatible") is real:
-            monkeypatch.setattr(module, "is_compatible", counted)
+        if name.startswith("sdlap") and hasattr(module, "is_compatible"):
+            monkeypatch.setattr(module, "is_compatible", refused)
+    real = sdlap.verify._signed
+    signed, verdicts = {"max": [], "min": [], "pm": []}, []
+
+    def counted(table, kind):
+        signed[kind].append(len(table.dist))
+        compatible = (~(table.pos & table.neg).any(axis=(1, 2))).tolist()
+        if kind == "max":
+            verdicts.extend(compatible)
+        if kind == "pm":
+            assert all(compatible)
+        return real(table, kind)
+
+    monkeypatch.setattr(sdlap.verify, "_signed", counted)
     report = sdlap.verify.balance_equivalence_suite(count=60)
     assert report.passed
     assert len(verdicts) == 60 and True in verdicts and False in verdicts
+    assert len(signed["max"]) == len(signed["min"]) == 7 and signed["max"] == signed["min"]
+    assert sum(signed["pm"]) == verdicts.count(True)
+
+
+def _rebind_signed(monkeypatch, replace):
+    """Make every module that binds distance._signed, the sign rule behind
+    distance_matrix, call replace(real, table, kind) instead."""
+    import sys
+
+    from sdlap.distance import _signed
+
+    def replaced(table, kind):
+        return replace(_signed, table, kind)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdlap") and hasattr(module, "_signed"):
+            monkeypatch.setattr(module, "_signed", replaced)
 
 
 def _drop_the_sign_rule(monkeypatch):
-    """Make every module that binds distance_matrix get unsigned distances."""
-    import sys
-
-    import numpy as np
-
-    from sdlap.matrices import SquareMatrix
-
-    def unsigned(table, kind):
-        return SquareMatrix(np.array(table.dist, dtype=np.int64), f"d{kind}")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sdlap") and hasattr(module, "distance_matrix"):
-            monkeypatch.setattr(module, "distance_matrix", unsigned)
+    """Make every module that binds the sign rule get unsigned distances."""
+    _rebind_signed(monkeypatch, lambda real, table, kind: np.array(table.dist, dtype=np.int64))
 
 
 def test_transmission_shift_suite_fails_without_the_sign_rule(monkeypatch):
@@ -1048,21 +1073,6 @@ def test_spectral_suites_fail_on_a_nan_eigenvalue(monkeypatch, suite, column):
         assert any(failure.endswith(": NaN eigenvalue") for failure in report.failures)
 
 
-def _rebind_distance_matrix(monkeypatch, replace):
-    """Make every module that binds distance_matrix call replace(real,
-    table, kind) instead."""
-    import sys
-
-    from sdlap.distance import distance_matrix
-
-    def replaced(table, kind):
-        return replace(distance_matrix, table, kind)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sdlap") and hasattr(module, "distance_matrix"):
-            monkeypatch.setattr(module, "distance_matrix", replaced)
-
-
 def test_balance_equivalence_fails_with_sigma_max_and_min_swapped(monkeypatch):
     # Balance and the spectra are symmetric in max and min, so only the
     # D^max >= D^min check sees D^max built by the sigma_min rule and D^min
@@ -1070,7 +1080,7 @@ def test_balance_equivalence_fails_with_sigma_max_and_min_swapped(monkeypatch):
     from sdlap.verify import balance_equivalence_suite
 
     assert balance_equivalence_suite().passed
-    _rebind_distance_matrix(monkeypatch, lambda real, table, kind: real(
+    _rebind_signed(monkeypatch, lambda real, table, kind: real(
         table, {"max": "min", "min": "max"}.get(kind, kind)))
     report = balance_equivalence_suite()
     assert not report.passed
@@ -1082,14 +1092,13 @@ def test_balance_equivalence_fails_with_sigma_max_and_min_swapped(monkeypatch):
 def test_balance_equivalence_fails_when_lpm_is_not_lmax(monkeypatch):
     import numpy as np
 
-    from sdlap.matrices import SquareMatrix
     from sdlap.verify import balance_equivalence_suite
 
     def unsigned_pm(real, table, kind):
         d = real(table, kind)
-        return SquareMatrix(np.abs(d.entries), d.kind) if kind == "pm" else d
+        return np.abs(d) if kind == "pm" else d
 
-    _rebind_distance_matrix(monkeypatch, unsigned_pm)
+    _rebind_signed(monkeypatch, unsigned_pm)
     report = balance_equivalence_suite(count=60)
     assert not report.passed
     assert any(failure.endswith(": L^pm != L^max on a compatible graph")
@@ -1101,8 +1110,8 @@ def test_verify_all_solves_each_distinct_laplacian_once(monkeypatch):
     # balance-equivalence 500 for L^max and 127 for the L^min that differ
     # from it, L^pm being L^max on every compatible instance. Those 627
     # Laplacians and cospectrality's 100 are solved in 14 stacked calls, one
-    # per order and suite; transmission-shift solves its 40 in 20 calls, one
-    # per cycle.
+    # per order and suite; transmission-shift solves its 40 in 10 calls, one
+    # per order of its cycles.
     import sdlap.verify
 
     calls = {"det_exact": 0, "_eigenvalues": 0}
@@ -1119,7 +1128,7 @@ def test_verify_all_solves_each_distinct_laplacian_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(sdlap.verify, name, counted(getattr(sdlap.verify, name)))
     assert all(r.passed for r in sdlap.verify.run_all(seed=1530816428))
-    assert calls == {"det_exact": 827, "_eigenvalues": 34}
+    assert calls == {"det_exact": 827, "_eigenvalues": 24}
     assert sum(stacked) == 767
 
 
@@ -1147,17 +1156,18 @@ def test_stacked_checks_report_the_same_wherever_runs_end(monkeypatch, injection
         monkeypatch.setattr(sdlap.verify, "det_exact", lambda m: 1)
     if injection == "certificate-and-eigenvalues-minus-1":
         monkeypatch.setattr("sdlap.balance.BalanceReport.verify", lambda report, g: False)
-    # transmission-shift at n_max = 100 splits its cycles into runs at the
-    # default bound too, with one solve per cycle wherever runs end
+    # transmission-shift at n_max = 100 splits its cycles into 19 runs at the
+    # default bound too, with one solve per order of a run: 98 orders, 5 of
+    # them split between two runs, and one solve per cycle at a bound of 1
     suites = (("balance-equivalence", None), ("cospectrality", None), ("transmission-shift", 100))
     expected = [sdlap.verify.run_suite(s, n).to_json_obj() for s, n in suites]
-    assert len(solves) == 14 + 196 and expected[0]["passed"] == (injection is None)
+    assert len(solves) == 14 + 103 and expected[0]["passed"] == (injection is None)
     assert expected[2]["passed"] == (shift == 0)
     for bound in (1, 97, 2000):
         monkeypatch.setattr(sdlap.verify, "_CHUNK_ENTRIES", bound)
         solves.clear()
         assert [sdlap.verify.run_suite(s, n).to_json_obj() for s, n in suites] == expected
-        assert len(solves) > 14 + 196 and (bound > 1 or len(solves) == 600 + 196)
+        assert len(solves) > 14 + 103 and (bound > 1 or len(solves) == 600 + 196)
 
 
 @pytest.mark.parametrize("injection", [None, "forest-sum-plus-one", "incidence-doubled"])

@@ -33,7 +33,16 @@ def table_of(request):
         return distance_table
     lead = [generate("cycle", 64, "allneg")] if offset else []
     trail = [generate("path", 65, 0.5, seed=1)]
-    return lambda g: distance._tables(lead + [g] + trail)[len(lead)]
+    return lambda g: stacked_member(lead + [g] + trail, len(lead))
+
+
+def stacked_member(graphs, i):
+    """The table of graphs[i] from the stacked table of its order that
+    distance._tables(graphs) builds, as a table of its own."""
+    n = graphs[i].n
+    stack = distance._tables(graphs)[n]
+    j = sum(g.n == n for g in graphs[:i])
+    return DistanceTable(stack.dist[j], stack.pos[j], stack.neg[j])
 
 
 def c4_one_negative():
@@ -197,17 +206,31 @@ def test_stacked_tables_match_the_single_source_oracles():
     graphs += [generate("cycle", 64, "allneg"), generate("path", 65, 0.5, seed=2),
                generate("path", 300, 0.5, seed=12)]  # distances of 9 bits
     oracle = {id(g): [sssp_signs(g, s) for s in range(g.n)] for g in exhaustive + graphs}
-    # one frontier word filled to its last bit, two words, and five words
+    # one frontier word filled to its last bit, two words, and five words,
+    # the last with orders 64, 65 and 300 in one call; every order from 1
+    # on, interleaved, and orders 1 to 4, 64 and 65 repeated
     for top in (64, 65, 300):
         stack = [g for g in graphs if g.n <= top] + rng.sample(exhaustive, 100)
         rng.shuffle(stack)
         assert max(g.n for g in stack) == top
-        for g, table in zip(stack, distance._tables(stack), strict=True):
-            assert entries(table) == oracle[id(g)], g
-            if g.n <= 4:
-                assert entries(table) == brute_table(g), g
-    for g, table in zip(exhaustive, distance._tables(exhaustive), strict=True):
-        assert entries(table) == brute_table(g), g
+        tables = distance._tables(stack)
+        assert sorted(tables) == sorted({g.n for g in stack})
+        for n, table in tables.items():
+            members = [g for g in stack if g.n == n]
+            for arr, dtype in zip((table.dist, table.pos, table.neg), (np.int64, bool, bool)):
+                assert arr.shape == (len(members), n, n) and arr.dtype == dtype
+                assert arr.flags.owndata and not arr.flags.writeable
+            for j, g in enumerate(members):
+                alone = distance_table(g)
+                for mine, theirs in zip((table.dist, table.pos, table.neg),
+                                        (alone.dist, alone.pos, alone.neg)):
+                    assert mine[j].dtype == theirs.dtype and np.array_equal(mine[j], theirs), g
+                member = DistanceTable(table.dist[j], table.pos[j], table.neg[j])
+                assert entries(member) == oracle[id(g)], g
+                if n <= 4:
+                    assert entries(member) == brute_table(g), g
+    for i, g in enumerate(exhaustive):
+        assert entries(stacked_member(exhaustive, i)) == brute_table(g), g
     # a disconnected member is named in its own numbering; the first one wins
     lost = [SignedGraph(4, ((1, 2, 1), (2, 3, -1))),
             SignedGraph(70, tuple((v, v + 1, 1) for v in range(68))),
@@ -258,7 +281,12 @@ def test_table_keeps_the_frozen_arrays_distance_table_builds():
      "integer distances and bool flags, got float64, bool and bool"),
     (np.zeros((2, 2), int), np.eye(2, dtype=int), np.zeros((2, 2), bool),
      "integer distances and bool flags, got int64, int64 and bool"),
-], ids=["three-shapes", "not-square", "1-D", "float-dist", "int-flags"])
+    (np.zeros((3, 2, 3), int), np.zeros((3, 2, 3), bool), np.zeros((3, 2, 3), bool),
+     "three square arrays of one shape, got (3, 2, 3), (3, 2, 3) and (3, 2, 3)"),
+    (np.zeros((1, 1, 2, 2), int), np.zeros((1, 1, 2, 2), bool), np.zeros((1, 1, 2, 2), bool),
+     "three square arrays of one shape, got (1, 1, 2, 2), (1, 1, 2, 2) and (1, 1, 2, 2)"),
+], ids=["three-shapes", "not-square", "1-D", "float-dist", "int-flags", "stack-not-square",
+        "4-D"])
 def test_table_refuses_arrays_that_are_not_one_table(dist, pos, neg, message):
     # each constructed: the first with n == 2, and a float dist gave
     # distance_matrix entries of 1.5
@@ -342,6 +370,18 @@ def test_empty_table_is_compatible():
     empty = np.zeros((0, 0), dtype=bool)
     table = DistanceTable(np.zeros((0, 0), dtype=np.int64), empty, empty)
     assert is_compatible(table) == (True, None)
+
+
+def test_compatibility_refuses_a_stacked_table():
+    # a stack of as many members as vertices would have its witness read
+    # from the flat index of the whole stack
+    for k in (2, 3):
+        stack = distance._tables([generate("cycle", 3, "allneg")] * k)[3]
+        assert stack.dist.shape == (k, 3, 3)
+        with pytest.raises(ValueError, match=rf"table of one graph, got \({k}, 3, 3\)"):
+            is_compatible(stack)
+        with pytest.raises(ValueError, match="table of one graph"):
+            distance_matrix(stack, "pm")
 
 
 def test_incompatibility_witness_is_least_pair():

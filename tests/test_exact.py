@@ -26,6 +26,7 @@ from sdlap.exact import (
     _det_modular,
     _lift_is_exact,
     _primes,
+    _symmetric,
 )
 
 from conftest import leibniz_det
@@ -124,6 +125,33 @@ def test_routes_handle_python_ints_beyond_int64():
         value = both_routes(rows)
         assert det_exact(rows) == value
         assert value.bit_length() > 63 * n
+
+
+def test_hadamard_bound_squares_negative_entries_beyond_int64():
+    # n * amax**2 >= 2**63 takes the Python-integer column norms. Entries
+    # are mostly negative, and the order is odd: a norm that summed odd
+    # powers would be negative in every column, and so would the bound.
+    rng = random.Random(239)
+    n = _PADIC_MIN_ORDER + 1
+    rows = random_rows(rng, n, -(2**32), -(2**31))
+    for i in range(n):
+        rows[i][rng.randrange(n)] = rng.randint(2**31, 2**32)
+    assert n * max(abs(x) for row in rows for x in row) ** 2 >= 2**63
+    assert all(sum(row[j] ** 3 for row in rows) < 0 for j in range(n))
+    assert det_exact(rows) == both_routes(rows) != 0
+
+
+def test_symmetric_residue_keeps_half_the_modulus_and_moves_the_rest():
+    # the residue moves to (-m/2, m/2]: for even m, x = m/2 (2x = m) stays
+    # and m/2 + 1 moves; for odd m, (m - 1)/2 stays and (m + 1)/2 (2x = m + 1)
+    # moves
+    for m in (2, 4, 10, 2**64, 6 * next(_primes())):
+        assert (_symmetric(m // 2, m), _symmetric(m // 2 + 1, m)) == (m // 2, m // 2 + 1 - m)
+    for m in (3, 5, 11, 2**64 + 1, next(_primes())):
+        half = (m - 1) // 2
+        assert (_symmetric(half, m), _symmetric(half + 1, m)) == (half, half + 1 - m)
+    for m in range(1, 30):
+        assert sorted(_symmetric(x, m) for x in range(m)) == list(range(-((m - 1) // 2), m // 2 + 1))
 
 
 def test_routes_return_zero_on_rank_deficient_matrices():

@@ -40,6 +40,9 @@ KILLED = {
     "sigma-max-always-positive": (
         "sdlap.distance", "sig = np.where(table.pos, 1, -1)", "sig = np.where(table.pos, 1, 1)",
         {"balance-equivalence", "cospectrality", "transmission-shift"}),
+    "sigma-min-always-negative": (
+        "sdlap.distance", "sig = np.where(table.neg, -1, 1)", "sig = np.where(table.neg, -1, -1)",
+        {"balance-equivalence", "transmission-shift"}),
     "sigma-max-and-min-swapped": (
         "sdlap.distance", 'if kind == "min":', 'if kind == "max":',
         {"balance-equivalence"}),
@@ -47,7 +50,7 @@ KILLED = {
         "sdlap.balance", "[(w, 4 * w, 0) for w in weights]", "[(w, 2 * w, 0) for w in weights]",
         {"forest-theorem"}),
     "transmission-plus-one": (
-        "sdlap.distance", "return table.dist.sum(axis=1)", "return table.dist.sum(axis=1) + 1",
+        "sdlap.distance", "return table.dist.sum(axis=-1)", "return table.dist.sum(axis=-1) + 1",
         {"transmission-shift"}),
     "laplacian-off-diagonal-plus-sw": (
         "sdlap.matrices", "[-w for values, _ in checked for w in values]",
