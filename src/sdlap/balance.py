@@ -28,9 +28,9 @@ from .core import (
     NEGATIVE,
     POSITIVE,
     DisconnectedGraphError,
-    SignedForest,
     SignedGraph,
     _int_text,
+    _root,
     path_sign,
     switch,
 )
@@ -394,12 +394,12 @@ def _scan_1forests(g: SignedGraph, negative_only: bool = False) -> Iterator[OneF
     tuples; with negative_only, only the contrabalanced ones. The census
     runs in listing mode: a state's value is a node of the forest diagram
     (Kawahara, Inoue, Iwashita & Minato, IEICE Trans. Fundamentals, 2017),
-    whose paths to the root take the edges of one forest each. One union
-    pass over a forest's edges, ascending, finds the closing edge and
-    cycle sign of each component, in closing order, and its tree edges,
-    which give the cycle and the vertices. Raises SizeBoundError, before
-    any forest is built, when there are more than FOREST_MAX_STATES
-    forests or the census exceeds its cap.
+    whose paths to the root take the edges of one forest each. One
+    union-find pass over a forest's edges, ascending, finds the closing
+    edge of each component, in closing order, and its tree edges, which
+    give the cycle and the vertices; the cycle's sign is its path_sign.
+    Raises SizeBoundError, before any forest is built, when there are
+    more than FOREST_MAX_STATES forests or the census exceeds its cap.
     """
     count, node = _frontier(g, _Node(), [(e, e, e) for e in range(g.m)], negative_only)
     if count > FOREST_MAX_STATES:
@@ -408,20 +408,23 @@ def _scan_1forests(g: SignedGraph, negative_only: bool = False) -> Iterator[OneF
     if not count:
         return
     for forest_edges in sorted(tuple(sorted(core)) for core in _root_paths(node)):
-        union = SignedForest(g.n).union
+        parent = list(range(g.n))
         tree: list[list[int]] = [[] for _ in range(g.n)]
         closing = []
         for ei in forest_edges:
-            u, v, s = g.edges[ei]
-            if sign := union(u, v, s):
-                closing.append((u, v, sign))
+            u, v, _ = g.edges[ei]
+            ru, rv = _root(parent, u), _root(parent, v)
+            if ru == rv:
+                closing.append((u, v))
             else:
+                parent[rv] = ru
                 tree[u].append(v)
                 tree[v].append(u)
         comps = []
-        for u, v, sign in closing:
+        for u, v in closing:
             cycle, visited = _tree_path(tree, u, v)
-            comps.append(ForestComponent(tuple(sorted(visited)), cycle, sign))
+            comps.append(ForestComponent(tuple(sorted(visited)), cycle,
+                                         path_sign(g, cycle + cycle[:1])))
         yield OneForest(forest_edges, tuple(comps))
 
 

@@ -65,55 +65,6 @@ class DisconnectedGraphError(ValueError):
         )
 
 
-class SignedForest:
-    """Union-find over signed edges that reports the sign of each cycle.
-
-    Each vertex stores its parent and the sign of its path to that parent,
-    so the sign of the path from a vertex to its root is the product along
-    the way (Harary & Kabell, Math. Soc. Sci. 1980). Union is by size and
-    paths are never compressed, so every vertex is O(log n) steps from its
-    root and its stored sign stays the sign of a path in the edges joined.
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.sign = [POSITIVE] * n
-        self.size = [1] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        """(root of x, sign of the path from x to the root)."""
-        sign = POSITIVE
-        while self.parent[x] != x:
-            sign *= self.sign[x]
-            x = self.parent[x]
-        return x, sign
-
-    def union(self, u: int, v: int, s: int) -> int:
-        """Add the edge uv of sign s.
-
-        Returns 0 when the edge joins two components. Otherwise the edge
-        closes a cycle through the path between u and v, and the sign of
-        that cycle is returned.
-        """
-        ru, su = self.find(u)
-        rv, sv = self.find(v)
-        if ru == rv:
-            return su * s * sv
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.sign[rv] = su * s * sv
-        self.size[ru] += self.size[rv]
-        return 0
-
-    def classes(self) -> dict[int, list[int]]:
-        """Vertices of each component, ascending, keyed by its root."""
-        groups: dict[int, list[int]] = {}
-        for v in range(len(self.parent)):
-            groups.setdefault(self.find(v)[0], []).append(v)
-        return groups
-
-
 @dataclass(frozen=True)
 class SignedGraph:
     """Simple undirected graph whose edges carry a sign of +1 or -1 and a
@@ -360,16 +311,22 @@ def path_sign(g: SignedGraph, walk: Sequence[int]) -> int:
     return sign
 
 
+def _root(parent: list[int], x: int) -> int:
+    """Root of x in the union-find parent, by path halving: each step
+    points x at its grandparent and goes there (Tarjan & van Leeuwen,
+    J. ACM 1984)."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def _is_connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    parent = list(range(n))  # a union-find; SignedForest would track signs too
+    parent = list(range(n))
     parts = n
     for u, v in pairs:
         if parts == 1:  # no later pair can matter
             break
-        while parent[u] != u:  # path halving: point u at its grandparent, go there
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
+        u, v = _root(parent, u), _root(parent, v)
         if u != v:
             parent[v] = u
             parts -= 1
@@ -451,7 +408,10 @@ def generate(kind: str, n: int, signs: SignSpec = None,
 
 def components(g: SignedGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex."""
-    forest = SignedForest(g.n)
-    for u, v, s in g.edges:
-        forest.union(u, v, s)
-    return sorted(forest.classes().values())
+    parent = list(range(g.n))
+    for u, v, _ in g.edges:
+        parent[_root(parent, v)] = _root(parent, u)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(_root(parent, v), []).append(v)
+    return sorted(groups.values())

@@ -22,8 +22,6 @@ from sdlap import (
     switch,
 )
 
-from sdlap.core import SignedForest
-
 from conftest import random_connected_graph
 
 
@@ -498,49 +496,9 @@ def random_signed_graph(rng, n_max):
 
 def test_components_match_breadth_first_search():
     rng = random.Random(29)
-    for _ in range(200):
-        g = random_signed_graph(rng, 12)
+    graphs = [random_signed_graph(rng, 12) for _ in range(200)]
+    # a path listed from its far end, so the union-find builds one long chain
+    n = 100_000
+    graphs.append(SignedGraph(n, tuple((i, i + 1, 1) for i in reversed(range(n - 1)))))
+    for g in graphs:
         assert components(g) == bfs_components(g), g
-
-
-# ---------------------------------------------------------------- SignedForest
-
-
-def tree_path(tree, u, v):
-    prev = {u: None}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in tree[x]:
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    path = [v]
-    while path[-1] != u:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
-def test_signed_forest_cycle_signs_match_path_sign():
-    rng = random.Random(31)
-    closed = 0
-    for _ in range(150):
-        g = random_signed_graph(rng, 10)
-        edges = list(g.edges)
-        rng.shuffle(edges)
-        forest = SignedForest(g.n)
-        tree = [[] for _ in range(g.n)]
-        for u, v, s in edges:
-            sign = forest.union(u, v, s)
-            if sign == 0:
-                tree[u].append(v)
-                tree[v].append(u)
-                continue
-            closed += 1
-            cycle = tree_path(tree, u, v) + [u]
-            assert sign == path_sign(g, cycle), (g, u, v)
-        for x in range(g.n):
-            root, sign = forest.find(x)
-            assert sign == path_sign(g, tree_path(tree, x, root)), (g, x)
-        assert sorted(forest.classes().values()) == bfs_components(g)
-    assert closed > 400

@@ -87,6 +87,29 @@ def test_primes_are_distinct_primes_below_the_limit_largest_first():
     assert first == list(itertools.islice(_primes(), 60))
 
 
+def sieved_primes_below(hi, count):
+    """The count largest primes below hi, largest first, by a segmented
+    sieve of Eratosthenes that walks down from hi one segment at a time."""
+    small = [p for p in range(2, math.isqrt(hi) + 1)
+             if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    found, width = [], 1 << 14
+    while len(found) < count:
+        lo = max(hi - width, 2)
+        is_prime = [True] * (hi - lo)
+        for p in small:
+            for x in range(max(p * p, -(-lo // p) * p), hi, p):
+                is_prime[x - lo] = False
+        found += [lo + i for i in reversed(range(hi - lo)) if is_prime[i]]
+        hi = lo
+    return found[:count]
+
+
+def test_primes_are_the_largest_primes_below_the_limit_none_skipped():
+    first = list(itertools.islice(_primes(), 2000))
+    assert first == sieved_primes_below(_PRIME_LIMIT, 2000)
+    assert (first[0], first[-1]) == (8_388_593, 8_356_417)
+
+
 def test_routes_agree_on_both_sides_of_the_order_threshold():
     rng = random.Random(223)
     for n in (_PADIC_MIN_ORDER - 1, _PADIC_MIN_ORDER, _PADIC_MIN_ORDER + _BLOCK + 3):
