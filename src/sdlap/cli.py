@@ -202,7 +202,7 @@ def _cmd_verify(args):
     if args.n is not None and args.n < MIN_VERIFY_N:
         raise _UsageError(f"--n must be at least {MIN_VERIFY_N}, got {args.n}")
     if args.suite == "all":
-        reports = verify.run_all(n_max=args.n, seed=args.seed)
+        reports = verify.run_all(n_max=args.n, seed=args.seed, _fork=args.fork)
     else:
         reports = [verify.run_suite(args.suite, n_max=args.n, seed=args.seed)]
     code = 0 if all(r.passed for r in reports) else 1
@@ -299,12 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, *, _fork: bool = False) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    args.fork = _fork
     try:
         code, result = args.func(args)
         # the result is complete before --out is opened: text is written as
@@ -340,12 +341,18 @@ def run() -> None:
     """The process entry: run main() on sys.argv, then freeze the heap and
     exit with its code.
 
+    Only here may `verify all` fork: after its imports, a child process
+    runs three of the five suites while this one runs the other two
+    (verify.run_all), about 40 and 45 ms of work at seed 1530816428. It
+    stays in one process without os.fork or os.sched_getaffinity, or with
+    fewer than two usable CPUs.
+
     gc.freeze() moves every object tracked so far, numpy's included, to
     the permanent generation, which the collections at interpreter
     shutdown skip; atexit handlers, stream flushes and module teardown
-    still run. main() itself never freezes, so tests and library callers
-    that call it keep a normal collector."""
-    code = main()
+    still run. main() itself never forks or freezes, so tests and library
+    callers that call it stay in one process with a normal collector."""
+    code = main(_fork=True)
     gc.freeze()
     sys.exit(code)
 

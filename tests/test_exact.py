@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ def test_primes_are_the_largest_primes_below_the_limit_none_skipped():
     first = list(itertools.islice(_primes(), 2000))
     assert first == sieved_primes_below(_PRIME_LIMIT, 2000)
     assert (first[0], first[-1]) == (8_388_593, 8_356_417)
+
+
+# The composites below _PRIME_LIMIT that pass Miller-Rabin to bases 2 and 3
+# (OEIS A072276). Base 5 or 7 must reject each; 2,284,453 passes bases 6
+# and 7 as well.
+_STRONG_PSEUDOPRIMES_TO_2_AND_3 = (1_373_653, 1_530_787, 1_987_021, 2_284_453, 3_116_107,
+                                   5_173_601, 6_787_327)
+
+
+@pytest.mark.parametrize("q", _STRONG_PSEUDOPRIMES_TO_2_AND_3)
+def test_primes_skip_every_strong_pseudoprime_to_bases_2_and_3(monkeypatch, q):
+    # _primes walks down from _PRIME_LIMIT - 1, so the first number it
+    # tests is q itself
+    assert not all(q % d for d in range(2, math.isqrt(q) + 1))
+    monkeypatch.setattr(sdlap.exact, "_PRIME_LIMIT", q + 1)
+    assert next(_primes()) == sieved_primes_below(q, 1)[0]
 
 
 def test_routes_agree_on_both_sides_of_the_order_threshold():
@@ -487,3 +504,44 @@ def test_det_exact_rejects_bad_entries_at_the_padic_threshold(bad, n):
     m[0, n - 1] = bad
     with pytest.raises(ValueError, match="non-integer"):
         det_exact(m)
+
+
+# Mutants of one line of sdlap.exact that tier-1 does not kill, each with
+# the reason it changes no result, only the work done: (line as written,
+# mutant line, reason). A mutant that a test kills leaves this table.
+SURVIVORS = {
+    "block-17": (
+        "_BLOCK = 16", "_BLOCK = 17",
+        "the prime loop stays exact while _BLOCK * (p - 1)**2 + 2 * p < 2**53, "
+        "which holds for any _BLOCK up to 127 at p < 2**23; a block of 17 "
+        "columns only moves the reductions"),
+    "amax-initial-1": (
+        "int(entries.max(initial=0))", "int(entries.max(initial=1))",
+        "amax changes only on a matrix with no nonzero entry, from 0 to 1, "
+        "and amax only bounds: a larger bound can cost work, never a result"),
+    "reconstruction-word-plus-2": (
+        "half, low = half + 1, low * base", "half, low = half + 2, low * base",
+        "low still grows one word a step, but half can reach words first and "
+        "stop it a word short; a y_j read modulo a short low then exceeds bound "
+        "and is rebuilt from all of x_j, or fails the exact certificate and the "
+        "lifting declines, so only the route and the work change"),
+    "certificate-limbs-times": (
+        "-(-max([9 * d, *map(abs, y)]).bit_length() // _LIMB_BITS)",
+        "-(-max([9 * d, *map(abs, y)]).bit_length() * _LIMB_BITS)",
+        "the certificate gets more limbs than it needs, all zero above the "
+        "top one, and its carry pass reaches the same verdict"),
+    "lifting-bound-3p": (
+        "n * (p - 1) ** 2 + 2 * p < 2**53", "n * (p - 1) ** 2 + 3 * p < 2**53",
+        "at n = 8192 the slack below 2**53 is about 65,536 * p and n = 8193 "
+        "overshoots by about 983,000 * p, so no integer n tells 2 * p from "
+        "3 * p; test_lifting_prime_is_prime_and_keeps_float_arithmetic_below_2_to_the_53 "
+        "pins the 8192/8193 edge"),
+}
+
+
+def test_every_listed_exact_mutant_changes_one_line_of_the_source():
+    # keeps the table from going stale when exact.py changes
+    source = (Path(__file__).resolve().parents[1] / "src" / "sdlap" / "exact.py").read_text()
+    for old, new, _ in SURVIVORS.values():
+        assert source.count(old) == 1, old
+        assert old != new

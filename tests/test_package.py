@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import types
 from collections import Counter
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import sdlap
+from sdlap import verify
 from sdlap.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -414,6 +416,185 @@ def test_a_command_process_prints_what_main_prints(argv, code, tmp_path, monkeyp
     captured = capsys.readouterr()
     assert child == (code, captured.out, captured.err,
                      out_file.exists() and out_file.read_text())
+
+
+# The process entry under a probe: it counts the forks that its own process
+# makes and, at exit, writes that count and whether a child of it is left to
+# the file "probe", so that stdout and stderr stay the command's.
+_FORK_PROBE = """
+import atexit, os, runpy
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+
+def write_probe():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = "a child left"
+    except ChildProcessError:
+        left = "no child"
+    with open("probe", "w") as f:
+        f.write(f"{len(forks)} {left}")
+
+atexit.register(write_probe)
+runpy.run_module("sdlap.cli", run_name="__main__")
+"""
+# verify all forks where os.fork exists and two CPUs or more are usable
+_FORKS = int(hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) >= 2)
+
+# Stand-ins for suites, each defining a function named as the suite it
+# replaces, which may call the real suite.
+_FAILS_ITS_CHECK = """
+import sdlap.verify
+def cospectrality_suite(real=sdlap.verify.cospectrality_suite, **kwargs):
+    report = real(**kwargs)
+    report.record_failure("instance 0: rebound to fail")
+    return report
+"""
+_RAISES_IN_A_CHILD = """
+import os, sdlap.verify
+def transmission_shift_suite(real=sdlap.verify.transmission_shift_suite,
+                             parent=os.getpid(), **kwargs):
+    if os.getpid() != parent:
+        raise RuntimeError("raised in a child process")
+    return real(**kwargs)
+"""
+_UNREADABLE_FROM_A_CHILD = """
+import os, sdlap.verify
+class Unreadable:
+    def __reduce__(self):
+        return int, ("not a number",)
+def cospectrality_suite(real=sdlap.verify.cospectrality_suite, parent=os.getpid(), **kwargs):
+    report = real(**kwargs)
+    if os.getpid() != parent:
+        report.details["unreadable"] = Unreadable()
+    return report
+"""
+# forest-theorem runs in the parent process either way and takes seconds at
+# --n 10 (its fourth graph at seed 1 alone takes 3 s), so this one checks three
+_SHORT_FOREST_THEOREM = """
+import functools, sdlap.verify
+forest_theorem_suite = functools.partial(sdlap.verify.forest_theorem_suite, count=3)
+"""
+
+
+def _entry_and_main(argv, tmp_path, monkeypatch, capsys, stand_in=("", "")):
+    """(exit code, stdout, stderr) of the process entry and of main() on
+    argv, with the suite that stand_in = (name, code) defines in place of
+    verify's in both, and the entry's probe line."""
+    name, code = stand_in
+    setup = f"{code}\nsdlap.verify.{name} = {name}\n" if name else ""
+    proc = _fresh("-c", setup + _FORK_PROBE, *argv, cwd=tmp_path)
+    if name:
+        defined = {}
+        exec(code, defined)
+        monkeypatch.setattr(verify, name, defined[name])
+    in_process = main(list(argv))
+    captured = capsys.readouterr()
+    return ((proc.returncode, proc.stdout, proc.stderr),
+            (in_process, captured.out, captured.err), (tmp_path / "probe").read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ("--seed", "1"),
+    ("--seed", "1", "--format", "json"),
+    ("--seed", "901"),
+    ("--seed", "901", "--format", "json"),
+    ("--seed", "1530816428"),
+    ("--seed", "1530816428", "--format", "json"),
+    ("--n", "4"),
+    ("--n", "4", "--format", "json"),
+])
+def test_verify_all_in_two_processes_prints_what_main_prints(argv, tmp_path, monkeypatch,
+                                                            capsys):
+    entry, in_process, probe = _entry_and_main(("verify", "all", *argv), tmp_path,
+                                               monkeypatch, capsys)
+    assert probe == f"{_FORKS} no child"
+    assert entry == in_process and entry[0] == 0 and entry[2] == ""
+
+
+@pytest.mark.parametrize("argv, stand_in, code", [
+    (("--n", "10"), ("forest_theorem_suite", _SHORT_FOREST_THEOREM), 0),
+    ((), ("cospectrality_suite", _FAILS_ITS_CHECK), 1),
+    ((), ("transmission_shift_suite", _RAISES_IN_A_CHILD), 0),
+    ((), ("cospectrality_suite", _UNREADABLE_FROM_A_CHILD), 0),
+], ids=["n-10", "child-suite-fails", "child-suite-raises", "child-report-unreadable"])
+def test_verify_all_in_two_processes_with_a_suite_stand_in(argv, stand_in, code, tmp_path,
+                                                           monkeypatch, capsys):
+    # a failed check crosses the pipe as a FAIL report; where a child raises
+    # (and exits without a word) or sends a report that cannot be read, the
+    # parent runs the child's suites itself
+    entry, in_process, probe = _entry_and_main(("verify", "all", *argv), tmp_path,
+                                               monkeypatch, capsys, stand_in)
+    assert probe == f"{_FORKS} no child"
+    assert entry == in_process and entry[0] == code and entry[2] == ""
+    if code:
+        assert "FAIL cospectrality: 100 instances" in entry[1]
+
+
+def _never_fork():
+    raise AssertionError("forked")
+
+
+def test_main_and_run_all_stay_in_one_process(monkeypatch, capsys):
+    # only the process entry forks; tests and library callers that call
+    # main() or run_all() run every suite in their own process
+    monkeypatch.setattr(os, "fork", _never_fork)
+    assert main(["verify", "all"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert all(report.passed for report in verify.run_all())
+
+
+def test_run_all_stays_in_one_process_without_fork_or_a_second_cpu(monkeypatch):
+    expected = verify.run_all(n_max=4)
+    monkeypatch.setattr(os, "fork", _never_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert verify.run_all(n_max=4, _fork=True) == expected
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert verify.run_all(n_max=4, _fork=True) == expected
+    monkeypatch.delattr(os, "fork")
+    assert verify.run_all(n_max=4, _fork=True) == expected
+
+
+def _raises(message):
+    def suite(**kwargs):
+        raise ValueError(message)
+    return suite
+
+
+def test_forked_run_all_raises_what_one_process_raises(monkeypatch):
+    # balance-equivalence, a child's suite, comes before the parent's last
+    # suite, incidence-factorization, so its error is the one reported
+    monkeypatch.setattr(verify, "balance_equivalence_suite", _raises("second suite"))
+    monkeypatch.setattr(verify, "incidence_factorization_suite", _raises("last suite"))
+    for fork in (False, True):
+        with pytest.raises(ValueError, match="second suite"):
+            verify.run_all(n_max=4, _fork=fork)
+    monkeypatch.setattr(verify, "forest_theorem_suite", _raises("first suite"))
+    with pytest.raises(ValueError, match="first suite"):
+        verify.run_all(n_max=4, _fork=True)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupted_run_all_kills_and_reaps_its_child(monkeypatch):
+    parent = os.getpid()
+
+    def sleeps_in_a_child(**kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "balance_equivalence_suite", sleeps_in_a_child)
+    monkeypatch.setattr(verify, "forest_theorem_suite", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_all(_fork=True)
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_the_console_script_runs_what_the_module_runs():
