@@ -20,13 +20,14 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "core": (
         "NEGATIVE", "POSITIVE", "DisconnectedGraphError", "GenerationError",
-        "GraphFormatError", "SignedGraph", "canonical_orientation", "components",
-        "generate", "parse_edge_list", "path_sign", "serialize", "switch",
+        "GraphFormatError", "SignedGraph", "SizeBoundError", "canonical_orientation",
+        "components", "distance_summary", "generate", "parse_edge_list", "path_sign",
+        "serialize", "switch",
     ),
     "balance": (
-        "BalanceReport", "ForestComponent", "OneForest", "SizeBoundError",
-        "closed_form_det", "det_exact", "enumerate_spanning_1forests", "forest_census",
-        "forest_det", "is_balanced_det", "is_balanced_forest", "is_balanced_switching",
+        "BalanceReport", "ForestComponent", "OneForest", "closed_form_det", "det_exact",
+        "enumerate_spanning_1forests", "forest_census", "forest_det", "is_balanced_det",
+        "is_balanced_forest", "is_balanced_switching",
     ),
     "distance": (
         "DistanceTable", "IncompatibleGraphError", "associated_complete",

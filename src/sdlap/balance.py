@@ -29,6 +29,7 @@ from .core import (
     POSITIVE,
     DisconnectedGraphError,
     SignedGraph,
+    SizeBoundError,
     _int_text,
     _root,
     path_sign,
@@ -38,11 +39,6 @@ from .core import (
 # Live states of the 1-forest census after any edge, and forests of a
 # listing: K10 peaks at 402,610 states (about 200 MB), K8 has 1,456,875 forests.
 FOREST_MAX_STATES = 500_000
-
-
-class SizeBoundError(ValueError):
-    """The 1-forest census would hold more than FOREST_MAX_STATES live
-    states, or a listing more than FOREST_MAX_STATES forests."""
 
 
 class ForestComponent(NamedTuple):

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 computation error (disconnected input,
-incompatible pair for a pm matrix, a 1-forest size bound, an int64 or
-float64 vertex weight sum or a float 1-forest sum that overflows,
-verification failure, memory that runs out, a stdout that its reader
-closed early, which stops the command without a message), 2 usage or
-input-format error.
+incompatible pair for a pm matrix, a 1-forest or distance-pass size
+bound, an int64 or float64 vertex weight sum or a float 1-forest sum
+that overflows, verification failure, memory that runs out, a stdout
+that its reader closed early, which stops the command without a
+message), 2 usage or input-format error.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import (
     SignedGraph,
     _int_text,
     components,
+    distance_summary,
     generate,
     parse_edge_list,
     serialize,
@@ -123,12 +124,11 @@ def _cmd_info(args):
         "connected": len(comps) == 1,
     }
     if info["connected"]:
-        table = distance.distance_table(g)
-        compatible, witness = distance.is_compatible(table)
-        info["compatible"] = compatible
+        transmissions, witness = distance_summary(g)
+        info["compatible"] = witness is None
         if witness is not None:
             info["incompatible_pair"] = [witness[0] + 1, witness[1] + 1]
-        info["transmissions"] = [int(t) for t in distance.transmission(table)]
+        info["transmissions"] = transmissions
         info["balanced"] = balance.is_balanced_switching(g).balanced
     cf = balance.closed_form_det(g)
     info["closed_form_det"] = cf if cf is None or isinstance(cf, float) else _int_text(cf)

@@ -35,6 +35,11 @@ SUITE_NAMES = ("forest-theorem", "balance-equivalence", "cospectrality",
 # crashes or passes without testing anything.
 MIN_VERIFY_N = 3
 
+# Bytes that distance_summary may hold, estimated as 3n²/8 for n
+# vertices: 1 GiB admits n up to 53,000, and the largest graphs of the
+# tests and the benchmark (n = 3000) need 3.4 MB.
+MAX_SUMMARY_BYTES = 1 << 30
+
 _SIGN_TOKENS = {"+": POSITIVE, "1": POSITIVE, "-": NEGATIVE, "-1": NEGATIVE}
 _MAX_RANDOM_ATTEMPTS = 500
 
@@ -51,6 +56,13 @@ class GraphFormatError(ValueError):
 
 class GenerationError(RuntimeError):
     """Random generation could not satisfy a structural requirement."""
+
+
+class SizeBoundError(ValueError):
+    """The work would pass one of sdlap's fixed bounds: the live states
+    of the 1-forest census or the forests of a listing
+    (balance.FOREST_MAX_STATES), or the estimated bytes of
+    distance_summary (MAX_SUMMARY_BYTES)."""
 
 
 class DisconnectedGraphError(ValueError):
@@ -415,3 +427,98 @@ def components(g: SignedGraph) -> list[list[int]]:
     for v in range(g.n):
         groups.setdefault(_root(parent, v), []).append(v)
     return sorted(groups.values())
+
+
+def distance_summary(g: SignedGraph) -> tuple[list[int], tuple[int, int] | None]:
+    """The transmission of every vertex and the least incompatible pair,
+    without numpy: what transmission(distance_table(g)) and
+    is_compatible(distance_table(g))[1] of sdlap.distance give, as a list
+    of ints and a pair or None.
+
+    This is the signed BFS from every source at once of distance._levels,
+    with one Python int per vertex and sign class. At level L, bit s of
+    P[v] (of Q[v]) says that a positive (negative) walk of L edges joins
+    s to v, and unseen[v] holds the sources whose distance to v exceeds
+    L - 1. So new = (P[v] | Q[v]) & unseen[v] are the sources at distance
+    exactly L, and for those a walk of L edges is a shortest path: v's
+    transmission gains L x popcount(new), and a source of new in both P[v]
+    and Q[v] has shortest paths of both signs. Unlike the table, P and Q
+    are not masked by unseen, because a source that a longer walk brings
+    back has been seen. A vertex leaves the search, and its walks are
+    dropped, once every source has reached it: the k-th vertex of a
+    shortest path from s has not seen s before level k, so every shortest
+    path is still followed.
+
+    Raises SizeBoundError, before building any int, when P, Q and unseen,
+    about 3n²/8 bytes, would exceed MAX_SUMMARY_BYTES; and raises
+    DisconnectedGraphError as distance_table does, naming source 0 and
+    the least vertex it cannot reach.
+    """
+    n = g.n
+    estimate = 3 * n * n // 8
+    if estimate > MAX_SUMMARY_BYTES:
+        raise SizeBoundError(f"the distance pass on {n} vertices needs about {estimate:,} "
+                             f"bytes, more than the cap of {MAX_SUMMARY_BYTES:,}")
+    # walks[u] is P[u] and walks[n + u] is Q[u]; walks[2n] stays 0. A
+    # positive edge uv feeds P[v] from P[u] and Q[v] from Q[u], a negative
+    # one crosses them. Each vertex's record names its first two feeds of
+    # each class, padded with row 2n, and then the rest, so that the usual
+    # degrees of long paths and cycles need no loop.
+    p_rows = [[] for _ in range(n)]
+    q_rows = [[] for _ in range(n)]
+    for u, v, s in g.edges:
+        cross = 0 if s == POSITIVE else n
+        p_rows[v].append(u + cross)
+        q_rows[v].append(u + n - cross)
+        p_rows[u].append(v + cross)
+        q_rows[u].append(v + n - cross)
+    pad = [2 * n] * 2
+    pending = []  # the records of vertices with unseen sources
+    for v in range(n if n > 1 else 0):
+        a1, a2, *ps = p_rows[v] + pad[len(p_rows[v]):]
+        b1, b2, *qs = q_rows[v] + pad[len(q_rows[v]):]
+        pending.append((v, a1, a2, b1, b2, ps, qs))
+    walks = [1 << v for v in range(n)] + [0] * (n + 1)  # level 0: the empty walks
+    everyone = (1 << n) - 1
+    unseen = [everyone ^ (1 << v) for v in range(n)]
+    transmissions = [0] * n
+    witness = None
+    level = 0
+    while pending:
+        level += 1
+        longer = [0] * (2 * n + 1)
+        found = finished = 0
+        for v, a1, a2, b1, b2, ps, qs in pending:
+            p = walks[a1] | walks[a2]
+            q = walks[b1] | walks[b2]
+            for i in ps:
+                p |= walks[i]
+            for i in qs:
+                q |= walks[i]
+            longer[v] = p
+            longer[n + v] = q
+            todo = unseen[v]
+            new = (p | q) & todo
+            if new:
+                found = 1
+                todo ^= new
+                unseen[v] = todo
+                transmissions[v] += level * new.bit_count()
+                # empty on a balanced graph, where the ends of a walk fix
+                # its sign, and on long cycles until walks can go round
+                both = p & q
+                if both:
+                    both &= new
+                    if both:
+                        s = (both & -both).bit_length() - 1
+                        pair = (s, v) if s < v else (v, s)
+                        if witness is None or pair < witness:
+                            witness = pair
+                if not todo:
+                    finished += 1
+        if not found:
+            raise DisconnectedGraphError(next(r[0] for r in pending if unseen[r[0]] & 1), 0)
+        if finished:
+            pending = [r for r in pending if unseen[r[0]]]
+        walks = longer
+    return transmissions, witness

@@ -16,6 +16,11 @@ on a stack of graphs as one search over their disjoint union, each row
 holding the source bits of its own graph in that graph's numbering, so a
 row has ceil(max order / 64) words; verify builds a run's tables so, one
 stacked table per order (_tables), and signs each stack (_signed).
+
+The recurrence also runs without numpy, with one Python int per row and
+P' and Q' left unmasked, in sdlap.core.distance_summary: `sdlap info`
+takes the transmissions and the least incompatible pair from it and
+builds no table.
 """
 
 from __future__ import annotations

@@ -1200,29 +1200,67 @@ def test_forest_and_incidence_checks_report_the_same_wherever_runs_end(monkeypat
         assert bound > 1 or len(stacked) == checked
 
 
-def test_out_of_memory_ends_in_one_line_without_a_traceback(tmp_path):
-    # The child may use at most 3 GB of address space, so the 9.31 GiB
-    # frontier of this cycle's distance table cannot be allocated. One
-    # BLAS thread keeps numpy's own start-up far below that limit.
+@pytest.fixture(scope="module")
+def c200000(tmp_path_factory):
+    from sdlap import serialize
+
+    path = tmp_path_factory.mktemp("large") / "c200000.sg"
+    path.write_text(serialize(generate("cycle", 200_000, "allneg")))
+    return path
+
+
+def _run_within_3_gib(*argv):
+    """The CLI's process on argv in a child that may use at most 3 GiB of
+    address space, and its wall time. One BLAS thread keeps numpy's own
+    start-up far below that limit."""
     import os
     import resource
     import subprocess
     import sys
+    import time
 
-    from sdlap import serialize
-
-    path = tmp_path / "c200000.sg"
-    path.write_text(serialize(generate("cycle", 200_000, "allneg")))
     limit = 3 * 2**30
     src = str(Path(__file__).resolve().parents[1] / "src")
+    start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "sdlap.cli", "info", str(path)],
+        [sys.executable, "-m", "sdlap.cli", *argv],
         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
         capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return proc, time.perf_counter() - start
+
+
+def test_out_of_memory_ends_in_one_line_without_a_traceback(c200000):
+    # the 9.31 GiB frontier of this cycle's distance table cannot be
+    # allocated within the child's 3 GiB
+    proc, _ = _run_within_3_gib("matrix", str(c200000), "--kind", "dmax")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("sdlap: out of memory: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_info_refuses_a_distance_pass_that_cannot_fit_before_building_it(c200000):
+    # Without the size guard, the pass would build 200,000 ints of 200,000
+    # bits for the unseen sources alone, and the child would run out of
+    # memory after seconds instead.
+    proc, seconds = _run_within_3_gib("info", str(c200000))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("sdlap: the distance pass on 200000 vertices needs about "
+                           "15,000,000,000 bytes, more than the cap of 1,073,741,824\n")
+    assert seconds < 30
+
+
+def test_info_refuses_a_distance_pass_above_the_cap(capsys, monkeypatch, c4_one_negative):
+    import sdlap.core
+
+    # three 4-bit ints for each of 4 vertices: 3 * 4**2 // 8 = 6 bytes
+    monkeypatch.setattr(sdlap.core, "MAX_SUMMARY_BYTES", 5)
+    assert run(capsys, "info", c4_one_negative) == (
+        1, "", "sdlap: the distance pass on 4 vertices needs about 6 bytes, "
+               "more than the cap of 5\n")
+    monkeypatch.setattr(sdlap.core, "MAX_SUMMARY_BYTES", 6)
+    code, out, _ = run(capsys, "info", c4_one_negative)
+    assert code == 0 and json.loads(out)["transmissions"] == [4, 4, 4, 4]
 
 
 def test_a_memory_error_without_a_message_is_named(capsys, monkeypatch):

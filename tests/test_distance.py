@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from sdlap import (
     associated_complete,
     distance,
     distance_matrix,
+    distance_summary,
     distance_table,
     generate,
     is_compatible,
@@ -180,16 +182,18 @@ def test_table_rows_match_single_source_bfs(table_of):
         assert_rows_match_sssp(g, table_of)
 
 
+DISCONNECTED = [
+    SignedGraph(2, ()),
+    SignedGraph(4, ((1, 2, 1), (2, 3, -1))),
+    SignedGraph(5, ((0, 3, -1), (1, 2, 1), (3, 4, 1))),
+    SignedGraph(6, ((0, 1, 1), (2, 3, -1), (4, 5, 1))),
+    SignedGraph(5, ((0, 1, -1), (2, 3, 1))),
+    SignedGraph(70, tuple((v, v + 1, 1) for v in range(68))),
+]
+
+
 def test_table_reports_the_same_unreachable_pair_as_single_source_bfs(table_of):
-    graphs = [
-        SignedGraph(2, ()),
-        SignedGraph(4, ((1, 2, 1), (2, 3, -1))),
-        SignedGraph(5, ((0, 3, -1), (1, 2, 1), (3, 4, 1))),
-        SignedGraph(6, ((0, 1, 1), (2, 3, -1), (4, 5, 1))),
-        SignedGraph(5, ((0, 1, -1), (2, 3, 1))),
-        SignedGraph(70, tuple((v, v + 1, 1) for v in range(68))),
-    ]
-    for g in graphs:
+    for g in DISCONNECTED:
         with pytest.raises(DisconnectedGraphError) as expected:
             sssp_signs(g, 0)
         with pytest.raises(DisconnectedGraphError) as err:
@@ -418,6 +422,51 @@ def test_cycle_transmission_formula():
         k = n // 2
         expected = k * (k + 1) if n % 2 else k * k
         assert transmission(table).tolist() == [expected] * n
+
+
+# ---------------------------------------------------------------- numpy-free summary
+
+
+def summary_graphs():
+    """n = 1 and 2; random graphs of 1 to 300 vertices, most with
+    incompatible pairs and some weighted; cycles of both parities, all
+    negative, all positive or with one negative edge, up to n = 1001;
+    paths and complete graphs."""
+    rng = random.Random(49)
+    graphs = [SignedGraph(1, ()), generate("path", 2, "allpos"), generate("path", 2, "allneg")]
+    for n in [*range(1, 71), 100, 150, 200, 250, 300]:
+        g = generate("random", n, rng.choice((0.1, 0.5, 1.0)), seed=rng.getrandbits(32),
+                     p=min(1.0, rng.uniform(1.5, 4.0) * math.log(n + 1) / n))
+        if n % 5 == 0:
+            g = SignedGraph(n, g.edges, tuple(rng.choice((0.5, 3.0, 7)) for _ in g.edges))
+        graphs.append(g)
+    for n in (3, 4, 5, 6, 7, 8, 63, 64, 65, 128, 129):
+        graphs += [generate("cycle", n, signs) for signs in ("allneg", "allpos", "+" * (n - 1) + "-")]
+    graphs += [generate("cycle", 1000, "+" * 999 + "-"), generate("cycle", 1001, "allneg")]
+    graphs += [generate("path", 65, "allneg"), generate("path", 300, 0.5, seed=12)]
+    graphs += [generate("complete", n, 0.5, seed=n) for n in range(1, 13)]
+    return graphs
+
+
+def test_numpy_free_summary_matches_the_distance_table():
+    incompatible = 0
+    for g in summary_graphs():
+        table = distance_table(g)
+        transmissions, witness = distance_summary(g)
+        assert transmissions == transmission(table).tolist(), (g.n, g.edges[:4])
+        assert witness == is_compatible(table)[1], (g.n, g.edges[:4])
+        incompatible += witness is not None
+    assert incompatible >= 50
+
+
+def test_numpy_free_summary_reports_the_unreachable_pair_of_the_distance_table():
+    for g in DISCONNECTED:
+        with pytest.raises(DisconnectedGraphError) as expected:
+            distance_table(g)
+        with pytest.raises(DisconnectedGraphError) as err:
+            distance_summary(g)
+        assert (err.value.vertex, err.value.source) == (
+            expected.value.vertex, expected.value.source), g
 
 
 # ---------------------------------------------------------------- completion

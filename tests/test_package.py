@@ -177,7 +177,7 @@ PUBLIC_NAMES = {
     "NEGATIVE", "OneForest", "POSITIVE", "SignedGraph", "SizeBoundError", "Spectrum",
     "SquareMatrix", "adjacency_matrix", "associated_complete", "canonical_orientation",
     "closed_form_det", "components", "cycle_spectrum", "det_exact", "distance_laplacian",
-    "distance_matrix", "distance_table", "enumerate_spanning_1forests", "forest_census",
+    "distance_matrix", "distance_summary", "distance_table", "enumerate_spanning_1forests", "forest_census",
     "forest_det", "generate", "incidence_matrix", "is_balanced_det", "is_balanced_forest",
     "is_balanced_switching", "is_compatible", "odd_cycle_formula_spectrum",
     "parse_edge_list", "path_sign", "serialize", "switch", "sym_eig", "transmission",
@@ -330,7 +330,7 @@ print(code, *sorted(name[6:] for name, module in sys.modules.items()
     (("matrix", "F", "--kind", "lmin"), {"distance", "matrices"}),
     (("matrix", "F", "--kind", "laplacian"), {"matrices"}),
     (("spectrum", "F", "--kind", "lmax"), {"distance", "matrices", "spectra"}),
-    (("info", "F"), {"balance", "distance", "matrices"}),
+    (("info", "F"), {"balance"}),
     (("balance", "F"), {"balance", "distance", "exact", "matrices"}),
     (("forests", "F"), {"balance"}),
     (("verify", "transmission-shift", "--n", "3"),
